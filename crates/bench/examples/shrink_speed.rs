@@ -1,10 +1,8 @@
-//! Measures what the incremental engine buys during shrinking: hunts one
-//! bug (arg 1, default 14) with the fuzzer, then delta-debugs the find
-//! twice — once with the prefix cache on (the shipping configuration) and
-//! once with it off — printing wall times, candidate counts, and the
-//! op/subset shrink factors. The candidate counts are identical across rows
-//! by construction (the cache is a pure performance layer); only the time
-//! column moves. The source of the EXPERIMENTS.md "Shrinking" numbers.
+//! Measures shrinking: hunts one bug (arg 1, default 14) with the fuzzer,
+//! then delta-debugs the find, printing wall time, candidate counts, and the
+//! op/subset shrink factors. The source of the EXPERIMENTS.md "Shrinking"
+//! numbers (its prefix-cache-off column was measured at PR 6, before the
+//! knob was removed).
 //!
 //! Arg 2 (default 4000) is the fuzzing budget; arg 3 overrides the seed.
 
@@ -40,24 +38,19 @@ fn main() {
         hit.class,
     );
 
-    for (label, cfg) in [
-        ("prefix-on ", cfg.clone()),
-        ("prefix-off", TestConfig { prefix_cache: false, ..cfg.clone() }),
-    ] {
-        let t = std::time::Instant::now();
-        let (bundle, stats) =
-            shrink_to_bundle(info.fs, &[info.id], &hit.workload, &hit.report, &cfg, seed)
-                .expect("find must shrink");
-        println!(
-            "{label} total={:?} ops {} -> {} ({} candidates) subset {} -> {} ({} candidates) point={}",
-            t.elapsed(),
-            stats.ops_before,
-            stats.ops_after,
-            stats.op_candidates,
-            stats.subset_before,
-            stats.subset_after,
-            stats.state_candidates,
-            bundle.point,
-        );
-    }
+    let t = std::time::Instant::now();
+    let (bundle, stats) =
+        shrink_to_bundle(info.fs, &[info.id], &hit.workload, &hit.report, &cfg, seed)
+            .expect("find must shrink");
+    println!(
+        "shrink total={:?} ops {} -> {} ({} candidates) subset {} -> {} ({} candidates) point={}",
+        t.elapsed(),
+        stats.ops_before,
+        stats.ops_after,
+        stats.op_candidates,
+        stats.subset_before,
+        stats.subset_after,
+        stats.state_candidates,
+        bundle.point,
+    );
 }

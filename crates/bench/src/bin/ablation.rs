@@ -15,17 +15,64 @@
 //!   same bugs but far more states examined before the find (Observation 7:
 //!   buggy crash states usually involve few writes, so small-first wins).
 //!
+//! A final **reference** row answers "what do the fast paths buy": full
+//! strong seq-1 on fixed NOVA through the production pipeline and through
+//! the literal reference checker (`chipmunk::reference`), wall against wall,
+//! asserting the two report lists are equal.
+//!
 //! ```sh
 //! cargo run --release -p bench --bin ablation
 //! ```
 
-use bench::hunt_with_ace;
+use std::time::{Duration, Instant};
+
+use bench::{
+    dispatch, fmt_dur, hunt_with_ace, run_batch_cached, run_reference, Scheduler, WithKind,
+};
 use chipmunk::TestConfig;
-use vfs::bugs::bug_table;
+use vfs::{
+    bugs::bug_table,
+    fs::{FsKind, FsOptions},
+    BugSet, FsName, Workload,
+};
+use workloads::ace::{seq1, AceMode};
 
 struct Row {
     name: &'static str,
     cfg: TestConfig,
+}
+
+/// One suite through production and through the reference checker.
+struct ReferenceRow(Vec<Workload>);
+
+impl WithKind for ReferenceRow {
+    /// `(crash states, production wall, reference wall)`.
+    type Out = (u64, Duration, Duration);
+
+    fn call<K: FsKind>(self, kind: K) -> Self::Out {
+        let cfg = TestConfig::default();
+        let fresh = || kind.with_options(kind.options().with_fresh_sinks());
+        let prod_kind = fresh();
+        let t = Instant::now();
+        let mut sched = Scheduler::new(&prod_kind, &cfg);
+        let prod = run_batch_cached(&prod_kind, &self.0, &cfg, Some(&mut sched));
+        let prod_wall = t.elapsed();
+        let t = Instant::now();
+        let refr = run_reference(&fresh(), &self.0, &cfg);
+        let ref_wall = t.elapsed();
+        let mut states = 0;
+        for (w, ((a, _), (b, _))) in self.0.iter().zip(prod.iter().zip(&refr)) {
+            assert_eq!(
+                format!("{:?}", a.reports),
+                format!("{:?}", b.reports),
+                "production and reference disagree on {}",
+                w.name
+            );
+            assert_eq!(a.crash_states, b.crash_states, "{}", w.name);
+            states += a.crash_states;
+        }
+        (states, prod_wall, ref_wall)
+    }
 }
 
 fn main() {
@@ -75,4 +122,18 @@ fn main() {
     println!("see (and burns that hunt's whole budget). Subset order barely moves");
     println!("the ACE numbers because metadata ops keep 1-3 writes in flight");
     println!("(Observation 7) — ordering only pays on deep data ops.");
+
+    let (states, prod, refr) = dispatch(
+        FsName::Nova,
+        FsOptions::with_bugs(BugSet::fixed()),
+        ReferenceRow(seq1(AceMode::Strong)),
+    );
+    println!();
+    println!("reference: strong seq-1 on fixed NOVA, {states} crash states, equal report lists");
+    println!(
+        "  production {} | reference checker {} | fast paths buy {:.1}x",
+        fmt_dur(prod),
+        fmt_dur(refr),
+        refr.as_secs_f64() / prod.as_secs_f64().max(1e-9)
+    );
 }

@@ -2,7 +2,7 @@
 //! crash-consistency bugs by ACE and by the Syzkaller-style fuzzer.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin figure3 [fuzz_budget] [threads] [nodedup] [norep] [--json <path>]
+//! cargo run --release -p bench --bin figure3 [fuzz_budget] [threads] [norep] [--json <path>]
 //! ```
 //!
 //! With `--json <path>`, the two series and the aggregate counters
@@ -40,7 +40,7 @@ use chipmunk::TestConfig;
 use vfs::bugs::bug_table;
 
 fn usage() -> ! {
-    eprintln!("usage: figure3 [fuzz_budget] [threads] [nodedup] [norep] [--json <path>]");
+    eprintln!("usage: figure3 [fuzz_budget] [threads] [norep] [--json <path>]");
     std::process::exit(2);
 }
 
@@ -130,7 +130,6 @@ fn campaign_resume_bench() -> Json {
 fn main() {
     let mut pos: Vec<String> = Vec::new();
     let mut json_path: Option<String> = None;
-    let mut nodedup = false;
     let mut norep = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -141,7 +140,6 @@ fn main() {
                     usage()
                 }));
             }
-            "nodedup" => nodedup = true,
             "norep" => norep = true,
             s if s.starts_with('-') => {
                 eprintln!("unknown flag {s:?}");
@@ -156,12 +154,11 @@ fn main() {
     }
     let fuzz_budget: u64 = parse_pos(pos.first(), "fuzz budget", 8000);
     let threads: usize = parse_pos(pos.get(1), "thread count", 1);
-    let dedup = !nodedup;
     let rep_check = !norep;
-    let ace_cfg = TestConfig { stop_on_first: true, dedup, rep_check, ..TestConfig::default() }
+    let ace_cfg = TestConfig { stop_on_first: true, rep_check, ..TestConfig::default() }
         .with_threads(threads);
-    let fuzz_cfg = TestConfig { dedup, rep_check, ..TestConfig::fuzzing() }.with_threads(threads);
-    eprintln!("threads = {threads}, dedup = {dedup}, rep_check = {rep_check}");
+    let fuzz_cfg = TestConfig { rep_check, ..TestConfig::fuzzing() }.with_threads(threads);
+    eprintln!("threads = {threads}, rep_check = {rep_check}");
 
     // One representative instance per unique bug (fix group).
     let mut seen_groups = std::collections::BTreeSet::new();
@@ -332,7 +329,6 @@ fn main() {
         let doc = Json::Obj(vec![
             ("fuzz_budget", Json::U(fuzz_budget)),
             ("threads", Json::U(threads as u64)),
-            ("dedup", Json::B(dedup)),
             ("ace", series(&ace_series)),
             ("fuzz", series(&fuzz_series)),
             (

@@ -4,7 +4,7 @@
 //! `--shrink` / `--repro`, the front door to minimized repro bundles.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] [nodedup] [--json <path>] [--shrink] [--out <path>]
+//! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]
 //! cargo run --release -p bench --bin hunt -- --repro <bundle.json>
 //! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] --store <dir>
 //! cargo run --release -p bench --bin hunt -- --resume <dir> [threads]
@@ -45,7 +45,7 @@ use vfs::bugs::bug_table;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: hunt [bug#] [threads] [fuzz_budget] [seed] [nodedup] [--json <path>] [--shrink] [--out <path>]"
+        "usage: hunt [bug#] [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]"
     );
     eprintln!("       hunt --repro <bundle.json>");
     eprintln!("       hunt [bug#] [threads] [fuzz_budget] [seed] --store <dir>");
@@ -78,7 +78,6 @@ fn main() {
     let mut store_path: Option<String> = None;
     let mut resume_path: Option<String> = None;
     let mut do_shrink = false;
-    let mut nodedup = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -88,7 +87,6 @@ fn main() {
             "--store" => store_path = Some(flag_value("--store", &mut it)),
             "--resume" => resume_path = Some(flag_value("--resume", &mut it)),
             "--shrink" => do_shrink = true,
-            "nodedup" => nodedup = true,
             s if s.starts_with('-') => {
                 eprintln!("unknown flag {s:?}");
                 usage();
@@ -107,7 +105,7 @@ fn main() {
 
     // Replay mode: no hunting, no other arguments.
     if let Some(path) = repro_path {
-        if do_shrink || json_path.is_some() || nodedup || !pos.is_empty() {
+        if do_shrink || json_path.is_some() || !pos.is_empty() {
             eprintln!("--repro takes no other arguments");
             usage();
         }
@@ -140,8 +138,8 @@ fn main() {
 
     // Store-backed modes: the hunt as a persistent, resumable campaign.
     if store_path.is_some() || resume_path.is_some() {
-        if do_shrink || json_path.is_some() || nodedup || out_path.is_some() {
-            eprintln!("--store/--resume cannot be combined with --shrink/--json/nodedup");
+        if do_shrink || json_path.is_some() || out_path.is_some() {
+            eprintln!("--store/--resume cannot be combined with --shrink/--json/--out");
             usage();
         }
         if store_path.is_some() && resume_path.is_some() {
@@ -196,7 +194,6 @@ fn main() {
     let threads: usize = parse_pos(pos.get(1), "thread count", 1);
     let budget: u64 = parse_pos(pos.get(2), "fuzz budget", 4000);
     let seed: u64 = parse_pos(pos.get(3), "seed", 0xf16 + number as u64);
-    let dedup = !nodedup;
 
     let info = bug_table()
         .iter()
@@ -208,15 +205,14 @@ fn main() {
     // minimizes.
     let ace_cfg = TestConfig {
         stop_on_first: true,
-        dedup,
         large_first_subsets: do_shrink,
         ..TestConfig::default()
     }
     .with_threads(threads);
-    let fuzz_cfg = TestConfig { dedup, large_first_subsets: do_shrink, ..TestConfig::fuzzing() }
+    let fuzz_cfg = TestConfig { large_first_subsets: do_shrink, ..TestConfig::fuzzing() }
         .with_threads(threads);
 
-    println!("bug {number} on {} (threads = {threads}, dedup = {dedup})", info.fs);
+    println!("bug {number} on {} (threads = {threads})", info.fs);
     let ace = if info.ace_findable {
         let (hit, w, s) = hunt_with_ace(info.id, &ace_cfg, 400);
         match &hit {
@@ -256,7 +252,6 @@ fn main() {
             ("bug", Json::U(number as u64)),
             ("fs", Json::S(info.fs.to_string())),
             ("threads", Json::U(threads as u64)),
-            ("dedup", Json::B(dedup)),
             ("fuzz_budget", Json::U(budget)),
             (
                 "ace",

@@ -443,7 +443,7 @@ impl WithKind for AceTask<'_> {
     type Out = Result<TaskRun, StoreError>;
 
     fn call<K: FsKind>(mut self, kind: K) -> Self::Out {
-        let mut cache = PrefixCache::new(&kind, self.cfg);
+        let mut cache = PrefixCache::new(&kind);
         let mut slots: Vec<Option<WRes>> = Vec::with_capacity(self.ws.len());
         slots.resize_with(self.ws.len(), || None);
         let guarded_run = |cache: &mut PrefixCache<K>, w: &Workload, cfg: &TestConfig| {

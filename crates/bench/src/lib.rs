@@ -8,7 +8,10 @@ use std::{
     time::{Duration, Instant},
 };
 
-use chipmunk::{sandbox, test_workload, BugReport, CrashPhase, Stage, TestConfig, TestOutcome, Violation};
+use chipmunk::{
+    reference, sandbox, test_workload, BugReport, CrashPhase, Stage, TestConfig, TestOutcome,
+    Violation,
+};
 use ext4dax::Ext4DaxKind;
 use novafs::NovaKind;
 use pmfs::PmfsKind;
@@ -158,6 +161,30 @@ pub fn run_batch<K: FsKind>(
         .collect()
 }
 
+/// [`run_batch`]'s shape for the literal reference checker
+/// ([`chipmunk::reference`]): serial, every workload on a fresh-sink factory
+/// clone, sinks absorbed into `kind` and `traced_bugs` re-snapshotted in
+/// batch order — so a production batch and a reference batch compare
+/// element by element.
+pub fn run_reference<K: FsKind>(
+    kind: &K,
+    batch: &[Workload],
+    cfg: &TestConfig,
+) -> Vec<(TestOutcome, HashSet<u64>)> {
+    batch
+        .iter()
+        .map(|w| {
+            let fresh = kind.with_options(kind.options().with_fresh_sinks());
+            let mut out = reference::check_workload(&fresh, w, cfg);
+            let cov = fresh.options().cov.snapshot();
+            kind.options().cov.absorb(&cov);
+            kind.options().trace.absorb(&fresh.options().trace.snapshot());
+            out.traced_bugs = kind.options().trace.snapshot();
+            (out, cov)
+        })
+        .collect()
+}
+
 /// The outcome committed for a workload whose *worker* died outside the
 /// per-stage checker sandbox (e.g. a panic while recording): one
 /// worker-stage report carrying the panic diagnostic, so a batch loses only
@@ -188,20 +215,19 @@ pub(crate) fn worker_failure_outcome(w: &Workload, v: Violation) -> TestOutcome 
 /// prefixes, which is what each worker's cache exploits — ACE emits
 /// dependency-setup ops first, so sorted neighbours typically share their
 /// whole setup) while results are still *committed* in batch order. With
-/// `cfg.threads > 1` and [`TestConfig::par_prefix`] on, whole subtrees run
-/// on parallel workers (see [`Scheduler`]); with `par_prefix` off the plain
-/// sharded [`run_batch`] path is used instead, as before the two composed.
-/// Per-workload outputs are pure functions of the workload, so the returned
-/// vector is byte-identical to [`run_batch`]'s for every thread count.
+/// `cfg.threads > 1` whole subtrees run on parallel workers (see
+/// [`Scheduler`]). Without a live scheduler (none passed, or a kind that
+/// cannot fork) the plain sharded [`run_batch`] path is used. Per-workload
+/// outputs are pure functions of the workload, so the returned vector is
+/// byte-identical to [`run_batch`]'s for every thread count.
 pub fn run_batch_cached<K: FsKind>(
     kind: &K,
     batch: &[Workload],
     cfg: &TestConfig,
     sched: Option<&mut Scheduler<K>>,
 ) -> Vec<(TestOutcome, HashSet<u64>)> {
-    let threads = cfg.threads.max(1);
     let sched = match sched {
-        Some(s) if s.is_active() && cfg.prefix_cache && (threads <= 1 || cfg.par_prefix) => s,
+        Some(s) if s.is_active() => s,
         _ => return run_batch(kind, batch, cfg),
     };
     sched
@@ -1336,28 +1362,6 @@ mod tests {
         assert_eq!(sched_batch_len(1, false, None), 2);
         assert_eq!(sched_batch_len(8, false, None), 16);
         assert_eq!(sched_batch_len(0, false, None), 2, "threads are clamped to 1");
-    }
-
-    #[test]
-    fn suite_identical_with_and_without_prefix_cache() {
-        let ws: Vec<Workload> = seq1(AceMode::Strong).into_iter().take(8).collect();
-        let bugs = BugSet::only(&[BugId::B02]);
-        let on = TestConfig::default();
-        let off = TestConfig { prefix_cache: false, ..TestConfig::default() };
-        let a = run_suite(FsName::Nova, bugs, ws.clone(), &on);
-        let b = run_suite(FsName::Nova, bugs, ws, &off);
-        assert!(a.prefix_hits > 0, "cache must engage on the serial path");
-        assert_eq!(b.prefix_hits, 0);
-        assert_eq!(a.crash_points, b.crash_points);
-        assert_eq!(a.crash_states, b.crash_states);
-        assert_eq!(a.dedup_hits, b.dedup_hits);
-        assert_eq!(a.memo_hits, b.memo_hits);
-        assert_eq!(a.inflight, b.inflight);
-        assert_eq!(
-            format!("{:?}", a.bug_reports),
-            format!("{:?}", b.bug_reports),
-            "violations must be bit-identical with the cache on"
-        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Prefix-tree-aware deterministic scheduling of workload batches.
 //!
-//! The incremental engine's [`PrefixCache`] and multi-thread workload
-//! sharding used to be mutually exclusive: sharding scattered a batch's
-//! workloads across workers by arrival position, destroying the adjacent
-//! shared op prefixes the cache feeds on. The [`Scheduler`] composes them:
+//! Plain multi-thread sharding scatters a batch's workloads across workers
+//! by arrival position, destroying the adjacent shared op prefixes the
+//! incremental engine's [`PrefixCache`] feeds on. The [`Scheduler`] composes
+//! the two:
 //!
 //! 1. [`plan_subtrees`] partitions a batch into **prefix subtrees** — the
 //!    groups of workloads sharing their first operation, each sorted
@@ -116,11 +116,13 @@ pub struct Scheduler<K: FsKind> {
 }
 
 impl<K: FsKind> Scheduler<K> {
-    /// Creates a scheduler testing workloads under `kind`.
-    pub fn new(kind: &K, cfg: &TestConfig) -> Self {
+    /// Creates a scheduler testing workloads under `kind`. The config
+    /// parameter is unused — it stays because the frozen `benchmark/`
+    /// package compiles against this signature.
+    pub fn new(kind: &K, _cfg: &TestConfig) -> Self {
         Scheduler {
             kind: kind.clone(),
-            caches: vec![PrefixCache::new(kind, cfg)],
+            caches: vec![PrefixCache::new(kind)],
             subtrees: 0,
             subtree_max_depth: 0,
             per_worker_hits: Vec::new(),
@@ -153,7 +155,7 @@ impl<K: FsKind> Scheduler<K> {
 
         let (workers, inner) = split_levels(cfg.threads, plan.groups.len());
         while self.caches.len() < workers {
-            self.caches.push(PrefixCache::new(&self.kind, cfg));
+            self.caches.push(PrefixCache::new(&self.kind));
         }
         if self.per_worker_hits.len() < workers {
             self.per_worker_hits.resize(workers, 0);

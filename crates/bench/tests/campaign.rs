@@ -235,7 +235,7 @@ fn grown_binaries_reject_bad_args_with_exit_2() {
         (env!("CARGO_BIN_EXE_figure3"), &["--wat"]),
         (env!("CARGO_BIN_EXE_figure3"), &["bogus"]),
         (env!("CARGO_BIN_EXE_figure3"), &["100", "notanum"]),
-        (env!("CARGO_BIN_EXE_figure3"), &["100", "1", "nodedup", "extra"]),
+        (env!("CARGO_BIN_EXE_figure3"), &["100", "1", "norep", "extra"]),
         (env!("CARGO_BIN_EXE_campaignd"), &["--wat"]),
         (env!("CARGO_BIN_EXE_campaignd"), &[]),
         (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--resume", "/tmp/y"]),

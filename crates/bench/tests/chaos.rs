@@ -206,12 +206,13 @@ proptest! {
     /// A mount-path panic at an arbitrary op index never aborts the sweep,
     /// dedups to at most one report per (stage, op_seq), and the whole
     /// outcome — reports and every counter — is bit-identical across
-    /// `{threads 1, 8} × {prefix_cache on, off}`.
+    /// `{threads 1, 8}` × the two production batch runners (prefix-scheduled
+    /// `run_batch_cached`, plain `run_batch`).
     #[test]
     fn mount_fault_matrix_is_byte_identical(op in 1u64..200) {
         let plan = FaultPlan { mount_panic_at: Some(op), ..FaultPlan::none() };
         // Workloads sharing a first op, so the prefix cache genuinely
-        // engages in the cells that enable it.
+        // engages on the scheduled runner.
         let ws = vec![
             Workload::new("chaos-a", vec![
                 Op::Mkdir { path: "/d".into() },
@@ -223,37 +224,39 @@ proptest! {
             ]),
         ];
         let mut cells: Vec<(String, Vec<String>)> = Vec::new();
-        for threads in [1usize, 8] {
-            for prefix_cache in [true, false] {
-                let kind = chaos_nova(plan);
-                let cfg = TestConfig { prefix_cache, ..TestConfig::default().with_threads(threads) };
+        for (threads, scheduled) in [(1usize, true), (1, false), (8, true), (8, false)] {
+            let kind = chaos_nova(plan);
+            let cfg = TestConfig::default().with_threads(threads);
+            let res = if scheduled {
                 let mut sched = Scheduler::new(&kind, &cfg);
-                let res = run_batch_cached(&kind, &ws, &cfg, Some(&mut sched));
-                for (o, _) in &res {
-                    prop_assert!(o.crash_states > 0, "sweep must complete");
-                    // Dedup leaves at most one report per (stage, op_seq)
-                    // pair for a fixed injected fault.
-                    for i in 0..o.reports.len() {
-                        for j in i + 1..o.reports.len() {
-                            let (a, b) = (&o.reports[i], &o.reports[j]);
-                            prop_assert!(
-                                a.op_seq != b.op_seq || a.violation != b.violation,
-                                "duplicate report survived dedup: {a:?}"
-                            );
-                        }
-                    }
-                    if o.recovery_panics > 0 {
+                run_batch_cached(&kind, &ws, &cfg, Some(&mut sched))
+            } else {
+                run_batch(&kind, &ws, &cfg)
+            };
+            for (o, _) in &res {
+                prop_assert!(o.crash_states > 0, "sweep must complete");
+                // Dedup leaves at most one report per (stage, op_seq)
+                // pair for a fixed injected fault.
+                for i in 0..o.reports.len() {
+                    for j in i + 1..o.reports.len() {
+                        let (a, b) = (&o.reports[i], &o.reports[j]);
                         prop_assert!(
-                            o.reports.iter().any(|r| r.violation.class() == "recovery-panic"),
-                            "a fired fault must be reported"
+                            a.op_seq != b.op_seq || a.violation != b.violation,
+                            "duplicate report survived dedup: {a:?}"
                         );
                     }
                 }
-                cells.push((
-                    format!("threads={threads} prefix_cache={prefix_cache}"),
-                    res.iter().map(|(o, _)| fingerprint(o)).collect(),
-                ));
+                if o.recovery_panics > 0 {
+                    prop_assert!(
+                        o.reports.iter().any(|r| r.violation.class() == "recovery-panic"),
+                        "a fired fault must be reported"
+                    );
+                }
             }
+            cells.push((
+                format!("threads={threads} scheduled={scheduled}"),
+                res.iter().map(|(o, _)| fingerprint(o)).collect(),
+            ));
         }
         let (base_label, base) = &cells[0];
         for (label, prints) in &cells[1..] {

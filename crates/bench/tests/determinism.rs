@@ -1,10 +1,12 @@
-//! Differential witnesses for the incremental crash-state engine: every
-//! cache/scoping layer (prefix cache, delta replay, cross-point memo, scoped
-//! checking) is a pure performance optimization, so toggling them must not
-//! change a single result bit — and, since the prefix-tree scheduler, the
-//! same holds for the worker thread count.
+//! The differential witness for the production pipeline: every fast path it
+//! composes (in-point dedup, cross-point memo, representative classes, read
+//! footprints, delta replay, scoped walks, the shared oracle, the prefix
+//! cache and the subtree scheduler) is a pure performance layer, so at every
+//! thread count production must report exactly what the literal reference
+//! checker (`chipmunk::reference`) reports — and its own counters must not
+//! depend on the thread count.
 
-use bench::{dispatch, plan_subtrees, run_batch, run_batch_cached, run_suite, Scheduler, WithKind};
+use bench::{dispatch, plan_subtrees, run_batch_cached, run_reference, Scheduler, WithKind};
 use chipmunk::{TestConfig, TestOutcome};
 use vfs::{
     fs::{FsKind, FsOptions},
@@ -14,244 +16,125 @@ use workloads::ace::{seq1, seq2, AceMode};
 
 use proptest::prelude::*;
 
-fn fingerprint(o: &TestOutcome) -> String {
+/// What was checked and what was found: the fields production and the
+/// reference must agree on byte for byte.
+fn semantic(o: &TestOutcome) -> String {
     format!(
-        "{:?}|{}|{}|{}|{:?}|{:?}",
-        o.reports, o.crash_points, o.crash_states, o.dedup_hits, o.inflight_sizes, o.traced_bugs
+        "{:?}|{}|{}|{:?}|{:?}",
+        o.reports, o.crash_points, o.crash_states, o.inflight_sizes, o.traced_bugs
     )
 }
 
-/// Full ACE seq-1 on NOVA (with the fixed injected-bug corpus): per-workload
-/// outcomes and coverage with every incremental layer enabled must equal the
-/// all-layers-off baseline.
-#[test]
-fn full_seq1_nova_layers_do_not_change_outcomes() {
-    struct Diff {
-        ws: Vec<Workload>,
-    }
-    impl WithKind for Diff {
-        type Out = ();
-        fn call<K: FsKind>(self, kind: K) {
-            // rep_check is pinned off on both sides: its skip set depends on
-            // the check-scope context, which this test varies (scoped_check
-            // on vs off), so per-state coverage would legitimately differ.
-            // The rep layer has its own differentials in tests/repcheck.rs.
-            let on = TestConfig { rep_check: false, ..TestConfig::default() };
-            let off = TestConfig {
-                prefix_cache: false,
-                scoped_check: false,
-                delta_replay: false,
-                cross_dedup: false,
-                rep_check: false,
-                ..TestConfig::default()
-            };
-            let mut sched = Scheduler::new(&kind, &on);
-            let fast = run_batch_cached(&kind, &self.ws, &on, Some(&mut sched));
-            // Fresh shared sinks for the baseline pass so cumulative
-            // `traced_bugs` snapshots start from the same point.
-            let base_kind = kind.with_options(kind.options().with_fresh_sinks());
-            let slow = run_batch(&base_kind, &self.ws, &off);
-            assert_eq!(fast.len(), slow.len());
-            for (w, ((a, cov_a), (b, cov_b))) in self.ws.iter().zip(fast.iter().zip(&slow)) {
-                // The memo layer is off in the baseline; everything else
-                // must match bit for bit.
-                assert_eq!(fingerprint(a), fingerprint(b), "outcome diverged on {}", w.name);
-                assert_eq!(cov_a, cov_b, "coverage diverged on {}", w.name);
+/// Every deterministic fast-path counter; a pure function of the batch and
+/// the config, never of `threads`.
+fn counters(o: &TestOutcome) -> [u64; 15] {
+    [
+        o.dedup_hits,
+        o.memo_hits,
+        o.rep_classes,
+        o.rep_skipped,
+        o.rep_expansions,
+        o.prefix_hits,
+        o.prefix_ops_saved,
+        o.sched_subtrees,
+        o.sched_subtree_max_depth,
+        o.recovery_panics,
+        o.recovery_hangs,
+        o.sandbox_retries,
+        o.fuel_exhausted,
+        o.oracle_subtrees_pruned,
+        o.oracle_snap_bytes_shared,
+    ]
+}
+
+struct Witness {
+    suite: &'static str,
+    ws: Vec<Workload>,
+}
+
+impl WithKind for Witness {
+    /// Per `rep_check` setting (on, off), the production counters summed
+    /// over the suite.
+    type Out = [[u64; 15]; 2];
+
+    fn call<K: FsKind>(self, kind: K) -> Self::Out {
+        let fresh = || kind.with_options(kind.options().with_fresh_sinks());
+        // The reference ignores `rep_check` and `threads`: one run serves
+        // every cell.
+        let want = run_reference(&fresh(), &self.ws, &TestConfig::default());
+        let mut sums = [[0u64; 15]; 2];
+        for (ri, rep_check) in [true, false].into_iter().enumerate() {
+            let mut first: Option<Vec<[u64; 15]>> = None;
+            for threads in [1usize, 2, 4, 8] {
+                let cell = format!("{} rep_check={rep_check} threads={threads}", self.suite);
+                let cfg = TestConfig { rep_check, ..TestConfig::default().with_threads(threads) };
+                let prod = fresh();
+                let mut sched = Scheduler::new(&prod, &cfg);
+                let got = run_batch_cached(&prod, &self.ws, &cfg, Some(&mut sched));
+                assert_eq!(got.len(), want.len(), "{cell}");
+                for (w, ((a, cov_a), (b, cov_b))) in self.ws.iter().zip(got.iter().zip(&want)) {
+                    assert_eq!(semantic(a), semantic(b), "{cell}: {} diverged", w.name);
+                    // A representative skip never mounts, so coverage is
+                    // only comparable when every state is checked.
+                    if !rep_check {
+                        assert_eq!(cov_a, cov_b, "{cell}: coverage diverged on {}", w.name);
+                    }
+                }
+                let mine: Vec<_> = got.iter().map(|(o, _)| counters(o)).collect();
+                match &first {
+                    None => first = Some(mine),
+                    Some(f) => assert_eq!(&mine, f, "{cell}: counters depend on threads"),
+                }
             }
-            let prefix_hits: u64 = fast.iter().map(|(o, _)| o.prefix_hits).sum();
-            assert!(prefix_hits > 0, "the cache must have engaged");
-        }
-    }
-    let ws = seq1(AceMode::Strong);
-    dispatch(FsName::Nova, FsOptions::with_bugs(BugSet::fixed()), Diff { ws });
-}
-
-/// The suite runner's aggregate counters are identical across every layer
-/// combination (dedup stays on so its counter is comparable).
-#[test]
-fn suite_counters_identical_across_layer_combinations() {
-    let ws: Vec<Workload> = seq1(AceMode::Strong).into_iter().take(12).collect();
-    let configs = [
-        TestConfig::default(),
-        TestConfig { prefix_cache: false, ..TestConfig::default() },
-        TestConfig { delta_replay: false, scoped_check: false, ..TestConfig::default() },
-        TestConfig {
-            prefix_cache: false,
-            delta_replay: false,
-            scoped_check: false,
-            cross_dedup: false,
-            ..TestConfig::default()
-        },
-    ];
-    // rep_check stays at its default (on) in every combination: the skip
-    // set varies with the scope context, but skipped states still commit
-    // `crash_states`, and a sound congruence means the *reports* never move
-    // — so this doubles as a rep-layer soundness witness across layer mixes.
-    let base = run_suite(FsName::Nova, BugSet::fixed(), ws.clone(), &configs[3]);
-    for cfg in &configs[..3] {
-        let s = run_suite(FsName::Nova, BugSet::fixed(), ws.clone(), cfg);
-        assert_eq!(s.crash_points, base.crash_points);
-        assert_eq!(s.crash_states, base.crash_states);
-        assert_eq!(s.dedup_hits, base.dedup_hits);
-        assert_eq!(s.reports, base.reports);
-        assert_eq!(s.inflight, base.inflight);
-        assert_eq!(format!("{:?}", s.bug_reports), format!("{:?}", base.bug_reports));
-    }
-}
-
-/// The composed-fast-paths matrix: `{threads} × {rep_check on/off} ×
-/// {prefix_cache on/off}` on seq-1 must give identical outcomes within each
-/// `rep_check` setting, and identical *reports* across the two settings (the
-/// rep layer may only skip states its representative proved clean). The
-/// thread axis honors `CHIPMUNK_MATRIX_THREADS` (comma-separated; CI runs the
-/// matrix again at `threads=4`) and defaults to the issue's `1, 2, 8`.
-#[test]
-fn matrix_threads_by_rep_check_by_prefix_cache_is_byte_identical() {
-    let thread_axis: Vec<usize> = std::env::var("CHIPMUNK_MATRIX_THREADS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(|t| t.trim().parse().expect("CHIPMUNK_MATRIX_THREADS: bad thread count"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 8]);
-    let ws: Vec<Workload> = seq1(AceMode::Strong).into_iter().take(16).collect();
-    // One baseline per rep_check setting: the skip set changes which states
-    // are fully checked (memo_hits shrink when a skip wins over a memo), but
-    // everything a sweep *reports* must be setting-independent.
-    let mk_base = |rep_check: bool| {
-        run_suite(
-            FsName::Nova,
-            BugSet::fixed(),
-            ws.clone(),
-            &TestConfig { rep_check, ..TestConfig::default().with_threads(thread_axis[0]) },
-        )
-    };
-    let bases = [mk_base(true), mk_base(false)];
-    assert!(bases[0].prefix_hits > 0, "the cache must engage in the matrix's first cell");
-    assert!(bases[0].sched_subtrees > 0, "the scheduler must have partitioned the suite");
-    assert!(bases[0].rep_classes > 0, "rep_check must engage in the matrix's first cell");
-    assert!(bases[0].rep_skipped > 0, "rep_check must skip states on seq-1");
-    assert_eq!(bases[1].rep_classes, 0, "rep_check off must leave the counters at zero");
-    assert_eq!(bases[1].rep_skipped, 0);
-    assert_eq!(bases[1].rep_expansions, 0);
-    // Cross-setting soundness: same states, same verdicts.
-    assert_eq!(bases[0].crash_points, bases[1].crash_points);
-    assert_eq!(bases[0].crash_states, bases[1].crash_states);
-    assert_eq!(bases[0].dedup_hits, bases[1].dedup_hits);
-    assert_eq!(bases[0].reports, bases[1].reports);
-    assert_eq!(bases[0].inflight, bases[1].inflight);
-    assert_eq!(
-        format!("{:?}", bases[0].bug_reports),
-        format!("{:?}", bases[1].bug_reports),
-        "rep_check must not move a single report"
-    );
-    for &threads in &thread_axis {
-        for (bi, rep_check) in [true, false].into_iter().enumerate() {
-            let base = &bases[bi];
-            for prefix_cache in [true, false] {
-                let cfg = TestConfig {
-                    prefix_cache,
-                    rep_check,
-                    ..TestConfig::default().with_threads(threads)
-                };
-                let s = run_suite(FsName::Nova, BugSet::fixed(), ws.clone(), &cfg);
-                let cell =
-                    format!("threads={threads} rep_check={rep_check} prefix_cache={prefix_cache}");
-                assert_eq!(s.workloads, base.workloads, "{cell}");
-                assert_eq!(s.crash_points, base.crash_points, "{cell}");
-                assert_eq!(s.crash_states, base.crash_states, "{cell}");
-                assert_eq!(s.dedup_hits, base.dedup_hits, "{cell}");
-                assert_eq!(s.memo_hits, base.memo_hits, "{cell}");
-                assert_eq!(s.rep_classes, base.rep_classes, "{cell}");
-                assert_eq!(s.rep_skipped, base.rep_skipped, "{cell}");
-                assert_eq!(s.rep_expansions, base.rep_expansions, "{cell}");
-                assert_eq!(s.reports, base.reports, "{cell}");
-                assert_eq!(s.inflight, base.inflight, "{cell}");
-                assert_eq!(
-                    format!("{:?}", s.bug_reports),
-                    format!("{:?}", base.bug_reports),
-                    "bug trajectories diverged at {cell}"
-                );
-                if prefix_cache {
-                    // The prefix counters themselves are thread-count-invariant:
-                    // subtree partitioning is a pure function of the batch and
-                    // groups move to workers wholesale.
-                    assert_eq!(s.prefix_hits, base.prefix_hits, "{cell}");
-                    assert_eq!(s.prefix_ops_saved, base.prefix_ops_saved, "{cell}");
-                    assert_eq!(s.sched_subtrees, base.sched_subtrees, "{cell}");
-                    assert_eq!(s.sched_subtree_max_depth, base.sched_subtree_max_depth, "{cell}");
-                } else {
-                    assert_eq!(s.prefix_hits, 0, "{cell}");
-                    assert_eq!(s.prefix_ops_saved, 0, "{cell}");
+            for c in first.expect("thread axis is non-empty") {
+                for (sum, v) in sums[ri].iter_mut().zip(c) {
+                    *sum += v;
                 }
             }
         }
+        sums
     }
 }
 
-/// The shared-oracle matrix: `{threads 1, 4} × {rep_check on/off} ×
-/// {shared_oracle on/off}` on seq-1 must report identically everywhere, and
-/// within each `(rep_check, shared_oracle)` setting every counter —
-/// including the two oracle counters themselves — must be thread-count
-/// invariant. The oracle counters may differ across `rep_check` settings
-/// (skipped states run fewer diffs) but must be zero exactly when
-/// `shared_oracle` is off.
+fn witness(suite: &'static str, bugs: BugSet, ws: Vec<Workload>) -> [[u64; 15]; 2] {
+    dispatch(FsName::Nova, FsOptions::with_bugs(bugs), Witness { suite, ws })
+}
+
+/// Full ACE seq-1 on NOVA with the fixed-bug corpus, a write-led seq-2
+/// slice, and a seq-2 spread on as-released (buggy) NOVA: `{threads 1, 2, 4,
+/// 8} × {rep_check on, off}` production runs, each equal to the one
+/// reference run.
 #[test]
-fn matrix_threads_by_rep_check_by_shared_oracle_is_byte_identical() {
-    // Write-led seq-2 pairs, not seq-1: sharing needs a snapshot advance
-    // across an op that leaves some earlier file's *data* untouched. One-op
-    // workloads never have one (their only advance creates the workload's
-    // first file), and the creat-led pairs at the head of seq-2 only ever
-    // hold empty files. Pair index 15*56 starts the (write, op_j) block.
-    let ws: Vec<Workload> = seq2(AceMode::Strong).skip(15 * 56).take(16).collect();
-    for rep_check in [true, false] {
-        for shared_oracle in [true, false] {
-            let mut cells = Vec::new();
-            for threads in [1usize, 4] {
-                let cfg = TestConfig {
-                    rep_check,
-                    shared_oracle,
-                    ..TestConfig::default().with_threads(threads)
-                };
-                let s = run_suite(FsName::Nova, BugSet::fixed(), ws.clone(), &cfg);
-                if shared_oracle {
-                    assert!(
-                        s.oracle_snap_bytes_shared > 0,
-                        "snapshot sharing must engage at threads={threads}"
-                    );
-                    assert!(
-                        s.oracle_subtrees_pruned > 0,
-                        "hash pruning must engage at threads={threads}"
-                    );
-                } else {
-                    assert_eq!(s.oracle_snap_bytes_shared, 0);
-                    assert_eq!(s.oracle_subtrees_pruned, 0);
-                }
-                cells.push((threads, s));
-            }
-            let (_, base) = &cells[0];
-            for (threads, s) in &cells[1..] {
-                let cell = format!(
-                    "threads={threads} rep_check={rep_check} shared_oracle={shared_oracle}"
-                );
-                assert_eq!(s.crash_points, base.crash_points, "{cell}");
-                assert_eq!(s.crash_states, base.crash_states, "{cell}");
-                assert_eq!(s.dedup_hits, base.dedup_hits, "{cell}");
-                assert_eq!(s.memo_hits, base.memo_hits, "{cell}");
-                assert_eq!(s.rep_skipped, base.rep_skipped, "{cell}");
-                assert_eq!(s.reports, base.reports, "{cell}");
-                assert_eq!(s.inflight, base.inflight, "{cell}");
-                assert_eq!(s.oracle_subtrees_pruned, base.oracle_subtrees_pruned, "{cell}");
-                assert_eq!(s.oracle_snap_bytes_shared, base.oracle_snap_bytes_shared, "{cell}");
-                assert_eq!(
-                    format!("{:?}", s.bug_reports),
-                    format!("{:?}", base.bug_reports),
-                    "bug trajectories diverged at {cell}"
-                );
-            }
-        }
+fn production_matches_reference_at_every_thread_count() {
+    let [on, off] = witness("seq-1", BugSet::fixed(), seq1(AceMode::Strong));
+    // Vacuity guards: each layer must actually have engaged. Indices follow
+    // `counters`.
+    assert!(on[0] > 0 && off[0] > 0, "in-point dedup must engage");
+    assert!(off[1] > 0, "the cross-point memo must engage");
+    assert!(on[2] > 0 && on[3] > 0, "representative classes must form and skip");
+    assert_eq!(off[2..5], [0, 0, 0], "rep_check off must leave its counters at zero");
+    assert!(on[5] > 0 && on[6] > 0, "the prefix cache must engage");
+    assert!(on[7] > 0, "the scheduler must have partitioned the suite");
+
+    // Write-led seq-2 pairs, not seq-1: oracle sharing needs a snapshot
+    // advance across an op that leaves some earlier file's *data*
+    // untouched. One-op workloads never have one, and the creat-led pairs
+    // at the head of seq-2 only ever hold empty files. Pair index 15*56
+    // starts the (write, op_j) block.
+    let slice = seq2(AceMode::Strong).skip(15 * 56).take(16).collect();
+    for s in witness("seq-2", BugSet::fixed(), slice) {
+        assert!(s[13] > 0, "hash pruning must engage");
+        assert!(s[14] > 0, "snapshot sharing must engage");
     }
+
+    // The fast paths must also agree with the reference where there are
+    // violations to report (hundreds, on the as-released bug set): every
+    // report byte for byte, so no layer replays, skips or prunes a verdict
+    // it should not.
+    let spread = seq2(AceMode::Strong).step_by(7).take(24).collect();
+    let [on, _] = witness("seq-2 as-released", BugSet::as_released(), spread);
+    assert!(on[0] > 0, "coalesced subsets should collide often");
+    assert!(on[4] > 0, "violated classes must expand");
 }
 
 proptest! {

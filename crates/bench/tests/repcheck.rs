@@ -3,18 +3,17 @@
 //! signature and checking one representative per class is a pure
 //! performance optimization — a sweep with it on must find exactly the
 //! same violations, from the same states, as the exhaustive sweep.
-//!
-//! Also home to the scoped-check × cross-dedup composition witness (the
-//! memo layer used to force full walks whenever `cross_dedup` was on; now
-//! memoized artifacts record their walk scope and the two compose).
 
-use bench::{hunt_with_ace, run_suite};
-use chipmunk::TestConfig;
-use vfs::{bugs::bug_table, BugSet, FsName, Workload};
-use workloads::{
-    ace::{seq1, AceMode},
-    fuzz::{FuzzConfig, Fuzzer},
+use std::collections::HashSet;
+
+use bench::{dispatch, hunt_with_ace, run_batch, run_reference, WithKind};
+use chipmunk::{TestConfig, TestOutcome};
+use vfs::{
+    bugs::bug_table,
+    fs::{FsKind, FsOptions},
+    BugSet, FsName, Workload,
 };
+use workloads::fuzz::{FuzzConfig, Fuzzer};
 
 use proptest::prelude::*;
 
@@ -56,97 +55,50 @@ fn corpus_rep_on_vs_off_identical_verdicts() {
     assert!(skipped_total > 0, "rep_check must have engaged across the corpus");
 }
 
-/// Scoped checking and cross-point dedup compose: memoized artifacts
-/// record the walk scope they were produced under and are only reused for
-/// a compatible scope, so `scoped_check + cross_dedup` no longer falls
-/// back to full walks — and still changes no verdict.
-#[test]
-fn scoped_check_composes_with_cross_dedup() {
-    let ws: Vec<Workload> = seq1(AceMode::Strong).into_iter().take(12).collect();
-    // rep_check off throughout: a rep skip outranks a memo hit, so leaving
-    // it on would mask the memo engagement this test pins.
-    let mk = |scoped_check: bool, cross_dedup: bool| TestConfig {
-        scoped_check,
-        cross_dedup,
-        rep_check: false,
-        ..TestConfig::default()
-    };
-    let base = run_suite(FsName::Nova, BugSet::fixed(), ws.clone(), &mk(false, false));
-    for (scoped, cross) in [(true, true), (true, false), (false, true)] {
-        let s = run_suite(FsName::Nova, BugSet::fixed(), ws.clone(), &mk(scoped, cross));
-        let cell = format!("scoped_check={scoped} cross_dedup={cross}");
-        assert_eq!(s.crash_points, base.crash_points, "{cell}");
-        assert_eq!(s.crash_states, base.crash_states, "{cell}");
-        assert_eq!(s.dedup_hits, base.dedup_hits, "{cell}");
-        assert_eq!(s.reports, base.reports, "{cell}");
-        assert_eq!(s.inflight, base.inflight, "{cell}");
-        assert_eq!(
-            format!("{:?}", s.bug_reports),
-            format!("{:?}", base.bug_reports),
-            "verdicts diverged at {cell}"
-        );
-        if cross {
-            assert!(s.memo_hits > 0, "the memo must engage at {cell}");
-        } else {
-            assert_eq!(s.memo_hits, 0, "{cell}");
-        }
-    }
-}
-
-/// `CHIPMUNK_REP_VALIDATE=1` force-checks every would-be rep skip on a
-/// private device and panics on any violation — the runtime mirror of
-/// `scoped_validate`. The env var is latched process-wide on first read
-/// (OnceLock), so the exercising sweep runs in a child process: this test
-/// re-invokes itself with the variable set.
-#[test]
-fn chipmunk_rep_validate_env_forces_cross_checks() {
-    if std::env::var_os("CHIPMUNK_REP_VALIDATE").is_some() {
-        // Child mode: a sweep whose every skip is cross-checked. Any
-        // congruence break panics here and fails the parent below.
-        let ws: Vec<Workload> = seq1(AceMode::Strong).into_iter().take(6).collect();
-        let s = run_suite(FsName::Nova, BugSet::fixed(), ws, &TestConfig::default());
-        assert!(s.rep_skipped > 0, "validation must have had skips to check");
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let out = std::process::Command::new(exe)
-        .args(["chipmunk_rep_validate_env_forces_cross_checks", "--exact", "--nocapture"])
-        .env("CHIPMUNK_REP_VALIDATE", "1")
-        .output()
-        .expect("spawn child test");
-    assert!(
-        out.status.success(),
-        "validated sweep failed:\n{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The behavioral signature is a checker congruence on *random*
-    /// workloads, not just ACE shapes: with `rep_validate` on, every
-    /// would-be skip is re-checked in full on a private device and any
-    /// verdict mismatch panics; the outcome must equal the exhaustive
-    /// sweep's bit for bit.
+    /// workloads, not just ACE shapes: production with `rep_check` on must
+    /// report exactly what the literal reference checker — which mounts and
+    /// fully compares every state — reports, from the same crash points and
+    /// states.
     #[test]
-    fn rep_signature_is_a_checker_congruence_on_random_workloads(seed in any::<u64>()) {
+    fn production_matches_reference_on_random_workloads(seed in any::<u64>()) {
         let mut fz = Fuzzer::new(seed, FuzzConfig::default());
-        let w = fz.next_workload();
-        let validate = TestConfig { rep_validate: true, ..TestConfig::default() };
-        let off = TestConfig { rep_check: false, ..TestConfig::default() };
-        let a = run_suite(FsName::Nova, BugSet::fixed(), vec![w.clone()], &validate);
-        let b = run_suite(FsName::Nova, BugSet::fixed(), vec![w], &off);
+        let ws = vec![fz.next_workload()];
+        let cfg = TestConfig::default();
+        let (got, want) = dispatch(
+            FsName::Nova,
+            FsOptions::with_bugs(BugSet::fixed()),
+            Both { ws: &ws, cfg: &cfg },
+        );
+        let (a, b) = (&got[0].0, &want[0].0);
         prop_assert_eq!(a.crash_points, b.crash_points);
         prop_assert_eq!(a.crash_states, b.crash_states);
-        prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.reports, b.reports);
-        prop_assert_eq!(&a.inflight, &b.inflight);
+        prop_assert_eq!(&a.inflight_sizes, &b.inflight_sizes);
         prop_assert_eq!(
-            format!("{:?}", a.bug_reports),
-            format!("{:?}", b.bug_reports),
+            format!("{:?}", a.reports),
+            format!("{:?}", b.reports),
             "rep_check changed a verdict on a random workload"
         );
+    }
+}
+
+/// One batch through production and through the reference, each on its own
+/// fresh sinks.
+struct Both<'a> {
+    ws: &'a [Workload],
+    cfg: &'a TestConfig,
+}
+
+type Batch = Vec<(TestOutcome, HashSet<u64>)>;
+
+impl WithKind for Both<'_> {
+    type Out = (Batch, Batch);
+
+    fn call<K: FsKind>(self, kind: K) -> Self::Out {
+        let fresh = || kind.with_options(kind.options().with_fresh_sinks());
+        (run_batch(&fresh(), self.ws, self.cfg), run_reference(&fresh(), self.ws, self.cfg))
     }
 }

@@ -74,8 +74,14 @@ pub enum CheckKind<'a> {
     },
 }
 
-/// Builds the crash state (base + replayed subset), mounts the file system
-/// on it, and runs all checks. Returns the first violation, if any.
+/// The literal single-state check: builds the crash state (base + replayed
+/// subset) on a private overlay, mounts the file system on it, walks the
+/// whole tree, compares all of it against the oracle, and probes. Returns
+/// the first violation, if any. This is the one entry point shared by the
+/// [`reference`](crate::reference) checker's loop and production's
+/// slow-path retry of sandbox verdicts; callers that want literal semantics
+/// end to end (unpruned diffs too) pass
+/// [`reference::literal`](crate::reference::literal)'s config.
 pub fn check_crash_state<K: FsKind>(
     kind: &K,
     base: &[u8],
@@ -86,33 +92,16 @@ pub fn check_crash_state<K: FsKind>(
 ) -> Option<Violation> {
     let mut cow = CowDevice::new(base);
     apply_subset(&mut cow, writes, subset);
-    check_mounted(kind, cow, check, cfg, &Scope::Full)
-}
-
-/// [`check_crash_state`] for a device the caller already built — the delta
-/// engine passes `&mut CowDevice` so the same undo-logged overlay is reused
-/// across adjacent crash states. `scope` is the crash point's in-flight
-/// scope (`Scope::Full` disables scoping regardless of config).
-pub fn check_mounted<K: FsKind, D: PmBackend>(
-    kind: &K,
-    dev: D,
-    check: &CheckKind<'_>,
-    cfg: &TestConfig,
-    scope: &Scope,
-) -> Option<Violation> {
-    let ws = walk_scope(cfg, scope);
-    let (mut fs, tree) = match crate::sandbox::mount_walk(kind, dev, &ws, cfg) {
+    let (mut fs, tree) = match crate::sandbox::mount_walk(kind, cow, &Scope::Full, cfg) {
         Ok(x) => x,
         Err(v) => return Some(v),
     };
     let mut pruned = 0;
-    if let Some(v) = crate::sandbox::compare(&tree, check, cfg, scope, &mut pruned) {
+    if let Some(v) = crate::sandbox::compare(&tree, check, cfg, &Scope::Full, &mut pruned) {
         return Some(v);
     }
     if cfg.probe {
-        if let Some(v) = crate::sandbox::probe(&mut fs, &tree, cfg) {
-            return Some(v);
-        }
+        return crate::sandbox::probe(&mut fs, &tree, cfg);
     }
     None
 }
@@ -131,48 +120,14 @@ pub fn mount_state<K: FsKind, D: PmBackend>(
     Ok((fs, tree))
 }
 
-/// The scope the tree walk should use. A full walk is required only when
-/// scoped checking is off or the validation mode needs to run the full
-/// comparison against the tree. `cross_dedup` no longer forces a full walk:
-/// memoized trees record the scope they were walked under, and reuse at a
-/// later point checks scope compatibility instead (a successful covering
-/// walk substitutes; anything else re-checks fresh).
+/// The scope the tree walk and the comparison use: the crash point's scope
+/// under scoped checking, the whole tree otherwise.
 pub fn walk_scope(cfg: &TestConfig, scope: &Scope) -> Scope {
-    if !cfg.scoped_check || cfg.scoped_validate {
-        Scope::Full
-    } else {
+    if cfg.scoped_check {
         scope.clone()
+    } else {
+        Scope::Full
     }
-}
-
-/// Stage-3 comparison honoring the scoping config: scoped when enabled,
-/// full otherwise, and — under `scoped_validate` — both, panicking if their
-/// verdicts disagree (the full verdict wins). The tree must have been
-/// walked with [`walk_scope`] so every byte the comparison needs is real.
-/// `pruned` counts node comparisons the hash fast path skipped (see
-/// [`TestConfig::shared_oracle`]).
-pub fn compare_checked(
-    tree: &Tree,
-    check: &CheckKind<'_>,
-    cfg: &TestConfig,
-    scope: &Scope,
-    pruned: &mut u64,
-) -> Option<Violation> {
-    if !cfg.scoped_check {
-        return compare_state(tree, check, cfg, &Scope::Full, pruned);
-    }
-    if cfg.scoped_validate {
-        let full = compare_state(tree, check, cfg, &Scope::Full, pruned);
-        let scoped = compare_state(tree, check, cfg, scope, pruned);
-        assert_eq!(
-            full.is_some(),
-            scoped.is_some(),
-            "scoped_validate: scoped verdict {scoped:?} disagrees with full verdict {full:?} \
-             under scope {scope:?}"
-        );
-        return full;
-    }
-    compare_state(tree, check, cfg, scope, pruned)
 }
 
 /// Runs the usability probe (stage 4) on a mounted crash state.

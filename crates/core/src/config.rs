@@ -43,51 +43,13 @@ pub struct TestConfig {
     /// counters are bit-identical for any value. `1` (the default) runs
     /// fully serial.
     pub threads: usize,
-    /// Crash-state dedup cache: subsets whose replayed bytes produce an
-    /// identical image over the same base (coalesced subsets frequently
-    /// collide) reuse the first check's result instead of remounting.
-    /// Observationally identical to `false` — reports, counters, coverage
-    /// and traces are unchanged — except for wall time and the
-    /// `dedup_hits` counter.
-    pub dedup: bool,
-    /// Prefix-shared workload execution: the batched runners cache live
-    /// oracle/record/replay state per `(kind, op-prefix)` and resume each
-    /// workload from the deepest cached prefix instead of re-running mkfs
-    /// and the shared ops. Consulted by `bench`'s cached batch runner (the
-    /// single-workload [`crate::test_workload`] entry point has no batch to
-    /// share prefixes across). Observationally identical to `false` except
-    /// for wall time and the `prefix_hits`/`prefix_ops_saved` counters.
-    pub prefix_cache: bool,
-    /// Delta subset replay: on the serial path, step between adjacent crash
-    /// states of a point by applying/undoing the few writes they differ in
-    /// (one undo-logged overlay per point) instead of rebuilding a fresh
-    /// overlay per state; checker mount/probe mutations roll back through
-    /// the same undo marks. Observationally identical to `false`.
-    pub delta_replay: bool,
-    /// Cross-point memoization: crash states whose *content* (base image +
-    /// replayed subset) recurs at a later crash point reuse the memoized
-    /// mount/walk/probe artifacts instead of remounting. The oracle
-    /// comparison always runs per state (it depends on the crash point).
-    /// Observationally identical to `false` except for wall time and the
-    /// `memo_hits` counter.
-    pub cross_dedup: bool,
     /// Scoped checking: compare file *contents* against the oracle only for
     /// paths the in-flight operation can touch (its targets, their parents,
     /// and hard-link aliases); structure and metadata are always compared
-    /// for every path. The full-compare escape hatch is `false`.
+    /// for every path. Production never clears it; `false` is how
+    /// [`reference`](crate::reference) asks the shared walk/compare
+    /// primitives for the literal full-tree semantics.
     pub scoped_check: bool,
-    /// Debug mode: run the scoped and the full comparison on every state
-    /// and panic if their verdicts disagree. Implies the full tree walk.
-    pub scoped_validate: bool,
-    /// Prefix-tree-aware parallel scheduling: with `threads > 1` the batched
-    /// runners partition whole prefix subtrees across workers (each with its
-    /// own `PrefixCache`), so `prefix_cache` stays effective instead of being
-    /// disabled by parallelism. Subtree assignment is deterministic (sorted
-    /// subtree keys, round-robin) and results commit in canonical batch
-    /// order, so all outcomes and counters stay bit-identical across thread
-    /// counts. `false` falls back to plain workload sharding (the pre-compose
-    /// behavior). No effect at `threads <= 1`.
-    pub par_prefix: bool,
     /// Fault isolation for the checking pipeline: run every checker stage
     /// (mount, walk, compare, probe) under `catch_unwind`, so a file-system
     /// panic while checking a crash state becomes a
@@ -114,20 +76,14 @@ pub struct TestConfig {
     /// unchecked state and a hit class degrades to today's exhaustive
     /// behavior. Class tables are per workload, updated only at canonical
     /// commit, and live in prefix-cache checkpoints — outcomes are
-    /// bit-identical across thread counts and `prefix_cache` settings.
-    /// Unlike the exact-image fast paths this one is lossy by design
-    /// (Pathfinder-style representative testing): a violation unique to a
-    /// skipped member of a clean class would be missed, which CI pins
-    /// against the 25-bug corpus (zero missed bugs) and the
-    /// `CHIPMUNK_REP_VALIDATE` cross-check. Counted by `rep_classes` /
-    /// `rep_skipped` / `rep_expansions`.
+    /// bit-identical across thread counts. Unlike the exact-image fast
+    /// paths this one is lossy by design (Pathfinder-style representative
+    /// testing): a violation unique to a skipped member of a clean class
+    /// would be missed, which CI pins against the 25-bug corpus (zero
+    /// missed bugs) and the production-vs-[`reference`](crate::reference)
+    /// differentials. Counted by `rep_classes` / `rep_skipped` /
+    /// `rep_expansions`.
     pub rep_check: bool,
-    /// Debug mode for `rep_check`: force-check every state the
-    /// representative layer would skip and panic if one of them reports a
-    /// violation (the signature failed to be a checker congruence). The
-    /// committed outcome stays byte-identical to plain `rep_check` runs.
-    /// Also enabled process-wide by setting `CHIPMUNK_REP_VALIDATE=1`.
-    pub rep_validate: bool,
     /// Structurally-shared oracle snapshots: build each per-op oracle tree
     /// by advancing the previous snapshot across the op's footprint
     /// (re-walking only the paths the op could have touched, sharing every
@@ -139,7 +95,9 @@ pub struct TestConfig {
     /// `false` — verdicts, reports and semantic counters are unchanged —
     /// except for wall time, memory, and the `oracle_subtrees_pruned` /
     /// `oracle_snap_bytes_shared` counters, so the knob stays out of
-    /// [`semantic_knobs`](Self::semantic_knobs).
+    /// [`semantic_knobs`](Self::semantic_knobs). Production never clears
+    /// it; `false` is how [`reference`](crate::reference) asks for a
+    /// deep-walked oracle and unpruned diffs.
     pub shared_oracle: bool,
     /// Record the content key of every committed crash state into
     /// [`TestOutcome::state_keys`](crate::TestOutcome), in canonical commit
@@ -172,17 +130,10 @@ impl Default for TestConfig {
             eadr: false,
             large_first_subsets: false,
             threads: 1,
-            dedup: true,
-            prefix_cache: true,
-            delta_replay: true,
-            cross_dedup: true,
             scoped_check: true,
-            scoped_validate: false,
-            par_prefix: true,
             sandbox: true,
             recovery_fuel: Some(DEFAULT_RECOVERY_FUEL),
             rep_check: true,
-            rep_validate: false,
             shared_oracle: true,
             collect_state_keys: false,
         }
@@ -211,11 +162,10 @@ impl TestConfig {
 
     /// The outcome-affecting knobs as stable `(key, value)` string pairs —
     /// what a repro bundle must persist for a replay to reach the same
-    /// verdict. The pure performance knobs (`threads`, `dedup`,
-    /// `prefix_cache`, `delta_replay`, `cross_dedup`, `scoped_check`,
-    /// `par_prefix`) are deliberately absent: they are observationally
-    /// identical by construction, so a bundle replays correctly under any of
-    /// them. `rep_check` is absent too: bundles replay one pinned crash
+    /// verdict. `threads`, `scoped_check` and `shared_oracle` are
+    /// deliberately absent: they are observationally identical by
+    /// construction, so a bundle replays correctly under any of them.
+    /// `rep_check` is absent too: bundles replay one pinned crash
     /// state through the single-state path, which never consults the
     /// representative layer.
     pub fn semantic_knobs(&self) -> Vec<(&'static str, String)> {
@@ -284,16 +234,12 @@ mod tests {
         assert_eq!(TestConfig::fuzzing().cap, Some(2));
         assert_eq!(TestConfig::default().with_cap(5).cap, Some(5));
         assert_eq!(c.threads, 1);
-        assert!(c.dedup);
         assert_eq!(TestConfig::default().with_threads(4).threads, 4);
         assert_eq!(TestConfig::default().with_threads(0).threads, 1);
-        assert!(c.prefix_cache && c.delta_replay && c.cross_dedup && c.scoped_check);
-        assert!(!c.scoped_validate);
-        assert!(c.par_prefix);
+        assert!(c.scoped_check);
         assert!(c.sandbox);
         assert_eq!(c.recovery_fuel, Some(DEFAULT_RECOVERY_FUEL));
         assert!(c.rep_check);
-        assert!(!c.rep_validate);
         assert!(c.shared_oracle);
         assert!(!c.collect_state_keys);
     }

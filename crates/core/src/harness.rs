@@ -12,7 +12,7 @@ use vfs::{
 };
 
 use crate::{
-    checker::{probe_state, walk_scope, CheckKind, DataRelax},
+    checker::{check_crash_state, probe_state, walk_scope, CheckKind, DataRelax},
     config::TestConfig,
     crashgen::{
         apply_subset, coalesce, data_shadowing_unsafe, describe_subset,
@@ -22,6 +22,7 @@ use crate::{
     exec::{Executor, OpResult},
     footprint::{FpSet, FP_MIN_STATES, FP_WORD_CAP},
     oracle::{alias_set, build_oracle, op_paths, Oracle, Scope, Tree},
+    reference,
     report::{BugReport, CrashPhase, Stage, Violation},
     sandbox,
 };
@@ -47,16 +48,17 @@ pub struct TestOutcome {
     /// Number of crash states constructed and checked.
     pub crash_states: u64,
     /// Of `crash_states`, how many reused an earlier check's result because
-    /// their replayed bytes produced an identical image (see
-    /// [`TestConfig::dedup`]).
+    /// their replayed bytes produced an identical image at the same crash
+    /// point (coalesced subsets frequently collide).
     pub dedup_hits: u64,
     /// Of `crash_states`, how many reused the mount/walk/probe artifacts of
-    /// an identical image first seen at an *earlier crash point* (see
-    /// [`TestConfig::cross_dedup`]); the oracle comparison still ran.
+    /// an identical image first seen at an *earlier crash point*; the oracle
+    /// comparison still ran.
     pub memo_hits: u64,
     /// How many times this workload resumed from a cached execution prefix
     /// instead of re-running mkfs and the shared ops (see
-    /// [`TestConfig::prefix_cache`]; only the batched runners populate it).
+    /// [`PrefixCache`](crate::PrefixCache); only the batched runners
+    /// populate it).
     pub prefix_hits: u64,
     /// Total operations (oracle + record, counted once each) skipped by
     /// prefix-cache resumes.
@@ -77,10 +79,10 @@ pub struct TestOutcome {
     /// [`Violation::RecoveryHang`] — the deterministic fuel watchdog fired
     /// (see [`TestConfig::recovery_fuel`]).
     pub recovery_hangs: u64,
-    /// Crash states re-checked once on the slow full-walk fresh-device path
-    /// because a panic/hang was first seen under a fast path
-    /// (`prefix_cache`/`delta_replay`/`scoped_check`/`cross_dedup`), so
-    /// fast-path artifacts are never mislabeled as FS bugs.
+    /// Crash states re-checked once through the literal single-state
+    /// primitive ([`check_crash_state`]) because the production pipeline
+    /// first saw a panic/hang, so fast-path artifacts are never mislabeled
+    /// as FS bugs.
     pub sandbox_retries: u64,
     /// Crash states whose check hit fuel exhaustion at any point, including
     /// hangs that the slow-path re-check subsequently cleared.
@@ -161,42 +163,77 @@ pub(crate) fn push_report(out: &mut TestOutcome, report: BugReport) {
     out.reports.push(report);
 }
 
-/// Runs the full Chipmunk pipeline on one workload:
-///
-/// 1. oracle run (crash-free, snapshots around every op);
-/// 2. recorded run through the write logger;
-/// 3. crash-state construction and checking at every crash point.
-pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig) -> TestOutcome {
-    let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
-    let guarantees = kind.guarantees();
-    kind.options().trace.clear();
+/// A report that belongs to no crash state: pipeline failures (oracle,
+/// mkfs), runtime errors and functional divergence of the recorded run.
+fn plain_report(
+    workload: &Workload,
+    op_seq: usize,
+    op_desc: String,
+    violation: Violation,
+) -> BugReport {
+    BugReport {
+        workload: workload.name.clone(),
+        op_seq,
+        op_desc,
+        phase: CrashPhase::DuringSyscall,
+        subset: "-".into(),
+        point: None,
+        subset_ids: Vec::new(),
+        violation,
+    }
+}
 
-    // ---- 1. Oracle ----
+/// Functional divergence between the recorded run and the oracle, and
+/// non-benign runtime errors, are reported even though they are not
+/// crash-consistency violations (§4.4, non-crash-consistency bugs).
+pub(crate) fn report_divergence(
+    workload: &Workload,
+    rec_results: &[OpResult],
+    oracle_results: &[OpResult],
+    out: &mut TestOutcome,
+) {
+    for (seq, (rec, ora)) in rec_results.iter().zip(oracle_results).enumerate() {
+        let desc = workload.ops[seq].describe();
+        if let Err(e) = &rec.result {
+            if !e.is_benign() {
+                let v = Violation::RuntimeError(e.to_string());
+                push_report(out, plain_report(workload, seq, desc.clone(), v));
+            }
+        }
+        if rec.result.is_ok() != ora.result.is_ok() {
+            let v = Violation::OracleDivergence(format!(
+                "recorded run returned {:?}, oracle returned {:?}",
+                rec.result, ora.result
+            ));
+            push_report(out, plain_report(workload, seq, desc, v));
+        }
+    }
+}
+
+/// Stages 1–2 of the pipeline: the crash-free oracle run, the recorded run,
+/// and the divergence reports between them, with both stage timings. A
+/// stage that cannot run at all (oracle failure, mkfs failure) is reported
+/// into `out` and yields `None`.
+pub(crate) fn oracle_and_record<K: FsKind>(
+    kind: &K,
+    workload: &Workload,
+    cfg: &TestConfig,
+    out: &mut TestOutcome,
+) -> Option<(Oracle, Vec<OpResult>, pmlog::Log)> {
     let t_oracle = Instant::now();
     let oracle = match build_oracle(kind, workload, cfg) {
         Ok(o) => o,
         Err(e) => {
-            push_report(
-                &mut out,
-                BugReport {
-                    workload: workload.name.clone(),
-                    op_seq: 0,
-                    op_desc: "(oracle run)".into(),
-                    phase: CrashPhase::DuringSyscall,
-                    subset: "-".into(),
-                    point: None,
-                    subset_ids: Vec::new(),
-                    violation: Violation::RuntimeError(format!("oracle run failed: {e}")),
-                },
-            );
-            return out;
+            let v = Violation::RuntimeError(format!("oracle run failed: {e}"));
+            push_report(out, plain_report(workload, 0, "(oracle run)".into(), v));
+            return None;
         }
     };
-
     out.timing.oracle = t_oracle.elapsed();
     out.oracle_snap_bytes_shared = oracle.snap_bytes_shared;
 
-    // ---- 2. Recorded run ----
+    // Recorded run: a fresh device behind the write logger (the eADR logger
+    // under `cfg.eadr`), every op bracketed by syscall markers.
     let t_record = Instant::now();
     let log = LogHandle::new();
     let dev = PmDevice::new(cfg.device_size);
@@ -208,20 +245,9 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
     let mut fs = match kind.mkfs(lp) {
         Ok(fs) => fs,
         Err(e) => {
-            push_report(
-                &mut out,
-                BugReport {
-                    workload: workload.name.clone(),
-                    op_seq: 0,
-                    op_desc: "(mkfs)".into(),
-                    phase: CrashPhase::DuringSyscall,
-                    subset: "-".into(),
-                    point: None,
-                    subset_ids: Vec::new(),
-                    violation: Violation::RuntimeError(format!("mkfs failed: {e}")),
-                },
-            );
-            return out;
+            let v = Violation::RuntimeError(format!("mkfs failed: {e}"));
+            push_report(out, plain_report(workload, 0, "(mkfs)".into(), v));
+            return None;
         }
     };
     let mut ex = Executor::new();
@@ -235,52 +261,34 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
     drop(fs);
     let log = log.take();
     out.timing.record = t_record.elapsed();
+    report_divergence(workload, &rec_results, &oracle.results, out);
+    Some((oracle, rec_results, log))
+}
 
-    // Functional divergence between the recorded run and the oracle, and
-    // non-benign runtime errors, are reported even though they are not
-    // crash-consistency violations (§4.4, non-crash-consistency bugs).
-    for (seq, (rec, ora)) in rec_results.iter().zip(oracle.results.iter()).enumerate() {
-        let desc = workload.ops[seq].describe();
-        if let Err(e) = &rec.result {
-            if !e.is_benign() {
-                push_report(
-                    &mut out,
-                    BugReport {
-                        workload: workload.name.clone(),
-                        op_seq: seq,
-                        op_desc: desc.clone(),
-                        phase: CrashPhase::DuringSyscall,
-                        subset: "-".into(),
-                        point: None,
-                        subset_ids: Vec::new(),
-                        violation: Violation::RuntimeError(e.to_string()),
-                    },
-                );
-            }
-        }
-        if rec.result.is_ok() != ora.result.is_ok() {
-            push_report(
-                &mut out,
-                BugReport {
-                    workload: workload.name.clone(),
-                    op_seq: seq,
-                    op_desc: desc,
-                    phase: CrashPhase::DuringSyscall,
-                    subset: "-".into(),
-                    point: None,
-                    subset_ids: Vec::new(),
-                    violation: Violation::OracleDivergence(format!(
-                        "recorded run returned {:?}, oracle returned {:?}",
-                        rec.result, ora.result
-                    )),
-                },
-            );
-        }
-    }
+/// Runs the full Chipmunk pipeline on one workload:
+///
+/// 1. oracle run (crash-free, snapshots around every op);
+/// 2. recorded run through the write logger;
+/// 3. crash-state construction and checking at every crash point.
+pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig) -> TestOutcome {
+    let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
+    let guarantees = kind.guarantees();
+    kind.options().trace.clear();
 
-    // ---- 3. Replay and check ----
+    let Some((oracle, rec_results, log)) = oracle_and_record(kind, workload, cfg, &mut out)
+    else {
+        return out;
+    };
+
     let t_check = Instant::now();
-    replay_and_check(kind, workload, cfg, &oracle, &rec_results, &log, guarantees, &mut out);
+    let mut engine = ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees);
+    for entry in log.entries() {
+        if engine.stop {
+            // Replaying to completion is unnecessary once stopping.
+            break;
+        }
+        engine.step(entry, Some(&mut out));
+    }
     out.timing.check = t_check.elapsed();
 
     out.traced_bugs = kind.options().trace.snapshot();
@@ -291,7 +299,7 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
 /// writes may legally be torn (or must be all-or-nothing when the FS claims
 /// atomic data writes), and the path-addressed `fallocate` bundles an
 /// `O_CREAT` open, so the created-but-empty intermediate state is allowed.
-fn atomicity_relax<'a>(
+pub(crate) fn atomicity_relax<'a>(
     op: &vfs::Op,
     target: Option<&'a str>,
     guarantees: vfs::Guarantees,
@@ -347,27 +355,6 @@ fn insert_with_parent(set: &mut BTreeSet<String>, p: &str) {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn replay_and_check<K: FsKind>(
-    kind: &K,
-    workload: &Workload,
-    cfg: &TestConfig,
-    oracle: &Oracle,
-    rec_results: &[OpResult],
-    log: &pmlog::Log,
-    guarantees: vfs::Guarantees,
-    out: &mut TestOutcome,
-) {
-    let mut engine = ReplayEngine::new(kind, workload, cfg, oracle, rec_results, guarantees);
-    for entry in log.entries() {
-        if engine.stop {
-            // Replaying to completion is unnecessary once stopping.
-            break;
-        }
-        engine.step(entry, Some(out));
-    }
-}
-
 /// The crash-state construction and checking stage as a resumable machine:
 /// [`step`](ReplayEngine::step) consumes one log entry at a time, so the
 /// prefix cache can fast-forward through a shared prefix (checkpointed
@@ -384,7 +371,7 @@ pub(crate) struct ReplayEngine<'a, K: FsKind> {
     pub base: Vec<u8>,
     /// Incremental content hash of `base`.
     pub base_key: ImageKey,
-    /// Cross-point artifact memo ([`TestConfig::cross_dedup`]).
+    /// Cross-point artifact memo.
     pub memo: CrossMemo,
     /// In-flight writes since the last fence.
     pub pending: Vec<PendingWrite>,
@@ -689,8 +676,9 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
     }
 
     /// Single-state mode: counts crash points exactly like
-    /// [`visit_crash_point`] does, and at the target ordinal builds and
-    /// checks the one requested subset state instead of enumerating.
+    /// [`visit_crash_point`] does, and at the target ordinal checks the one
+    /// requested subset state through the literal single-state primitive
+    /// ([`check_crash_state`]) instead of enumerating.
     fn visit_single(
         &mut self,
         seq: usize,
@@ -717,21 +705,17 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
             self.stop = true;
             return;
         }
-        let scope = self.scope_for(seq);
-        let fresh = self.kind.with_options(self.kind.options().with_fresh_sinks());
-        let mut cow = CowDevice::new(&self.base);
-        apply_subset(&mut cow, &writes, &subset);
-        let r = check_staged(&fresh, cow, check, self.cfg, &scope, false);
-        let r = finalize_check(self.kind, &self.base, &writes, &subset, check, self.cfg, r);
+        let violation = check_crash_state(
+            self.kind,
+            &self.base,
+            &writes,
+            &subset,
+            check,
+            &reference::literal(self.cfg),
+        );
         out.crash_states += 1;
-        for c in &r.cov {
-            self.kind.options().cov.absorb(c);
-        }
-        for t in &r.trace {
-            self.kind.options().trace.absorb(t);
-        }
         let probe = StateProbe {
-            violation: r.violation,
+            violation,
             op_seq: seq,
             op_desc: self.workload.ops[seq].describe(),
             phase,
@@ -761,29 +745,12 @@ pub fn check_one_state<K: FsKind>(
 ) -> Result<StateProbe, String> {
     let guarantees = kind.guarantees();
     kind.options().trace.clear();
-    let oracle =
-        build_oracle(kind, workload, cfg).map_err(|e| format!("oracle run failed: {e}"))?;
-
-    let log = LogHandle::new();
-    let dev = PmDevice::new(cfg.device_size);
-    let lp = if cfg.eadr {
-        LoggingPm::new_eadr(dev, log.clone())
-    } else {
-        LoggingPm::new(dev, log.clone())
-    };
-    let mut fs = kind.mkfs(lp).map_err(|e| format!("mkfs failed: {e}"))?;
-    let mut ex = Executor::new();
-    let mut rec_results = Vec::with_capacity(workload.ops.len());
-    for (seq, op) in workload.ops.iter().enumerate() {
-        log.marker(Marker::SyscallBegin(OpRecord { seq, desc: op.describe() }));
-        let r = ex.exec(&mut fs, op, seq);
-        log.marker(Marker::SyscallEnd { seq, ok: r.result.is_ok() });
-        rec_results.push(r);
-    }
-    drop(fs);
-    let log = log.take();
-
     let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
+    let Some((oracle, rec_results, log)) = oracle_and_record(kind, workload, cfg, &mut out)
+    else {
+        let failure = out.reports.pop().expect("a stage that cannot run reports why");
+        return Err(failure.violation.detail().to_string());
+    };
     let mut engine = ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees);
     engine.single =
         Some(SingleTarget { point, subset: subset.to_vec(), result: None, error: None });
@@ -812,8 +779,7 @@ struct StateArtifacts {
     /// Mount + tree-walk outcome (check stages 1–2).
     pre: Result<Arc<Tree>, Violation>,
     /// The scope the memoized walk ran under. Reuse at a later point
-    /// requires compatibility (see [`memo_walk_compatible`]); before scoped
-    /// walks composed with `cross_dedup` this was always `Full`.
+    /// requires compatibility (see [`memo_walk_compatible`]).
     walked: Scope,
     /// Coverage hit during mount + walk.
     cov_mw: Arc<HashSet<u64>>,
@@ -834,7 +800,9 @@ struct ProbeArtifacts {
     trace: Arc<BTreeSet<BugId>>,
 }
 
-/// Per-workload cross-point memo (see [`TestConfig::cross_dedup`]). Bounded:
+/// Per-workload cross-point memo: crash states whose *content* (base image
+/// plus replayed subset) recurs at a later crash point reuse the memoized
+/// mount/walk/probe artifacts instead of remounting. Bounded:
 /// new keys are refused once the cap is reached; updates of existing keys
 /// (probe fills) always land. All lookups for one crash point happen against
 /// the memo as of point entry (in-point repeats are handled by the in-point
@@ -984,17 +952,6 @@ fn rep_context(seq: usize, phase: CrashPhase, check: &CheckKind<'_>, scope: &Sco
     h
 }
 
-/// Whether skipped states must be force-checked and asserted clean
-/// ([`TestConfig::rep_validate`], or `CHIPMUNK_REP_VALIDATE=1` for a whole
-/// process).
-fn rep_validate_on(cfg: &TestConfig) -> bool {
-    static ENV: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    cfg.rep_validate
-        || *ENV.get_or_init(|| {
-            std::env::var("CHIPMUNK_REP_VALIDATE").is_ok_and(|v| v == "1")
-        })
-}
-
 /// The committed result of a representative skip: clean, no artifacts, no
 /// instrumentation (the state was never mounted).
 fn synth_clean() -> CheckRes {
@@ -1008,34 +965,6 @@ fn synth_clean() -> CheckRes {
         fuel_fired: false,
         pruned: 0,
     }
-}
-
-/// `rep_validate` debug path: fully check a state the representative layer
-/// is about to skip and panic if it reports a violation (the behavioral
-/// signature failed to be a checker congruence). Runs on a private overlay
-/// with fresh sinks, so the committed outcome is untouched.
-#[allow(clippy::too_many_arguments)]
-fn validate_skip<K: FsKind>(
-    kind: &K,
-    base: &[u8],
-    writes: &[PendingWrite],
-    subset: &[usize],
-    check: &CheckKind<'_>,
-    cfg: &TestConfig,
-    scope: &Scope,
-    sig: u128,
-) {
-    let fresh = kind.with_options(kind.options().with_fresh_sinks());
-    let mut cow = CowDevice::new(base);
-    apply_subset(&mut cow, writes, subset);
-    let r = check_staged(&fresh, cow, check, cfg, scope, false);
-    let r = finalize_check(kind, base, writes, subset, check, cfg, r);
-    assert!(
-        r.violation.is_none(),
-        "rep_validate: skipped state {subset:?} (class {sig:#034x}) reports {:?} while its \
-         representative was clean",
-        r.violation
-    );
 }
 
 /// The result of checking one crash state on a fresh-sink factory clone:
@@ -1073,10 +1002,10 @@ enum Decision {
     /// Check from scratch (mount, walk, compare, probe).
     Fresh,
     /// Identical image already checked earlier *at this point*: replay
-    /// state `j`'s result ([`TestConfig::dedup`]).
+    /// state `j`'s result.
     Dup(usize),
     /// Identical image checked at an earlier point: reuse its memoized
-    /// artifacts, re-running only the comparison ([`TestConfig::cross_dedup`]).
+    /// artifacts, re-running only the comparison.
     Memo(StateArtifacts),
 }
 
@@ -1085,25 +1014,14 @@ fn decide(
     key: ImageKey,
     seen: &mut HashMap<ImageKey, usize>,
     memo: &CrossMemo,
-    cfg: &TestConfig,
     ws: &Scope,
 ) -> Decision {
     match seen.entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => {
-            if cfg.dedup {
-                Decision::Dup(*e.get())
-            } else {
-                // Deliberate re-check: dedup is off, and treating the repeat
-                // as a memo hit would make the plan depend on commit timing.
-                Decision::Fresh
-            }
-        }
+        std::collections::hash_map::Entry::Occupied(e) => Decision::Dup(*e.get()),
         std::collections::hash_map::Entry::Vacant(v) => {
             v.insert(i);
             match memo.get(&key) {
-                Some(a) if cfg.cross_dedup && memo_walk_compatible(a, ws) => {
-                    Decision::Memo(a.clone())
-                }
+                Some(a) if memo_walk_compatible(a, ws) => Decision::Memo(a.clone()),
                 _ => Decision::Fresh,
             }
         }
@@ -1123,14 +1041,14 @@ fn memo_walk_compatible(a: &StateArtifacts, ws: &Scope) -> bool {
 }
 
 /// Check stages 1–4 on a prepared device. `fresh` must carry private
-/// coverage/trace sinks; `want_art` keeps the walked tree for memoization.
+/// coverage/trace sinks. Non-sandbox verdicts carry their artifacts for the
+/// cross-point memo.
 fn check_staged<K: FsKind, D: pmem::PmBackend>(
     fresh: &K,
     dev: D,
     check: &CheckKind<'_>,
     cfg: &TestConfig,
     scope: &Scope,
-    want_art: bool,
 ) -> CheckRes {
     let ws = walk_scope(cfg, scope);
     let (mut fs, tree) = match sandbox::mount_walk(fresh, dev, &ws, cfg) {
@@ -1143,7 +1061,7 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
                 violation: Some(v.clone()),
                 cov: vec![cov_mw.clone()],
                 trace: vec![trace_mw.clone()],
-                art: (want_art && memoizable).then_some(StateArtifacts {
+                art: memoizable.then_some(StateArtifacts {
                     pre: Err(v),
                     walked: ws,
                     cov_mw,
@@ -1161,7 +1079,7 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
     let trace_mw = Arc::new(fresh.options().trace.snapshot());
     let tree = Arc::new(tree);
     let mut pruned = 0;
-    let verdict = sandbox::compare(&tree, check, cfg, scope, &mut pruned);
+    let verdict = sandbox::compare(&tree, check, cfg, &ws, &mut pruned);
     let mut probe_art = None;
     let violation = match verdict {
         Some(v) => Some(v),
@@ -1185,7 +1103,7 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
         violation,
         cov,
         trace,
-        art: (want_art && memoizable)
+        art: memoizable
             .then_some(StateArtifacts { pre: Ok(tree), walked: ws, cov_mw, trace_mw, probe: probe_art }),
         memo_hit: false,
         sandbox_retry: false,
@@ -1289,9 +1207,10 @@ fn resolve_memo_hit(
 }
 
 /// Applies the slow-path retry rule to a freshly checked state: when the
-/// verdict is a sandbox violation (panic/hang) and any fast path was active,
-/// the state is re-checked exactly once on a fresh [`CowDevice`] with a full
-/// walk and every fast path disabled, and the slow verdict wins. The sandbox
+/// verdict is a sandbox violation (panic/hang), the state is re-checked
+/// exactly once through the literal single-state primitive
+/// ([`check_crash_state`] under [`reference::literal`] — private overlay,
+/// full walk, full unpruned compare), and the slow verdict wins. The sandbox
 /// itself stays on for the retry, so a deterministic FS panic still surfaces
 /// as a `RecoveryPanic` — now provably not a fast-path artifact.
 fn finalize_check<K: FsKind>(
@@ -1307,29 +1226,19 @@ fn finalize_check<K: FsKind>(
     if !res.violation.as_ref().is_some_and(is_sandbox_violation) {
         return res;
     }
-    // Pure function of the config (never of thread count or timing), so the
-    // retry decision is identical on every path that can reach this state.
-    let fast_path_active =
-        cfg.delta_replay || cfg.scoped_check || cfg.cross_dedup || cfg.prefix_cache;
-    if !fast_path_active {
-        return res;
-    }
-    let slow_cfg = TestConfig {
-        delta_replay: false,
-        scoped_check: false,
-        scoped_validate: false,
-        cross_dedup: false,
-        prefix_cache: false,
-        ..cfg.clone()
-    };
     let fresh = kind.with_options(kind.options().with_fresh_sinks());
-    let mut cow = CowDevice::new(base);
-    apply_subset(&mut cow, writes, subset);
-    let mut slow = check_staged(&fresh, cow, check, &slow_cfg, &Scope::Full, false);
-    slow.sandbox_retry = true;
-    slow.fuel_fired =
-        res.fuel_fired || matches!(slow.violation, Some(Violation::RecoveryHang { .. }));
-    slow
+    let lit = reference::literal(cfg);
+    let violation = check_crash_state(&fresh, base, writes, subset, check, &lit);
+    CheckRes {
+        fuel_fired: res.fuel_fired || matches!(violation, Some(Violation::RecoveryHang { .. })),
+        violation,
+        cov: vec![Arc::new(fresh.options().cov.snapshot())],
+        trace: vec![Arc::new(fresh.options().trace.snapshot())],
+        art: None,
+        memo_hit: false,
+        sandbox_retry: true,
+        pruned: 0,
+    }
 }
 
 /// Invariant context for committing one crash point's states.
@@ -1424,11 +1333,11 @@ fn commit_state<K: FsKind>(
 /// layers, both decided *per point, before any check runs*, so the outcome
 /// is identical for any thread count:
 ///
-/// * in-point dedup ([`TestConfig::dedup`]): a repeated key replays the
-///   first occurrence's committed result;
-/// * cross-point memo ([`TestConfig::cross_dedup`]): a key first seen at an
-///   earlier crash point reuses that state's mount/walk/probe artifacts,
-///   re-running only the (point-specific) oracle comparison.
+/// * in-point dedup: a repeated key replays the first occurrence's
+///   committed result;
+/// * cross-point memo: a key first seen at an earlier crash point reuses
+///   that state's mount/walk/probe artifacts, re-running only the
+///   (point-specific) oracle comparison.
 ///
 /// On top of the exact layers sits representative-state checking
 /// ([`TestConfig::rep_check`]): states are clustered by behavioral
@@ -1440,8 +1349,8 @@ fn commit_state<K: FsKind>(
 ///
 /// Serially (`threads <= 1`) the states of a point are visited by a single
 /// undo-logged overlay that steps between adjacent subsets by applying and
-/// undoing only the writes they differ in ([`TestConfig::delta_replay`]);
-/// the file system is mounted directly on that overlay and every checker
+/// undoing only the writes they differ in (delta replay); the file system
+/// is mounted directly on that overlay and every checker
 /// mutation (mount recovery, probe) is rolled back through the same undo
 /// marks. With `cfg.threads > 1` the checks run concurrently over private
 /// [`pmem::CowDevice`] overlays, committed in canonical enumeration order —
@@ -1495,7 +1404,6 @@ fn visit_crash_point<K: FsKind>(
         stop_on_first: cfg.stop_on_first,
         collect_keys: cfg.collect_state_keys,
     };
-    let want_art = cfg.cross_dedup;
     let ws = walk_scope(cfg, scope);
     let threads = cfg.threads.max(1);
     let mut results: Vec<Option<CheckRes>> = Vec::with_capacity(subsets.len());
@@ -1537,7 +1445,7 @@ fn visit_crash_point<K: FsKind>(
         for i in 0..subsets.len() {
             walker.goto(&writes, &subsets[i]);
             let key = walker.key();
-            let decision = decide(i, key, &mut seen, memo, cfg, &ws);
+            let decision = decide(i, key, &mut seen, memo, &ws);
             if let Decision::Dup(j) = &decision {
                 let r = results[*j].as_ref().expect("dedup source precedes its reuse");
                 if commit_state(kind, &ctx, r, key, true, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out)
@@ -1559,9 +1467,6 @@ fn visit_crash_point<K: FsKind>(
                 p => p,
             };
             if plan == RepPlan::Skip {
-                if rep_validate_on(cfg) {
-                    validate_skip(kind, base, &writes, &subsets[i], check, cfg, scope, sigs[i]);
-                }
                 let res = synth_clean();
                 commit_state(kind, &ctx, &res, key, false, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out);
                 out.rep_skipped += 1;
@@ -1576,9 +1481,6 @@ fn visit_crash_point<K: FsKind>(
             let fp_eligible =
                 rep_on && subsets.len() >= FP_MIN_STATES && plan != RepPlan::Expand;
             if fp_eligible && fp.matches(base, &writes, &subsets[i]) {
-                if rep_validate_on(cfg) {
-                    validate_skip(kind, base, &writes, &subsets[i], check, cfg, scope, sigs[i]);
-                }
                 let res = synth_clean();
                 commit_state(kind, &ctx, &res, key, false, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out);
                 out.rep_skipped += 1;
@@ -1590,54 +1492,26 @@ fn visit_crash_point<K: FsKind>(
                 Decision::Dup(_) => unreachable!("handled above"),
                 Decision::Memo(art) => {
                     let fresh = kind.with_options(kind.options().with_fresh_sinks());
-                    let r = resolve_memo_hit(&art, check, cfg, scope, |tree| {
-                        if cfg.delta_replay {
-                            let mark = walker.mark();
-                            let p = probe_on(&fresh, &mut *walker.device(), tree, cfg);
-                            walker.undo_to(mark);
-                            p
-                        } else {
-                            let mut cow = CowDevice::new(base);
-                            apply_subset(&mut cow, &writes, &subsets[i]);
-                            probe_on(&fresh, cow, tree, cfg)
-                        }
+                    let r = resolve_memo_hit(&art, check, cfg, &ws, |tree| {
+                        let mark = walker.mark();
+                        let p = probe_on(&fresh, &mut *walker.device(), tree, cfg);
+                        walker.undo_to(mark);
+                        p
                     });
                     finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
                 }
                 Decision::Fresh => {
                     let fresh = kind.with_options(kind.options().with_fresh_sinks());
-                    let (r, lines) = if cfg.delta_replay {
-                        let mark = walker.mark();
-                        let (r, lines) = if record {
-                            let mut t = pmem::ReadTracker::new(walker.device(), FP_WORD_CAP);
-                            let r = check_staged(&fresh, &mut t, check, cfg, scope, want_art);
-                            let lines = t.clean_words();
-                            (r, lines)
-                        } else {
-                            let r = check_staged(
-                                &fresh,
-                                &mut *walker.device(),
-                                check,
-                                cfg,
-                                scope,
-                                want_art,
-                            );
-                            (r, None)
-                        };
-                        walker.undo_to(mark);
+                    let mark = walker.mark();
+                    let (r, lines) = if record {
+                        let mut t = pmem::ReadTracker::new(walker.device(), FP_WORD_CAP);
+                        let r = check_staged(&fresh, &mut t, check, cfg, scope);
+                        let lines = t.clean_words();
                         (r, lines)
                     } else {
-                        let mut cow = CowDevice::new(base);
-                        apply_subset(&mut cow, &writes, &subsets[i]);
-                        if record {
-                            let mut t = pmem::ReadTracker::new(cow, FP_WORD_CAP);
-                            let r = check_staged(&fresh, &mut t, check, cfg, scope, want_art);
-                            let lines = t.clean_words();
-                            (r, lines)
-                        } else {
-                            (check_staged(&fresh, cow, check, cfg, scope, want_art), None)
-                        }
+                        (check_staged(&fresh, &mut *walker.device(), check, cfg, scope), None)
                     };
+                    walker.undo_to(mark);
                     let r = finalize_check(kind, base, &writes, &subsets[i], check, cfg, r);
                     if record {
                         // A failed attempt (overflow, violation, sandbox
@@ -1684,7 +1558,7 @@ fn visit_crash_point<K: FsKind>(
     let plan: Vec<Decision> = keys
         .iter()
         .enumerate()
-        .map(|(i, &k)| decide(i, k, &mut seen, memo, cfg, &ws))
+        .map(|(i, &k)| decide(i, k, &mut seen, memo, &ws))
         .collect();
     let mut rep_plans: Vec<RepPlan> = (0..subsets.len())
         .map(|i| {
@@ -1721,7 +1595,7 @@ fn visit_crash_point<K: FsKind>(
             let mut cow = CowDevice::new(base);
             apply_subset(&mut cow, &writes, &subsets[i]);
             let mut t = pmem::ReadTracker::new(cow, FP_WORD_CAP);
-            let r = check_staged(&fresh, &mut t, check, cfg, scope, want_art);
+            let r = check_staged(&fresh, &mut t, check, cfg, scope);
             let lines = t.clean_words();
             let r = finalize_check(kind, base, &writes, &subsets[i], check, cfg, r);
             match lines {
@@ -1740,7 +1614,7 @@ fn visit_crash_point<K: FsKind>(
         let fresh = kind.with_options(kind.options().with_fresh_sinks());
         let r = match &plan[i] {
             Decision::Dup(_) => unreachable!("dups are resolved at commit"),
-            Decision::Memo(art) => resolve_memo_hit(art, check, cfg, scope, |tree| {
+            Decision::Memo(art) => resolve_memo_hit(art, check, cfg, &ws, |tree| {
                 let mut cow = CowDevice::new(base);
                 apply_subset(&mut cow, &writes, &subsets[i]);
                 probe_on(&fresh, cow, tree, cfg)
@@ -1748,7 +1622,7 @@ fn visit_crash_point<K: FsKind>(
             Decision::Fresh => {
                 let mut cow = CowDevice::new(base);
                 apply_subset(&mut cow, &writes, &subsets[i]);
-                check_staged(&fresh, cow, check, cfg, scope, want_art)
+                check_staged(&fresh, cow, check, cfg, scope)
             }
         };
         finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
@@ -1833,9 +1707,6 @@ fn visit_crash_point<K: FsKind>(
         // (clean) verdict must be readable below.
         for i in pos..hi {
             if fp_skips[i] && results[i].is_none() {
-                if rep_validate_on(cfg) {
-                    validate_skip(kind, base, &writes, &subsets[i], check, cfg, scope, sigs[i]);
-                }
                 results[i] = Some(synth_clean());
             }
         }
@@ -1863,9 +1734,6 @@ fn visit_crash_point<K: FsKind>(
         // read every state uniformly.
         for i in pos..hi {
             if rep_plans[i] == RepPlan::Skip && results[i].is_none() {
-                if rep_validate_on(cfg) {
-                    validate_skip(kind, base, &writes, &subsets[i], check, cfg, scope, sigs[i]);
-                }
                 results[i] = Some(synth_clean());
             }
         }

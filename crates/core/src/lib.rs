@@ -52,6 +52,7 @@ pub(crate) mod footprint;
 pub mod harness;
 pub mod oracle;
 pub mod prefix;
+pub mod reference;
 pub mod report;
 pub mod sandbox;
 pub mod shrink;

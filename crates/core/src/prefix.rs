@@ -45,9 +45,12 @@ use crate::{
     config::TestConfig,
     crashgen::PendingWrite,
     exec::{Executor, OpResult},
-    harness::{push_report, test_workload, CrossMemo, RepTable, ReplayEngine, TestOutcome},
+    harness::{
+        push_report, report_divergence, test_workload, CrossMemo, RepTable, ReplayEngine,
+        TestOutcome,
+    },
     oracle::{advance_snapshot, snapshot_tree, Oracle, Tree},
-    report::{BugReport, CrashPhase, Violation},
+    report::BugReport,
 };
 
 /// A checkpoint of one crash-free stage (oracle or record) at a syscall
@@ -153,7 +156,7 @@ pub struct PrefixCache<K: FsKind> {
 impl<K: FsKind> PrefixCache<K> {
     /// Creates an empty cache for workloads tested under `kind`. The first
     /// [`run`](PrefixCache::run) formats the cached devices.
-    pub fn new(kind: &K, cfg: &TestConfig) -> Self {
+    pub fn new(kind: &K) -> Self {
         let fresh = || kind.with_options(kind.options().with_fresh_sinks());
         PrefixCache {
             origin: kind.clone(),
@@ -161,7 +164,7 @@ impl<K: FsKind> PrefixCache<K> {
             record_kind: fresh(),
             check_kind: fresh(),
             state: None,
-            disabled: !cfg.prefix_cache,
+            disabled: false,
         }
     }
 
@@ -187,7 +190,7 @@ impl<K: FsKind> PrefixCache<K> {
         w: &Workload,
         cfg: &TestConfig,
     ) -> (TestOutcome, HashSet<u64>, BTreeSet<BugId>) {
-        if self.disabled || !cfg.prefix_cache {
+        if self.disabled {
             return self.fallback(w, cfg);
         }
         if self.state.is_none() && !self.init_genesis(cfg) {
@@ -404,44 +407,7 @@ impl<K: FsKind> PrefixCache<K> {
 
         // Functional divergence / runtime errors over *all* ops, exactly as
         // the plain path reports them.
-        for (seq, (rec, ora)) in rec_results.iter().zip(oracle.results.iter()).enumerate() {
-            let desc = w.ops[seq].describe();
-            if let Err(e) = &rec.result {
-                if !e.is_benign() {
-                    push_report(
-                        &mut out,
-                        BugReport {
-                            workload: w.name.clone(),
-                            op_seq: seq,
-                            op_desc: desc.clone(),
-                            phase: CrashPhase::DuringSyscall,
-                            subset: "-".into(),
-                            point: None,
-                            subset_ids: Vec::new(),
-                            violation: Violation::RuntimeError(e.to_string()),
-                        },
-                    );
-                }
-            }
-            if rec.result.is_ok() != ora.result.is_ok() {
-                push_report(
-                    &mut out,
-                    BugReport {
-                        workload: w.name.clone(),
-                        op_seq: seq,
-                        op_desc: desc,
-                        phase: CrashPhase::DuringSyscall,
-                        subset: "-".into(),
-                        point: None,
-                        subset_ids: Vec::new(),
-                        violation: Violation::OracleDivergence(format!(
-                            "recorded run returned {:?}, oracle returned {:?}",
-                            rec.result, ora.result
-                        )),
-                    },
-                );
-            }
-        }
+        report_divergence(w, &rec_results, &oracle.results, &mut out);
 
         // ---- 3. Replay and check: splice boundary k, check the suffix ----
         let t_check = Instant::now();
@@ -697,7 +663,7 @@ mod tests {
     fn resumed_runs_match_uncached_bit_for_bit() {
         let kind = NovaKind { opts: FsOptions::default(), fortis: false };
         let cfg = TestConfig::default();
-        let mut cache = PrefixCache::new(&kind, &cfg);
+        let mut cache = PrefixCache::new(&kind);
         let shared = vec![
             Op::Mkdir { path: "/A".into() },
             Op::Creat { path: "/A/foo".into() },
@@ -732,7 +698,7 @@ mod tests {
     fn weak_fs_and_repeat_workloads_resume() {
         let kind = Ext4DaxKind::default();
         let cfg = TestConfig::default();
-        let mut cache = PrefixCache::new(&kind, &cfg);
+        let mut cache = PrefixCache::new(&kind);
         let w = Workload::new(
             "ext4",
             vec![
@@ -753,7 +719,7 @@ mod tests {
     fn fallback_when_fork_unsupported() {
         let kind = splitfs::SplitFsKind { opts: FsOptions::default() };
         let cfg = TestConfig::default();
-        let mut cache = PrefixCache::new(&kind, &cfg);
+        let mut cache = PrefixCache::new(&kind);
         let w = Workload::new(
             "split",
             vec![Op::Creat { path: "/f".into() }, Op::WritePath { path: "/f".into(), off: 0, size: 64 }],
@@ -774,7 +740,7 @@ mod tests {
             fortis: false,
         };
         let cfg = TestConfig { stop_on_first: true, ..TestConfig::default() };
-        let mut cache = PrefixCache::new(&kind, &cfg);
+        let mut cache = PrefixCache::new(&kind);
         let base_ops = vec![
             Op::Creat { path: "/a".into() },
             Op::Rename { old: "/a".into(), new: "/b".into() },

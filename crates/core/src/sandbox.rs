@@ -34,7 +34,7 @@ use pmem::{FuelExhausted, FuelGuard, PmBackend};
 use vfs::{FileSystem, FsKind};
 
 use crate::{
-    checker::{compare_checked, mount_state, probe_state, CheckKind},
+    checker::{compare_state, mount_state, probe_state, CheckKind},
     config::TestConfig,
     oracle::{snapshot_tree_scoped, Scope, Tree},
     report::{Stage, Violation},
@@ -143,10 +143,10 @@ pub fn mount_walk<K: FsKind, D: PmBackend>(
     Ok((fs, tree))
 }
 
-/// Stage-3 oracle comparison under the sandbox. `scoped_validate`'s
-/// disagreement panic is an intentional harness assertion, so that debug
-/// mode keeps aborting loudly even with the sandbox on. `pruned` counts
-/// hash-pruned node comparisons (see [`TestConfig::shared_oracle`]).
+/// Stage-3 oracle comparison under the sandbox. `scope` must be the scope
+/// the tree was walked under (see [`crate::checker::walk_scope`]) so every
+/// byte the comparison reads is real. `pruned` counts hash-pruned node
+/// comparisons (see [`TestConfig::shared_oracle`]).
 pub fn compare<'a>(
     tree: &Tree,
     check: &CheckKind<'a>,
@@ -154,23 +154,18 @@ pub fn compare<'a>(
     scope: &Scope,
     pruned: &mut u64,
 ) -> Option<Violation> {
-    if !cfg.sandbox || cfg.scoped_validate {
-        return compare_checked(tree, check, cfg, scope, pruned);
+    if !cfg.sandbox {
+        return compare_state(tree, check, cfg, scope, pruned);
     }
-    let mut p = 0;
-    let r = match guarded(Stage::Compare, || {
-        let mut inner = 0;
-        let v = compare_checked(tree, check, cfg, scope, &mut inner);
-        (v, inner)
-    }) {
-        Ok((v, inner)) => {
-            p = inner;
+    let mut inner = 0;
+    match guarded(Stage::Compare, || compare_state(tree, check, cfg, scope, &mut inner)) {
+        Ok(v) => {
+            *pruned += inner;
             v
         }
+        // A comparison that panicked contributes no prune count.
         Err(v) => Some(v),
-    };
-    *pruned += p;
-    r
+    }
 }
 
 /// Stage-4 usability probe under the sandbox and fuel watchdog.

@@ -162,7 +162,7 @@ pub fn shrink<K: FsKind>(
     };
 
     // ---- Pass 1: ddmin over workload ops ----
-    let mut cache = PrefixCache::new(kind, &cfg);
+    let mut cache = PrefixCache::new(kind);
     let mut n_cand = 0u64;
     if first_match(&mut cache, &workload.name, &workload.ops, &cfg, class, stage, &mut n_cand)
         .is_none()

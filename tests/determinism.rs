@@ -3,9 +3,7 @@
 //! The sharded harness (`TestConfig::threads`) must be *observationally
 //! identical* to the serial walk: for a fixed seed and workload stream,
 //! every report, counter, and stop-on-first winner is byte-identical no
-//! matter how many workers check crash states. Likewise the crash-state
-//! dedup cache must change nothing but wall time and the `dedup_hits`
-//! counter.
+//! matter how many workers check crash states.
 
 use bench::{hunt_with_ace, hunt_with_fuzzer, run_suite, HuntResult, SuiteStats};
 use chipmunk::TestConfig;
@@ -48,23 +46,6 @@ fn ace_suite_is_identical_across_thread_counts() {
     for (t, s) in THREADS.iter().zip(&runs).skip(1) {
         assert_eq!(suite_fingerprint(s), want, "threads={t} diverged from threads=1");
     }
-}
-
-#[test]
-fn dedup_changes_only_the_hit_counter() {
-    let base = TestConfig::default().with_threads(2);
-    let with = run_suite(FsName::Nova, BugSet::as_released(), ace_slice(), &base);
-    let without = run_suite(
-        FsName::Nova,
-        BugSet::as_released(),
-        ace_slice(),
-        &TestConfig { dedup: false, ..base },
-    );
-    assert!(with.dedup_hits > 0, "coalesced subsets should collide often");
-    assert_eq!(without.dedup_hits, 0);
-    let mut want = suite_fingerprint(&with);
-    want.3 = 0; // dedup_hits is the one permitted difference
-    assert_eq!(suite_fingerprint(&without), want);
 }
 
 /// Strips the wall-clock field so two [`HuntResult`]s can be compared.
