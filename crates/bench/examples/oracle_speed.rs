@@ -72,7 +72,8 @@ fn main() {
                 let cfg = TestConfig { shared_oracle, ..TestConfig::default() };
                 let (mut peak, mut total) = (0u64, 0u64);
                 for w in &self.ws {
-                    let o = build_oracle(&kind, w, &cfg).expect("oracle build");
+                    let o = build_oracle(&kind, w, &cfg, pmem::ForkDevice::new)
+                        .expect("oracle build");
                     let b = resident_bytes(&o);
                     peak = peak.max(b);
                     total += b;

@@ -4,7 +4,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmem::{write_delta, CowDevice, ImageKey, PmDevice};
+use pmem::{write_delta, CowDevice, ForkDevice, ImageKey, ImageLease, PmBackend};
 use pmlog::{LogEntry, LogHandle, LoggingPm, Marker, OpRecord};
 use vfs::{
     fs::SyscallKind,
@@ -214,14 +214,22 @@ pub(crate) fn report_divergence(
 /// and the divergence reports between them, with both stage timings. A
 /// stage that cannot run at all (oracle failure, mkfs failure) is reported
 /// into `out` and yields `None`.
-pub(crate) fn oracle_and_record<K: FsKind>(
+///
+/// Both stages run on a fresh device from `new_dev`. Production passes the
+/// page-sparse [`ForkDevice`] (a workload touches a few dozen KiB of the
+/// device, so nothing device-sized is allocated); the literal reference
+/// passes the dense [`pmem::PmDevice`], which makes the production ≡
+/// reference matrix also pin "log recorded on a sparse device ≡ log
+/// recorded on the dense device".
+pub(crate) fn oracle_and_record<K: FsKind, D: PmBackend>(
     kind: &K,
     workload: &Workload,
     cfg: &TestConfig,
+    new_dev: impl Fn(u64) -> D,
     out: &mut TestOutcome,
 ) -> Option<(Oracle, Vec<OpResult>, pmlog::Log)> {
     let t_oracle = Instant::now();
-    let oracle = match build_oracle(kind, workload, cfg) {
+    let oracle = match build_oracle(kind, workload, cfg, &new_dev) {
         Ok(o) => o,
         Err(e) => {
             let v = Violation::RuntimeError(format!("oracle run failed: {e}"));
@@ -236,7 +244,7 @@ pub(crate) fn oracle_and_record<K: FsKind>(
     // under `cfg.eadr`), every op bracketed by syscall markers.
     let t_record = Instant::now();
     let log = LogHandle::new();
-    let dev = PmDevice::new(cfg.device_size);
+    let dev = new_dev(cfg.device_size);
     let lp = if cfg.eadr {
         LoggingPm::new_eadr(dev, log.clone())
     } else {
@@ -275,13 +283,17 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
     let guarantees = kind.guarantees();
     kind.options().trace.clear();
 
-    let Some((oracle, rec_results, log)) = oracle_and_record(kind, workload, cfg, &mut out)
+    let Some((oracle, rec_results, log)) =
+        oracle_and_record(kind, workload, cfg, ForkDevice::new, &mut out)
     else {
         return out;
     };
 
     let t_check = Instant::now();
-    let mut engine = ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees);
+    // The all-zero image hashes to 0.
+    let base = ImageLease::zeroed(cfg.device_size);
+    let mut engine =
+        ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees, base, 0);
     for entry in log.entries() {
         if engine.stop {
             // Replaying to completion is unnecessary once stopping.
@@ -368,7 +380,7 @@ pub(crate) struct ReplayEngine<'a, K: FsKind> {
     rec_results: &'a [OpResult],
     guarantees: vfs::Guarantees,
     /// The last-known-persistent image (all pending writes drained).
-    pub base: Vec<u8>,
+    pub base: ImageLease,
     /// Incremental content hash of `base`.
     pub base_key: ImageKey,
     /// Cross-point artifact memo.
@@ -431,6 +443,9 @@ pub struct StateProbe {
 }
 
 impl<'a, K: FsKind> ReplayEngine<'a, K> {
+    /// An engine positioned at `base` (whose content hash is `base_key`)
+    /// with nothing in flight.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         kind: &'a K,
         workload: &'a Workload,
@@ -438,6 +453,8 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
         oracle: &'a Oracle,
         rec_results: &'a [OpResult],
         guarantees: vfs::Guarantees,
+        base: ImageLease,
+        base_key: ImageKey,
     ) -> Self {
         ReplayEngine {
             kind,
@@ -446,9 +463,8 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
             oracle,
             rec_results,
             guarantees,
-            // The all-zero image hashes to 0.
-            base: vec![0u8; cfg.device_size as usize],
-            base_key: 0,
+            base,
+            base_key,
             memo: CrossMemo::default(),
             pending: Vec::new(),
             op_absorbed: Vec::new(),
@@ -468,11 +484,12 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
     /// undo tape.
     fn apply_base(&mut self, off: u64, data: &[u8]) {
         let o = off as usize;
-        self.base_key ^= write_delta(off, &self.base[o..o + data.len()], data);
+        let old = &self.base[o..o + data.len()];
+        self.base_key ^= write_delta(off, old, data);
         if let Some(u) = &mut self.undo {
-            u.push((off, self.base[o..o + data.len()].to_vec()));
+            u.push((off, old.to_vec()));
         }
-        self.base[o..o + data.len()].copy_from_slice(data);
+        self.base.write(off, data);
     }
 
     fn scope_for(&self, seq: usize) -> Scope {
@@ -746,12 +763,15 @@ pub fn check_one_state<K: FsKind>(
     let guarantees = kind.guarantees();
     kind.options().trace.clear();
     let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
-    let Some((oracle, rec_results, log)) = oracle_and_record(kind, workload, cfg, &mut out)
+    let Some((oracle, rec_results, log)) =
+        oracle_and_record(kind, workload, cfg, ForkDevice::new, &mut out)
     else {
         let failure = out.reports.pop().expect("a stage that cannot run reports why");
         return Err(failure.violation.detail().to_string());
     };
-    let mut engine = ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees);
+    let base = ImageLease::zeroed(cfg.device_size);
+    let mut engine =
+        ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees, base, 0);
     engine.single =
         Some(SingleTarget { point, subset: subset.to_vec(), result: None, error: None });
     for entry in log.entries() {
@@ -1828,6 +1848,40 @@ mod tests {
         );
         let out = test_workload(&kind, &wl, &TestConfig::default());
         assert!(out.reports.is_empty(), "{:#?}", out.reports);
+    }
+
+    /// What the production ≡ reference matrix relies on: the device under
+    /// the crash-free phases is invisible to everything downstream of them.
+    #[test]
+    fn sparse_and_dense_devices_record_the_same_log() {
+        fn both<K: FsKind>(kind: &K, wl: &Workload, cfg: &TestConfig) {
+            let mut out = TestOutcome::default();
+            let (so, sr, slog) =
+                oracle_and_record(kind, wl, cfg, ForkDevice::new, &mut out).expect("sparse run");
+            let (d_o, dr, dlog) =
+                oracle_and_record(kind, wl, cfg, pmem::PmDevice::new, &mut out).expect("dense run");
+            assert_eq!(slog.entries(), dlog.entries(), "{:?} eadr={}", kind.name(), cfg.eadr);
+            assert_eq!(sr, dr);
+            assert_eq!(so.snaps, d_o.snaps);
+            assert!(out.reports.is_empty(), "{:#?}", out.reports);
+        }
+        let wl = w(
+            "mixed",
+            vec![
+                Op::Mkdir { path: "/d".into() },
+                Op::Creat { path: "/d/f".into() },
+                Op::WritePath { path: "/d/f".into(), off: 100, size: 9000 },
+                Op::FsyncPath { path: "/d/f".into() },
+                Op::Rename { old: "/d/f".into(), new: "/g".into() },
+                Op::Truncate { path: "/g".into(), size: 10 },
+            ],
+        );
+        for eadr in [false, true] {
+            let cfg = TestConfig { eadr, ..TestConfig::default() };
+            both(&novafs::NovaKind { opts: Default::default(), fortis: true }, &wl, &cfg);
+            both(&splitfs::SplitFsKind { opts: Default::default() }, &wl, &cfg);
+            both(&Ext4DaxKind::default(), &wl, &cfg);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use pmem::PmDevice;
+use pmem::PmBackend;
 use vfs::{FileSystem, FileType, FsError, FsKind, Workload};
 
 use crate::config::TestConfig;
@@ -270,17 +270,19 @@ impl Oracle {
     }
 }
 
-/// Runs `workload` crash-free on a fresh `kind` instance, capturing
-/// snapshots. With `cfg.shared_oracle` each post-op snapshot is advanced
-/// incrementally from its predecessor ([`advance_snapshot`]); otherwise
-/// every snapshot is an independent full walk.
-pub fn build_oracle<K: FsKind>(
+/// Runs `workload` crash-free on a fresh `kind` instance formatted on
+/// `new_dev(cfg.device_size)`, capturing snapshots. With `cfg.shared_oracle`
+/// each post-op snapshot is advanced incrementally from its predecessor
+/// ([`advance_snapshot`]); otherwise every snapshot is an independent full
+/// walk. Production passes [`pmem::ForkDevice::new`] (page-sparse), the
+/// literal reference [`pmem::PmDevice::new`] (dense).
+pub fn build_oracle<K: FsKind, D: PmBackend>(
     kind: &K,
     workload: &Workload,
     cfg: &TestConfig,
+    new_dev: impl Fn(u64) -> D,
 ) -> Result<Oracle, FsError> {
-    let dev = PmDevice::new(cfg.device_size);
-    let mut fs = kind.mkfs(dev)?;
+    let mut fs = kind.mkfs(new_dev(cfg.device_size))?;
     let mut ex = Executor::new();
     let mut snaps = Vec::with_capacity(workload.ops.len() + 1);
     let mut results = Vec::with_capacity(workload.ops.len());
@@ -842,7 +844,7 @@ pub fn diff_atomic_write_pruned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem::PmBackend;
+    use pmem::PmDevice;
     use vfs::model::ModelFs;
     use vfs::Op;
 
@@ -903,7 +905,7 @@ mod tests {
             vec![Op::Creat { path: "/f".into() }, Op::Unlink { path: "/f".into() }],
         );
         let cfg = TestConfig { device_size: 1024, ..TestConfig::default() };
-        let o = build_oracle(&kind, &w, &cfg).unwrap();
+        let o = build_oracle(&kind, &w, &cfg, PmDevice::new).unwrap();
         assert_eq!(o.snaps.len(), 3);
         assert!(!o.before(0).contains_key("/f"));
         assert!(o.after(0).contains_key("/f"));
@@ -1141,8 +1143,8 @@ mod tests {
                 ..TestConfig::default()
             };
             let deep_cfg = TestConfig { shared_oracle: false, ..shared_cfg.clone() };
-            let a = build_oracle(&kind, &w, &shared_cfg).unwrap();
-            let b = build_oracle(&kind, &w, &deep_cfg).unwrap();
+            let a = build_oracle(&kind, &w, &shared_cfg, PmDevice::new).unwrap();
+            let b = build_oracle(&kind, &w, &deep_cfg, PmDevice::new).unwrap();
             prop_assert_eq!(a.snaps.len(), b.snaps.len());
             for k in 0..a.snaps.len() {
                 prop_assert_eq!(
@@ -1167,7 +1169,7 @@ mod tests {
                 shared_oracle: true,
                 ..TestConfig::default()
             };
-            let o = build_oracle(&kind, &w, &cfg).unwrap();
+            let o = build_oracle(&kind, &w, &cfg, PmDevice::new).unwrap();
             let rendered: Vec<String> =
                 o.snaps.iter().map(|t| format!("{t:?}")).collect();
             for k in 0..o.snaps.len() {

@@ -37,7 +37,7 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pmem::{ForkDevice, ImageKey};
+use pmem::{ForkDevice, ImageKey, ImageLease};
 use pmlog::{LogEntry, LogHandle, LoggingPm, Marker, OpRecord};
 use vfs::{BugId, FsKind, Op, Workload};
 
@@ -134,8 +134,10 @@ struct CacheState<K: FsKind> {
     record_ckpts: Vec<PhaseCkpt<K::Fs<LoggingPm<ForkDevice>>>>,
     replay: Vec<ReplayCkpt>,
     /// The persisted base image, positioned at boundary `tape.len()`;
-    /// popping a segment rewinds it one boundary.
-    base: Vec<u8>,
+    /// popping a segment rewinds it one boundary. Leased, so `reset` and
+    /// `drop` hand the buffer back zeroed instead of freeing it, and the
+    /// next genesis (every scheduled batch) costs no device-sized calloc.
+    base: ImageLease,
     base_key: ImageKey,
     tape: Vec<TapeSeg>,
 }
@@ -263,8 +265,11 @@ impl<K: FsKind> PrefixCache<K> {
         let dummy_w = Workload::new("", vec![]);
         let dummy_oracle = Oracle { snaps: vec![], results: vec![], snap_bytes_shared: 0 };
         let guarantees = self.check_kind.guarantees();
-        let mut engine =
-            ReplayEngine::new(&self.check_kind, &dummy_w, cfg, &dummy_oracle, &[], guarantees);
+        // The all-zero image hashes to 0.
+        let base = ImageLease::zeroed(cfg.device_size);
+        let mut engine = ReplayEngine::new(
+            &self.check_kind, &dummy_w, cfg, &dummy_oracle, &[], guarantees, base, 0,
+        );
         for e in &log {
             engine.step(e, None);
         }
@@ -308,8 +313,8 @@ impl<K: FsKind> PrefixCache<K> {
                 trace: BTreeSet::new(),
                 stopped: false,
             }],
-            base: std::mem::take(&mut engine.base),
             base_key: engine.base_key,
+            base: engine.base,
             tape: Vec::new(),
         });
         true
@@ -416,8 +421,7 @@ impl<K: FsKind> PrefixCache<K> {
         while st.tape.len() > k {
             let seg = st.tape.pop().expect("len checked");
             for (off, old) in seg.undo.iter().rev() {
-                let o = *off as usize;
-                st.base[o..o + old.len()].copy_from_slice(old);
+                st.base.write(*off, old);
             }
             st.base_key = seg.key_before;
         }
@@ -458,10 +462,11 @@ impl<K: FsKind> PrefixCache<K> {
 
         if !ck_stopped {
             let guarantees = self.check_kind.guarantees();
-            let mut engine =
-                ReplayEngine::new(&self.check_kind, w, cfg, &oracle, &rec_results, guarantees);
-            engine.base = std::mem::take(&mut st.base);
-            engine.base_key = st.base_key;
+            // The engine takes the cache's image for the suffix; it moves
+            // back below.
+            let mut engine = ReplayEngine::new(
+                &self.check_kind, w, cfg, &oracle, &rec_results, guarantees, st.base, st.base_key,
+            );
             engine.memo = ck.memo.clone();
             engine.rep = ck.rep.clone();
             engine.pending = ck.pending.clone();
@@ -500,8 +505,7 @@ impl<K: FsKind> PrefixCache<K> {
                 // stops at the same earlier point).
                 if let Some(undo) = engine.undo.take() {
                     for (off, old) in undo.iter().rev() {
-                        let o = *off as usize;
-                        engine.base[o..o + old.len()].copy_from_slice(old);
+                        engine.base.write(*off, old);
                     }
                     engine.base_key = seg_key;
                 }
@@ -511,8 +515,8 @@ impl<K: FsKind> PrefixCache<K> {
             } else {
                 engine.undo = None;
             }
-            st.base = std::mem::take(&mut engine.base);
             st.base_key = engine.base_key;
+            st.base = engine.base;
         } else {
             // A workload sharing this prefix stops at the same earlier
             // point: every later boundary freezes the spliced stop state.

@@ -9,9 +9,9 @@
 //! testing, PAPERS.md B3) so the differential tests have something to hold
 //! production against:
 //!
-//! 1. run the workload crash-free, deep-walking the whole tree after every
-//!    op (the oracle);
-//! 2. run it again through the write logger;
+//! 1. run the workload crash-free on a dense [`PmDevice`], deep-walking the
+//!    whole tree after every op (the oracle);
+//! 2. run it again, on another dense device, through the write logger;
 //! 3. walk the log. Writes accumulate as in-flight until a fence makes them
 //!    durable. Crash points are every fence with writes in flight and every
 //!    completed mutating syscall (strong guarantees), every completed
@@ -29,6 +29,7 @@
 //! [`check_workload`] and [`test_workload`](crate::test_workload) isolates a
 //! fault in a fast path (or names a state `rep_check` wrongly skipped).
 
+use pmem::PmDevice;
 use pmlog::{LogEntry, Marker, OpRecord};
 use vfs::{fs::SyscallKind, FsKind, Guarantees, Workload};
 
@@ -102,7 +103,10 @@ fn run<K: FsKind>(
     let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
     kind.options().trace.clear();
 
-    let Some((oracle, rec, log)) = oracle_and_record(kind, workload, cfg, &mut out) else {
+    // The dense device, not production's sparse one: the literal pipeline
+    // shares the recorder's code but not the device under it.
+    let Some((oracle, rec, log)) = oracle_and_record(kind, workload, cfg, PmDevice::new, &mut out)
+    else {
         return (out, None);
     };
 

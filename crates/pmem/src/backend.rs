@@ -174,6 +174,19 @@ impl<T: PmBackend + ?Sized> PmBackend for &mut T {
     }
 }
 
+/// Panics unless `[off, off + len)` lies inside a device of `dev_len` bytes.
+///
+/// Every concrete device asserts through this one helper, so the diagnostic
+/// a buggy file system produces reads the same whichever device the harness
+/// happened to run it on (dense, copy-on-write overlay or forkable).
+#[track_caller]
+pub fn assert_in_range(off: u64, len: u64, dev_len: u64) {
+    assert!(
+        off.checked_add(len).is_some_and(|end| end <= dev_len),
+        "PM access out of range: off={off} len={len} device={dev_len}"
+    );
+}
+
 /// Rounds `off` down to its cache-line base.
 pub fn line_base(off: u64) -> u64 {
     off & !(CACHE_LINE - 1)
@@ -206,5 +219,36 @@ mod tests {
         assert_eq!(lines_overlapping(63, 2).count(), 2);
         assert_eq!(lines_overlapping(10, 0).count(), 0);
         assert_eq!(lines_overlapping(128, 128).count(), 2);
+    }
+
+    /// A worker-stage diagnostic quotes the device's panic message; it must
+    /// not depend on which device the harness ran the file system on.
+    #[test]
+    fn every_device_reports_out_of_range_identically() {
+        use crate::{CowDevice, ForkDevice, PmDevice};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        fn accesses<D: PmBackend>(mut dev: D) -> Vec<String> {
+            let mut msgs = Vec::new();
+            let mut record = |f: &mut dyn FnMut(&mut D)| {
+                let payload = catch_unwind(AssertUnwindSafe(|| f(&mut dev)))
+                    .expect_err("out-of-range access must panic");
+                msgs.push(payload.downcast_ref::<String>().expect("formatted message").clone());
+            };
+            record(&mut |d| d.read(60, &mut [0u8; 8]));
+            record(&mut |d| d.store(60, &[1u8; 8]));
+            record(&mut |d| d.memcpy_nt(60, &[1u8; 8]));
+            record(&mut |d| d.memset_nt(60, 1, 8));
+            record(&mut |d| d.read(u64::MAX, &mut [0u8; 8]));
+            msgs
+        }
+
+        let base = [0u8; 64];
+        let want = accesses(PmDevice::new(64));
+        assert_eq!(want[0], "PM access out of range: off=60 len=8 device=64");
+        assert!(want[..4].iter().all(|m| m == &want[0]), "{want:?}");
+        assert_eq!(want[4], format!("PM access out of range: off={} len=8 device=64", u64::MAX));
+        assert_eq!(accesses(CowDevice::new(&base)), want);
+        assert_eq!(accesses(ForkDevice::new(64)), want);
     }
 }

@@ -10,7 +10,7 @@
 //! checker mutations is just dropping the overlay.
 
 use crate::{
-    backend::PmBackend,
+    backend::{assert_in_range, PmBackend},
     cost::{self, SimCost},
     fxmap::FxHashMap,
 };
@@ -124,11 +124,7 @@ impl<'a> CowDevice<'a> {
         // Ticking before the undo record keeps the log consistent if the
         // watchdog fires mid-sequence.
         cost::tick(cost::op_units(data.len()));
-        assert!(
-            (off as usize).checked_add(data.len()).is_some_and(|e| e <= self.base.len()),
-            "CowDevice write out of range: off={off} len={}",
-            data.len()
-        );
+        assert_in_range(off, data.len() as u64, self.base.len() as u64);
         let mut pos = 0usize;
         while pos < data.len() {
             let cur = off + pos as u64;
@@ -152,11 +148,7 @@ impl<'a> CowDevice<'a> {
 
     fn read_bytes(&self, off: u64, buf: &mut [u8]) {
         cost::tick(cost::op_units(buf.len()));
-        assert!(
-            (off as usize).checked_add(buf.len()).is_some_and(|e| e <= self.base.len()),
-            "CowDevice read out of range: off={off} len={}",
-            buf.len()
-        );
+        assert_in_range(off, buf.len() as u64, self.base.len() as u64);
         let mut pos = 0usize;
         while pos < buf.len() {
             let cur = off + pos as u64;
@@ -196,10 +188,7 @@ impl PmBackend for CowDevice<'_> {
         // Page-sized chunks from one stack buffer: a memset of the whole
         // device must not allocate O(len) (it used to build a `vec![val;
         // len]` per call, which dominated large fallocate replays).
-        assert!(
-            (off as usize).checked_add(len as usize).is_some_and(|e| e <= self.base.len()),
-            "CowDevice memset out of range: off={off} len={len}"
-        );
+        assert_in_range(off, len, self.base.len() as u64);
         let buf = [val; PAGE as usize];
         let mut pos = 0u64;
         while pos < len {

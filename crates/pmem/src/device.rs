@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use crate::{
-    backend::{line_base, lines_overlapping, PmBackend, CACHE_LINE},
+    backend::{assert_in_range, line_base, lines_overlapping, PmBackend, CACHE_LINE},
     cost::{
         PmStats, SimCost, FENCE_NS, FLUSH_LINE_NS, MEDIA_READ_LINE_NS, NT_LINE_NS, STORE_WORD_NS,
     },
@@ -131,11 +131,7 @@ impl PmDevice {
     }
 
     fn check_range(&self, off: u64, len: usize) {
-        assert!(
-            (off as usize).checked_add(len).is_some_and(|end| end <= self.view.len()),
-            "PM access out of range: off={off} len={len} device={}",
-            self.view.len()
-        );
+        assert_in_range(off, len as u64, self.view.len() as u64);
     }
 }
 

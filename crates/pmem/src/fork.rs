@@ -1,4 +1,9 @@
-//! A forkable zero-initialized device for prefix-shared workload execution.
+//! A page-sparse, forkable zero-initialized device: what every crash-free
+//! phase (oracle run, recorded run) of the harness executes on.
+//!
+//! Pages exist only once written, so creating a device costs nothing
+//! proportional to its length — a workload touches a few dozen KiB of a
+//! 4 MiB device, and the uncached pipeline creates two devices per workload.
 //!
 //! ACE suites re-execute enormous shared op prefixes (the seq-2 sweep runs
 //! op 1 once per pair). The prefix cache keeps *live* mounted file systems
@@ -25,7 +30,11 @@
 
 use std::sync::Arc;
 
-use crate::{backend::PmBackend, cost::SimCost, fxmap::FxHashMap};
+use crate::{
+    backend::{assert_in_range, PmBackend},
+    cost::SimCost,
+    fxmap::FxHashMap,
+};
 
 /// Overlay page size.
 const PAGE: u64 = 4096;
@@ -117,11 +126,7 @@ impl ForkDevice {
         if self.layers.len() >= MAX_LAYERS {
             self.flatten();
         }
-        assert!(
-            (off as usize).checked_add(data.len()).is_some_and(|e| e <= self.len as usize),
-            "ForkDevice write out of range: off={off} len={}",
-            data.len()
-        );
+        assert_in_range(off, data.len() as u64, self.len);
         let mut pos = 0usize;
         while pos < data.len() {
             let cur = off + pos as u64;
@@ -134,11 +139,7 @@ impl ForkDevice {
     }
 
     fn read_bytes(&self, off: u64, buf: &mut [u8]) {
-        assert!(
-            (off as usize).checked_add(buf.len()).is_some_and(|e| e <= self.len as usize),
-            "ForkDevice read out of range: off={off} len={}",
-            buf.len()
-        );
+        assert_in_range(off, buf.len() as u64, self.len);
         let mut pos = 0usize;
         while pos < buf.len() {
             let cur = off + pos as u64;
@@ -186,10 +187,7 @@ impl PmBackend for ForkDevice {
     }
 
     fn memset_nt(&mut self, off: u64, val: u8, len: u64) {
-        assert!(
-            (off as usize).checked_add(len as usize).is_some_and(|e| e <= self.len as usize),
-            "ForkDevice memset out of range: off={off} len={len}"
-        );
+        assert_in_range(off, len, self.len);
         let buf = [val; PAGE as usize];
         let mut pos = 0u64;
         while pos < len {

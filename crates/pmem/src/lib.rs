@@ -32,6 +32,12 @@
 //! * [`CowDevice`] — a copy-on-write overlay over an immutable base image,
 //!   used by the test harness to mount file systems on crash states cheaply
 //!   (the analogue of CrashMonkey's copy-on-write device).
+//! * [`ForkDevice`] — a page-sparse zero-initialized device with cheap
+//!   `Clone`, which every crash-free phase (oracle run, recorded run) of the
+//!   harness executes on.
+//! * [`ImageLease`] — the dense persisted base image crash-state overlays
+//!   borrow, leased all-zero from a process-wide free list instead of
+//!   allocated per workload.
 //! * [`SharedDev`] / [`Window`] — shared handles and sub-ranges of a device,
 //!   used by hybrid file systems (SplitFS) that split one device between a
 //!   user-space component and a kernel-component region.
@@ -44,6 +50,7 @@ pub mod fault;
 pub mod fork;
 pub mod fxmap;
 pub mod hash;
+pub mod lease;
 pub mod shared;
 pub mod track;
 
@@ -54,6 +61,7 @@ pub use cow::{CowDevice, UndoMark};
 pub use device::{InflightKind, InflightWrite, PmDevice};
 pub use fork::ForkDevice;
 pub use fxmap::{FxBuildHasher, FxHashMap};
+pub use lease::ImageLease;
 pub use hash::{byte_term, image_key, run_term, snap_key, span_key, word_term, write_delta, ImageKey};
 pub use shared::{SharedDev, Window};
 pub use track::ReadTracker;
