@@ -25,7 +25,7 @@
 //! a state *clean* — no bug is reported from an unchecked state, and a
 //! violation always surfaces on a fully checked representative.
 
-use std::collections::BTreeSet;
+use std::borrow::Cow;
 
 use crate::crashgen::PendingWrite;
 
@@ -140,35 +140,35 @@ fn word_at(base: &[u8], off: u64) -> u64 {
 /// rebuilt and re-hashed. Write application order mirrors
 /// [`crate::crashgen::apply_subset`] (ascending log order).
 fn delta(e: &FpEntry, base: &[u8], writes: &[PendingWrite], subset: &[usize]) -> u128 {
-    let mut order = subset.to_vec();
-    order.sort_unstable();
-    let mut touched: BTreeSet<u32> = BTreeSet::new();
-    for &wi in &order {
+    // Enumerated subsets arrive ascending; only a hand-built one is copied.
+    let mut order = Cow::Borrowed(subset);
+    if !subset.is_sorted() {
+        order.to_mut().sort_unstable();
+    }
+    let overlaps = |w: &PendingWrite, off: u64| w.off < off + WORD && off < w.off + w.data.len() as u64;
+    let mut d = 0;
+    for (k, &wi) in order.iter().enumerate() {
         let w = &writes[wi];
-        if w.data.is_empty() {
-            continue;
-        }
-        let w0 = (w.off / WORD) as u32;
-        let w1 = ((w.off + w.data.len() as u64 - 1) / WORD) as u32;
-        let from = e.words.partition_point(|&x| x < w0);
+        let from = e.words.partition_point(|&x| (x as u64) < w.off / WORD);
         for &wd in &e.words[from..] {
-            if wd > w1 {
+            let off = wd as u64 * WORD;
+            if !overlaps(w, off) {
                 break;
             }
-            touched.insert(wd);
-        }
-    }
-    let mut d = 0;
-    for wd in touched {
-        let off = wd as u64 * WORD;
-        let old = word_at(base, off);
-        let mut buf = old.to_le_bytes();
-        for &wi in &order {
-            overlay(&mut buf, off, &writes[wi]);
-        }
-        let new = u64::from_le_bytes(buf);
-        if new != old {
-            d ^= pmem::word_term(off, old) ^ pmem::word_term(off, new);
+            // A word an earlier write also overlaps was rebuilt at that
+            // write; from here on only the later writes can change it.
+            if order[..k].iter().any(|&p| overlaps(&writes[p], off)) {
+                continue;
+            }
+            let old = word_at(base, off);
+            let mut buf = old.to_le_bytes();
+            for &wi in &order[k..] {
+                overlay(&mut buf, off, &writes[wi]);
+            }
+            let new = u64::from_le_bytes(buf);
+            if new != old {
+                d ^= pmem::word_term(off, old) ^ pmem::word_term(off, new);
+            }
         }
     }
     d

@@ -1261,6 +1261,37 @@ fn finalize_check<K: FsKind>(
     }
 }
 
+/// One footprint-recorder check, shared by the serial walk (`dev` is the
+/// walker's overlay) and the parallel pre-pass (a private overlay):
+/// [`check_staged`] under a [`pmem::ReadTracker`], the retry rule, then the
+/// footprint entry. Only a clean, unretried check whose reads fit the cap
+/// seeds an entry; any other outcome closes recording for the point, which
+/// together with the entry cap bounds the recorder checks the parallel
+/// pre-pass runs serially at [`crate::footprint::FP_MAX_ENTRIES`].
+#[allow(clippy::too_many_arguments)]
+fn check_recording<K: FsKind, D: pmem::PmBackend>(
+    kind: &K,
+    dev: D,
+    base: &[u8],
+    writes: &[PendingWrite],
+    subset: &[usize],
+    check: &CheckKind<'_>,
+    cfg: &TestConfig,
+    scope: &Scope,
+    fp: &mut FpSet,
+) -> CheckRes {
+    let fresh = kind.with_options(kind.options().with_fresh_sinks());
+    let mut tracker = pmem::ReadTracker::new(dev, FP_WORD_CAP);
+    let r = check_staged(&fresh, &mut tracker, check, cfg, scope);
+    let words = tracker.clean_words();
+    let r = finalize_check(kind, base, writes, subset, check, cfg, r);
+    match words {
+        Some(w) if !r.sandbox_retry && r.violation.is_none() => fp.record(w, base, writes, subset),
+        _ => fp.give_up(),
+    }
+    r
+}
+
 /// Invariant context for committing one crash point's states.
 struct PointCtx<'a> {
     workload: &'a str,
@@ -1521,30 +1552,15 @@ fn visit_crash_point<K: FsKind>(
                     finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
                 }
                 Decision::Fresh => {
-                    let fresh = kind.with_options(kind.options().with_fresh_sinks());
                     let mark = walker.mark();
-                    let (r, lines) = if record {
-                        let mut t = pmem::ReadTracker::new(walker.device(), FP_WORD_CAP);
-                        let r = check_staged(&fresh, &mut t, check, cfg, scope);
-                        let lines = t.clean_words();
-                        (r, lines)
+                    let r = if record {
+                        check_recording(kind, walker.device(), base, &writes, &subsets[i], check, cfg, scope, &mut fp)
                     } else {
-                        (check_staged(&fresh, &mut *walker.device(), check, cfg, scope), None)
+                        let fresh = kind.with_options(kind.options().with_fresh_sinks());
+                        let r = check_staged(&fresh, &mut *walker.device(), check, cfg, scope);
+                        finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
                     };
                     walker.undo_to(mark);
-                    let r = finalize_check(kind, base, &writes, &subsets[i], check, cfg, r);
-                    if record {
-                        // A failed attempt (overflow, violation, sandbox
-                        // retry) closes recording for the point: together
-                        // with the entry cap this bounds the recorder
-                        // checks the parallel pre-pass mirrors serially.
-                        match lines {
-                            Some(l) if !r.sandbox_retry && r.violation.is_none() => {
-                                fp.record(l, base, &writes, &subsets[i]);
-                            }
-                            _ => fp.give_up(),
-                        }
-                    }
                     r
                 }
             };
@@ -1611,22 +1627,10 @@ fn visit_crash_point<K: FsKind>(
             if !fp.want_record() || !matches!(plan[i], Decision::Fresh) {
                 continue;
             }
-            let fresh = kind.with_options(kind.options().with_fresh_sinks());
             let mut cow = CowDevice::new(base);
             apply_subset(&mut cow, &writes, &subsets[i]);
-            let mut t = pmem::ReadTracker::new(cow, FP_WORD_CAP);
-            let r = check_staged(&fresh, &mut t, check, cfg, scope);
-            let lines = t.clean_words();
-            let r = finalize_check(kind, base, &writes, &subsets[i], check, cfg, r);
-            match lines {
-                Some(l) if !r.sandbox_retry && r.violation.is_none() => {
-                    fp.record(l, base, &writes, &subsets[i]);
-                }
-                // A failed attempt closes recording (see the serial path),
-                // bounding this serial pre-pass at FP_MAX_ENTRIES checks.
-                _ => fp.give_up(),
-            }
-            results[i] = Some(r);
+            results[i] =
+                Some(check_recording(kind, cow, base, &writes, &subsets[i], check, cfg, scope, &mut fp));
         }
     }
 

@@ -31,10 +31,18 @@
 //! [`ReadTracker::clean_words`] returns `None` (callers then give up on
 //! footprinting rather than hold giant word vectors).
 //!
-//! Internally clean reads are kept as coalesced *byte intervals* — one
-//! `O(log n)` map operation per read instead of one set insert per word —
-//! and expanded to word indices only once, at collection time. Recording is
-//! on the hot path of every footprint-recorder check, so this matters.
+//! Internally the clean set is a flat bitmap, one bit per device word, with
+//! the number of set bits kept by popcount as bits are added: recording a
+//! read is a few mask/or operations — no search, no allocation — and a
+//! recovery issues several hundred reads per recorder check. The bitmap is
+//! scratch on loan from its thread: a tracker takes the thread's idle
+//! bitmap, extends it to the highest word it reads (at most 64 KiB for a
+//! 4 MiB device, a few KiB for the reads recovery actually issues),
+//! remembers the span it set bits in, and on `Drop` clears that span and
+//! hands the bitmap back — so after a thread's first recorder, recording
+//! allocates nothing. Writes are rare during recovery and need byte
+//! precision, so the dirty set stays a small map of coalesced byte
+//! intervals.
 
 use std::{
     cell::{Cell, RefCell},
@@ -46,76 +54,146 @@ use crate::{
     cost::SimCost,
 };
 
+thread_local! {
+    /// This thread's idle word bitmap, every bit zero (empty until the first
+    /// tracker on the thread returns one). Per thread rather than pooled
+    /// like [`crate::ImageLease`]: a recorder check never leaves its thread,
+    /// and a short-lived worker regrows a few KiB, not a device image.
+    static IDLE_BITS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// The clean-read set: one bit per device word in a bitmap on loan from
+/// [`IDLE_BITS`].
+struct CleanBits {
+    bits: Vec<u64>,
+    /// Set bits in `bits`.
+    count: usize,
+    /// Inclusive range of `bits` indices that may be nonzero (`lo > hi`
+    /// while none is): what collection scans and `Drop` clears.
+    lo: usize,
+    hi: usize,
+}
+
+impl CleanBits {
+    /// Borrows the thread's idle bitmap (empty on a thread's first tracker,
+    /// or for one nested inside another).
+    fn lease() -> Self {
+        let bits = IDLE_BITS.try_with(Cell::take).unwrap_or_default();
+        debug_assert!(bits.iter().all(|&b| b == 0), "idle bitmap is not all-zero");
+        CleanBits { bits, count: 0, lo: usize::MAX, hi: 0 }
+    }
+
+    /// Sets the bits of every word overlapping bytes `[start, end)`
+    /// (`start < end`, in range).
+    fn set_bytes(&mut self, start: u64, end: u64) {
+        let (w0, w1) = ((start / WORD) as usize, ((end - 1) / WORD) as usize);
+        let (i0, i1) = (w0 / 64, w1 / 64);
+        if i1 >= self.bits.len() {
+            self.bits.resize(i1 + 1, 0);
+        }
+        let head = !0u64 << (w0 % 64);
+        let tail = !0u64 >> (63 - w1 % 64);
+        if i0 == i1 {
+            self.or(i0, head & tail);
+        } else {
+            self.or(i0, head);
+            for i in i0 + 1..i1 {
+                self.or(i, !0);
+            }
+            self.or(i1, tail);
+        }
+        self.lo = self.lo.min(i0);
+        self.hi = self.hi.max(i1);
+    }
+
+    fn or(&mut self, i: usize, mask: u64) {
+        let old = self.bits[i];
+        self.count += (mask & !old).count_ones() as usize;
+        self.bits[i] = old | mask;
+    }
+
+    /// The set words, ascending.
+    fn words(&self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.count);
+        if self.lo <= self.hi {
+            for (i, &b) in self.bits[self.lo..=self.hi].iter().enumerate() {
+                let first = ((self.lo + i) * 64) as u32;
+                let mut b = b;
+                while b != 0 {
+                    out.push(first + b.trailing_zeros());
+                    b &= b - 1;
+                }
+            }
+        }
+        out
+    }
+}
+
+impl Drop for CleanBits {
+    /// Clears the touched span and returns the bitmap to its thread. Runs
+    /// during unwinding too (the sandbox catches checker panics with a
+    /// tracker live), so nothing here can panic: on a thread already tearing
+    /// its locals down the bitmap is simply freed.
+    fn drop(&mut self) {
+        if self.lo <= self.hi {
+            self.bits[self.lo..=self.hi].fill(0);
+        }
+        let _ = IDLE_BITS.try_with(|idle| idle.set(std::mem::take(&mut self.bits)));
+    }
+}
+
 /// See the module docs. Construct with [`ReadTracker::new`], run the check
 /// with the tracker as the device (or `&mut` it), then collect
 /// [`ReadTracker::clean_words`].
 pub struct ReadTracker<D> {
     inner: D,
-    /// Coalesced byte ranges (start → end) read before being dirtied.
-    /// `RefCell` because [`PmBackend::read`] takes `&self`; backends are
-    /// single-threaded by contract (`Send`, not `Sync`).
-    clean: RefCell<BTreeMap<u64, u64>>,
-    /// Total bytes covered by `clean` (kept incrementally for the cap).
-    covered: Cell<u64>,
-    /// The clean range most recently grown — checkers re-read the same
-    /// blocks constantly (page-cache peeks, per-entry header reads), so most
-    /// reads land inside it and skip the map entirely.
-    last_clean: Cell<(u64, u64)>,
+    /// Words read before being dirtied. `RefCell` because
+    /// [`PmBackend::read`] takes `&self`; backends are single-threaded by
+    /// contract (`Send`, not `Sync`).
+    clean: RefCell<CleanBits>,
     /// Coalesced byte ranges (start → end) the checker wrote.
     dirty: BTreeMap<u64, u64>,
-    /// Recording stops (and the clean set is discarded) past this many words.
+    /// Smallest start and largest end in `dirty` (`(u64::MAX, 0)` while it
+    /// is empty): a read outside this hull skips the map.
+    dirty_hull: (u64, u64),
+    /// The `dirty` interval most recently inserted: rewrites of the same
+    /// bytes (journal heads, probe data) land inside it and skip the map.
+    last_dirty: (u64, u64),
+    /// Recording stops (and the clean set is withheld) past this many words.
     cap: usize,
-    overflowed: Cell<bool>,
 }
 
 impl<D: PmBackend> ReadTracker<D> {
     /// Wraps `inner`, recording up to `cap` clean words.
     pub fn new(inner: D, cap: usize) -> Self {
+        let clean = RefCell::new(CleanBits::lease());
         ReadTracker {
             inner,
-            clean: RefCell::new(BTreeMap::new()),
-            covered: Cell::new(0),
-            last_clean: Cell::new((0, 0)),
+            clean,
             dirty: BTreeMap::new(),
+            dirty_hull: (u64::MAX, 0),
+            last_dirty: (0, 0),
             cap,
-            overflowed: Cell::new(false),
         }
     }
 
     /// The recorded clean-read words, sorted ascending — or `None` if the
     /// set overflowed `cap` (footprinting should be abandoned).
     pub fn clean_words(&self) -> Option<Vec<u32>> {
-        if self.overflowed.get() {
-            return None;
-        }
         let clean = self.clean.borrow();
-        let mut words: Vec<u32> = Vec::new();
-        for (&s, &e) in clean.iter() {
-            let w0 = (s / WORD) as u32;
-            let w1 = ((e - 1) / WORD) as u32;
-            // Two ranges separated by a sub-word gap can share a boundary
-            // word; ranges are sorted, so a duplicate can only be the last
-            // word pushed.
-            let start = if words.last() == Some(&w0) { w0 + 1 } else { w0 };
-            words.extend(start..=w1);
-            if words.len() > self.cap {
-                return None;
-            }
-        }
-        Some(words)
+        (clean.count <= self.cap).then(|| clean.words())
     }
 
-    /// Records the clean sub-ranges of a read of `[off, off + len)`.
+    /// Records the clean sub-ranges of a read of `[off, off + len)`. A word
+    /// once recorded clean stays recorded even if later dirtied.
     fn record_read(&self, off: u64, len: u64) {
-        if len == 0 || self.overflowed.get() {
+        let mut clean = self.clean.borrow_mut();
+        if len == 0 || clean.count > self.cap {
             return;
         }
         let end = off + len;
-        // Fast path: the whole read lies in an already-recorded clean range
-        // (recording it again is a no-op — clean ranges only grow, and a
-        // word once recorded clean stays recorded even if later dirtied).
-        let (ls, le) = self.last_clean.get();
-        if off >= ls && end <= le {
+        if end <= self.dirty_hull.0 || off >= self.dirty_hull.1 {
+            clean.set_bytes(off, end);
             return;
         }
         let mut pos = off;
@@ -125,10 +203,9 @@ impl<D: PmBackend> ReadTracker<D> {
                 pos = e.min(end);
             }
         }
-        let mut clean = self.clean.borrow_mut();
         for (&s, &e) in self.dirty.range(pos..end) {
             if s > pos {
-                self.last_clean.set(Self::push_range(&mut clean, &self.covered, pos, s));
+                clean.set_bytes(pos, s);
             }
             pos = e.min(end);
             if pos >= end {
@@ -136,48 +213,8 @@ impl<D: PmBackend> ReadTracker<D> {
             }
         }
         if pos < end {
-            self.last_clean.set(Self::push_range(&mut clean, &self.covered, pos, end));
+            clean.set_bytes(pos, end);
         }
-        // Bytes covered bound the word count from below; once even that
-        // exceeds the cap the exact count can only be larger — stop.
-        if self.covered.get() / WORD > self.cap as u64 {
-            self.overflowed.set(true);
-            clean.clear();
-        }
-    }
-
-    /// Inserts `[start, end)` (`start < end`), coalescing touching ranges
-    /// and keeping the covered-byte total current. Returns the coalesced
-    /// range the insertion landed in.
-    fn push_range(
-        clean: &mut BTreeMap<u64, u64>,
-        covered: &Cell<u64>,
-        start: u64,
-        end: u64,
-    ) -> (u64, u64) {
-        let mut s = start;
-        let mut e = end;
-        let mut absorbed = 0;
-        if let Some((&ps, &pe)) = clean.range(..=s).next_back() {
-            if pe >= s {
-                if pe >= e {
-                    return (ps, pe); // already covered
-                }
-                s = ps;
-                e = e.max(pe);
-                absorbed += pe - ps;
-                clean.remove(&ps);
-            }
-        }
-        let keys: Vec<u64> = clean.range(s..=e).map(|(&k, _)| k).collect();
-        for k in keys {
-            let ke = clean.remove(&k).expect("interval present");
-            absorbed += ke - k;
-            e = e.max(ke);
-        }
-        clean.insert(s, e);
-        covered.set(covered.get() + (e - s) - absorbed);
-        (s, e)
     }
 
     /// Marks `[off, off + len)` dirty, coalescing adjacent intervals.
@@ -187,6 +224,9 @@ impl<D: PmBackend> ReadTracker<D> {
         }
         let mut start = off;
         let mut end = off + len;
+        if start >= self.last_dirty.0 && end <= self.last_dirty.1 {
+            return; // already covered
+        }
         if let Some((&s, &e)) = self.dirty.range(..=start).next_back() {
             if e >= start {
                 if e >= end {
@@ -202,6 +242,8 @@ impl<D: PmBackend> ReadTracker<D> {
             end = end.max(e);
         }
         self.dirty.insert(start, end);
+        self.last_dirty = (start, end);
+        self.dirty_hull = (self.dirty_hull.0.min(start), self.dirty_hull.1.max(end));
     }
 }
 
@@ -211,8 +253,10 @@ impl<D: PmBackend> PmBackend for ReadTracker<D> {
     }
 
     fn read(&self, off: u64, buf: &mut [u8]) {
-        self.record_read(off, buf.len() as u64);
+        // Forward first: an out-of-range read panics in the inner backend
+        // with its own diagnostic, before the bitmap grows to cover it.
         self.inner.read(off, buf);
+        self.record_read(off, buf.len() as u64);
     }
 
     fn store(&mut self, off: u64, data: &[u8]) {

@@ -3,21 +3,28 @@
 //! call, which dominated large fallocate replays).
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use pmem::{CowDevice, PmBackend, PmDevice};
 
 /// System allocator wrapper recording the largest single allocation and the
-/// total bytes requested.
+/// total bytes requested — per thread, because the tests of this binary run
+/// on parallel threads and each measures only its own allocations.
 struct MaxTracking;
 
-static MAX_ALLOC: AtomicUsize = AtomicUsize::new(0);
-static TOTAL_ALLOC: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static MAX_ALLOC: Cell<usize> = const { Cell::new(0) };
+    static TOTAL_ALLOC: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    MAX_ALLOC.with(|m| m.set(m.get().max(size)));
+    TOTAL_ALLOC.with(|t| t.set(t.get() + size));
+}
 
 unsafe impl GlobalAlloc for MaxTracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        MAX_ALLOC.fetch_max(layout.size(), Ordering::Relaxed);
-        TOTAL_ALLOC.fetch_add(layout.size(), Ordering::Relaxed);
+        note(layout.size());
         System.alloc(layout)
     }
 
@@ -26,8 +33,7 @@ unsafe impl GlobalAlloc for MaxTracking {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        MAX_ALLOC.fetch_max(new_size, Ordering::Relaxed);
-        TOTAL_ALLOC.fetch_add(new_size, Ordering::Relaxed);
+        note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,9 +47,9 @@ const LEN: u64 = 4 * 1024 * 1024;
 fn cow_memset_allocates_pages_not_the_whole_range() {
     let base = vec![0u8; LEN as usize];
     let mut cow = CowDevice::new(&base);
-    MAX_ALLOC.store(0, Ordering::Relaxed);
+    MAX_ALLOC.set(0);
     cow.memset_nt(0, 0xab, LEN);
-    let peak = MAX_ALLOC.load(Ordering::Relaxed);
+    let peak = MAX_ALLOC.get();
     // Overlay pages are 4 KiB; allow generous slack for HashMap growth, but
     // nothing near the 4 MiB the old `vec![val; len]` implementation hit.
     assert!(
@@ -79,13 +85,13 @@ fn cow_page_fault_allocates_one_page_without_zero_prefill() {
     let mut cow = CowDevice::new(&base);
     cow.store(0, &[1]); // warm up the overlay HashMap
     let pages = 32usize;
-    TOTAL_ALLOC.store(0, Ordering::Relaxed);
-    MAX_ALLOC.store(0, Ordering::Relaxed);
+    TOTAL_ALLOC.set(0);
+    MAX_ALLOC.set(0);
     for p in 1..=pages {
         cow.store(p as u64 * 4096, &[2]); // one fresh page fault each
     }
-    let total = TOTAL_ALLOC.load(Ordering::Relaxed);
-    let peak = MAX_ALLOC.load(Ordering::Relaxed);
+    let total = TOTAL_ALLOC.get();
+    let peak = MAX_ALLOC.get();
     // One 4096-byte buffer per faulted page + bounded map growth slack.
     assert!(
         total <= pages * 4096 + 16 * 1024,
