@@ -222,8 +222,18 @@ impl HostIo for PassthroughIo {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write;
-        let mut f = std::fs::File::create(path)?;
+        // Overwrite in place, then cut the old tail off: `File::create`
+        // would truncate first, and a worker SIGKILLed between that and the
+        // write leaves an *empty* lease — no pid to prove dead, so its task
+        // waits out the whole TTL. A heartbeat is one small write call, so
+        // a reader (or a kill) sees the old body or the new one.
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
         f.write_all(bytes)?;
+        f.set_len(bytes.len() as u64)?;
         f.sync_all()
     }
 
@@ -964,6 +974,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
         std::fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// `write` overwrites in place (no empty window for a SIGKILL to
+    /// freeze — see `PassthroughIo::write`) and still leaves exactly `bytes`.
+    #[test]
+    fn passthrough_write_replaces_the_whole_content() {
+        let dir = tmpdir("write");
+        let (io, f) = (PassthroughIo, dir.join("f"));
+        for body in ["a long first body\n", "short\n", "", "longer than the one before\n"] {
+            io.write(&f, body.as_bytes()).unwrap();
+            assert_eq!(io.read(&f).unwrap(), body.as_bytes());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

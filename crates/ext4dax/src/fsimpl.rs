@@ -587,8 +587,8 @@ impl<D: PmBackend> Ext4Dax<D> {
             }
         }
         for b in blocks {
-            let data = self.cache.block(&self.dev, b).to_vec();
-            self.dev.memcpy_nt(b * BLOCK, &data);
+            let data = self.cache.dirty_block(b);
+            self.dev.memcpy_nt(b * BLOCK, data);
             self.cache.mark_clean(b);
         }
         self.dev.fence();
@@ -596,8 +596,8 @@ impl<D: PmBackend> Ext4Dax<D> {
 
     fn writeback_all_data(&mut self) {
         for b in self.cache.dirty_of(BlockClass::Data) {
-            let data = self.cache.block(&self.dev, b).to_vec();
-            self.dev.memcpy_nt(b * BLOCK, &data);
+            let data = self.cache.dirty_block(b);
+            self.dev.memcpy_nt(b * BLOCK, data);
             self.cache.mark_clean(b);
         }
         self.dev.fence();
@@ -614,9 +614,9 @@ impl<D: PmBackend> Ext4Dax<D> {
         if dirty.is_empty() {
             return Ok(());
         }
-        let blocks: Vec<JournalBlock> = dirty
+        let blocks: Vec<JournalBlock<'_>> = dirty
             .iter()
-            .map(|&b| JournalBlock { blkno: b, data: self.cache.block(&self.dev, b).to_vec() })
+            .map(|&b| JournalBlock { blkno: b, data: self.cache.dirty_block(b) })
             .collect();
         journal::commit_and_checkpoint(&mut self.dev, &self.geo, &blocks)?;
         for b in dirty {

@@ -13,7 +13,7 @@
 //! never returned. A committed transaction is idempotently replayable.
 
 use pmem::PmBackend;
-use vfs::{cov::fnv1a, FsError, FsResult};
+use vfs::{cov::block_sum, FsError, FsResult};
 
 use crate::layout::{sboff, Geometry, BLOCK};
 
@@ -31,18 +31,19 @@ pub fn max_blocks_per_txn(geo: &Geometry) -> usize {
     desc_cap.min(geo.journal_blocks as usize - 2)
 }
 
-/// One block to be journaled: home block number and contents.
-pub struct JournalBlock {
+/// One block to be journaled: home block number and contents (borrowed —
+/// the commit path journals page-cache blocks in place).
+pub struct JournalBlock<'a> {
     /// Home (destination) block number.
     pub blkno: u64,
     /// Block contents.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-fn checksum(blocks: &[JournalBlock]) -> u64 {
+fn checksum(blocks: &[JournalBlock<'_>]) -> u64 {
     let mut acc: u64 = 0x6a64_6273; // "jdbs"
     for b in blocks {
-        acc = acc.rotate_left(7) ^ b.blkno ^ fnv1a(&b.data);
+        acc = acc.rotate_left(7) ^ b.blkno ^ block_sum(b.data);
     }
     acc
 }
@@ -53,7 +54,7 @@ fn checksum(blocks: &[JournalBlock]) -> u64 {
 pub fn commit_and_checkpoint<D: PmBackend>(
     dev: &mut D,
     geo: &Geometry,
-    blocks: &[JournalBlock],
+    blocks: &[JournalBlock<'_>],
 ) -> FsResult<()> {
     for chunk in blocks.chunks(max_blocks_per_txn(geo).max(1)) {
         commit_one(dev, geo, chunk)?;
@@ -61,7 +62,11 @@ pub fn commit_and_checkpoint<D: PmBackend>(
     Ok(())
 }
 
-fn commit_one<D: PmBackend>(dev: &mut D, geo: &Geometry, blocks: &[JournalBlock]) -> FsResult<()> {
+fn commit_one<D: PmBackend>(
+    dev: &mut D,
+    geo: &Geometry,
+    blocks: &[JournalBlock<'_>],
+) -> FsResult<()> {
     if blocks.is_empty() {
         return Ok(());
     }
@@ -79,7 +84,7 @@ fn commit_one<D: PmBackend>(dev: &mut D, geo: &Geometry, blocks: &[JournalBlock]
     }
     dev.memcpy_nt(jbase, &desc);
     for (i, b) in blocks.iter().enumerate() {
-        dev.memcpy_nt(jbase + (1 + i as u64) * BLOCK, &b.data);
+        dev.memcpy_nt(jbase + (1 + i as u64) * BLOCK, b.data);
     }
     dev.fence();
 
@@ -93,7 +98,7 @@ fn commit_one<D: PmBackend>(dev: &mut D, geo: &Geometry, blocks: &[JournalBlock]
 
     // 3. Checkpoint home.
     for b in blocks.iter() {
-        dev.memcpy_nt(b.blkno * BLOCK, &b.data);
+        dev.memcpy_nt(b.blkno * BLOCK, b.data);
     }
     dev.fence();
 
@@ -122,7 +127,7 @@ pub fn recover<D: PmBackend>(dev: &mut D, geo: &Geometry) -> FsResult<u64> {
         return Ok(0); // uncommitted: discard
     }
     // Gather payload and verify the checksum.
-    let mut blocks = Vec::with_capacity(nblocks as usize);
+    let mut payload = Vec::with_capacity(nblocks as usize);
     for i in 0..nblocks {
         let blkno = dev.read_u64(jbase + 24 + i * 8);
         if blkno >= geo.total_blocks {
@@ -130,14 +135,15 @@ pub fn recover<D: PmBackend>(dev: &mut D, geo: &Geometry) -> FsResult<u64> {
                 "journal entry targets out-of-range block {blkno}"
             )));
         }
-        let data = dev.read_vec(jbase + (1 + i) * BLOCK, BLOCK);
-        blocks.push(JournalBlock { blkno, data });
+        payload.push((blkno, dev.read_vec(jbase + (1 + i) * BLOCK, BLOCK)));
     }
+    let blocks: Vec<JournalBlock<'_>> =
+        payload.iter().map(|(blkno, data)| JournalBlock { blkno: *blkno, data }).collect();
     if dev.read_u64(commit_off + 16) != checksum(&blocks) {
         return Ok(0); // torn commit: discard
     }
     for b in &blocks {
-        dev.memcpy_nt(b.blkno * BLOCK, &b.data);
+        dev.memcpy_nt(b.blkno * BLOCK, b.data);
     }
     dev.fence();
     dev.persist_u64(sboff::JOURNAL_SEQ, seq + 1);
@@ -148,6 +154,7 @@ pub fn recover<D: PmBackend>(dev: &mut D, geo: &Geometry) -> FsResult<u64> {
 mod tests {
     use super::*;
     use pmem::PmDevice;
+    use pmlog::{LogEntry, LogHandle, LoggingPm};
 
     fn setup() -> (PmDevice, Geometry) {
         let size = 8 * 1024 * 1024;
@@ -161,7 +168,7 @@ mod tests {
         let (mut dev, geo) = setup();
         let blk = geo.data_start;
         let data = vec![0xabu8; BLOCK as usize];
-        commit_and_checkpoint(&mut dev, &geo, &[JournalBlock { blkno: blk, data: data.clone() }])
+        commit_and_checkpoint(&mut dev, &geo, &[JournalBlock { blkno: blk, data: &data }])
             .unwrap();
         assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), data);
         assert_eq!(dev.read_u64(sboff::JOURNAL_SEQ), 1);
@@ -169,33 +176,117 @@ mod tests {
         assert_eq!(recover(&mut dev, &geo).unwrap(), 0);
     }
 
+    fn descriptor(seq: u64, blknos: &[u64]) -> Vec<u8> {
+        let mut desc = vec![0u8; BLOCK as usize];
+        desc[0..8].copy_from_slice(&DESC_MAGIC.to_le_bytes());
+        desc[8..16].copy_from_slice(&seq.to_le_bytes());
+        desc[16..24].copy_from_slice(&(blknos.len() as u64).to_le_bytes());
+        for (i, b) in blknos.iter().enumerate() {
+            desc[24 + i * 8..32 + i * 8].copy_from_slice(&b.to_le_bytes());
+        }
+        desc
+    }
+
+    fn commit_record(seq: u64, blocks: &[JournalBlock<'_>]) -> [u8; 24] {
+        let mut commit = [0u8; 24];
+        commit[0..8].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
+        commit[8..16].copy_from_slice(&seq.to_le_bytes());
+        commit[16..24].copy_from_slice(&checksum(blocks).to_le_bytes());
+        commit
+    }
+
+    /// Simulates a crash right after the commit record: journal written,
+    /// home not updated, seq not bumped. Returns the live sequence number.
+    fn crash_after_commit_record(dev: &mut PmDevice, geo: &Geometry, blk: u64, data: &[u8]) -> u64 {
+        let seq = dev.read_u64(sboff::JOURNAL_SEQ);
+        let jbase = geo.journal_start * BLOCK;
+        dev.memcpy_nt(jbase, &descriptor(seq, &[blk]));
+        dev.memcpy_nt(jbase + BLOCK, data);
+        dev.memcpy_nt(jbase + 2 * BLOCK, &commit_record(seq, &[JournalBlock { blkno: blk, data }]));
+        dev.fence();
+        seq
+    }
+
     #[test]
     fn committed_but_uncheckpointed_txn_replays() {
         let (mut dev, geo) = setup();
         let blk = geo.data_start + 1;
         let data = vec![0x5au8; BLOCK as usize];
-        // Simulate a crash right after the commit record: journal written,
-        // home not updated, seq not bumped.
-        let seq = dev.read_u64(sboff::JOURNAL_SEQ);
-        let jbase = geo.journal_start * BLOCK;
-        let mut desc = vec![0u8; BLOCK as usize];
-        desc[0..8].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-        desc[8..16].copy_from_slice(&seq.to_le_bytes());
-        desc[16..24].copy_from_slice(&1u64.to_le_bytes());
-        desc[24..32].copy_from_slice(&blk.to_le_bytes());
-        dev.memcpy_nt(jbase, &desc);
-        dev.memcpy_nt(jbase + BLOCK, &data);
-        let cs = checksum(&[JournalBlock { blkno: blk, data: data.clone() }]);
-        let mut commit = [0u8; 24];
-        commit[0..8].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
-        commit[8..16].copy_from_slice(&seq.to_le_bytes());
-        commit[16..24].copy_from_slice(&cs.to_le_bytes());
-        dev.memcpy_nt(jbase + 2 * BLOCK, &commit);
-        dev.fence();
+        let seq = crash_after_commit_record(&mut dev, &geo, blk, &data);
 
         assert_eq!(recover(&mut dev, &geo).unwrap(), 1);
         assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), data);
         assert_eq!(dev.read_u64(sboff::JOURNAL_SEQ), seq + 1);
+    }
+
+    /// The commit record made it to the media but one 8-byte store of the
+    /// payload did not (the journal block still holds its old bytes there):
+    /// the checksum must tell, whichever word it is.
+    #[test]
+    fn torn_payload_word_discards_the_commit() {
+        let (mut dev, geo) = setup();
+        let blk = geo.data_start + 1;
+        let jbase = geo.journal_start * BLOCK;
+        let old: Vec<u8> = (0..BLOCK).map(|i| (i * 7 + 3) as u8).collect();
+        let data: Vec<u8> = (0..BLOCK).map(|i| (i * 13 + 5) as u8).collect();
+        let home = dev.read_vec(blk * BLOCK, BLOCK);
+        let seq = crash_after_commit_record(&mut dev, &geo, blk, &data);
+        for word in [0usize, 1, 3, 255, 510, 511] {
+            let at = word * 8;
+            dev.memcpy_nt(jbase + BLOCK + at as u64, &old[at..at + 8]);
+            dev.fence();
+            assert_eq!(recover(&mut dev, &geo).unwrap(), 0, "word {word} torn");
+            assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), home, "home block untouched");
+            assert_eq!(dev.read_u64(sboff::JOURNAL_SEQ), seq);
+            dev.memcpy_nt(jbase + BLOCK + at as u64, &data[at..at + 8]);
+            dev.fence();
+        }
+        // Whole again, it replays.
+        assert_eq!(recover(&mut dev, &geo).unwrap(), 1);
+        assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), data);
+    }
+
+    /// The commit path borrows its blocks instead of copying them; the
+    /// device must see what it always saw — every store, in order, byte for
+    /// byte, the whole 4 KiB descriptor block included.
+    #[test]
+    fn commit_issues_the_same_stores_in_the_same_order() {
+        let size = 8 * 1024 * 1024;
+        let geo = Geometry::for_device(size).unwrap();
+        let log = LogHandle::new();
+        let mut dev = LoggingPm::new(PmDevice::new(size), log.clone());
+        let a: Vec<u8> = (0..BLOCK).map(|i| (i * 3 + 1) as u8).collect();
+        let b: Vec<u8> = (0..BLOCK).map(|i| (i * 5 + 2) as u8).collect();
+        let (home_a, home_b) = (geo.data_start + 9, geo.data_start + 3);
+        let blocks =
+            [JournalBlock { blkno: home_a, data: &a }, JournalBlock { blkno: home_b, data: &b }];
+        commit_and_checkpoint(&mut dev, &geo, &blocks).unwrap();
+
+        let jbase = geo.journal_start * BLOCK;
+        let nt = |off: u64, data: &[u8]| LogEntry::Nt { off, data: data.to_vec() };
+        // The retired sequence number lands with its whole cache line.
+        let line = sboff::JOURNAL_SEQ / 64 * 64;
+        let mut seq_line = vec![0u8; 64];
+        let at = (sboff::JOURNAL_SEQ - line) as usize;
+        seq_line[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        let expected = [
+            nt(jbase, &descriptor(0, &[home_a, home_b])),
+            nt(jbase + BLOCK, &a),
+            nt(jbase + 2 * BLOCK, &b),
+            LogEntry::Fence,
+            nt(jbase + 3 * BLOCK, &commit_record(0, &blocks)),
+            LogEntry::Fence,
+            nt(home_a * BLOCK, &a),
+            nt(home_b * BLOCK, &b),
+            LogEntry::Fence,
+            LogEntry::Flush { off: line, data: seq_line },
+            LogEntry::Fence,
+        ];
+        let got = log.take();
+        assert_eq!(got.len(), expected.len());
+        for (i, (got, want)) in got.entries().iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "log entry {i}");
+        }
     }
 
     #[test]
@@ -203,12 +294,7 @@ mod tests {
         let (mut dev, geo) = setup();
         let jbase = geo.journal_start * BLOCK;
         let seq = dev.read_u64(sboff::JOURNAL_SEQ);
-        let mut desc = vec![0u8; 64];
-        desc[0..8].copy_from_slice(&DESC_MAGIC.to_le_bytes());
-        desc[8..16].copy_from_slice(&seq.to_le_bytes());
-        desc[16..24].copy_from_slice(&1u64.to_le_bytes());
-        desc[24..32].copy_from_slice(&geo.data_start.to_le_bytes());
-        dev.memcpy_nt(jbase, &desc);
+        dev.memcpy_nt(jbase, &descriptor(seq, &[geo.data_start]));
         dev.fence();
         // No commit block.
         assert_eq!(recover(&mut dev, &geo).unwrap(), 0);
@@ -231,11 +317,11 @@ mod tests {
     fn multi_chunk_commit() {
         let (mut dev, geo) = setup();
         let n = max_blocks_per_txn(&geo) + 3;
-        let blocks: Vec<JournalBlock> = (0..n)
-            .map(|i| JournalBlock {
-                blkno: geo.data_start + i as u64,
-                data: vec![i as u8; BLOCK as usize],
-            })
+        let payload: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; BLOCK as usize]).collect();
+        let blocks: Vec<JournalBlock<'_>> = payload
+            .iter()
+            .enumerate()
+            .map(|(i, data)| JournalBlock { blkno: geo.data_start + i as u64, data })
             .collect();
         commit_and_checkpoint(&mut dev, &geo, &blocks).unwrap();
         for (i, b) in blocks.iter().enumerate() {

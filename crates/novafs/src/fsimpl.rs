@@ -256,11 +256,11 @@ impl<D: PmBackend> Nova<D> {
     // ---- allocation ----
 
     fn raw_alloc_for_mkfs(&mut self) -> FsResult<u64> {
-        // During mkfs the allocator is empty; data blocks start fresh.
+        // During mkfs the allocator is empty; data blocks start fresh: all of
+        // `[data_start, total)` is free.
         if self.vol.alloc.free_count() == 0 {
-            let used = std::collections::BTreeSet::new();
-            self.vol.alloc =
-                crate::state::Allocator::new(self.geo.data_start, self.geo.total_blocks, &used);
+            let geo = &self.geo;
+            self.vol.alloc = crate::state::Allocator::new(geo.data_start, geo.total_blocks, &[]);
         }
         self.vol.alloc.alloc()
     }

@@ -22,10 +22,10 @@
 //! * **Bug 11** — the Fortis deallocation-record replay re-frees blocks the
 //!   crashed truncate already freed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use pmem::PmBackend;
-use vfs::{covpoint, BugId, BugSet, BugTrace, Cov, FsError, FsResult};
+use vfs::{covpoint, BugId, BugSet, BugTrace, Cov, FreeMap, FsError, FsResult};
 
 use crate::{
     layout::{
@@ -59,7 +59,7 @@ pub struct RebuildCtx<'a> {
 pub fn rebuild<D: PmBackend>(dev: &mut D, ctx: &RebuildCtx<'_>) -> FsResult<Volatile> {
     let geo = ctx.geo;
     let mut vol = Volatile { next_fd: 3, ..Default::default() };
-    let mut used: BTreeSet<u64> = BTreeSet::new();
+    let mut unclaimed = FreeMap::full(0, geo.total_blocks);
     let gen_a = dev.read_u64(sboff::GEN_A);
     let gen_b = dev.read_u64(sboff::GEN_B);
     vol.gen = gen_a.max(gen_b);
@@ -105,7 +105,7 @@ pub fn rebuild<D: PmBackend>(dev: &mut D, ctx: &RebuildCtx<'_>) -> FsResult<Vola
             log_tail,
             ..Default::default()
         };
-        scan_log(dev, ctx, ino, &mut st, &mut used, &mut found_gen_a, gen_a)?;
+        scan_log(dev, ctx, ino, &mut st, &mut unclaimed, &mut found_gen_a, gen_a)?;
         vol.inodes.insert(ino, st);
     }
 
@@ -159,7 +159,7 @@ pub fn rebuild<D: PmBackend>(dev: &mut D, ctx: &RebuildCtx<'_>) -> FsResult<Vola
     for ino in orphans {
         covpoint!(ctx.cov, 5);
         let st = vol.inodes.remove(&ino).expect("orphan exists");
-        release_scanned(dev, geo, ino, &st, &mut used);
+        release_scanned(dev, geo, ino, &st, &mut unclaimed);
     }
 
     // Directory link counts are derived (2 + subdirectories).
@@ -186,7 +186,7 @@ pub fn rebuild<D: PmBackend>(dev: &mut D, ctx: &RebuildCtx<'_>) -> FsResult<Vola
     // pages).
     for (ino, st) in vol.inodes.iter() {
         for &b in st.blocks.values() {
-            if !used.insert(b) {
+            if !unclaimed.remove(b) {
                 covpoint!(ctx.cov, 14);
                 return Err(FsError::Unmountable(format!(
                     "block {b} mapped by inode {ino} is already claimed"
@@ -197,10 +197,10 @@ pub fn rebuild<D: PmBackend>(dev: &mut D, ctx: &RebuildCtx<'_>) -> FsResult<Vola
 
     // Fortis: replay the deallocation record (bug 11).
     if ctx.fortis {
-        replay_dealloc_record(dev, ctx, &mut vol, &mut used)?;
+        replay_dealloc_record(dev, ctx, &mut vol, &mut unclaimed)?;
     }
 
-    vol.alloc = Allocator::new(geo.data_start, geo.total_blocks, &used);
+    vol.alloc = Allocator::from_unclaimed(unclaimed, geo.data_start);
     Ok(vol)
 }
 
@@ -210,7 +210,7 @@ fn scan_log<D: PmBackend>(
     ctx: &RebuildCtx<'_>,
     ino: u64,
     st: &mut InodeState,
-    used: &mut BTreeSet<u64>,
+    unclaimed: &mut FreeMap,
     found_gen_a: &mut bool,
     gen_a: u64,
 ) -> FsResult<()> {
@@ -218,7 +218,7 @@ fn scan_log<D: PmBackend>(
     let mut page = st.log_head;
     let mut pos = page * BLOCK + PAGE_HDR;
     loop {
-        used.insert(page);
+        unclaimed.remove(page);
         if pos == st.log_tail {
             break;
         }
@@ -299,17 +299,17 @@ pub fn apply_record(_ino: u64, st: &mut InodeState, rec: &LogRecord, pos: u64) {
 }
 
 /// Returns an orphan's blocks and log pages to the free pool (marks them
-/// unused so the allocator reclaims them) and frees the inode slot.
+/// unclaimed so the allocator reclaims them) and frees the inode slot.
 fn release_scanned<D: PmBackend>(
     dev: &mut D,
     geo: &Geometry,
     ino: u64,
     st: &InodeState,
-    used: &mut BTreeSet<u64>,
+    unclaimed: &mut FreeMap,
 ) {
     let mut page = st.log_head;
     while page != 0 && page < geo.total_blocks {
-        used.remove(&page);
+        unclaimed.insert(page);
         page = dev.read_u64(page * BLOCK);
     }
     dev.store_u64(geo.inode_off(ino) + ioff::FTYPE, itype::FREE);
@@ -326,8 +326,8 @@ fn fortis_validate_inodes<D: PmBackend>(dev: &mut D, ctx: &RebuildCtx<'_>) -> Fs
     for ino in 1..=geo.inode_count {
         let p = geo.inode_off(ino);
         let r = geo.replica_off(ino);
-        let pbytes = dev.read_vec(p, 32);
-        let rbytes = dev.read_vec(r, 32);
+        let pbytes = inode_bytes(dev, p);
+        let rbytes = inode_bytes(dev, r);
         let pty = u64::from_le_bytes(pbytes[0..8].try_into().expect("fixed slice"));
         let rty = u64::from_le_bytes(rbytes[0..8].try_into().expect("fixed slice"));
         if pty == itype::FREE && rty == itype::FREE {
@@ -391,7 +391,7 @@ fn replay_dealloc_record<D: PmBackend>(
     dev: &mut D,
     ctx: &RebuildCtx<'_>,
     _vol: &mut Volatile,
-    used: &mut BTreeSet<u64>,
+    unclaimed: &mut FreeMap,
 ) -> FsResult<()> {
     let rec = ctx.geo.journal * BLOCK + crate::layout::dealloc::OFF;
     let ino = dev.read_u64(rec);
@@ -408,7 +408,7 @@ fn replay_dealloc_record<D: PmBackend>(
             // the scan above never marked these blocks used — this "free"
             // is a double free.
             ctx.trace.hit(BugId::B11);
-            if blk < ctx.geo.data_start || blk >= ctx.geo.total_blocks || !used.remove(&blk) {
+            if blk < ctx.geo.data_start || blk >= ctx.geo.total_blocks || !unclaimed.insert(blk) {
                 return Err(FsError::Unmountable(format!(
                     "deallocation replay attempts to free block {blk}, which is already free"
                 )));
@@ -422,4 +422,12 @@ fn replay_dealloc_record<D: PmBackend>(
     }
     dev.persist_u64(rec, 0);
     Ok(())
+}
+
+/// The 32 checksummed bytes of the inode copy at `off` (on the stack: the
+/// validation pass reads two per inode slot at every Fortis mount).
+fn inode_bytes<D: PmBackend>(dev: &D, off: u64) -> [u8; 32] {
+    let mut bytes = [0u8; 32];
+    dev.read(off, &mut bytes);
+    bytes
 }

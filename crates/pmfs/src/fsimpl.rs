@@ -1,5 +1,5 @@
 //! The PMFS file-system implementation: in-place updates under an undo
-//! journal, with a truncate list and a scan-rebuilt volatile free list.
+//! journal, with a truncate list and a scan-rebuilt volatile free-block bitmap.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -8,8 +8,8 @@ use vfs::{
     covpoint,
     fs::{FileSystem, FsOptions},
     path::{components, is_path_prefix, split_parent},
-    BugId, BugSet, BugTrace, Cov, DirEntry, FallocMode, Fd, FileType, FsError, FsResult,
-    Metadata, OpenFlags,
+    BugId, BugSet, BugTrace, Cov, DirEntry, FallocMode, Fd, FileType, FreeMap, FsError,
+    FsResult, Metadata, OpenFlags,
 };
 
 use crate::{
@@ -49,7 +49,7 @@ impl UpdatePlan {
 pub struct Pmfs<D> {
     dev: D,
     geo: Geometry,
-    free: BTreeSet<u64>,
+    free: FreeMap,
     fds: HashMap<u64, (u64, u64, bool)>,
     next_fd: u64,
     bugs: BugSet,
@@ -82,7 +82,7 @@ impl<D: PmBackend> Pmfs<D> {
         ri[8..16].copy_from_slice(&2u64.to_le_bytes());
         dev.memcpy_nt(root, &ri);
         dev.fence();
-        let free = (geo.data_start..geo.total_blocks).collect();
+        let free = FreeMap::full(geo.data_start, geo.total_blocks);
         Ok(Pmfs {
             dev,
             geo,
@@ -120,7 +120,7 @@ impl<D: PmBackend> Pmfs<D> {
         let mut fs = Pmfs {
             dev,
             geo,
-            free: BTreeSet::new(),
+            free: FreeMap::default(),
             fds: HashMap::new(),
             next_fd: 3,
             bugs: opts.bugs,
@@ -179,7 +179,7 @@ impl<D: PmBackend> Pmfs<D> {
         }
 
         // Inode scan: reclaim orphans, account used blocks.
-        let mut used: BTreeSet<u64> = BTreeSet::new();
+        let mut free = FreeMap::full(fs.geo.data_start, fs.geo.total_blocks);
         for ino in 1..=fs.geo.inode_count {
             let base = fs.geo.inode_off(ino);
             let ftype = fs.dev.read_u64(base + ioff::FTYPE);
@@ -205,14 +205,14 @@ impl<D: PmBackend> Pmfs<D> {
                         "inode {ino} maps out-of-range block {b}"
                     )));
                 }
-                used.insert(b);
+                free.remove(b);
             }
             let ind = fs.dev.read_u64(base + ioff::INDIRECT);
             if ind != 0 {
-                used.insert(ind);
+                free.remove(ind);
             }
         }
-        fs.free = (fs.geo.data_start..fs.geo.total_blocks).filter(|b| !used.contains(b)).collect();
+        fs.free = free;
         Ok(fs)
     }
 
@@ -238,8 +238,8 @@ impl<D: PmBackend> Pmfs<D> {
     }
 
     fn alloc_block(&mut self) -> FsResult<u64> {
-        let b = *self.free.iter().next().ok_or(FsError::NoSpace)?;
-        self.free.remove(&b);
+        let b = self.free.first().ok_or(FsError::NoSpace)?;
+        self.free.remove(b);
         Ok(b)
     }
 

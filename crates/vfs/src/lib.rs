@@ -15,6 +15,8 @@
 //!   (25 instances, Table 1), each individually switchable;
 //! * [`cov`] — lightweight coverage instrumentation (the analogue of KCOV
 //!   for the Syzkaller-style fuzzer);
+//! * [`freemap`] — the free-block bitmap the PM file systems rebuild at
+//!   mount;
 //! * [`workload`] — the operation vocabulary shared by the ACE generator,
 //!   the fuzzer, and the test harness;
 //! * [`model`] — a plain in-memory reference file system used as the ground
@@ -24,6 +26,7 @@ pub mod bugs;
 pub mod chaos;
 pub mod cov;
 pub mod error;
+pub mod freemap;
 pub mod fs;
 pub mod model;
 pub mod pagecache;
@@ -36,6 +39,7 @@ pub use bugs::{BugId, BugInfo, BugKind, BugSet, FsName};
 pub use chaos::{ChaosFs, ChaosKind};
 pub use cov::Cov;
 pub use error::{FsError, FsResult};
+pub use freemap::FreeMap;
 pub use fs::{FileSystem, FsKind, Guarantees};
 pub use trace::BugTrace;
 pub use types::{DirEntry, FallocMode, Fd, FileType, Metadata, OpenFlags};

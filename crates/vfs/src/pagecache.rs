@@ -101,9 +101,11 @@ impl PageCache {
         );
     }
 
-    /// Whole-block contents (loading on miss).
-    pub fn block<D: PmBackend>(&mut self, dev: &D, blk: u64) -> &[u8] {
-        &self.load(dev, blk, BlockClass::Meta).buf
+    /// Whole contents of a dirty block. A dirty block is always cached, so
+    /// the commit path can borrow several of them while it writes to the
+    /// device, instead of copying each out.
+    pub fn dirty_block(&self, blk: u64) -> &[u8] {
+        &self.pages.get(&blk).expect("a dirty block is cached").buf
     }
 
     /// Cached contents of `blk` without loading on miss (for `&self`

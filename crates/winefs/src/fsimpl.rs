@@ -8,8 +8,8 @@ use vfs::{
     covpoint,
     fs::{FileSystem, FsOptions},
     path::{components, is_path_prefix, split_parent},
-    BugId, BugSet, BugTrace, Cov, DirEntry, FallocMode, Fd, FileType, FsError, FsResult,
-    Metadata, OpenFlags,
+    BugId, BugSet, BugTrace, Cov, DirEntry, FallocMode, Fd, FileType, FreeMap, FsError,
+    FsResult, Metadata, OpenFlags,
 };
 
 use crate::{
@@ -43,7 +43,7 @@ impl UpdatePlan {
 pub struct WineFs<D> {
     dev: D,
     geo: Geometry,
-    free: BTreeSet<u64>,
+    free: FreeMap,
     fds: HashMap<u64, (u64, u64, bool)>,
     next_fd: u64,
     cpu: usize,
@@ -78,7 +78,7 @@ impl<D: PmBackend> WineFs<D> {
         ri[8..16].copy_from_slice(&2u64.to_le_bytes());
         dev.memcpy_nt(root, &ri);
         dev.fence();
-        let free = (geo.data_start..geo.total_blocks).collect();
+        let free = FreeMap::full(geo.data_start, geo.total_blocks);
         Ok(WineFs {
             dev,
             geo,
@@ -121,7 +121,7 @@ impl<D: PmBackend> WineFs<D> {
         let mut fs = WineFs {
             dev,
             geo,
-            free: BTreeSet::new(),
+            free: FreeMap::default(),
             fds: HashMap::new(),
             next_fd: 3,
             cpu: 0,
@@ -175,7 +175,7 @@ impl<D: PmBackend> WineFs<D> {
         }
 
         // Inode scan: orphans + used blocks.
-        let mut used: BTreeSet<u64> = BTreeSet::new();
+        let mut free = FreeMap::full(fs.geo.data_start, fs.geo.total_blocks);
         for ino in 1..=fs.geo.inode_count {
             let base = fs.geo.inode_off(ino);
             let ftype = fs.dev.read_u64(base + ioff::FTYPE);
@@ -200,14 +200,14 @@ impl<D: PmBackend> WineFs<D> {
                         "inode {ino} maps out-of-range block {b}"
                     )));
                 }
-                used.insert(b);
+                free.remove(b);
             }
             let ind = fs.dev.read_u64(base + ioff::INDIRECT);
             if ind != 0 {
-                used.insert(ind);
+                free.remove(ind);
             }
         }
-        fs.free = (fs.geo.data_start..fs.geo.total_blocks).filter(|b| !used.contains(b)).collect();
+        fs.free = free;
         Ok(fs)
     }
 
@@ -244,8 +244,8 @@ impl<D: PmBackend> WineFs<D> {
 
     /// Allocates the lowest free block.
     fn alloc_block(&mut self) -> FsResult<u64> {
-        let b = *self.free.iter().next().ok_or(FsError::NoSpace)?;
-        self.free.remove(&b);
+        let b = self.free.first().ok_or(FsError::NoSpace)?;
+        self.free.remove(b);
         Ok(b)
     }
 
@@ -258,12 +258,12 @@ impl<D: PmBackend> WineFs<D> {
         }
         let align = n.next_power_of_two();
         let mut found: Option<u64> = None;
-        'outer: for &start in self.free.iter() {
+        'outer: for start in self.free.iter() {
             if start % align != 0 {
                 continue;
             }
             for b in start..start + n {
-                if !self.free.contains(&b) {
+                if !self.free.contains(b) {
                     continue 'outer;
                 }
             }
@@ -274,7 +274,7 @@ impl<D: PmBackend> WineFs<D> {
             Some(start) => {
                 covpoint!(self.cov, 4);
                 for b in start..start + n {
-                    self.free.remove(&b);
+                    self.free.remove(b);
                 }
                 Ok((start..start + n).collect())
             }
@@ -283,9 +283,9 @@ impl<D: PmBackend> WineFs<D> {
                 if (self.free.len() as u64) < n {
                     return Err(FsError::NoSpace);
                 }
-                let picked: Vec<u64> = self.free.iter().take(n as usize).copied().collect();
+                let picked: Vec<u64> = self.free.iter().take(n as usize).collect();
                 for &b in &picked {
-                    self.free.remove(&b);
+                    self.free.remove(b);
                 }
                 Ok(picked)
             }
@@ -1224,5 +1224,60 @@ impl<D: PmBackend> FileSystem for WineFs<D> {
     fn set_cpu(&mut self, cpu: usize) {
         covpoint!(self.cov, cpu as u64);
         self.cpu = cpu;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use pmem::PmDevice;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// `alloc_aligned_run` as it was over the sorted free list.
+    fn list_alloc_aligned_run(free: &mut BTreeSet<u64>, n: u64) -> FsResult<Vec<u64>> {
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let align = n.next_power_of_two();
+        let found = free
+            .iter()
+            .copied()
+            .find(|&s| s % align == 0 && (s..s + n).all(|b| free.contains(&b)));
+        let picked: Vec<u64> = match found {
+            Some(start) => (start..start + n).collect(),
+            None if (free.len() as u64) < n => return Err(FsError::NoSpace),
+            None => free.iter().take(n as usize).copied().collect(),
+        };
+        for b in &picked {
+            free.remove(b);
+        }
+        Ok(picked)
+    }
+
+    proptest! {
+        /// Aligned hit, fragmented fallback and `NoSpace`: block for block
+        /// what the sorted list returned, over random fragmentation.
+        #[test]
+        fn aligned_runs_are_the_blocks_the_sorted_list_picked(
+            used in proptest::collection::vec(0u64..1024, 0..900),
+            runs in proptest::collection::vec(0u64..20, 1..12),
+        ) {
+            let mut fs = WineFs::mkfs(PmDevice::new(4 << 20), &FsOptions::fixed(), true).unwrap();
+            for &b in &used {
+                fs.free.remove(b);
+            }
+            let mut list: BTreeSet<u64> = fs.free.iter().collect();
+            for n in runs {
+                match (fs.alloc_aligned_run(n), list_alloc_aligned_run(&mut list, n)) {
+                    (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                    (Err(FsError::NoSpace), Err(FsError::NoSpace)) => {}
+                    (got, want) => panic!("alloc_aligned_run({n}): {got:?} vs {want:?}"),
+                }
+                prop_assert!(fs.free.iter().eq(list.iter().copied()));
+            }
+        }
     }
 }

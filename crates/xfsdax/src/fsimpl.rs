@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use pmem::PmBackend;
 use vfs::{
     covpoint,
-    cov::fnv1a,
+    cov::block_sum,
     fs::{FileSystem, FsOptions},
     pagecache::{BlockClass, PageCache},
     path::{components, is_path_prefix, split_parent},
@@ -137,30 +137,30 @@ impl<D: PmBackend> XfsDax<D> {
         ((BLOCK as usize - 24) / 8).min(geo.log_blocks as usize - 2)
     }
 
-    fn log_checksum(blocks: &[(u64, Vec<u8>)]) -> u64 {
+    fn log_checksum<B: AsRef<[u8]>>(blocks: &[(u64, B)]) -> u64 {
         let mut acc: u64 = 0x786c_6f67; // "xlog"
         for (blkno, data) in blocks {
-            acc = acc.rotate_left(9) ^ blkno ^ fnv1a(data);
+            acc = acc.rotate_left(9) ^ blkno ^ block_sum(data.as_ref());
         }
         acc
     }
 
-    /// Commits `blocks` (home block number, contents) through the log and
-    /// checkpoints them home.
-    fn log_commit(&mut self, blocks: &[(u64, Vec<u8>)]) -> FsResult<()> {
-        let cap = Self::log_capacity(&self.geo).max(1);
+    /// Commits `blocks` (home block number, contents — borrowed from the
+    /// page cache) through the log and checkpoints them home.
+    fn log_commit(dev: &mut D, geo: &Geometry, blocks: &[(u64, &[u8])]) -> FsResult<()> {
+        let cap = Self::log_capacity(geo).max(1);
         for chunk in blocks.chunks(cap) {
-            self.log_commit_one(chunk)?;
+            Self::log_commit_one(dev, geo, chunk)?;
         }
         Ok(())
     }
 
-    fn log_commit_one(&mut self, blocks: &[(u64, Vec<u8>)]) -> FsResult<()> {
+    fn log_commit_one(dev: &mut D, geo: &Geometry, blocks: &[(u64, &[u8])]) -> FsResult<()> {
         if blocks.is_empty() {
             return Ok(());
         }
-        let seq = self.dev.read_u64(sboff::LOG_SEQ);
-        let lbase = self.geo.log_start * BLOCK;
+        let seq = dev.read_u64(sboff::LOG_SEQ);
+        let lbase = geo.log_start * BLOCK;
         let mut desc = vec![0u8; BLOCK as usize];
         desc[0..8].copy_from_slice(&LOG_DESC.to_le_bytes());
         desc[8..16].copy_from_slice(&seq.to_le_bytes());
@@ -168,22 +168,22 @@ impl<D: PmBackend> XfsDax<D> {
         for (i, (blkno, _)) in blocks.iter().enumerate() {
             desc[24 + i * 8..32 + i * 8].copy_from_slice(&blkno.to_le_bytes());
         }
-        self.dev.memcpy_nt(lbase, &desc);
+        dev.memcpy_nt(lbase, &desc);
         for (i, (_, data)) in blocks.iter().enumerate() {
-            self.dev.memcpy_nt(lbase + (1 + i as u64) * BLOCK, data);
+            dev.memcpy_nt(lbase + (1 + i as u64) * BLOCK, data);
         }
-        self.dev.fence();
+        dev.fence();
         let mut commit = [0u8; 24];
         commit[0..8].copy_from_slice(&LOG_COMMIT.to_le_bytes());
         commit[8..16].copy_from_slice(&seq.to_le_bytes());
         commit[16..24].copy_from_slice(&Self::log_checksum(blocks).to_le_bytes());
-        self.dev.memcpy_nt(lbase + (1 + blocks.len() as u64) * BLOCK, &commit);
-        self.dev.fence();
+        dev.memcpy_nt(lbase + (1 + blocks.len() as u64) * BLOCK, &commit);
+        dev.fence();
         for (blkno, data) in blocks {
-            self.dev.memcpy_nt(blkno * BLOCK, data);
+            dev.memcpy_nt(blkno * BLOCK, data);
         }
-        self.dev.fence();
-        self.dev.persist_u64(sboff::LOG_SEQ, seq + 1);
+        dev.fence();
+        dev.persist_u64(sboff::LOG_SEQ, seq + 1);
         Ok(())
     }
 
@@ -596,8 +596,8 @@ impl<D: PmBackend> XfsDax<D> {
         let dirty: Vec<u64> =
             map.device_blocks().filter(|&b| self.cache.is_dirty(b)).collect();
         for b in dirty {
-            let data = self.cache.block(&self.dev, b).to_vec();
-            self.dev.memcpy_nt(b * BLOCK, &data);
+            let data = self.cache.dirty_block(b);
+            self.dev.memcpy_nt(b * BLOCK, data);
             self.cache.mark_clean(b);
         }
         self.dev.fence();
@@ -605,8 +605,8 @@ impl<D: PmBackend> XfsDax<D> {
 
     fn writeback_all_data(&mut self) {
         for b in self.cache.dirty_of(BlockClass::Data) {
-            let data = self.cache.block(&self.dev, b).to_vec();
-            self.dev.memcpy_nt(b * BLOCK, &data);
+            let data = self.cache.dirty_block(b);
+            self.dev.memcpy_nt(b * BLOCK, data);
             self.cache.mark_clean(b);
         }
         self.dev.fence();
@@ -621,11 +621,11 @@ impl<D: PmBackend> XfsDax<D> {
         if dirty.is_empty() {
             return Ok(());
         }
-        let blocks: Vec<(u64, Vec<u8>)> = dirty
+        let blocks: Vec<(u64, &[u8])> = dirty
             .iter()
-            .map(|&b| (b, self.cache.block(&self.dev, b).to_vec()))
+            .map(|&b| (b, self.cache.dirty_block(b)))
             .collect();
-        self.log_commit(&blocks)?;
+        Self::log_commit(&mut self.dev, &self.geo, &blocks)?;
         for b in dirty {
             self.cache.mark_clean(b);
         }
@@ -1006,5 +1006,109 @@ impl<D: PmBackend> FileSystem for XfsDax<D> {
             }
         }
         Err(FsError::NotFound)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pmem::PmDevice;
+    use pmlog::{LogEntry, LogHandle, LoggingPm};
+
+    use super::*;
+
+    const SIZE: u64 = 8 * 1024 * 1024;
+    type Fs = XfsDax<PmDevice>;
+
+    fn descriptor(seq: u64, blknos: &[u64]) -> Vec<u8> {
+        let mut desc = vec![0u8; BLOCK as usize];
+        desc[0..8].copy_from_slice(&LOG_DESC.to_le_bytes());
+        desc[8..16].copy_from_slice(&seq.to_le_bytes());
+        desc[16..24].copy_from_slice(&(blknos.len() as u64).to_le_bytes());
+        for (i, b) in blknos.iter().enumerate() {
+            desc[24 + i * 8..32 + i * 8].copy_from_slice(&b.to_le_bytes());
+        }
+        desc
+    }
+
+    fn commit_record(seq: u64, blocks: &[(u64, &[u8])]) -> [u8; 24] {
+        let mut commit = [0u8; 24];
+        commit[0..8].copy_from_slice(&LOG_COMMIT.to_le_bytes());
+        commit[8..16].copy_from_slice(&seq.to_le_bytes());
+        commit[16..24].copy_from_slice(&Fs::log_checksum(blocks).to_le_bytes());
+        commit
+    }
+
+    #[test]
+    fn committed_but_uncheckpointed_transaction_replays_unless_a_payload_word_is_torn() {
+        let geo = Geometry::for_device(SIZE).unwrap();
+        let mut dev = PmDevice::new(SIZE);
+        let blk = geo.data_start + 1;
+        let lbase = geo.log_start * BLOCK;
+        let old: Vec<u8> = (0..BLOCK).map(|i| (i * 7 + 3) as u8).collect();
+        let data: Vec<u8> = (0..BLOCK).map(|i| (i * 13 + 5) as u8).collect();
+        let home = dev.read_vec(blk * BLOCK, BLOCK);
+        // A crash right after the commit record: log written, home not
+        // updated, sequence not bumped.
+        let seq = dev.read_u64(sboff::LOG_SEQ);
+        dev.memcpy_nt(lbase, &descriptor(seq, &[blk]));
+        dev.memcpy_nt(lbase + BLOCK, &data);
+        dev.memcpy_nt(lbase + 2 * BLOCK, &commit_record(seq, &[(blk, &data)]));
+        dev.fence();
+        // One 8-byte store of the payload never reached the media (the log
+        // block still holds its old bytes there): the checksum must tell.
+        for word in [0usize, 1, 3, 255, 510, 511] {
+            let at = word * 8;
+            dev.memcpy_nt(lbase + BLOCK + at as u64, &old[at..at + 8]);
+            dev.fence();
+            assert_eq!(Fs::recover_log(&mut dev, &geo).unwrap(), 0, "word {word} torn");
+            assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), home, "home block untouched");
+            assert_eq!(dev.read_u64(sboff::LOG_SEQ), seq);
+            dev.memcpy_nt(lbase + BLOCK + at as u64, &data[at..at + 8]);
+            dev.fence();
+        }
+        assert_eq!(Fs::recover_log(&mut dev, &geo).unwrap(), 1);
+        assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), data);
+        assert_eq!(dev.read_u64(sboff::LOG_SEQ), seq + 1);
+    }
+
+    /// The commit path borrows its blocks instead of copying them; the
+    /// device must see what it always saw — every store, in order, byte for
+    /// byte, the whole 4 KiB descriptor block included.
+    #[test]
+    fn log_commit_issues_the_same_stores_in_the_same_order() {
+        let geo = Geometry::for_device(SIZE).unwrap();
+        let log = LogHandle::new();
+        let mut dev = LoggingPm::new(PmDevice::new(SIZE), log.clone());
+        let a: Vec<u8> = (0..BLOCK).map(|i| (i * 3 + 1) as u8).collect();
+        let b: Vec<u8> = (0..BLOCK).map(|i| (i * 5 + 2) as u8).collect();
+        let (home_a, home_b) = (geo.data_start + 9, geo.data_start + 3);
+        let blocks: [(u64, &[u8]); 2] = [(home_a, &a), (home_b, &b)];
+        XfsDax::log_commit(&mut dev, &geo, &blocks).unwrap();
+
+        let lbase = geo.log_start * BLOCK;
+        let nt = |off: u64, data: &[u8]| LogEntry::Nt { off, data: data.to_vec() };
+        // The retired sequence number lands with its whole cache line.
+        let line = sboff::LOG_SEQ / 64 * 64;
+        let mut seq_line = vec![0u8; 64];
+        let at = (sboff::LOG_SEQ - line) as usize;
+        seq_line[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        let expected = [
+            nt(lbase, &descriptor(0, &[home_a, home_b])),
+            nt(lbase + BLOCK, &a),
+            nt(lbase + 2 * BLOCK, &b),
+            LogEntry::Fence,
+            nt(lbase + 3 * BLOCK, &commit_record(0, &blocks)),
+            LogEntry::Fence,
+            nt(home_a * BLOCK, &a),
+            nt(home_b * BLOCK, &b),
+            LogEntry::Fence,
+            LogEntry::Flush { off: line, data: seq_line },
+            LogEntry::Fence,
+        ];
+        let got = log.take();
+        assert_eq!(got.len(), expected.len());
+        for (i, (got, want)) in got.entries().iter().zip(&expected).enumerate() {
+            assert_eq!(got, want, "log entry {i}");
+        }
     }
 }

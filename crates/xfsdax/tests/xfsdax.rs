@@ -165,3 +165,91 @@ fn chipmunk_weak_suite_is_clean() {
         assert!(out.crash_states > 0);
     }
 }
+
+/// A commit hands the device the page-cache blocks themselves rather than
+/// copies: the log of one `fsync` must still be the ordered-mode protocol,
+/// entry for entry — file data in place, fence, the whole 4 KiB descriptor,
+/// the payload, fence, commit record, fence, the same payload bytes at their
+/// home blocks, fence, sequence bump — and what was stored is what the
+/// device holds afterwards.
+#[test]
+fn fsync_stores_the_cached_blocks_in_protocol_order() {
+    use pmem::PmBackend;
+    use pmlog::{LogEntry, LogHandle, LoggingPm};
+    use xfsdax::layout::{Geometry, BLOCK};
+
+    let log = LogHandle::new();
+    let dev = LoggingPm::new(PmDevice::new(DEV), log.clone());
+    let mut fs = XfsDax::mkfs(dev, &FsOptions::default()).unwrap();
+    fs.mkdir("/d").unwrap();
+    let fd = fs.open("/d/f", OpenFlags::CREAT_TRUNC).unwrap();
+    let payload: Vec<u8> = (0..3 * BLOCK + 100).map(|i| (i % 251) as u8).collect();
+    fs.pwrite(fd, 0, &payload).unwrap();
+    log.take(); // mkfs; nothing since reaches the device before the commit
+    fs.fsync(fd).unwrap();
+    let taken = log.take();
+    let image = fs.into_device().into_inner();
+    let geo = Geometry::for_device(DEV).unwrap();
+    let jbase = geo.log_start * BLOCK;
+
+    // The stores in order (the fences between them are checked at the end).
+    let mut stores = taken.entries().iter().filter_map(|e| match e {
+        LogEntry::Nt { off, data } => Some((*off, data.clone())),
+        _ => None,
+    });
+    let mut next_nt = |what: &str| stores.next().unwrap_or_else(|| panic!("{what}: log ended"));
+    // Ordered mode: the four dirty data blocks first, in place.
+    let mut file = Vec::new();
+    for i in 0..4 {
+        let (off, data) = next_nt("data block");
+        assert_eq!((off % BLOCK, data.len() as u64), (0, BLOCK), "data block {i}");
+        assert_eq!(image.read_vec(off, BLOCK), data);
+        file.extend_from_slice(&data);
+    }
+    assert_eq!(file[..payload.len()], payload[..]);
+    assert!(file[payload.len()..].iter().all(|&b| b == 0));
+    let (off, desc) = next_nt("descriptor");
+    let n = u64::from_le_bytes(desc[16..24].try_into().unwrap());
+    assert_eq!((off, desc.len() as u64), (jbase, BLOCK));
+    assert!(n >= 2, "inode table and directory block at least");
+    assert!(desc[24 + 8 * n as usize..].iter().all(|&b| b == 0), "descriptor padding");
+    let homes: Vec<u64> = (0..n as usize)
+        .map(|i| u64::from_le_bytes(desc[24 + 8 * i..32 + 8 * i].try_into().unwrap()))
+        .collect();
+    assert!(homes.windows(2).all(|w| w[0] < w[1]), "ascending home blocks");
+    let journaled: Vec<Vec<u8>> = (0..n)
+        .map(|i| {
+            let (off, data) = next_nt("journal payload");
+            assert_eq!((off, data.len() as u64), (jbase + (1 + i) * BLOCK, BLOCK));
+            data
+        })
+        .collect();
+    let (off, commit) = next_nt("commit record");
+    assert_eq!((off, commit.len()), (jbase + (1 + n) * BLOCK, 24));
+    for (home, data) in homes.iter().zip(&journaled) {
+        assert_eq!(next_nt("checkpoint"), (home * BLOCK, data.clone()));
+        assert_eq!(&image.read_vec(home * BLOCK, BLOCK), data);
+    }
+    // And the fences fall between the phases, with nothing else in the log.
+    let kinds: Vec<&str> = taken
+        .entries()
+        .iter()
+        .map(|e| match e {
+            LogEntry::Nt { .. } => "nt",
+            LogEntry::Fence => "fence",
+            LogEntry::Flush { .. } => "flush",
+            _ => "other",
+        })
+        .collect();
+    let n = n as usize;
+    let protocol = [
+        vec!["nt"; 4], // file data, in place
+        vec!["fence"],
+        vec!["nt"; 1 + n], // descriptor + payload
+        vec!["fence", "nt", "fence"], // commit record
+        vec!["nt"; n], // checkpoint
+        vec!["fence", "flush", "fence"], // sequence bump
+    ]
+    .concat();
+    assert_eq!(kinds, protocol);
+}
