@@ -11,8 +11,8 @@
 //! cargo run --release -p bench --bin campaign -- [threads] --resume <dir>
 //! ```
 //!
-//! `threads` (default 1) shards crash-state checking and workload batches;
-//! rounds, clusters, and fixes are identical for any value.
+//! `threads` (default 1) shards the workload batches across that many
+//! workers; rounds, clusters, and fixes are identical for any value.
 //!
 //! With `--store <dir>`, the sweep runs through the persistent campaign
 //! store instead (see `bench::campaign`): one as-released sweep of the

@@ -12,9 +12,9 @@
 //! `bench::campaign`): cold vs resumed `prefix_ops_saved`, journal splice
 //! and rewarm counts, and a byte-identity check of the merged documents.
 //!
-//! `threads` (default 1) shards crash-state checking and workload batches
-//! across that many workers; the table is identical for any value — only
-//! wall time changes (see EXPERIMENTS.md "Parallel scaling").
+//! `threads` (default 1) shards the workload batches of each hunt across
+//! that many workers; the table is identical for any value — only wall time
+//! changes (see EXPERIMENTS.md "Where the parallelism is").
 //!
 //! Each unique bug is hunted in isolation with each frontend; the series
 //! accumulate per-bug first-find CPU times (the paper accumulates across a

@@ -11,11 +11,8 @@
 //! Wall-clock versions live in `cargo bench -p bench --bench fixcost`.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin fixcost [threads]
+//! cargo run --release -p bench --bin fixcost
 //! ```
-//!
-//! `threads` (default 1) only affects the trailing per-phase harness-cost
-//! probe; the fix-cost numbers are simulated time and thread-independent.
 
 use chipmunk::{test_workload, TestConfig};
 use novafs::{Nova, NovaKind};
@@ -150,14 +147,13 @@ fn main() {
 
     // Where the harness wall-clock actually goes: one representative ACE
     // seq-2 workload, split into oracle / record / check phases. The check
-    // phase dominates and is the one `TestConfig::threads` shards.
-    let threads: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let cfg = TestConfig::default().with_threads(threads);
+    // phase dominates.
+    let cfg = TestConfig::default();
     let kind = NovaKind { opts: FsOptions::fixed(), fortis: false };
     let w = seq2(AceMode::Strong).nth(10).expect("seq-2 workload");
     let out = test_workload(&kind, &w, &cfg);
     println!(
-        "\nper-phase harness cost ({}, threads={threads}): oracle {:.2?}  record {:.2?}  \
+        "\nper-phase harness cost ({}): oracle {:.2?}  record {:.2?}  \
          check {:.2?}  ({} crash states, {} dedup hits)",
         w.name, out.timing.oracle, out.timing.record, out.timing.check, out.crash_states,
         out.dedup_hits

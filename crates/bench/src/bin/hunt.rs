@@ -1,7 +1,8 @@
 //! Hunts one injected bug (by Table 1 number) with both frontends, printing
 //! time-to-find, work counters, and dedup hit counts. The measurement tool
-//! behind the "Parallel scaling" section of EXPERIMENTS.md — and, with
-//! `--shrink` / `--repro`, the front door to minimized repro bundles.
+//! behind the "Parallel scaling" and "Where the parallelism is" sections of
+//! EXPERIMENTS.md — and, with `--shrink` / `--repro`, the front door to
+//! minimized repro bundles.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]
@@ -9,6 +10,11 @@
 //! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] --store <dir>
 //! cargo run --release -p bench --bin hunt -- --resume <dir> [threads]
 //! ```
+//!
+//! `threads` (default 1) is how many workers the workload batches are
+//! sharded over; every counter is identical for any value, and one workload
+//! is always checked by one thread (EXPERIMENTS.md "Where the parallelism
+//! is").
 //!
 //! With `--json <path>`, a machine-readable summary — per-phase wall times,
 //! dedup/memo/prefix hit counters, and states/sec — is also written to

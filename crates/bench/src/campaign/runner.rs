@@ -47,7 +47,10 @@ use super::{CampaignSpec, TaskKind, FUZZ_TASK_LEN};
 /// between runs of the same campaign without affecting its results).
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// In-harness threads (crash-subset parallelism). Outcome-invariant.
+    /// Copied into the tasks' `TestConfig::threads`. Outcome-invariant, and
+    /// at present effect-free: a task runs its workloads one after another
+    /// on its worker (a store campaign's parallelism is its worker
+    /// processes) and one workload is checked by one thread.
     pub threads: usize,
     /// Lease heartbeat TTL for stale-lease reclamation.
     pub ttl: Duration,

@@ -69,7 +69,8 @@ pub fn mode_for(fs: FsName) -> AceMode {
 /// Runs a batch of workloads through [`test_workload`] across
 /// `cfg.threads` workers, returning `(outcome, per-workload coverage)`
 /// pairs **in batch order** — byte-identical to what a serial loop over the
-/// same batch would produce.
+/// same batch would produce. A workload is checked entirely on its worker's
+/// thread, so a call never runs more than `cfg.threads` threads.
 ///
 /// Each workload is tested on a factory clone carrying fresh
 /// coverage/trace sinks ([`FsOptions::with_fresh_sinks`]), so workers never
@@ -362,6 +363,53 @@ impl PhaseTotals {
     }
 }
 
+/// `(the find, workloads examined, crash states examined)`.
+type HuntOut = (Option<HuntResult>, u64, u64);
+
+/// A hunt that ended at `r`, the first report of `out` — the outcome of
+/// `w`, the last one added to `sum`.
+fn hunt_found(
+    sum: SuiteStats,
+    start: Instant,
+    bug: BugId,
+    w: &Workload,
+    out: &TestOutcome,
+    r: &BugReport,
+) -> HuntOut {
+    let (workloads, states) = (sum.workloads, sum.crash_states);
+    let find = HuntResult {
+        elapsed: start.elapsed(),
+        workloads,
+        states,
+        class: r.violation.class().to_string(),
+        detail: format!("{} @ {}", r.op_desc, r.violation.detail()),
+        workload: w.clone(),
+        report: r.clone(),
+        traced: out.traced_bugs.contains(&bug),
+        dedup_hits: sum.dedup_hits,
+        memo_hits: sum.memo_hits,
+        rep_classes: sum.rep_classes,
+        rep_skipped: sum.rep_skipped,
+        rep_expansions: sum.rep_expansions,
+        prefix_hits: sum.prefix_hits,
+        prefix_ops_saved: sum.prefix_ops_saved,
+        sched_subtrees: sum.sched_subtrees,
+        sched_subtree_max_depth: sum.sched_subtree_max_depth,
+        per_worker_prefix_hits: sum.per_worker_prefix_hits,
+        recovery_panics: sum.recovery_panics,
+        recovery_hangs: sum.recovery_hangs,
+        sandbox_retries: sum.sandbox_retries,
+        fuel_exhausted: sum.fuel_exhausted,
+        oracle_subtrees_pruned: sum.oracle_subtrees_pruned,
+        oracle_snap_bytes_shared: sum.oracle_snap_bytes_shared,
+        io_retries: sum.io_retries,
+        tasks_quarantined: sum.tasks_quarantined,
+        degraded_mode: sum.degraded_mode,
+        phase: sum.phase,
+    };
+    (Some(find), workloads, states)
+}
+
 struct AceHunt<'a> {
     bug: BugId,
     cfg: &'a TestConfig,
@@ -369,24 +417,12 @@ struct AceHunt<'a> {
 }
 
 impl WithKind for AceHunt<'_> {
-    type Out = (Option<HuntResult>, u64, u64);
+    type Out = HuntOut;
 
     fn call<K: FsKind>(self, kind: K) -> Self::Out {
         let start = Instant::now();
         let mode = mode_for(kind.name());
-        let mut workloads = 0u64;
-        let mut states = 0u64;
-        let mut dedup = 0u64;
-        let mut memo = 0u64;
-        let mut rep = [0u64; 3];
-        let mut prefix = 0u64;
-        let mut saved = 0u64;
-        let mut subtrees = 0u64;
-        let mut max_depth = 0u64;
-        let mut sandbox_counts = [0u64; 4];
-        let mut oracle_counts = [0u64; 2];
-        let mut host_counts = [0u64; 3];
-        let mut phase = PhaseTotals::default();
+        let mut sum = SuiteStats::default();
         let seq3: Box<dyn Iterator<Item = Workload>> = if mode == AceMode::Strong {
             Box::new(seq3_metadata().step_by(37).take(self.max_seq3))
         } else {
@@ -402,66 +438,14 @@ impl WithKind for AceHunt<'_> {
         loop {
             let batch: Vec<Workload> = stream.by_ref().take(batch_len).collect();
             if batch.is_empty() {
-                return (None, workloads, states);
+                return (None, sum.workloads, sum.crash_states);
             }
             let results = run_batch_cached(&kind, &batch, self.cfg, Some(&mut sched));
             for (w, (out, _cov)) in batch.iter().zip(results) {
-                workloads += 1;
-                states += out.crash_states;
-                dedup += out.dedup_hits;
-                memo += out.memo_hits;
-                rep[0] += out.rep_classes;
-                rep[1] += out.rep_skipped;
-                rep[2] += out.rep_expansions;
-                prefix += out.prefix_hits;
-                saved += out.prefix_ops_saved;
-                subtrees += out.sched_subtrees;
-                max_depth = max_depth.max(out.sched_subtree_max_depth);
-                sandbox_counts[0] += out.recovery_panics;
-                sandbox_counts[1] += out.recovery_hangs;
-                sandbox_counts[2] += out.sandbox_retries;
-                sandbox_counts[3] += out.fuel_exhausted;
-                oracle_counts[0] += out.oracle_subtrees_pruned;
-                oracle_counts[1] += out.oracle_snap_bytes_shared;
-                host_counts[0] += out.io_retries;
-                host_counts[1] += out.tasks_quarantined;
-                host_counts[2] += out.degraded_mode;
-                phase.add(&out.timing);
+                sum.add(&out);
                 if let Some(r) = out.reports.first() {
-                    return (
-                        Some(HuntResult {
-                            elapsed: start.elapsed(),
-                            workloads,
-                            states,
-                            class: r.violation.class().to_string(),
-                            detail: format!("{} @ {}", r.op_desc, r.violation.detail()),
-                            workload: w.clone(),
-                            report: r.clone(),
-                            traced: out.traced_bugs.contains(&self.bug),
-                            dedup_hits: dedup,
-                            memo_hits: memo,
-                            rep_classes: rep[0],
-                            rep_skipped: rep[1],
-                            rep_expansions: rep[2],
-                            prefix_hits: prefix,
-                            prefix_ops_saved: saved,
-                            sched_subtrees: subtrees,
-                            sched_subtree_max_depth: max_depth,
-                            per_worker_prefix_hits: sched.per_worker_hits.clone(),
-                            recovery_panics: sandbox_counts[0],
-                            recovery_hangs: sandbox_counts[1],
-                            sandbox_retries: sandbox_counts[2],
-                            fuel_exhausted: sandbox_counts[3],
-                            oracle_subtrees_pruned: oracle_counts[0],
-                            oracle_snap_bytes_shared: oracle_counts[1],
-                            io_retries: host_counts[0],
-                            tasks_quarantined: host_counts[1],
-                            degraded_mode: host_counts[2],
-                            phase,
-                        }),
-                        workloads,
-                        states,
-                    );
+                    sum.per_worker_prefix_hits = sched.per_worker_hits;
+                    return hunt_found(sum, start, self.bug, w, &out, r);
                 }
             }
         }
@@ -491,43 +475,19 @@ struct FuzzHunt<'a> {
 pub(crate) const FUZZ_BATCH: usize = 8;
 
 impl WithKind for FuzzHunt<'_> {
-    type Out = (Option<HuntResult>, u64, u64);
+    type Out = HuntOut;
 
     fn call<K: FsKind>(self, kind: K) -> Self::Out {
         let start = Instant::now();
         let mut fuzzer = Fuzzer::new(self.seed, FuzzConfig::default());
         let mut seen = std::collections::HashSet::new();
-        let mut states = 0u64;
-        let mut dedup = 0u64;
-        let mut memo = 0u64;
-        let mut rep = [0u64; 3];
-        let mut sandbox_counts = [0u64; 4];
-        let mut oracle_counts = [0u64; 2];
-        let mut host_counts = [0u64; 3];
-        let mut phase = PhaseTotals::default();
-        let mut done = 0u64;
-        while done < self.budget {
-            let n = FUZZ_BATCH.min((self.budget - done) as usize);
+        let mut sum = SuiteStats::default();
+        while sum.workloads < self.budget {
+            let n = FUZZ_BATCH.min((self.budget - sum.workloads) as usize);
             let batch: Vec<Workload> = (0..n).map(|_| fuzzer.next_workload()).collect();
             let results = run_batch(&kind, &batch, self.cfg);
             for (w, (out, cov)) in batch.iter().zip(results) {
-                done += 1;
-                states += out.crash_states;
-                dedup += out.dedup_hits;
-                memo += out.memo_hits;
-                rep[0] += out.rep_classes;
-                rep[1] += out.rep_skipped;
-                rep[2] += out.rep_expansions;
-                sandbox_counts[0] += out.recovery_panics;
-                sandbox_counts[1] += out.recovery_hangs;
-                sandbox_counts[2] += out.sandbox_retries;
-                sandbox_counts[3] += out.fuel_exhausted;
-                oracle_counts[0] += out.oracle_subtrees_pruned;
-                oracle_counts[1] += out.oracle_snap_bytes_shared;
-                host_counts[0] += out.io_retries;
-                host_counts[1] += out.tasks_quarantined;
-                host_counts[2] += out.degraded_mode;
-                phase.add(&out.timing);
+                sum.add(&out);
                 let mut new = 0;
                 for &h in &cov {
                     if seen.insert(h) {
@@ -536,44 +496,11 @@ impl WithKind for FuzzHunt<'_> {
                 }
                 fuzzer.feedback(w, new);
                 if let Some(r) = out.reports.first() {
-                    return (
-                        Some(HuntResult {
-                            elapsed: start.elapsed(),
-                            workloads: done,
-                            states,
-                            class: r.violation.class().to_string(),
-                            detail: format!("{} @ {}", r.op_desc, r.violation.detail()),
-                            workload: w.clone(),
-                            report: r.clone(),
-                            traced: out.traced_bugs.contains(&self.bug),
-                            dedup_hits: dedup,
-                            memo_hits: memo,
-                            rep_classes: rep[0],
-                            rep_skipped: rep[1],
-                            rep_expansions: rep[2],
-                            prefix_hits: 0,
-                            prefix_ops_saved: 0,
-                            sched_subtrees: 0,
-                            sched_subtree_max_depth: 0,
-                            per_worker_prefix_hits: Vec::new(),
-                            recovery_panics: sandbox_counts[0],
-                            recovery_hangs: sandbox_counts[1],
-                            sandbox_retries: sandbox_counts[2],
-                            fuel_exhausted: sandbox_counts[3],
-                            oracle_subtrees_pruned: oracle_counts[0],
-                            oracle_snap_bytes_shared: oracle_counts[1],
-                            io_retries: host_counts[0],
-                            tasks_quarantined: host_counts[1],
-                            degraded_mode: host_counts[2],
-                            phase,
-                        }),
-                        done,
-                        states,
-                    );
+                    return hunt_found(sum, start, self.bug, w, &out, r);
                 }
             }
         }
-        (None, self.budget, states)
+        (None, sum.workloads, sum.crash_states)
     }
 }
 
@@ -669,6 +596,39 @@ pub struct SuiteStats {
     pub elapsed: Duration,
 }
 
+impl SuiteStats {
+    /// Adds one workload's counters and phase times: everything but the
+    /// per-report and per-crash-point vectors. The one place in this file
+    /// that sums `TestOutcome` fields — the suite runner and both hunts
+    /// accumulate through it.
+    fn add(&mut self, out: &TestOutcome) {
+        self.workloads += 1;
+        self.crash_points += out.crash_points;
+        self.crash_states += out.crash_states;
+        self.reports += out.reports.len() as u64;
+        self.dedup_hits += out.dedup_hits;
+        self.memo_hits += out.memo_hits;
+        self.rep_classes += out.rep_classes;
+        self.rep_skipped += out.rep_skipped;
+        self.rep_expansions += out.rep_expansions;
+        self.prefix_hits += out.prefix_hits;
+        self.prefix_ops_saved += out.prefix_ops_saved;
+        self.sched_subtrees += out.sched_subtrees;
+        self.sched_subtree_max_depth =
+            self.sched_subtree_max_depth.max(out.sched_subtree_max_depth);
+        self.recovery_panics += out.recovery_panics;
+        self.recovery_hangs += out.recovery_hangs;
+        self.sandbox_retries += out.sandbox_retries;
+        self.fuel_exhausted += out.fuel_exhausted;
+        self.oracle_subtrees_pruned += out.oracle_subtrees_pruned;
+        self.oracle_snap_bytes_shared += out.oracle_snap_bytes_shared;
+        self.io_retries += out.io_retries;
+        self.tasks_quarantined += out.tasks_quarantined;
+        self.degraded_mode += out.degraded_mode;
+        self.phase.add(&out.timing);
+    }
+}
+
 impl WithKind for SuiteRun<'_> {
     type Out = SuiteStats;
 
@@ -682,29 +642,7 @@ impl WithKind for SuiteRun<'_> {
         let chunk = sched_batch_len(self.cfg.threads, sched.is_active(), Some(self.workloads.len()));
         for batch in self.workloads.chunks(chunk) {
             for (out, _cov) in run_batch_cached(&kind, batch, self.cfg, Some(&mut sched)) {
-                s.workloads += 1;
-                s.crash_points += out.crash_points;
-                s.crash_states += out.crash_states;
-                s.dedup_hits += out.dedup_hits;
-                s.memo_hits += out.memo_hits;
-                s.rep_classes += out.rep_classes;
-                s.rep_skipped += out.rep_skipped;
-                s.rep_expansions += out.rep_expansions;
-                s.prefix_hits += out.prefix_hits;
-                s.prefix_ops_saved += out.prefix_ops_saved;
-                s.sched_subtrees += out.sched_subtrees;
-                s.sched_subtree_max_depth = s.sched_subtree_max_depth.max(out.sched_subtree_max_depth);
-                s.recovery_panics += out.recovery_panics;
-                s.recovery_hangs += out.recovery_hangs;
-                s.sandbox_retries += out.sandbox_retries;
-                s.fuel_exhausted += out.fuel_exhausted;
-                s.oracle_subtrees_pruned += out.oracle_subtrees_pruned;
-                s.oracle_snap_bytes_shared += out.oracle_snap_bytes_shared;
-                s.io_retries += out.io_retries;
-                s.tasks_quarantined += out.tasks_quarantined;
-                s.degraded_mode += out.degraded_mode;
-                s.phase.add(&out.timing);
-                s.reports += out.reports.len() as u64;
+                s.add(&out);
                 s.bug_reports.extend(out.reports);
                 s.inflight.extend(out.inflight_sizes);
             }

@@ -14,11 +14,10 @@
 //!    key**, never by arrival order, and each worker owns a private
 //!    [`PrefixCache`] (the caches are `Send`; checkpoints move with their
 //!    worker). Results commit in canonical batch order.
-//! 3. When the batch has fewer subtrees than the config has threads, the
-//!    leftover parallelism moves *inside* each worker: its workloads run
-//!    with `threads = total / groups`, which parallelizes the crash-subset
-//!    checks of each crash point (bit-identical to the serial walk by
-//!    construction, see `chipmunk::harness`).
+//! 3. A batch uses `min(threads, subtrees)` workers. Threads beyond the
+//!    subtree count idle: a workload's crash states are checked by one
+//!    serial walk (see `chipmunk::harness`), so there is nothing finer to
+//!    hand them.
 //!
 //! Determinism across thread counts falls out of three invariants: each
 //! workload's outcome is a pure function of the workload (the cache's
@@ -85,17 +84,6 @@ pub fn plan_subtrees(keys: &[Vec<String>]) -> SubtreePlan {
     SubtreePlan { groups, max_depth }
 }
 
-/// How many worker threads a scheduled call uses, and how many inner
-/// threads each worker's `TestConfig` gets. Subtree-level splitting wins
-/// when there are at least as many groups as threads; otherwise the spare
-/// parallelism shifts to subset-level splitting inside each worker.
-fn split_levels(threads: usize, groups: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let workers = threads.min(groups).max(1);
-    let inner = if groups >= threads { 1 } else { (threads / groups.max(1)).max(1) };
-    (workers, inner)
-}
-
 /// A prefix-tree-aware batch scheduler: per-worker [`PrefixCache`]s plus the
 /// deterministic subtree partitioning that keeps them effective under
 /// `threads > 1`. Create one next to a batch loop (where a bare
@@ -153,7 +141,7 @@ impl<K: FsKind> Scheduler<K> {
         self.subtrees += plan.groups.len() as u64;
         self.subtree_max_depth = self.subtree_max_depth.max(plan.max_depth);
 
-        let (workers, inner) = split_levels(cfg.threads, plan.groups.len());
+        let workers = cfg.threads.min(plan.groups.len()).max(1);
         while self.caches.len() < workers {
             self.caches.push(PrefixCache::new(&self.kind));
         }
@@ -163,7 +151,6 @@ impl<K: FsKind> Scheduler<K> {
         for c in &mut self.caches {
             c.reset();
         }
-        let wcfg = TestConfig { threads: inner, ..cfg.clone() };
 
         let mut slots: Vec<Option<WorkloadResult>> = Vec::with_capacity(batch.len());
         slots.resize_with(batch.len(), || None);
@@ -173,7 +160,7 @@ impl<K: FsKind> Scheduler<K> {
             let cache = &mut self.caches[0];
             for g in &plan.groups {
                 for &i in g {
-                    let r = cache.run(&batch[i], &wcfg);
+                    let r = cache.run(&batch[i], cfg);
                     hits[0] += r.0.prefix_hits;
                     slots[i] = Some(r);
                 }
@@ -186,7 +173,6 @@ impl<K: FsKind> Scheduler<K> {
             }
             type WorkerOut = (u64, Vec<(usize, WorkloadResult)>);
             let plan2 = &plan;
-            let wcfg2 = &wcfg;
             let worker_results: Vec<std::thread::Result<WorkerOut>> =
                 std::thread::scope(|sc| {
                     let handles: Vec<_> = self
@@ -200,7 +186,7 @@ impl<K: FsKind> Scheduler<K> {
                                 let mut h = 0u64;
                                 for &g in gs {
                                     for &i in &plan2.groups[g] {
-                                        let r = cache.run(&batch[i], wcfg2);
+                                        let r = cache.run(&batch[i], cfg);
                                         h += r.0.prefix_hits;
                                         out.push((i, r));
                                     }
@@ -229,7 +215,7 @@ impl<K: FsKind> Scheduler<K> {
                         for &g in &assign[w] {
                             for &i in &plan.groups[g] {
                                 let r = sandbox::guarded(Stage::Worker, || {
-                                    cache.run(&batch[i], &wcfg)
+                                    cache.run(&batch[i], cfg)
                                 })
                                 .unwrap_or_else(|v| {
                                     (
@@ -313,16 +299,6 @@ mod tests {
         assert_eq!(plan.max_depth, 2);
         let single = plan_subtrees(&[k(&["p", "q", "r"])]);
         assert_eq!(single.max_depth, 3, "a singleton chain is its own depth");
-    }
-
-    #[test]
-    fn split_levels_trade_subtrees_for_inner_threads() {
-        assert_eq!(split_levels(1, 10), (1, 1));
-        assert_eq!(split_levels(8, 10), (8, 1), "enough subtrees: all outer");
-        assert_eq!(split_levels(8, 2), (2, 4), "few subtrees: split inside");
-        assert_eq!(split_levels(8, 1), (1, 8));
-        assert_eq!(split_levels(4, 3), (3, 1), "remainder stays outer");
-        assert_eq!(split_levels(2, 0), (1, 2), "empty batch is harmless");
     }
 
     #[test]

@@ -190,12 +190,19 @@ fn worker_panic_fails_only_the_affected_workload() {
 #[test]
 fn torn_store_sweep_is_deterministic() {
     let plan = FaultPlan { torn_store_at: Some(9), ..FaultPlan::none() };
+    // More than one workload, so `threads = 4` reaches `run_batch`'s workers.
+    let batch = [
+        creat_one(),
+        Workload::new("chaos-mkdir", vec![Op::Mkdir { path: "/d".into() }]),
+        Workload::new("chaos-pair", vec![Op::Creat { path: "/g".into() }, Op::Unlink { path: "/g".into() }]),
+    ];
     let mut prints = Vec::new();
     for threads in [1usize, 4] {
         let kind = chaos_nova(plan);
         let cfg = TestConfig::default().with_threads(threads);
-        let res = run_batch(&kind, &[creat_one()], &cfg);
-        prints.push(fingerprint(&res[0].0));
+        let res = run_batch(&kind, &batch, &cfg);
+        assert_eq!(res.len(), batch.len());
+        prints.push(res.iter().map(|(o, _)| fingerprint(o)).collect::<Vec<_>>());
     }
     assert_eq!(prints[0], prints[1], "torn-store outcomes must not depend on threads");
 }

@@ -137,6 +137,49 @@ fn production_matches_reference_at_every_thread_count() {
     assert!(on[4] > 0, "violated classes must expand");
 }
 
+/// The scheduler's worker-count rule, `min(threads, subtrees)` and at least
+/// one, seen through `Scheduler::run`: threads beyond the subtree count add
+/// no worker slot and change no outcome.
+#[test]
+fn scheduler_uses_one_worker_per_subtree_at_most() {
+    use vfs::Op;
+    let kind = novafs::NovaKind { opts: FsOptions::default(), fortis: false };
+    let mkdir = |p: &str| Op::Mkdir { path: p.into() };
+    let creat = |p: &str| Op::Creat { path: p.into() };
+    // Two subtrees: `creat /x` (one member), then `mkdir /A` (two members).
+    let batch = vec![
+        Workload::new("a0", vec![mkdir("/A"), creat("/A/f")]),
+        Workload::new("x0", vec![creat("/x"), Op::Rename { old: "/x".into(), new: "/y".into() }]),
+        Workload::new("a1", vec![mkdir("/A"), mkdir("/A/d")]),
+    ];
+    let run = |threads: usize, batch: &[Workload]| {
+        let cfg = TestConfig { threads, ..TestConfig::default() };
+        let mut sched = Scheduler::new(&kind, &cfg);
+        let outs: Vec<_> = sched
+            .run(batch, &cfg)
+            .into_iter()
+            .map(|(o, cov, trace)| {
+                let mut cov: Vec<u64> = cov.into_iter().collect();
+                cov.sort_unstable();
+                (semantic(&o), counters(&o), cov, trace)
+            })
+            .collect();
+        (outs, sched.subtrees, sched.per_worker_hits)
+    };
+    let (serial, subtrees, hits1) = run(1, &batch);
+    assert_eq!((serial.len(), subtrees, hits1), (3, 2, vec![3]));
+    let (wide, _, hits8) = run(8, &batch);
+    assert_eq!(wide, serial, "outcomes depend on threads");
+    assert_eq!(hits8, vec![1, 2], "one worker per subtree, none for the spare threads");
+    let (zero, _, hits0) = run(0, &batch);
+    assert_eq!((zero, hits0), (serial, vec![3]), "threads = 0 runs like 1");
+    for threads in [0, 1, 8] {
+        let (outs, subtrees, hits) = run(threads, &[]);
+        assert!(outs.is_empty());
+        assert_eq!((subtrees, hits), (0, vec![0]), "an empty batch is harmless");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

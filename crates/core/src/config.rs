@@ -35,13 +35,11 @@ pub struct TestConfig {
     /// reaches buggy crash states in far fewer mounts because "buggy crash
     /// states usually involve few writes".
     pub large_first_subsets: bool,
-    /// Worker threads for crash-state checking and workload sharding. The
-    /// harness checks the subsets at a crash point concurrently over
-    /// independent copy-on-write overlays of the shared base image, and the
-    /// bench frontends shard workload streams across the same count; results
-    /// are always committed in canonical enumeration order, so reports and
-    /// counters are bit-identical for any value. `1` (the default) runs
-    /// fully serial.
+    /// How many workers the batch runners (`bench::run_batch`,
+    /// `bench::Scheduler`) shard *workloads* over. One workload is always
+    /// checked by one thread — nothing in this crate reads the field — and
+    /// the runners commit results in batch order, so reports and counters
+    /// are bit-identical for any value. `1` (the default) runs fully serial.
     pub threads: usize,
     /// Scoped checking: compare file *contents* against the oracle only for
     /// paths the in-flight operation can touch (its targets, their parents,

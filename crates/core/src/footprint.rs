@@ -37,8 +37,8 @@ const WORD: u64 = pmem::WORD;
 
 /// At most this many footprints are recorded per crash point: the first
 /// [`FP_MAX_ENTRIES`] fully checked states that match no earlier entry.
-/// Chosen small so the parallel path's eager recorder checks (which run
-/// serially to keep plans thread-count-invariant) stay negligible.
+/// Kept small: every later state at the point is projected over every
+/// entry.
 pub(crate) const FP_MAX_ENTRIES: usize = 4;
 
 /// Footprinting only engages at crash points with at least this many crash
@@ -65,9 +65,7 @@ struct FpEntry {
     proj: u128,
 }
 
-/// The footprints recorded at one crash point. Entry evolution is driven in
-/// canonical state order by both the serial and the parallel visit path, so
-/// the skip set is identical at any thread count.
+/// The footprints recorded at one crash point, in canonical state order.
 #[derive(Default)]
 pub(crate) struct FpSet {
     entries: Vec<FpEntry>,

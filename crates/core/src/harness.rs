@@ -1,10 +1,16 @@
 //! The top-level test harness: record, replay, check (§3.3, Figure 2).
+//!
+//! One workload is one serial pipeline on the calling thread, and the crash
+//! states of a crash point are checked one after another (the paper's §3.3;
+//! Observation 7 is why there is little to shard inside a point). Parallelism
+//! lives a level up, in the batch runners of the `bench` crate, which shard
+//! *workloads* over [`TestConfig::threads`] workers.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmem::{write_delta, CowDevice, ForkDevice, ImageKey, ImageLease, PmBackend};
+use pmem::{write_delta, ForkDevice, ImageKey, ImageLease, PmBackend};
 use pmlog::{LogEntry, LogHandle, LoggingPm, Marker, OpRecord};
 use vfs::{
     fs::SyscallKind,
@@ -15,8 +21,7 @@ use crate::{
     checker::{check_crash_state, probe_state, walk_scope, CheckKind, DataRelax},
     config::TestConfig,
     crashgen::{
-        apply_subset, coalesce, data_shadowing_unsafe, describe_subset,
-        enumerate_subsets_ordered,
+        coalesce, data_shadowing_unsafe, describe_subset, enumerate_subsets_ordered,
         PendingWrite, SigCache, SubsetWalker,
     },
     exec::{Executor, OpResult},
@@ -88,9 +93,7 @@ pub struct TestOutcome {
     /// hangs that the slow-path re-check subsequently cleared.
     pub fuel_exhausted: u64,
     /// Node comparisons the oracle diffs skipped because the two nodes'
-    /// content hashes matched (see [`TestConfig::shared_oracle`]). Like the
-    /// other per-state counters this is committed in canonical order, so it
-    /// is identical at every thread count for a fixed configuration.
+    /// content hashes matched (see [`TestConfig::shared_oracle`]).
     pub oracle_subtrees_pruned: u64,
     /// File-data bytes oracle snapshots shared with their predecessor
     /// instead of re-reading and re-storing (see
@@ -542,35 +545,7 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
                 }
                 if self.started && self.guarantees.strong && !self.pending.is_empty() {
                     if let Some(out) = out {
-                        match self.cur_op {
-                            Some(seq) => {
-                                let relax = atomicity_relax(
-                                    &self.workload.ops[seq],
-                                    self.rec_results[seq].target.as_deref(),
-                                    self.guarantees,
-                                );
-                                let check = CheckKind::Atomicity {
-                                    prev: self.oracle.before(seq),
-                                    cur: self.oracle.after(seq),
-                                    relax,
-                                };
-                                self.visit(
-                                    seq, CrashPhase::DuringSyscall, &check, false, false, out,
-                                );
-                            }
-                            None => {
-                                // Fence between syscalls (e.g. deferred
-                                // work): the state must still be the
-                                // post-state of the last completed op.
-                                if let Some(seq) = self.last_done {
-                                    let check =
-                                        CheckKind::Synchrony { cur: self.oracle.after(seq) };
-                                    self.visit(
-                                        seq, CrashPhase::AfterSyscall, &check, false, false, out,
-                                    );
-                                }
-                            }
-                        }
+                        self.visit_mid_op(false, out);
                     }
                 }
                 let pending = std::mem::take(&mut self.pending);
@@ -600,34 +575,7 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
                     self.op_absorbed.push(w);
                     if self.started && self.guarantees.strong {
                         let Some(out) = out else { return };
-                        match self.cur_op {
-                            Some(seq) if self.workload.ops[seq].is_mutating() => {
-                                let relax = atomicity_relax(
-                                    &self.workload.ops[seq],
-                                    self.rec_results[seq].target.as_deref(),
-                                    self.guarantees,
-                                );
-                                let check = CheckKind::Atomicity {
-                                    prev: self.oracle.before(seq),
-                                    cur: self.oracle.after(seq),
-                                    relax,
-                                };
-                                self.visit(seq, CrashPhase::DuringSyscall, &check, true, true, out);
-                            }
-                            None => {
-                                // Deferred work between syscalls: the durable
-                                // state must still match the post-state of
-                                // the last completed op.
-                                if let Some(seq) = self.last_done {
-                                    let check =
-                                        CheckKind::Synchrony { cur: self.oracle.after(seq) };
-                                    self.visit(
-                                        seq, CrashPhase::AfterSyscall, &check, true, true, out,
-                                    );
-                                }
-                            }
-                            _ => {}
-                        }
+                        self.visit_mid_op(true, out);
                     }
                 } else {
                     match self.cur_op.or(self.last_done) {
@@ -637,6 +585,37 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
                         None => self.pending_unknown = true,
                     }
                     self.pending.push(w);
+                }
+            }
+        }
+    }
+
+    /// The crash point a fence (ADR) or a store (eADR, `durable`) creates:
+    /// inside a syscall the mid-syscall atomicity check; between syscalls
+    /// (deferred work) the durable state must still be the post-state of the
+    /// last completed op. A `durable` store is already in `base`, so the base
+    /// image is the one crash state and nothing is in flight; the stores of a
+    /// non-mutating op are not crash points.
+    fn visit_mid_op(&mut self, durable: bool, out: &mut TestOutcome) {
+        match self.cur_op {
+            Some(seq) => {
+                let op = &self.workload.ops[seq];
+                if durable && !op.is_mutating() {
+                    return;
+                }
+                let relax =
+                    atomicity_relax(op, self.rec_results[seq].target.as_deref(), self.guarantees);
+                let check = CheckKind::Atomicity {
+                    prev: self.oracle.before(seq),
+                    cur: self.oracle.after(seq),
+                    relax,
+                };
+                self.visit(seq, CrashPhase::DuringSyscall, &check, durable, durable, out);
+            }
+            None => {
+                if let Some(seq) = self.last_done {
+                    let check = CheckKind::Synchrony { cur: self.oracle.after(seq) };
+                    self.visit(seq, CrashPhase::AfterSyscall, &check, durable, durable, out);
                 }
             }
         }
@@ -824,9 +803,8 @@ struct ProbeArtifacts {
 /// plus replayed subset) recurs at a later crash point reuse the memoized
 /// mount/walk/probe artifacts instead of remounting. Bounded:
 /// new keys are refused once the cap is reached; updates of existing keys
-/// (probe fills) always land. All lookups for one crash point happen against
-/// the memo as of point entry (in-point repeats are handled by the in-point
-/// dedup plan), so decisions are identical for any thread count.
+/// (probe fills) always land. A key repeated *within* a crash point never
+/// reaches the memo — in-point dedup replays the first occurrence's result.
 #[derive(Default, Clone)]
 pub(crate) struct CrossMemo {
     map: HashMap<ImageKey, StateArtifacts>,
@@ -848,12 +826,9 @@ impl CrossMemo {
 }
 
 /// Per-workload class table for representative-state checking
-/// ([`TestConfig::rep_check`]): behavioral signature → whether any checked
-/// member of the class reported a violation. Bounded like [`CrossMemo`]:
-/// once the cap is reached no new classes form (those states simply check
-/// normally). The table is frozen while a crash point is in flight — new
-/// classes claimed during a point are folded in after its canonical commit
-/// walk — so plans are identical for any thread count.
+/// ([`TestConfig::rep_check`]): behavioral signature → whether the class's
+/// representative reported a violation. Bounded like [`CrossMemo`]: once the
+/// cap is reached no new classes form (those states simply check normally).
 #[derive(Default, Clone)]
 pub(crate) struct RepTable {
     map: HashMap<u128, bool>,
@@ -861,26 +836,8 @@ pub(crate) struct RepTable {
 
 const REP_CAP: usize = 1 << 16;
 
-impl RepTable {
-    fn get(&self, sig: &u128) -> Option<bool> {
-        self.map.get(sig).copied()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn insert(&mut self, sig: u128, violated: bool) {
-        if self.map.len() >= REP_CAP && !self.map.contains_key(&sig) {
-            return;
-        }
-        *self.map.entry(sig).or_insert(false) |= violated;
-    }
-}
-
 /// How the representative layer treats one crash state. `NoRep` states (rep
-/// off, in-point duplicates, table at cap) check normally with no class
-/// accounting.
+/// off, table at cap) check normally with no class accounting.
 #[derive(Clone, Copy, PartialEq)]
 enum RepPlan {
     NoRep,
@@ -890,41 +847,22 @@ enum RepPlan {
     Skip,
     /// Class is known violated: force-check (graceful degradation).
     Expand,
-    /// Class was claimed earlier at this same point by the held index;
-    /// resolves to `Skip`/`Expand` once the claimer's verdict is known.
-    Defer(usize),
 }
 
-/// Plans one non-duplicate state against the frozen class table plus the
-/// claims made earlier at this point. Called in canonical state order on
-/// both the serial and the parallel path, so claims and cap decisions are
-/// identical for any thread count.
-fn plan_rep(sig: u128, rep: &RepTable, claims: &mut HashMap<u128, usize>, i: usize) -> RepPlan {
-    if let Some(&r) = claims.get(&sig) {
-        RepPlan::Defer(r)
-    } else if let Some(v) = rep.get(&sig) {
-        if v {
-            RepPlan::Expand
-        } else {
-            RepPlan::Skip
+impl RepTable {
+    fn plan(&self, sig: u128) -> RepPlan {
+        match self.map.get(&sig) {
+            Some(true) => RepPlan::Expand,
+            Some(false) => RepPlan::Skip,
+            None if self.map.len() >= REP_CAP => RepPlan::NoRep,
+            None => RepPlan::Claim,
         }
-    } else if rep.len() + claims.len() >= REP_CAP {
-        RepPlan::NoRep
-    } else {
-        claims.insert(sig, i);
-        RepPlan::Claim
     }
-}
 
-/// Folds the classes claimed at one crash point into the table, keyed by
-/// their representative's committed verdict. Claims were admitted under the
-/// combined cap, so insertion order (HashMap iteration) cannot change which
-/// of them land.
-fn fold_claims(claims: HashMap<u128, usize>, results: &[Option<CheckRes>], rep: &mut RepTable) {
-    for (sig, idx) in claims {
-        if let Some(r) = &results[idx] {
-            rep.insert(sig, r.violation.is_some());
-        }
+    /// Opens the class a [`RepPlan::Claim`] state represents, keyed by that
+    /// state's committed verdict.
+    fn claim(&mut self, sig: u128, violated: bool) {
+        self.map.insert(sig, violated);
     }
 }
 
@@ -972,24 +910,12 @@ fn rep_context(seq: usize, phase: CrashPhase, check: &CheckKind<'_>, scope: &Sco
     h
 }
 
-/// The committed result of a representative skip: clean, no artifacts, no
-/// instrumentation (the state was never mounted).
-fn synth_clean() -> CheckRes {
-    CheckRes {
-        violation: None,
-        cov: vec![],
-        trace: vec![],
-        art: None,
-        memo_hit: false,
-        sandbox_retry: false,
-        fuel_fired: false,
-        pruned: 0,
-    }
-}
-
 /// The result of checking one crash state on a fresh-sink factory clone:
 /// the violation (if any) plus the instrumentation the check produced, so
-/// the caller can merge it back in canonical order.
+/// the caller can merge it back at commit. The default is the committed
+/// result of a representative or footprint skip: clean, no artifacts, no
+/// instrumentation (the state was never mounted).
+#[derive(Default)]
 struct CheckRes {
     violation: Option<Violation>,
     cov: Vec<Arc<HashSet<u64>>>,
@@ -1014,38 +940,6 @@ struct CheckRes {
 /// be fast-path artifacts until the slow-path retry confirms them.
 fn is_sandbox_violation(v: &Violation) -> bool {
     matches!(v, Violation::RecoveryPanic { .. } | Violation::RecoveryHang { .. })
-}
-
-/// How one crash state gets its result. Fixed per crash point before any
-/// check runs, so the outcome is independent of execution order.
-enum Decision {
-    /// Check from scratch (mount, walk, compare, probe).
-    Fresh,
-    /// Identical image already checked earlier *at this point*: replay
-    /// state `j`'s result.
-    Dup(usize),
-    /// Identical image checked at an earlier point: reuse its memoized
-    /// artifacts, re-running only the comparison.
-    Memo(StateArtifacts),
-}
-
-fn decide(
-    i: usize,
-    key: ImageKey,
-    seen: &mut HashMap<ImageKey, usize>,
-    memo: &CrossMemo,
-    ws: &Scope,
-) -> Decision {
-    match seen.entry(key) {
-        std::collections::hash_map::Entry::Occupied(e) => Decision::Dup(*e.get()),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            v.insert(i);
-            match memo.get(&key) {
-                Some(a) if memo_walk_compatible(a, ws) => Decision::Memo(a.clone()),
-                _ => Decision::Fresh,
-            }
-        }
-    }
 }
 
 /// Whether a memoized walk can stand in for this point's walk under `ws`. A
@@ -1088,10 +982,7 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
                     trace_mw,
                     probe: None,
                 }),
-                memo_hit: false,
-                sandbox_retry: false,
-                fuel_fired: false,
-                pruned: 0,
+                ..Default::default()
             };
         }
     };
@@ -1125,10 +1016,8 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
         trace,
         art: memoizable
             .then_some(StateArtifacts { pre: Ok(tree), walked: ws, cov_mw, trace_mw, probe: probe_art }),
-        memo_hit: false,
-        sandbox_retry: false,
-        fuel_fired: false,
         pruned,
+        ..Default::default()
     }
 }
 
@@ -1181,11 +1070,9 @@ fn resolve_memo_hit(
         violation,
         cov: vec![art.cov_mw.clone()],
         trace: vec![art.trace_mw.clone()],
-        art: None,
         memo_hit: true,
-        sandbox_retry: false,
-        fuel_fired: false,
         pruned,
+        ..Default::default()
     };
     let mut pruned = 0;
     match &art.pre {
@@ -1216,9 +1103,8 @@ fn resolve_memo_hit(
                     trace: vec![art.trace_mw.clone(), p.trace],
                     art: fill,
                     memo_hit: true,
-                    sandbox_retry: false,
-                    fuel_fired: false,
                     pruned,
+                    ..Default::default()
                 }
             }
             None => plain(None, pruned),
@@ -1254,42 +1140,9 @@ fn finalize_check<K: FsKind>(
         violation,
         cov: vec![Arc::new(fresh.options().cov.snapshot())],
         trace: vec![Arc::new(fresh.options().trace.snapshot())],
-        art: None,
-        memo_hit: false,
         sandbox_retry: true,
-        pruned: 0,
+        ..Default::default()
     }
-}
-
-/// One footprint-recorder check, shared by the serial walk (`dev` is the
-/// walker's overlay) and the parallel pre-pass (a private overlay):
-/// [`check_staged`] under a [`pmem::ReadTracker`], the retry rule, then the
-/// footprint entry. Only a clean, unretried check whose reads fit the cap
-/// seeds an entry; any other outcome closes recording for the point, which
-/// together with the entry cap bounds the recorder checks the parallel
-/// pre-pass runs serially at [`crate::footprint::FP_MAX_ENTRIES`].
-#[allow(clippy::too_many_arguments)]
-fn check_recording<K: FsKind, D: pmem::PmBackend>(
-    kind: &K,
-    dev: D,
-    base: &[u8],
-    writes: &[PendingWrite],
-    subset: &[usize],
-    check: &CheckKind<'_>,
-    cfg: &TestConfig,
-    scope: &Scope,
-    fp: &mut FpSet,
-) -> CheckRes {
-    let fresh = kind.with_options(kind.options().with_fresh_sinks());
-    let mut tracker = pmem::ReadTracker::new(dev, FP_WORD_CAP);
-    let r = check_staged(&fresh, &mut tracker, check, cfg, scope);
-    let words = tracker.clean_words();
-    let r = finalize_check(kind, base, writes, subset, check, cfg, r);
-    match words {
-        Some(w) if !r.sandbox_retry && r.violation.is_none() => fp.record(w, base, writes, subset),
-        _ => fp.give_up(),
-    }
-    r
 }
 
 /// Invariant context for committing one crash point's states.
@@ -1329,9 +1182,7 @@ fn commit_state<K: FsKind>(
     } else if res.memo_hit {
         out.memo_hits += 1;
     }
-    // Sandbox counters increment at commit time only, so speculative work
-    // past a stop-on-first winner never skews them; dup replays recount like
-    // any other replayed verdict.
+    // Dup replays recount like any other replayed verdict.
     match &res.violation {
         Some(Violation::RecoveryPanic { .. }) => out.recovery_panics += 1,
         Some(Violation::RecoveryHang { .. }) => out.recovery_hangs += 1,
@@ -1379,10 +1230,16 @@ fn commit_state<K: FsKind>(
 /// Checks all crash states at one crash point: optionally the bare base
 /// state, then every enumerated subset of the in-flight writes.
 ///
+/// The states are visited in canonical enumeration order by a single
+/// undo-logged overlay that steps between adjacent subsets by applying and
+/// undoing only the writes they differ in (delta replay); the file system
+/// is mounted directly on that overlay and every checker mutation (mount
+/// recovery, probe) is rolled back through the same undo marks. Each state
+/// is decided, checked and committed before the next one is built.
+///
 /// Every state's image is content-hashed (incrementally, from the base
-/// image's running hash plus per-write deltas). The hash drives two reuse
-/// layers, both decided *per point, before any check runs*, so the outcome
-/// is identical for any thread count:
+/// image's running hash plus per-write deltas). The hash drives two exact
+/// reuse layers:
 ///
 /// * in-point dedup: a repeated key replays the first occurrence's
 ///   committed result;
@@ -1395,18 +1252,9 @@ fn commit_state<K: FsKind>(
 /// signature ([`rep_context`] ⊕ [`crashgen::behavior_sig`]); only the first
 /// member of each class is checked, later members commit a synthesized
 /// clean verdict while the class stays violation-free, and a violated class
-/// expands back to exhaustive checking. Plans are fixed per point against
-/// the frozen class table, so this too is thread-count-invariant.
-///
-/// Serially (`threads <= 1`) the states of a point are visited by a single
-/// undo-logged overlay that steps between adjacent subsets by applying and
-/// undoing only the writes they differ in (delta replay); the file system
-/// is mounted directly on that overlay and every checker
-/// mutation (mount recovery, probe) is rolled back through the same undo
-/// marks. With `cfg.threads > 1` the checks run concurrently over private
-/// [`pmem::CowDevice`] overlays, committed in canonical enumeration order —
-/// counters, reports, coverage, traces, and the stop-on-first winner are
-/// bit-identical to the serial walk.
+/// expands back to exhaustive checking. Below it, the read-footprint layer
+/// ([`crate::footprint`]) skips a state whose image agrees with an earlier
+/// clean check at this point on every word that check read.
 #[allow(clippy::too_many_arguments)]
 fn visit_crash_point<K: FsKind>(
     kind: &K,
@@ -1456,16 +1304,10 @@ fn visit_crash_point<K: FsKind>(
         collect_keys: cfg.collect_state_keys,
     };
     let ws = walk_scope(cfg, scope);
-    let threads = cfg.threads.max(1);
-    let mut results: Vec<Option<CheckRes>> = Vec::with_capacity(subsets.len());
-    results.resize_with(subsets.len(), || None);
 
-    // Representative layer: one behavioral signature per state. Classes are
-    // planned in canonical state order against the table frozen at point
-    // entry (claims made at this point resolve through the claimer's
-    // verdict), identically on the serial and the parallel path.
-    let rep_on = cfg.rep_check;
-    let sigs: Vec<u128> = if rep_on {
+    // Representative layer: the point's half of every state's behavioral
+    // signature (context hash, per-write terms).
+    let signer = cfg.rep_check.then(|| {
         // The torn-data drop additionally requires that no data write
         // leaves an intermediate value a later data write replaces (zero
         // fill and same-byte rewrites are tolerated; anything else would
@@ -1477,324 +1319,89 @@ fn visit_crash_point<K: FsKind>(
         if drop_data {
             ctx_h ^= pmem::run_term(CTX_DROP, 1);
         }
-        let cache = SigCache::new(&writes, absorbed, drop_data);
-        subsets.iter().map(|s| ctx_h ^ cache.sig(s)).collect()
-    } else {
-        Vec::new()
-    };
-    let mut claims: HashMap<u128, usize> = HashMap::new();
+        (ctx_h, SigCache::new(&writes, absorbed, drop_data))
+    });
     let mut fp = FpSet::default();
+    let mut walker = SubsetWalker::new(base, base_key);
+    // In-point dedup: the results committed at this point, by image key.
+    let mut seen: HashMap<ImageKey, CheckRes> = HashMap::with_capacity(subsets.len());
 
-    if threads <= 1 {
-        // Serial: one interleaved walk. The walker's undo-logged overlay is
-        // the crash state; decisions, checks, and commits happen per state
-        // in canonical order (decisions still cannot see same-point commits:
-        // in-point repeats are resolved by `seen` before the memo is
-        // consulted, so the plan matches the parallel one exactly).
-        let mut walker = SubsetWalker::new(base, base_key);
-        let mut seen: HashMap<ImageKey, usize> = HashMap::with_capacity(subsets.len());
-        for i in 0..subsets.len() {
-            walker.goto(&writes, &subsets[i]);
-            let key = walker.key();
-            let decision = decide(i, key, &mut seen, memo, &ws);
-            if let Decision::Dup(j) = &decision {
-                let r = results[*j].as_ref().expect("dedup source precedes its reuse");
-                if commit_state(kind, &ctx, r, key, true, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out)
-                {
-                    *stop = true;
-                    return;
-                }
-                continue;
-            }
-            let plan = if rep_on { plan_rep(sigs[i], rep, &mut claims, i) } else { RepPlan::NoRep };
-            // In the serial walk a class's claimer has always committed
-            // before its later members, so deferrals resolve immediately.
-            let plan = match plan {
-                RepPlan::Defer(r) => {
-                    let claimer =
-                        results[r].as_ref().expect("claimer precedes its class members");
-                    if claimer.violation.is_some() { RepPlan::Expand } else { RepPlan::Skip }
-                }
-                p => p,
-            };
-            if plan == RepPlan::Skip {
-                let res = synth_clean();
-                commit_state(kind, &ctx, &res, key, false, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out);
-                out.rep_skipped += 1;
-                results[i] = Some(res);
-                continue;
-            }
-            // Footprint layer: a state whose image agrees with a recorded
-            // clean footprint on every line that check actually read
-            // provably replays the recorder's execution bit for bit — skip
-            // it clean. Expansion states are excluded (mirroring the
-            // parallel plan, which cannot know claimer verdicts up front).
-            let fp_eligible =
-                rep_on && subsets.len() >= FP_MIN_STATES && plan != RepPlan::Expand;
-            if fp_eligible && fp.matches(base, &writes, &subsets[i]) {
-                let res = synth_clean();
-                commit_state(kind, &ctx, &res, key, false, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out);
-                out.rep_skipped += 1;
-                results[i] = Some(res);
-                continue;
-            }
-            let record = fp_eligible && fp.want_record() && matches!(decision, Decision::Fresh);
-            let res = match decision {
-                Decision::Dup(_) => unreachable!("handled above"),
-                Decision::Memo(art) => {
-                    let fresh = kind.with_options(kind.options().with_fresh_sinks());
-                    let r = resolve_memo_hit(&art, check, cfg, &ws, |tree| {
-                        let mark = walker.mark();
-                        let p = probe_on(&fresh, &mut *walker.device(), tree, cfg);
-                        walker.undo_to(mark);
-                        p
-                    });
-                    finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
-                }
-                Decision::Fresh => {
-                    let mark = walker.mark();
-                    let r = if record {
-                        check_recording(kind, walker.device(), base, &writes, &subsets[i], check, cfg, scope, &mut fp)
-                    } else {
-                        let fresh = kind.with_options(kind.options().with_fresh_sinks());
-                        let r = check_staged(&fresh, &mut *walker.device(), check, cfg, scope);
-                        finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
-                    };
-                    walker.undo_to(mark);
-                    r
-                }
-            };
-            let s = commit_state(kind, &ctx, &res, key, false, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out);
-            match plan {
-                RepPlan::Claim => out.rep_classes += 1,
-                RepPlan::Expand => out.rep_expansions += 1,
-                _ => {}
-            }
-            results[i] = Some(res);
-            if s {
+    for subset in &subsets {
+        walker.goto(&writes, subset);
+        let key = walker.key();
+        let describe = || describe_subset(&writes, subset);
+        if let Some(r) = seen.get(&key) {
+            if commit_state(kind, &ctx, r, key, true, subset, describe, memo, out) {
                 *stop = true;
                 return;
             }
+            continue;
         }
-        fold_claims(claims, &results, rep);
-        return;
-    }
-
-    // Parallel: one key pass, a fixed plan, then windowed workers over
-    // private overlays with an ordered commit walk.
-    let mut keys: Vec<ImageKey> = Vec::with_capacity(subsets.len());
-    {
-        let mut walker = SubsetWalker::new(base, base_key);
-        for s in &subsets {
-            walker.goto(&writes, s);
-            keys.push(walker.key());
-        }
-    }
-    let mut seen: HashMap<ImageKey, usize> = HashMap::with_capacity(subsets.len());
-    let plan: Vec<Decision> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| decide(i, k, &mut seen, memo, &ws))
-        .collect();
-    let mut rep_plans: Vec<RepPlan> = (0..subsets.len())
-        .map(|i| {
-            if !rep_on || matches!(plan[i], Decision::Dup(_)) {
-                RepPlan::NoRep
-            } else {
-                plan_rep(sigs[i], rep, &mut claims, i)
+        let sig = signer.as_ref().map(|(ctx_h, cache)| ctx_h ^ cache.sig(subset));
+        let plan = sig.map_or(RepPlan::NoRep, |s| rep.plan(s));
+        // Footprint layer: a state whose image agrees with a recorded clean
+        // footprint on every word that check actually read provably replays
+        // the recorder's execution bit for bit — skip it clean. Members of
+        // a violated class are excluded: they expand to a full check.
+        let fp_eligible =
+            sig.is_some() && subsets.len() >= FP_MIN_STATES && plan != RepPlan::Expand;
+        let skip = plan == RepPlan::Skip || (fp_eligible && fp.matches(base, &writes, subset));
+        let res = if skip {
+            CheckRes::default()
+        } else {
+            let fresh = kind.with_options(kind.options().with_fresh_sinks());
+            let art = memo.get(&key).filter(|a| memo_walk_compatible(a, &ws));
+            // A from-scratch check doubles as a footprint recorder while
+            // the point still wants one: the same check under a read tracker.
+            let record = art.is_none() && fp_eligible && fp.want_record();
+            let mark = walker.mark();
+            let (staged, words) = match art {
+                Some(art) => {
+                    let r = resolve_memo_hit(art, check, cfg, &ws, |tree| {
+                        probe_on(&fresh, &mut *walker.device(), tree, cfg)
+                    });
+                    (r, None)
+                }
+                None if record => {
+                    let mut tracker = pmem::ReadTracker::new(walker.device(), FP_WORD_CAP);
+                    let r = check_staged(&fresh, &mut tracker, check, cfg, scope);
+                    (r, tracker.clean_words())
+                }
+                None => (check_staged(&fresh, &mut *walker.device(), check, cfg, scope), None),
+            };
+            walker.undo_to(mark);
+            let res = finalize_check(kind, base, &writes, subset, check, cfg, staged);
+            // Only a clean, unretried check whose reads fit the cap seeds a
+            // footprint; any other outcome closes recording for the point.
+            if record {
+                match words {
+                    Some(w) if !res.sandbox_retry && res.violation.is_none() => {
+                        fp.record(w, base, &writes, subset)
+                    }
+                    _ => fp.give_up(),
+                }
             }
-        })
-        .collect();
-
-    // Footprint layer: entry evolution must match the serial walk, so the
-    // plan is drawn in canonical order with recorder states checked eagerly
-    // (at most [`crate::footprint::FP_MAX_ENTRIES`] of them, so the serial
-    // prefix stays negligible). States matching a recorded clean footprint
-    // are skipped; recorder results land in `results` and are committed by
-    // the ordered walk below like any other.
-    let mut fp_skips = vec![false; subsets.len()];
-    if rep_on && subsets.len() >= FP_MIN_STATES {
-        for i in 0..subsets.len() {
-            if matches!(plan[i], Decision::Dup(_))
-                || !matches!(rep_plans[i], RepPlan::Claim | RepPlan::NoRep)
-            {
-                continue;
-            }
-            if fp.matches(base, &writes, &subsets[i]) {
-                fp_skips[i] = true;
-                continue;
-            }
-            if !fp.want_record() || !matches!(plan[i], Decision::Fresh) {
-                continue;
-            }
-            let mut cow = CowDevice::new(base);
-            apply_subset(&mut cow, &writes, &subsets[i]);
-            results[i] =
-                Some(check_recording(kind, cow, base, &writes, &subsets[i], check, cfg, scope, &mut fp));
-        }
-    }
-
-    let check_one = |i: usize| -> CheckRes {
-        let fresh = kind.with_options(kind.options().with_fresh_sinks());
-        let r = match &plan[i] {
-            Decision::Dup(_) => unreachable!("dups are resolved at commit"),
-            Decision::Memo(art) => resolve_memo_hit(art, check, cfg, &ws, |tree| {
-                let mut cow = CowDevice::new(base);
-                apply_subset(&mut cow, &writes, &subsets[i]);
-                probe_on(&fresh, cow, tree, cfg)
-            }),
-            Decision::Fresh => {
-                let mut cow = CowDevice::new(base);
-                apply_subset(&mut cow, &writes, &subsets[i]);
-                check_staged(&fresh, cow, check, cfg, scope)
-            }
+            res
         };
-        finalize_check(kind, base, &writes, &subsets[i], check, cfg, r)
-    };
-
-    // With stop-on-first, checking everything up front wastes work past the
-    // winner; process bounded speculation windows instead. Window size only
-    // trades wasted work against parallelism — it never changes the outcome.
-    let run_batch = |todo: &[usize], results: &mut Vec<Option<CheckRes>>| {
-        if todo.len() <= 1 {
-            for &i in todo {
-                results[i] = Some(check_one(i));
-            }
+        let stopped = commit_state(kind, &ctx, &res, key, false, subset, describe, memo, out);
+        // A footprint skip trumps the class plan: a skipped claimer still
+        // opens its class (clean), but it never checked, so it is not a
+        // counted class.
+        match plan {
+            _ if skip => out.rep_skipped += 1,
+            RepPlan::Claim => out.rep_classes += 1,
+            RepPlan::Expand => out.rep_expansions += 1,
+            _ => {}
+        }
+        if stopped {
+            *stop = true;
             return;
         }
-        let per = todo.len().div_ceil(threads);
-        let check_one = &check_one;
-        std::thread::scope(|sc| {
-            let handles: Vec<(&[usize], _)> = todo
-                .chunks(per)
-                .map(|shard| {
-                    let h = sc.spawn(move || {
-                        shard.iter().map(|&i| (i, check_one(i))).collect::<Vec<_>>()
-                    });
-                    (shard, h)
-                })
-                .collect();
-            for (shard, h) in handles {
-                match h.join() {
-                    Ok(rs) => {
-                        for (i, r) in rs {
-                            results[i] = Some(r);
-                        }
-                    }
-                    Err(_) => {
-                        // A worker died outside the per-stage sandbox
-                        // (sandbox off, or a harness bug): fail only the
-                        // affected items. Re-check the shard one state
-                        // at a time so the survivors keep their real
-                        // verdicts and only the panicking state reports
-                        // a worker-stage diagnostic.
-                        for &i in shard {
-                            let r = sandbox::guarded(Stage::Worker, || check_one(i))
-                                .unwrap_or_else(|v| CheckRes {
-                                    violation: Some(v),
-                                    cov: vec![],
-                                    trace: vec![],
-                                    art: None,
-                                    memo_hit: false,
-                                    sandbox_retry: false,
-                                    fuel_fired: false,
-                                    pruned: 0,
-                                });
-                            results[i] = Some(r);
-                        }
-                    }
-                }
-            }
-        });
-    };
-
-    let window = if cfg.stop_on_first { (threads * 4).max(4) } else { subsets.len() };
-    let mut pos = 0usize;
-    while pos < subsets.len() {
-        let hi = (pos + window).min(subsets.len());
-        // Phase 1: everything that must be checked regardless of class
-        // outcomes — representatives, known expansions, unclassified states.
-        // Footprint recorders already checked in the pre-pass are excluded,
-        // as are footprint skips.
-        let todo: Vec<usize> = (pos..hi)
-            .filter(|&i| {
-                results[i].is_none()
-                    && !fp_skips[i]
-                    && !matches!(plan[i], Decision::Dup(_))
-                    && !matches!(rep_plans[i], RepPlan::Skip | RepPlan::Defer(_))
-            })
-            .collect();
-        run_batch(&todo, &mut results);
-
-        // Materialize the footprint skips before deferral resolution: a
-        // deferred member's claimer may itself be a footprint skip, whose
-        // (clean) verdict must be readable below.
-        for i in pos..hi {
-            if fp_skips[i] && results[i].is_none() {
-                results[i] = Some(synth_clean());
-            }
+        if let (RepPlan::Claim, Some(sig)) = (plan, sig) {
+            rep.claim(sig, res.violation.is_some());
         }
-
-        // Phase 2: deferred class members. Their claimer's verdict is now
-        // known (claimers precede members canonically, so they ran in this
-        // window's phase 1 or an earlier window); members of violated
-        // classes expand and get checked, the rest skip.
-        let mut todo2: Vec<usize> = Vec::new();
-        for (i, plan) in rep_plans.iter_mut().enumerate().take(hi).skip(pos) {
-            if let RepPlan::Defer(r) = *plan {
-                let claimer =
-                    results[r].as_ref().expect("claimer checked no later than its members");
-                *plan = if claimer.violation.is_some() {
-                    todo2.push(i);
-                    RepPlan::Expand
-                } else {
-                    RepPlan::Skip
-                };
-            }
-        }
-        run_batch(&todo2, &mut results);
-
-        // Materialize the skips so duplicate replays and the commit walk
-        // read every state uniformly.
-        for i in pos..hi {
-            if rep_plans[i] == RepPlan::Skip && results[i].is_none() {
-                results[i] = Some(synth_clean());
-            }
-        }
-
-        // Ordered commit walk over this window.
-        for i in pos..hi {
-            let (res, dup) = match plan[i] {
-                Decision::Dup(j) => {
-                    (results[j].as_ref().expect("dedup source precedes its reuse"), true)
-                }
-                _ => (results[i].as_ref().expect("checked in this window"), false),
-            };
-            let s = commit_state(kind, &ctx, res, keys[i], dup, &subsets[i], || describe_subset(&writes, &subsets[i]), memo, out);
-            if !dup {
-                if fp_skips[i] {
-                    // A footprint skip trumps the class plan: a skipped
-                    // claimer still folds its class (clean) at point exit,
-                    // but it never checked, so it is not a counted class.
-                    out.rep_skipped += 1;
-                } else {
-                    match rep_plans[i] {
-                        RepPlan::Claim => out.rep_classes += 1,
-                        RepPlan::Skip => out.rep_skipped += 1,
-                        RepPlan::Expand => out.rep_expansions += 1,
-                        RepPlan::NoRep => {}
-                        RepPlan::Defer(_) => unreachable!("deferrals resolve before commit"),
-                    }
-                }
-            }
-            if s {
-                *stop = true;
-                return;
-            }
-        }
-        pos = hi;
+        seen.insert(key, res);
     }
-    fold_claims(claims, &results, rep);
 }
 
 #[cfg(test)]

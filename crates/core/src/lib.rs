@@ -60,6 +60,6 @@ pub mod shrink;
 pub use config::TestConfig;
 pub use harness::{check_one_state, test_workload, PhaseTimings, StateProbe, TestOutcome};
 pub use oracle::Scope;
-pub use prefix::{test_workload_cached, PrefixCache};
+pub use prefix::PrefixCache;
 pub use report::{exemplar, triage, BugReport, CrashPhase, Stage, Violation};
 pub use shrink::{shrink, ShrinkStats, Shrunk};

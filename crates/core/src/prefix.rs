@@ -27,11 +27,10 @@
 //! sibling), `mkfs`/oracle failures — falls back to the plain
 //! [`test_workload`] path.
 //!
-//! Multi-threaded configs compose: a cache (and all its live checkpoints) is
-//! `Send`, so the bench scheduler moves per-worker caches across its worker
-//! threads, and `cfg.threads > 1` inside a cached run parallelizes the
-//! crash-subset checks — which are bit-identical to the serial walk by
-//! construction, so the checkpointed replay state is thread-count-invariant.
+//! A cache (and all its live checkpoints) is `Send`: the bench scheduler
+//! gives each of its workers a private one. Nothing here reads
+//! [`TestConfig::threads`] — a workload runs on the thread that calls
+//! [`PrefixCache::run`].
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -50,7 +49,6 @@ use crate::{
         TestOutcome,
     },
     oracle::{advance_snapshot, snapshot_tree, Oracle, Tree},
-    report::BugReport,
 };
 
 /// A checkpoint of one crash-free stage (oracle or record) at a syscall
@@ -85,22 +83,10 @@ struct ReplayCkpt {
     /// Behavioral class table — checkpointed so prefix splices preserve the
     /// classes the shared prefix established.
     rep: RepTable,
-    crash_points: u64,
-    crash_states: u64,
-    dedup_hits: u64,
-    memo_hits: u64,
-    rep_classes: u64,
-    rep_skipped: u64,
-    rep_expansions: u64,
-    recovery_panics: u64,
-    recovery_hangs: u64,
-    sandbox_retries: u64,
-    fuel_exhausted: u64,
-    oracle_subtrees_pruned: u64,
-    inflight: Vec<usize>,
-    state_keys: Vec<u64>,
+    /// The check stage's outcome through this boundary: its counters,
+    /// in-flight sizes, state keys and reports, nothing of the other stages.
     /// Reports carry the *cached* workload's name; splicing re-labels them.
-    reports: Vec<BugReport>,
+    chk: TestOutcome,
     cov: HashSet<u64>,
     trace: BTreeSet<BugId>,
     /// Stop-on-first fired at or before this boundary; resumes from here
@@ -294,21 +280,7 @@ impl<K: FsKind> PrefixCache<K> {
                 started: engine.started,
                 memo: CrossMemo::default(),
                 rep: RepTable::default(),
-                crash_points: 0,
-                crash_states: 0,
-                dedup_hits: 0,
-                memo_hits: 0,
-                rep_classes: 0,
-                rep_skipped: 0,
-                rep_expansions: 0,
-                recovery_panics: 0,
-                recovery_hangs: 0,
-                sandbox_retries: 0,
-                fuel_exhausted: 0,
-                oracle_subtrees_pruned: 0,
-                inflight: Vec::new(),
-                state_keys: Vec::new(),
-                reports: Vec::new(),
+                chk: TestOutcome::default(),
                 cov: HashSet::new(),
                 trace: BTreeSet::new(),
                 stopped: false,
@@ -433,32 +405,10 @@ impl<K: FsKind> PrefixCache<K> {
         // The check stage's own outcome: seeded with the spliced prefix,
         // merged into `out` below (after the record-phase reports, matching
         // the plain path's report order).
-        let mut chk = TestOutcome {
-            crash_points: ck.crash_points,
-            crash_states: ck.crash_states,
-            dedup_hits: ck.dedup_hits,
-            memo_hits: ck.memo_hits,
-            rep_classes: ck.rep_classes,
-            rep_skipped: ck.rep_skipped,
-            rep_expansions: ck.rep_expansions,
-            recovery_panics: ck.recovery_panics,
-            recovery_hangs: ck.recovery_hangs,
-            sandbox_retries: ck.sandbox_retries,
-            fuel_exhausted: ck.fuel_exhausted,
-            oracle_subtrees_pruned: ck.oracle_subtrees_pruned,
-            inflight_sizes: ck.inflight.clone(),
-            state_keys: ck.state_keys.clone(),
-            reports: ck
-                .reports
-                .iter()
-                .cloned()
-                .map(|mut r| {
-                    r.workload = w.name.clone();
-                    r
-                })
-                .collect(),
-            ..Default::default()
-        };
+        let mut chk = ck.chk.clone();
+        for r in &mut chk.reports {
+            r.workload = w.name.clone();
+        }
 
         if !ck_stopped {
             let guarantees = self.check_kind.guarantees();
@@ -528,21 +478,18 @@ impl<K: FsKind> PrefixCache<K> {
         debug_assert_eq!(st.replay.len(), n + 1);
         out.timing.check = t_check.elapsed();
 
-        out.crash_points = chk.crash_points;
-        out.crash_states = chk.crash_states;
-        out.dedup_hits = chk.dedup_hits;
-        out.memo_hits = chk.memo_hits;
-        out.rep_classes = chk.rep_classes;
-        out.rep_skipped = chk.rep_skipped;
-        out.rep_expansions = chk.rep_expansions;
-        out.recovery_panics = chk.recovery_panics;
-        out.recovery_hangs = chk.recovery_hangs;
-        out.sandbox_retries = chk.sandbox_retries;
-        out.fuel_exhausted = chk.fuel_exhausted;
-        out.oracle_subtrees_pruned = chk.oracle_subtrees_pruned;
-        out.inflight_sizes = chk.inflight_sizes;
-        out.state_keys = chk.state_keys;
-        for r in chk.reports {
+        // Everything else is the check stage's.
+        let check_reports = std::mem::take(&mut chk.reports);
+        let mut out = TestOutcome {
+            workload: out.workload,
+            reports: out.reports,
+            prefix_hits: out.prefix_hits,
+            prefix_ops_saved: out.prefix_ops_saved,
+            oracle_snap_bytes_shared: out.oracle_snap_bytes_shared,
+            timing: out.timing,
+            ..chk
+        };
+        for r in check_reports {
             push_report(&mut out, r);
         }
 
@@ -575,21 +522,7 @@ impl<K: FsKind> PrefixCache<K> {
             started: engine.started,
             memo: engine.memo.clone(),
             rep: engine.rep.clone(),
-            crash_points: chk.crash_points,
-            crash_states: chk.crash_states,
-            dedup_hits: chk.dedup_hits,
-            memo_hits: chk.memo_hits,
-            rep_classes: chk.rep_classes,
-            rep_skipped: chk.rep_skipped,
-            rep_expansions: chk.rep_expansions,
-            recovery_panics: chk.recovery_panics,
-            recovery_hangs: chk.recovery_hangs,
-            sandbox_retries: chk.sandbox_retries,
-            fuel_exhausted: chk.fuel_exhausted,
-            oracle_subtrees_pruned: chk.oracle_subtrees_pruned,
-            inflight: chk.inflight_sizes.clone(),
-            state_keys: chk.state_keys.clone(),
-            reports: chk.reports.clone(),
+            chk: chk.clone(),
             cov: check_kind.options().cov.snapshot(),
             trace: check_kind.options().trace.snapshot(),
             stopped: engine.stop,
@@ -611,17 +544,6 @@ impl<K: FsKind> PrefixCache<K> {
     }
 }
 
-/// Convenience wrapper: tests one workload through `cache`, returning the
-/// same `(outcome, coverage, trace)` triple as a fresh-sink
-/// [`test_workload`] run.
-pub fn test_workload_cached<K: FsKind>(
-    cache: &mut PrefixCache<K>,
-    w: &Workload,
-    cfg: &TestConfig,
-) -> (TestOutcome, HashSet<u64>, BTreeSet<BugId>) {
-    cache.run(w, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,24 +560,23 @@ mod tests {
         assert_send::<PrefixCache<Ext4DaxKind>>();
     }
 
-    fn fingerprint(o: &TestOutcome) -> (Vec<String>, Vec<u64>, Vec<usize>) {
-        (
-            o.reports.iter().map(|r| format!("{:?}", r)).collect(),
-            vec![
-                o.crash_points,
-                o.crash_states,
-                o.dedup_hits,
-                o.memo_hits,
-                o.rep_classes,
-                o.rep_skipped,
-                o.rep_expansions,
-                o.recovery_panics,
-                o.recovery_hangs,
-                o.sandbox_retries,
-                o.fuel_exhausted,
-            ],
-            o.inflight_sizes.clone(),
-        )
+    /// Everything a cached run must reproduce: the whole outcome except the
+    /// prefix counters (which describe the cache itself) and wall times —
+    /// so a field added to the checkpoint is compared without being listed.
+    fn fingerprint(o: &TestOutcome) -> String {
+        let o = TestOutcome {
+            prefix_hits: 0,
+            prefix_ops_saved: 0,
+            timing: Default::default(),
+            ..o.clone()
+        };
+        format!("{o:?}")
+    }
+
+    /// State keys on: the checkpoint carries them, so the differentials
+    /// must see them.
+    fn keyed(cfg: TestConfig) -> TestConfig {
+        TestConfig { collect_state_keys: true, ..cfg }
     }
 
     fn uncached<K: FsKind>(kind: &K, w: &Workload, cfg: &TestConfig) -> TestOutcome {
@@ -666,7 +587,7 @@ mod tests {
     #[test]
     fn resumed_runs_match_uncached_bit_for_bit() {
         let kind = NovaKind { opts: FsOptions::default(), fortis: false };
-        let cfg = TestConfig::default();
+        let cfg = keyed(TestConfig::default());
         let mut cache = PrefixCache::new(&kind);
         let shared = vec![
             Op::Mkdir { path: "/A".into() },
@@ -686,7 +607,7 @@ mod tests {
             let (got, _, _) = cache.run(w, &cfg);
             let want = uncached(&kind, w, &cfg);
             assert_eq!(fingerprint(&got), fingerprint(&want), "{}", w.name);
-            assert_eq!(got.traced_bugs, want.traced_bugs, "{}", w.name);
+            assert!(!got.state_keys.is_empty(), "{}", w.name);
         }
         // The cache now holds w2, which shares the 2-op setup prefix.
         let (o1, _, _) = cache.run(&ws[1], &cfg);
@@ -696,12 +617,24 @@ mod tests {
         let (o1b, _, _) = cache.run(&ws[1], &cfg);
         assert_eq!(o1b.prefix_ops_saved, 2 * 3);
         assert_eq!(fingerprint(&o1), fingerprint(&o1b));
+        // A write, then an op that leaves the written file alone: the oracle
+        // shares the file's bytes, so a resume past both ops splices nonzero
+        // oracle counters.
+        let mut ops = ws[0].ops.clone();
+        ops.push(Op::Creat { path: "/A/baz".into() });
+        let deep = Workload::new("w3", ops);
+        let want = uncached(&kind, &deep, &cfg);
+        assert!(want.oracle_snap_bytes_shared > 0 && want.oracle_subtrees_pruned > 0);
+        cache.run(&deep, &cfg);
+        let (again, _, _) = cache.run(&deep, &cfg);
+        assert_eq!(again.prefix_ops_saved, 2 * 4);
+        assert_eq!(fingerprint(&again), fingerprint(&want));
     }
 
     #[test]
     fn weak_fs_and_repeat_workloads_resume() {
         let kind = Ext4DaxKind::default();
-        let cfg = TestConfig::default();
+        let cfg = keyed(TestConfig::default());
         let mut cache = PrefixCache::new(&kind);
         let w = Workload::new(
             "ext4",
@@ -722,7 +655,7 @@ mod tests {
     #[test]
     fn fallback_when_fork_unsupported() {
         let kind = splitfs::SplitFsKind { opts: FsOptions::default() };
-        let cfg = TestConfig::default();
+        let cfg = keyed(TestConfig::default());
         let mut cache = PrefixCache::new(&kind);
         let w = Workload::new(
             "split",
@@ -743,7 +676,7 @@ mod tests {
             opts: FsOptions::with_bugs(vfs::BugSet::only(&[BugId::B04])),
             fortis: false,
         };
-        let cfg = TestConfig { stop_on_first: true, ..TestConfig::default() };
+        let cfg = keyed(TestConfig { stop_on_first: true, ..TestConfig::default() });
         let mut cache = PrefixCache::new(&kind);
         let base_ops = vec![
             Op::Creat { path: "/a".into() },

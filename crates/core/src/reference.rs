@@ -2,12 +2,12 @@
 //!
 //! Production ([`crate::harness`]) reaches its verdicts through content
 //! hashing, in-point dedup, a cross-point memo, behavioral classes, read
-//! footprints, scoped walks, delta replay, a structurally shared oracle and
-//! parallel overlays. Each of those claims to be observationally identical
-//! to the plain pipeline; this module *is* the plain pipeline, kept small
-//! enough to be obviously correct (in the spirit of bounded black-box crash
-//! testing, PAPERS.md B3) so the differential tests have something to hold
-//! production against:
+//! footprints, scoped walks, delta replay and a structurally shared oracle.
+//! Each of those claims to be observationally identical to the plain
+//! pipeline; this module *is* the plain pipeline, kept small enough to be
+//! obviously correct (in the spirit of bounded black-box crash testing,
+//! PAPERS.md B3) so the differential tests have something to hold production
+//! against:
 //!
 //! 1. run the workload crash-free on a dense [`PmDevice`], deep-walking the
 //!    whole tree after every op (the oracle);

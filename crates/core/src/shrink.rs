@@ -22,7 +22,7 @@ use vfs::{FsKind, Op, Workload};
 use crate::{
     config::TestConfig,
     harness::check_one_state,
-    prefix::{test_workload_cached, PrefixCache},
+    prefix::PrefixCache,
     report::{BugReport, Stage, Violation},
 };
 
@@ -76,7 +76,7 @@ fn first_match<K: FsKind>(
 ) -> Option<BugReport> {
     *candidates += 1;
     let wl = Workload::new(name, ops.to_vec());
-    let (out, _, _) = test_workload_cached(cache, &wl, cfg);
+    let (out, _, _) = cache.run(&wl, cfg);
     out.reports.into_iter().find(|r| matches_class(class, stage, &r.violation))
 }
 

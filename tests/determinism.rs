@@ -1,9 +1,9 @@
-//! Determinism witnesses for parallel crash-state exploration.
+//! Determinism witnesses for the sharded batch runners.
 //!
-//! The sharded harness (`TestConfig::threads`) must be *observationally
-//! identical* to the serial walk: for a fixed seed and workload stream,
-//! every report, counter, and stop-on-first winner is byte-identical no
-//! matter how many workers check crash states.
+//! Sharding workloads over `TestConfig::threads` workers must be
+//! *observationally identical* to the serial loop: for a fixed seed and
+//! workload stream, every report, counter, and stop-on-first winner is
+//! byte-identical no matter how many workers the batches are spread over.
 
 use bench::{hunt_with_ace, hunt_with_fuzzer, run_suite, HuntResult, SuiteStats};
 use chipmunk::TestConfig;
