@@ -7,27 +7,18 @@
 //!
 //! ```sh
 //! cargo run --release -p bench --bin campaign [threads]
-//! cargo run --release -p bench --bin campaign -- [threads] --store <dir>
-//! cargo run --release -p bench --bin campaign -- [threads] --resume <dir>
 //! ```
 //!
 //! `threads` (default 1) shards the workload batches across that many
-//! workers; rounds, clusters, and fixes are identical for any value.
+//! workers; rounds, clusters, and fixes are identical for any value. Unknown
+//! flags, malformed numbers, and extra arguments are fatal (exit 2).
 //!
-//! With `--store <dir>`, the sweep runs through the persistent campaign
-//! store instead (see `bench::campaign`): one as-released sweep of the
-//! default campaign spec, journaled and resumable — rerunning after a kill
-//! (or with `--resume <dir>`) picks up at the exact workload index and
-//! triages the merged results identically. Unknown flags, malformed
-//! numbers, and extra arguments are fatal (exit 2).
+//! The journaled, resumable form of one as-released sweep is `campaignd
+//! --store <dir>` (see `bench::campaign`), which triages its merged results
+//! the same way.
 
-use bench::campaign::{
-    runner::{self, RunOpts},
-    store::CampaignStore,
-    CampaignSpec,
-};
-use bench::{dispatch, mode_for, run_batch, WithKind, STRONG_SYSTEMS};
-use chipmunk::{exemplar, report::triage, BugReport, TestConfig};
+use bench::{dispatch, mode_for, print_cluster_exemplars, run_batch, WithKind, STRONG_SYSTEMS};
+use chipmunk::{report::triage, BugReport, TestConfig};
 use vfs::{
     fs::{FsKind, FsOptions},
     BugId, BugSet, FsName, Workload,
@@ -35,7 +26,7 @@ use vfs::{
 use workloads::ace::{seq1, seq2};
 
 fn usage() -> ! {
-    eprintln!("usage: campaign [threads] [--store <dir> | --resume <dir>]");
+    eprintln!("usage: campaign [threads]");
     std::process::exit(2);
 }
 
@@ -77,30 +68,10 @@ impl WithKind for Iteration<'_> {
 }
 
 fn main() {
-    let mut pos: Vec<String> = Vec::new();
-    let mut store_dir: Option<String> = None;
-    let mut resume_dir: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--store" => {
-                store_dir = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--store needs a value");
-                    usage()
-                }));
-            }
-            "--resume" => {
-                resume_dir = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--resume needs a value");
-                    usage()
-                }));
-            }
-            s if s.starts_with('-') => {
-                eprintln!("unknown flag {s:?}");
-                usage();
-            }
-            _ => pos.push(a),
-        }
+    let pos: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = pos.iter().find(|a| a.starts_with('-')) {
+        eprintln!("unknown flag {flag:?}");
+        usage();
     }
     if pos.len() > 1 {
         eprintln!("unexpected argument {:?}", pos[1]);
@@ -113,14 +84,6 @@ fn main() {
             usage()
         }),
     };
-    if store_dir.is_some() && resume_dir.is_some() {
-        eprintln!("--store and --resume are mutually exclusive");
-        usage();
-    }
-    if let Some(dir) = store_dir.or(resume_dir.clone()) {
-        run_store_campaign(&dir, resume_dir.is_some(), threads);
-        return;
-    }
 
     let cfg = TestConfig { cap: Some(2), ..TestConfig::default() }.with_threads(threads);
     println!("threads = {threads}");
@@ -162,21 +125,7 @@ fn main() {
                 clusters.len(),
                 relevant.iter().map(|b| b.number()).collect::<Vec<_>>()
             );
-            // One minimal exemplar per cluster (fewest ops, then smallest
-            // replayed subset): the report a developer would debug first,
-            // and the one `hunt --shrink` would package as the bundle.
-            for cluster in &clusters {
-                let e = &reports[exemplar(&reports, cluster)];
-                println!(
-                    "    [{} x{}] {} | {} @ op {} | {} in subset",
-                    e.violation.class(),
-                    cluster.len(),
-                    e.workload,
-                    e.op_desc,
-                    e.op_seq,
-                    e.subset_ids.len(),
-                );
-            }
+            print_cluster_exemplars(&reports, &clusters);
             if relevant.is_empty() {
                 println!("{fs}: reports without traced cause — stopping");
                 break;
@@ -201,85 +150,4 @@ fn main() {
         23 - ace_only.min(23)
     );
     let _ = FsName::Ext4Dax;
-}
-
-/// The store-backed mode: one resumable as-released sweep through the
-/// persistent campaign store, then triage over the merged results. Re-runs
-/// (and `--resume`) skip every journaled workload and re-warm the prefix
-/// cache, so a killed sweep continues instead of starting over. Store
-/// errors exit with their mapped codes (2 corrupt, 3 degraded/out of
-/// space, 1 other); the degraded path still prints a read-only triage of
-/// what survived before exiting.
-fn run_store_campaign(dir: &str, resume: bool, threads: usize) {
-    let path = std::path::Path::new(dir);
-    let store = if resume {
-        CampaignStore::open(path)
-    } else {
-        CampaignStore::open_or_init(path, &CampaignSpec::default())
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    });
-    println!(
-        "store campaign at {dir} | fs {} | {} tasks | threads = {threads}",
-        store.spec.fs,
-        store.spec.total_tasks(),
-    );
-    let opts = RunOpts { threads, ..RunOpts::default() };
-    let (sum, merged) = runner::run_and_merge(&store, &opts).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        if matches!(e, bench::campaign::hostio::StoreError::Exhausted { .. }) {
-            let audit = runner::merge_read_only(&store);
-            eprintln!(
-                "degraded store triage (read-only): {} tasks committed ({} workloads, \
-                 {} reports); {} corrupt, {} missing",
-                audit.committed,
-                audit.workloads,
-                audit.reports,
-                audit.corrupt.len(),
-                audit.missing.len(),
-            );
-        }
-        std::process::exit(e.exit_code());
-    });
-    runner::write_summary(&store, &opts, &sum);
-    println!(
-        "{} workloads ({} resumed from the journal, {} rewarm runs) | {} reports | \
-         prefix ops saved {} | fingerprint {:016x}",
-        merged.workloads,
-        sum.journal_workloads_replayed,
-        sum.rewarm_runs,
-        merged.reports,
-        merged.totals[5],
-        merged.fingerprint,
-    );
-
-    // Triage the merged results exactly like a live round would — capped at
-    // the same 600 reports a round feeds triage (it is quadratic).
-    let mut reports: Vec<BugReport> = (0..store.spec.total_tasks())
-        .filter_map(|id| store.load_result(id).ok().flatten())
-        .flatten()
-        .flat_map(|r| r.reports.into_iter().map(|w| w.to_bug_report()).collect::<Vec<_>>())
-        .collect();
-    if reports.is_empty() {
-        println!("clean: no violations in the merged campaign");
-        return;
-    }
-    let total_reports = reports.len();
-    reports.truncate(600);
-    let clusters = triage(&reports, 0.4);
-    println!("{total_reports} reports ({} triaged) in {} clusters:", reports.len(), clusters.len());
-    for cluster in &clusters {
-        let e = &reports[exemplar(&reports, cluster)];
-        println!(
-            "    [{} x{}] {} | {} @ op {} | {} in subset",
-            e.violation.class(),
-            cluster.len(),
-            e.workload,
-            e.op_desc,
-            e.op_seq,
-            e.subset_ids.len(),
-        );
-    }
 }

@@ -5,16 +5,21 @@
 //! for them, runs an in-process mop-up worker (which reclaims the leases of
 //! any worker that died), and merges all task results in canonical order
 //! into the deterministic `campaign.json` — byte-identical for any worker
-//! count, thread count, or kill/resume pattern.
+//! count or kill/resume pattern — and prints what the campaign found: the
+//! first find in canonical order when the spec hunts one bug (`--bug N`), the
+//! triage clusters with one exemplar each otherwise. This is the one front
+//! door to the store; a campaign's parallelism is `--workers` (processes —
+//! a worker runs its task's workloads one after another).
 //!
 //! ```sh
 //! campaignd --store <dir> [--fs NOVA] [--bug N] [--seq1-take N] [--seq2-step N]
 //!           [--fuzz-budget N] [--seed HEX] [--batch N] [--cap N|none]
-//!           [--bitmap-bits N] [--workers N] [--threads N] [--ttl-ms N]
-//! campaignd --resume <dir> [--workers N] [--threads N] [--ttl-ms N]
-//! campaignd --worker --store <dir> [--threads N] [--ttl-ms N] [--worker-id ID] [--die-after N]
+//!           [--bitmap-bits N] [--workers N] [--ttl-ms N]
+//! campaignd --resume <dir> [--workers N] [--ttl-ms N]
+//! campaignd --worker --store <dir> [--ttl-ms N] [--worker-id ID] [--die-after N]
 //! ```
 //!
+//! `--bug N` without `--fs` targets the bug's own file system.
 //! `--resume` reopens an existing store and continues it under the
 //! persisted spec (spec flags are rejected — a campaign's population is
 //! immutable). `--workers 0` initialises the store and exits without
@@ -44,21 +49,21 @@ use bench::campaign::{
     hostio::{FaultSpec, HostCtx, StoreError},
     runner::{self, RunOpts},
     store::CampaignStore,
-    wire::fnv1a,
+    wire::{counter_slot, fnv1a},
     CampaignSpec,
 };
 use bench::jsonout::JVal;
+use chipmunk::{report::triage, BugReport};
 use vfs::FsName;
 
 fn usage() -> ! {
     eprintln!(
         "usage: campaignd --store <dir> [--fs NAME] [--bug N] [--seq1-take N] [--seq2-step N]\n\
          \x20                [--fuzz-budget N] [--seed HEX] [--batch N] [--cap N|none]\n\
-         \x20                [--bitmap-bits N] [--workers N] [--threads N] [--ttl-ms N]\n\
-         \x20                [--torture HEX]\n\
-         \x20      campaignd --resume <dir> [--workers N] [--threads N] [--ttl-ms N] [--torture HEX]\n\
-         \x20      campaignd --worker --store <dir> [--threads N] [--ttl-ms N] [--worker-id ID]\n\
-         \x20                [--die-after N] [--torture HEX]"
+         \x20                [--bitmap-bits N] [--workers N] [--ttl-ms N] [--torture HEX]\n\
+         \x20      campaignd --resume <dir> [--workers N] [--ttl-ms N] [--torture HEX]\n\
+         \x20      campaignd --worker --store <dir> [--ttl-ms N] [--worker-id ID] [--die-after N]\n\
+         \x20                [--torture HEX]"
     );
     std::process::exit(2);
 }
@@ -113,6 +118,37 @@ fn host_ctx(torture: Option<u64>, worker_id: &str) -> HostCtx {
     }
 }
 
+/// What the campaign found, read back from the committed results in
+/// canonical (task, batch-index) order: the first find when the spec hunts
+/// one bug, otherwise the triage clusters with one exemplar each — capped at
+/// the 600 reports a live `campaign` round feeds triage (it is quadratic).
+fn print_findings(store: &CampaignStore) {
+    let mut reports = (0..store.spec.total_tasks())
+        .filter_map(|id| store.load_result(id).ok().flatten())
+        .flatten()
+        .flat_map(|r| r.reports);
+    if let Some(bug) = store.spec.bug {
+        match reports.next() {
+            Some(r) => println!(
+                "bug {bug} found: [{}] {} | {} @ op {} | {}",
+                r.class, r.workload, r.op_desc, r.op_seq, r.detail
+            ),
+            None => println!("bug {bug} not found within the campaign budget"),
+        }
+        return;
+    }
+    let mut reports: Vec<BugReport> = reports.map(|r| r.to_bug_report()).collect();
+    if reports.is_empty() {
+        println!("clean: no violations in the merged campaign");
+        return;
+    }
+    let total = reports.len();
+    reports.truncate(600);
+    let clusters = triage(&reports, 0.4);
+    println!("{total} reports ({} triaged) in {} clusters:", reports.len(), clusters.len());
+    bench::print_cluster_exemplars(&reports, &clusters);
+}
+
 fn main() {
     let mut store_dir: Option<PathBuf> = None;
     let mut resume_dir: Option<PathBuf> = None;
@@ -120,11 +156,11 @@ fn main() {
     let mut worker_id: Option<String> = None;
     let mut die_after: Option<u64> = None;
     let mut workers: usize = 2;
-    let mut threads: usize = 1;
     let mut ttl_ms: u64 = 5000;
     let mut torture: Option<u64> = None;
     let mut spec = CampaignSpec::default();
     let mut spec_flags = false;
+    let mut fs_given = false;
 
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -137,7 +173,6 @@ fn main() {
                 die_after = Some(parse_num("--die-after", &flag_value("--die-after", &mut it)));
             }
             "--workers" => workers = parse_num("--workers", &flag_value("--workers", &mut it)),
-            "--threads" => threads = parse_num("--threads", &flag_value("--threads", &mut it)),
             "--ttl-ms" => ttl_ms = parse_num("--ttl-ms", &flag_value("--ttl-ms", &mut it)),
             "--torture" => {
                 let s = flag_value("--torture", &mut it);
@@ -151,7 +186,7 @@ fn main() {
                     eprintln!("{e}");
                     usage()
                 });
-                spec_flags = true;
+                (spec_flags, fs_given) = (true, true);
             }
             "--bug" => {
                 spec.bug = Some(parse_num("--bug", &flag_value("--bug", &mut it)));
@@ -203,14 +238,16 @@ fn main() {
         }
     }
     if let Some(n) = spec.bug {
-        if !vfs::bugs::bug_table().iter().any(|b| b.id.number() == n) {
+        let Some(info) = vfs::bugs::bug_table().iter().find(|b| b.id.number() == n) else {
             eprintln!("no bug #{n} in the Table 1 corpus");
             usage();
+        };
+        if !fs_given {
+            spec.fs = info.fs;
         }
     }
 
     let opts = RunOpts {
-        threads: threads.max(1),
         ttl: Duration::from_millis(ttl_ms),
         worker_id: worker_id
             .clone()
@@ -260,14 +297,13 @@ fn main() {
     let started = std::time::Instant::now();
     let total = store.spec.total_tasks();
     println!(
-        "campaign at {} | fs {} | {} tasks ({} ace + {} fuzz) | {} workers x {} threads",
+        "campaign at {} | fs {} | {} tasks ({} ace + {} fuzz) | {} workers",
         store.dir.display(),
         store.spec.fs,
         total,
         store.spec.ace_tasks(),
         store.spec.fuzz_tasks(),
         workers,
-        threads,
     );
     if workers == 0 {
         // Init-only: the store exists and is ready for detached workers
@@ -285,8 +321,6 @@ fn main() {
             cmd.arg("--worker")
                 .arg("--store")
                 .arg(&store.dir)
-                .arg("--threads")
-                .arg(threads.to_string())
                 .arg("--ttl-ms")
                 .arg(ttl_ms.to_string())
                 .arg("--worker-id")
@@ -320,7 +354,6 @@ fn main() {
     let elapsed = started.elapsed();
     let run = JVal::Obj(vec![
         ("workers".into(), JVal::Num(workers as f64)),
-        ("threads".into(), JVal::Num(threads as f64)),
         ("elapsed_ms".into(), JVal::Num(elapsed.as_millis() as f64)),
         ("tasks_run".into(), JVal::Num(sum.tasks_run as f64)),
         ("tasks_resumed".into(), JVal::Num(sum.tasks_resumed as f64)),
@@ -345,8 +378,8 @@ fn main() {
         "merged {} workloads | {} crash points, {} crash states | {} reports | \
          {} state bits, {} cov bits | {} corpus entries | fingerprint {:016x}",
         merged.workloads,
-        merged.totals[0],
-        merged.totals[1],
+        merged.totals[counter_slot("crash_points")],
+        merged.totals[counter_slot("crash_states")],
         merged.reports,
         merged.state_bits_set,
         merged.cov_bits_set,
@@ -359,7 +392,7 @@ fn main() {
         sum.tasks_resumed,
         sum.journal_workloads_replayed,
         sum.rewarm_runs,
-        merged.totals[5],
+        merged.totals[counter_slot("prefix_ops_saved")],
         bench::fmt_dur(elapsed),
     );
     if torture.is_some() {
@@ -373,4 +406,5 @@ fn main() {
             sum.tasks_quarantined,
         );
     }
+    print_findings(&store);
 }

@@ -33,6 +33,7 @@ use bench::campaign::{
     hostio::{FaultSpec, HostCtx},
     runner::{self, RunOpts},
     store::CampaignStore,
+    wire::counter_slot,
     CampaignSpec,
 };
 use bench::{hunt_with_ace, hunt_with_fuzzer, jsonout::Json, PhaseTotals};
@@ -103,9 +104,10 @@ fn campaign_resume_bench() -> Json {
         Err(_) => (false, false, runner::WorkerSummary::default()),
     };
 
+    const SAVED: usize = counter_slot("prefix_ops_saved");
     let doc = Json::Obj(vec![
-        ("cold_prefix_ops_saved", Json::U(cold.totals[5])),
-        ("resumed_prefix_ops_saved", Json::U(warm.totals[5])),
+        ("cold_prefix_ops_saved", Json::U(cold.totals[SAVED])),
+        ("resumed_prefix_ops_saved", Json::U(warm.totals[SAVED])),
         ("tasks_resumed", Json::U(sum.tasks_resumed)),
         ("journal_workloads_replayed", Json::U(sum.journal_workloads_replayed)),
         ("rewarm_runs", Json::U(sum.rewarm_runs)),
@@ -181,7 +183,6 @@ fn main() {
     let mut worker_hits: Vec<u64> = Vec::new();
     let mut sandbox_totals = [0u64; 4];
     let mut oracle_totals = [0u64; 2];
-    let mut host_totals = [0u64; 3];
     let mut phase_total = PhaseTotals::default();
     for info in &uniques {
         if info.ace_findable {
@@ -208,9 +209,6 @@ fn main() {
                 sandbox_totals[3] += h.fuel_exhausted;
                 oracle_totals[0] += h.oracle_subtrees_pruned;
                 oracle_totals[1] += h.oracle_snap_bytes_shared;
-                host_totals[0] += h.io_retries;
-                host_totals[1] += h.tasks_quarantined;
-                host_totals[2] += h.degraded_mode;
                 phase_total.oracle += h.phase.oracle;
                 phase_total.record += h.phase.record;
                 phase_total.check += h.phase.check;
@@ -232,9 +230,6 @@ fn main() {
             sandbox_totals[3] += h.fuel_exhausted;
             oracle_totals[0] += h.oracle_subtrees_pruned;
             oracle_totals[1] += h.oracle_snap_bytes_shared;
-            host_totals[0] += h.io_retries;
-            host_totals[1] += h.tasks_quarantined;
-            host_totals[2] += h.degraded_mode;
             phase_total.oracle += h.phase.oracle;
             phase_total.record += h.phase.record;
             phase_total.check += h.phase.check;
@@ -347,9 +342,6 @@ fn main() {
                     ("fuel_exhausted", Json::U(sandbox_totals[3])),
                     ("oracle_subtrees_pruned", Json::U(oracle_totals[0])),
                     ("oracle_snap_bytes_shared", Json::U(oracle_totals[1])),
-                    ("io_retries", Json::U(host_totals[0])),
-                    ("tasks_quarantined", Json::U(host_totals[1])),
-                    ("degraded_mode", Json::U(host_totals[2])),
                     (
                         "per_worker_prefix_hits",
                         Json::Arr(worker_hits.iter().map(|&v| Json::U(v)).collect()),

@@ -7,8 +7,6 @@
 //! ```sh
 //! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]
 //! cargo run --release -p bench --bin hunt -- --repro <bundle.json>
-//! cargo run --release -p bench --bin hunt -- <bug#> [threads] [fuzz_budget] [seed] --store <dir>
-//! cargo run --release -p bench --bin hunt -- --resume <dir> [threads]
 //! ```
 //!
 //! `threads` (default 1) is how many workers the workload batches are
@@ -28,20 +26,13 @@
 //! loads but fails to reproduce, 2 when the bundle itself is malformed
 //! (the error names the file, byte offset, and recovery action).
 //!
-//! With `--store <dir>`, the hunt runs as a persistent campaign targeting
-//! just that bug (see `bench::campaign`): an ACE seq-1 sweep plus the fuzz
-//! budget, journaled per workload — a killed hunt rerun with the same
-//! `--store` (or with `--resume <dir>`) continues at the exact workload
-//! index with a warm prefix cache instead of starting over.
+//! The journaled, resumable form of a single-bug hunt is `campaignd --store
+//! <dir> --bug <bug#>` (see `bench::campaign`), which prints the first find
+//! of its merged results.
 //!
 //! Unknown flags, malformed numbers, and extra arguments are fatal (exit 2)
 //! rather than silently ignored.
 
-use bench::campaign::{
-    runner::{self, RunOpts},
-    store::CampaignStore,
-    CampaignSpec,
-};
 use bench::{
     fmt_dur, hunt_json, hunt_with_ace, hunt_with_fuzzer, jsonout::Json, shrink_to_bundle,
     HuntResult, ReproBundle,
@@ -54,8 +45,6 @@ fn usage() -> ! {
         "usage: hunt [bug#] [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]"
     );
     eprintln!("       hunt --repro <bundle.json>");
-    eprintln!("       hunt [bug#] [threads] [fuzz_budget] [seed] --store <dir>");
-    eprintln!("       hunt --resume <dir> [threads]");
     std::process::exit(2);
 }
 
@@ -81,8 +70,6 @@ fn main() {
     let mut json_path: Option<String> = None;
     let mut repro_path: Option<String> = None;
     let mut out_path: Option<String> = None;
-    let mut store_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
     let mut do_shrink = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -90,8 +77,6 @@ fn main() {
             "--json" => json_path = Some(flag_value("--json", &mut it)),
             "--repro" => repro_path = Some(flag_value("--repro", &mut it)),
             "--out" => out_path = Some(flag_value("--out", &mut it)),
-            "--store" => store_path = Some(flag_value("--store", &mut it)),
-            "--resume" => resume_path = Some(flag_value("--resume", &mut it)),
             "--shrink" => do_shrink = true,
             s if s.starts_with('-') => {
                 eprintln!("unknown flag {s:?}");
@@ -140,60 +125,6 @@ fn main() {
             println!("  {}", out.detail);
         }
         std::process::exit(if out.ok { 0 } else { 1 });
-    }
-
-    // Store-backed modes: the hunt as a persistent, resumable campaign.
-    if store_path.is_some() || resume_path.is_some() {
-        if do_shrink || json_path.is_some() || out_path.is_some() {
-            eprintln!("--store/--resume cannot be combined with --shrink/--json/--out");
-            usage();
-        }
-        if store_path.is_some() && resume_path.is_some() {
-            eprintln!("--store and --resume are mutually exclusive");
-            usage();
-        }
-        if let Some(dir) = resume_path {
-            if pos.len() > 1 {
-                eprintln!("unexpected argument {:?}", pos[1]);
-                usage();
-            }
-            let threads: usize = parse_pos(pos.first(), "thread count", 1);
-            let store = CampaignStore::open(std::path::Path::new(&dir)).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(e.exit_code());
-            });
-            run_store_hunt(store, threads);
-        }
-        let dir = store_path.expect("checked above");
-        let number: u32 = parse_pos(pos.first(), "bug number", 14);
-        let threads: usize = parse_pos(pos.get(1), "thread count", 1);
-        let budget: u64 = parse_pos(pos.get(2), "fuzz budget", 4000);
-        let seed: u64 = parse_pos(pos.get(3), "seed", 0xf16 + number as u64);
-        let info = bug_table()
-            .iter()
-            .find(|b| b.id.number() == number)
-            .unwrap_or_else(|| {
-                eprintln!("no bug #{number} in the Table 1 corpus");
-                usage()
-            });
-        let spec = CampaignSpec {
-            fs: info.fs,
-            bug: Some(number),
-            // ACE front end only helps when the bug is ACE-findable; keep a
-            // single-workload stub phase otherwise so the plan shape (ACE
-            // tasks then fuzz tasks) stays uniform.
-            seq1_take: if info.ace_findable { 0 } else { 1 },
-            seq2_step: 0,
-            fuzz_budget: budget,
-            fuzz_seed: seed,
-            ..CampaignSpec::default()
-        };
-        let store = CampaignStore::open_or_init(std::path::Path::new(&dir), &spec)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(e.exit_code());
-            });
-        run_store_hunt(store, threads);
     }
 
     let number: u32 = parse_pos(pos.first(), "bug number", 14);
@@ -303,49 +234,4 @@ fn main() {
             stats.state_candidates,
         );
     }
-}
-
-/// Runs (or resumes) a store-backed single-bug hunt campaign to completion
-/// in-process, prints the merged summary and first find, and exits — status
-/// 0 when the sweep finished; store errors exit with their mapped codes
-/// (2 corrupt, 3 degraded/out of space, 1 other).
-fn run_store_hunt(store: CampaignStore, threads: usize) -> ! {
-    let bug = store.spec.bug.unwrap_or(0);
-    println!(
-        "store hunt for bug {bug} on {} at {} | {} tasks ({} ace + {} fuzz) | threads = {threads}",
-        store.spec.fs,
-        store.dir.display(),
-        store.spec.total_tasks(),
-        store.spec.ace_tasks(),
-        store.spec.fuzz_tasks(),
-    );
-    let opts = RunOpts { threads, ..RunOpts::default() };
-    let (sum, merged) = runner::run_and_merge(&store, &opts).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
-    });
-    runner::write_summary(&store, &opts, &sum);
-    println!(
-        "{} workloads ({} resumed from the journal, {} rewarm runs) | \
-         {} crash states, prefix ops saved {} | fingerprint {:016x}",
-        merged.workloads,
-        sum.journal_workloads_replayed,
-        sum.rewarm_runs,
-        merged.totals[1],
-        merged.totals[5],
-        merged.fingerprint,
-    );
-    // First find in canonical order, if any.
-    let find = (0..store.spec.total_tasks())
-        .filter_map(|id| store.load_result(id).ok().flatten())
-        .flatten()
-        .find_map(|r| r.reports.into_iter().next());
-    match find {
-        Some(r) => println!(
-            "found: [{}] {} | {} @ op {} | {}",
-            r.class, r.workload, r.op_desc, r.op_seq, r.detail
-        ),
-        None => println!("not found within the campaign budget"),
-    }
-    std::process::exit(0);
 }

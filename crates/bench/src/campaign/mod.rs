@@ -29,7 +29,7 @@
 //!    ([`crate::plan_subtrees`] + `PrefixCache`) in-process; per-workload
 //!    results are pure functions of their task (the invariant the
 //!    `Scheduler` already pins), so the merged document is byte-identical
-//!    to a serial run at any worker count, kill pattern, or thread count.
+//!    to a serial run at any worker count or kill pattern.
 
 pub mod hostio;
 pub mod queue;
@@ -72,7 +72,7 @@ pub struct CampaignSpec {
     /// Size, in bits, of the persistent coverage / crash-state bitmaps.
     /// Must be a power of two.
     pub bitmap_bits: u64,
-    /// Restrict the hunt to one injected Table 1 bug (`hunt --store` mode);
+    /// Restrict the hunt to one injected Table 1 bug (`campaignd --bug N`);
     /// `None` campaigns against the as-released bug set.
     pub bug: Option<u32>,
 }
@@ -154,15 +154,14 @@ impl CampaignSpec {
 
     /// Checking config for ACE tasks (full checking under the campaign cap,
     /// crash-state keys collected for the store's bitmaps).
-    pub fn ace_cfg(&self, threads: usize) -> TestConfig {
+    pub fn ace_cfg(&self) -> TestConfig {
         TestConfig { cap: self.cap, collect_state_keys: true, ..TestConfig::default() }
-            .with_threads(threads)
     }
 
     /// Checking config for fuzz tasks (the paper's fuzzing config: cap of
     /// two, stop on first violation).
-    pub fn fuzz_cfg(&self, threads: usize) -> TestConfig {
-        TestConfig { collect_state_keys: true, ..TestConfig::fuzzing() }.with_threads(threads)
+    pub fn fuzz_cfg(&self) -> TestConfig {
+        TestConfig { collect_state_keys: true, ..TestConfig::fuzzing() }
     }
 
     /// Serializes the spec for `store.json`.

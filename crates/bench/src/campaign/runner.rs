@@ -24,10 +24,10 @@
 //! `next_workload`/`feedback` over the journaled prefix puts the RNG
 //! stream, corpus, and seen-set exactly where the killed worker left them.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::time::Duration;
 
-use chipmunk::{sandbox, test_workload, PrefixCache, Stage, TestConfig};
+use chipmunk::{test_on_fresh_sinks, PrefixCache, TestConfig};
 use vfs::{
     fs::{FsKind, FsOptions},
     BugSet, Cov, Workload,
@@ -35,23 +35,22 @@ use vfs::{
 use workloads::fuzz::{FuzzConfig, Fuzzer};
 
 use crate::jsonout::{self, JVal};
+use crate::sched::guarded_run;
 use crate::{dispatch, plan_subtrees, SubtreePlan, WithKind};
 
 use super::hostio::StoreError;
 use super::queue::{Claim, Lease, WorkQueue};
 use super::store::{CampaignStore, TaskJournal};
-use super::wire::{fnv1a, ju, WRes};
+use super::wire::{counter_slot, fnv1a, ju, WRes, COUNTER_NAMES};
 use super::{CampaignSpec, TaskKind, FUZZ_TASK_LEN};
 
 /// Worker runtime options (everything *not* in the spec: these may differ
-/// between runs of the same campaign without affecting its results).
+/// between runs of the same campaign without affecting its results). There
+/// is no thread count here: a worker runs its task's workloads one after
+/// another, one workload is checked by one thread, and a store campaign's
+/// parallelism is its worker processes (`campaignd --workers N`).
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// Copied into the tasks' `TestConfig::threads`. Outcome-invariant, and
-    /// at present effect-free: a task runs its workloads one after another
-    /// on its worker (a store campaign's parallelism is its worker
-    /// processes) and one workload is checked by one thread.
-    pub threads: usize,
     /// Lease heartbeat TTL for stale-lease reclamation.
     pub ttl: Duration,
     /// Worker id (lease files, summary file name).
@@ -68,7 +67,6 @@ pub struct RunOpts {
 impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
-            threads: 1,
             ttl: Duration::from_secs(5),
             worker_id: format!("w{}", std::process::id()),
             kill_after_checkpoints: None,
@@ -311,7 +309,7 @@ fn run_task(
                 sum.journal_workloads_replayed += state.done.len() as u64;
             }
             let mut journal = TaskJournal::open(&store.io, &store.journal_path(id), &state, sig)?;
-            let cfg = store.spec.ace_cfg(opts.threads);
+            let cfg = store.spec.ace_cfg();
             dispatch(
                 store.spec.fs,
                 campaign_opts(&store.spec),
@@ -351,7 +349,7 @@ fn run_task(
                 })?);
             }
             let len = FUZZ_TASK_LEN.min(store.spec.fuzz_budget - index * FUZZ_TASK_LEN) as usize;
-            let cfg = store.spec.fuzz_cfg(opts.threads);
+            let cfg = store.spec.fuzz_cfg();
             dispatch(
                 store.spec.fs,
                 campaign_opts(&store.spec),
@@ -373,7 +371,7 @@ fn run_task(
 
 /// Campaigns hunt the as-released file system with coverage on (the fuzzer
 /// feeds on it; ACE coverage enriches the store's bitmap for free). A spec
-/// targeting one Table 1 bug (`hunt --store`) injects only that bug.
+/// targeting one Table 1 bug (`campaignd --bug N`) injects only that bug.
 fn campaign_opts(spec: &CampaignSpec) -> FsOptions {
     let bugs = match spec.bug {
         Some(n) => {
@@ -449,11 +447,6 @@ impl WithKind for AceTask<'_> {
         let mut cache = PrefixCache::new(&kind);
         let mut slots: Vec<Option<WRes>> = Vec::with_capacity(self.ws.len());
         slots.resize_with(self.ws.len(), || None);
-        let guarded_run = |cache: &mut PrefixCache<K>, w: &Workload, cfg: &TestConfig| {
-            sandbox::guarded(Stage::Worker, || cache.run(w, cfg)).unwrap_or_else(|v| {
-                (crate::worker_failure_outcome(w, v), HashSet::new(), BTreeSet::new())
-            })
-        };
         for g in &self.plan.groups {
             // `warm` = the cache currently holds the state of this group's
             // previous workload (the serial invariant a journal skip breaks).
@@ -470,17 +463,21 @@ impl WithKind for AceTask<'_> {
                     // function of the workload that produced it, so the next
                     // live run splices from exactly the prefix depth it
                     // would have seen uninterrupted.
-                    let _ = guarded_run(&mut cache, &self.ws[g[pos - 1]], self.cfg);
+                    let prev = &self.ws[g[pos - 1]];
+                    let _ = guarded_run(prev, || cache.run(prev, self.cfg));
                     *self.rewarms += 1;
                 }
-                let (out, cov, _trace) = guarded_run(&mut cache, &self.ws[i], self.cfg);
+                // Guarded, as every batch item is (`sched::run_shards`): a
+                // panic escaping the run fails this workload only.
+                let w = &self.ws[i];
+                let (out, cov, _trace) = guarded_run(w, || cache.run(w, self.cfg));
                 let mut res = WRes::from_outcome(&out, &cov, self.bitmap_bits, Vec::new(), None);
                 if i == 0 {
                     // The scheduler stamps subtree stats on the batch's
                     // first outcome; the plan is known up front, so the
                     // stamp lands even when index 0 runs after a resume.
-                    res.counters[6] = self.plan.groups.len() as u64;
-                    res.counters[7] = self.plan.max_depth;
+                    res.counters[counter_slot("sched_subtrees")] = self.plan.groups.len() as u64;
+                    res.counters[MAX_DEPTH] = self.plan.max_depth;
                 }
                 self.journal.checkpoint(i, &res)?;
                 self.lease.heartbeat();
@@ -535,12 +532,10 @@ impl WithKind for FuzzTask<'_> {
                 continue;
             }
             let w = fuzzer.next_workload();
-            // Mirror `run_batch`'s per-workload semantics: fresh sinks, the
-            // whole run guarded so an FS panic fails one workload only.
-            let fresh = kind.with_options(kind.options().with_fresh_sinks());
-            let out = sandbox::guarded(Stage::Worker, || test_workload(&fresh, &w, self.cfg))
-                .unwrap_or_else(|v| crate::worker_failure_outcome(&w, v));
-            let cov = fresh.options().cov.snapshot();
+            // `run_batch`'s per-workload semantics: fresh sinks, the whole
+            // run guarded so an FS panic fails one workload only.
+            let (out, cov, _trace) =
+                guarded_run(&w, || test_on_fresh_sinks(&kind, &w, self.cfg));
             let mut new: Vec<u64> = cov.iter().filter(|h| !seen.contains(h)).copied().collect();
             new.sort_unstable();
             seen.extend(new.iter().copied());
@@ -571,11 +566,12 @@ impl WithKind for FuzzTask<'_> {
 #[derive(Debug)]
 pub struct Merged {
     /// Rendered `campaign.json` contents (deterministic: byte-identical for
-    /// any worker count, thread count, or kill/resume pattern).
+    /// any worker count or kill/resume pattern).
     pub doc: String,
     /// Workloads merged.
     pub workloads: u64,
-    /// Summed counters (see [`super::wire::COUNTER_NAMES`]).
+    /// Summed counters, one per [`COUNTER_NAMES`] slot — index them with
+    /// [`counter_slot`], never by position.
     pub totals: [u64; 20],
     /// Total violation reports.
     pub reports: u64,
@@ -588,6 +584,9 @@ pub struct Merged {
     /// FNV-1a chain over every workload result line, in canonical order.
     pub fingerprint: u64,
 }
+
+/// The one counter that merges as a max; every other slot sums.
+const MAX_DEPTH: usize = counter_slot("sched_subtree_max_depth");
 
 /// Merges all committed task results in canonical (task, batch-index)
 /// order, writes `campaign.json`, the coverage bitmaps, and the corpus
@@ -614,7 +613,7 @@ pub fn merge(store: &CampaignStore) -> Result<Merged, StoreError> {
             workloads += 1;
             fingerprint = fnv1a(res.to_jval().render().as_bytes(), fingerprint);
             for (idx, c) in res.counters.iter().enumerate() {
-                if idx == 7 {
+                if idx == MAX_DEPTH {
                     // sched_subtree_max_depth is a max, everything else sums.
                     totals[idx] = totals[idx].max(*c);
                 } else {
@@ -648,7 +647,7 @@ pub fn merge(store: &CampaignStore) -> Result<Merged, StoreError> {
     store.io.write_atomic(&store.dir.join("coverage/cov.bits"), &cov_map)?;
 
     let totals_obj = JVal::Obj(
-        super::wire::COUNTER_NAMES
+        COUNTER_NAMES
             .iter()
             .zip(totals)
             .map(|(n, v)| (n.to_string(), ju(v)))

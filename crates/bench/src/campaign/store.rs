@@ -405,6 +405,15 @@ mod tests {
         // The task can be re-committed afterwards.
         s.write_result(3, &[wres("a")]).unwrap();
         assert_eq!(s.load_result_verified(3).unwrap().unwrap().len(), 1);
+
+        // A well-formed result written under another counter layout is
+        // corrupt too, and the error says which layout this build reads.
+        let text = std::fs::read_to_string(s.result_path(3)).unwrap();
+        std::fs::write(s.result_path(3), text.replace("[1,1,1,", "[")).unwrap();
+        let err = s.load_result(3).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("expected 20 counters, got 17") && msg.contains("re-run"), "{msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

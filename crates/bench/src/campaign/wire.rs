@@ -192,17 +192,14 @@ pub struct WRes {
     pub ops: Option<Vec<String>>,
 }
 
-/// Names of the [`WRes::counters`] slots, in order. The three `rep_*`
-/// slots were appended after the 12-slot layout shipped, the two
-/// `oracle_*` slots after the 15-slot one, and the three host-I/O
-/// observability slots (`io_retries` / `tasks_quarantined` /
-/// `degraded_mode`) after the 17-slot one; [`WRes::from_jval`] still
-/// accepts 12-, 15- and 17-counter journal lines (older stores) by
-/// zero-padding. The host-I/O slots are always 0 in journaled per-workload
-/// results — the in-memory harness performs no host I/O, and stamping
-/// host-level numbers into `WRes` would break the byte-identical-merge
-/// invariant under fault injection; real host-I/O counts travel in the
-/// worker summaries and `run.json` instead.
+/// Names of the [`WRes::counters`] slots, in order — the one declaration
+/// of the layout; everything else finds a slot through [`counter_slot`]. A
+/// journal or result line with any other number of counters is rejected
+/// (see [`WRes::from_jval`]). The last three slots are always 0 in
+/// journaled per-workload results: the in-memory harness performs no host
+/// I/O, and stamping host-level numbers into `WRes` would break the
+/// byte-identical-merge invariant under fault injection; real host-I/O
+/// counts travel in the worker summaries and `run.json` instead.
 pub const COUNTER_NAMES: [&str; 20] = [
     "crash_points",
     "crash_states",
@@ -225,6 +222,25 @@ pub const COUNTER_NAMES: [&str; 20] = [
     "tasks_quarantined",
     "degraded_mode",
 ];
+
+/// The [`WRes::counters`] / `Merged::totals` slot of the counter called
+/// `name`. Evaluated at compile time when bound to a `const`, where a name
+/// that is not in [`COUNTER_NAMES`] is a build error.
+pub const fn counter_slot(name: &str) -> usize {
+    let mut slot = 0;
+    while slot < COUNTER_NAMES.len() {
+        let (a, b) = (COUNTER_NAMES[slot].as_bytes(), name.as_bytes());
+        let mut i = 0;
+        while i < a.len() && i < b.len() && a[i] == b[i] {
+            i += 1;
+        }
+        if i == a.len() && i == b.len() {
+            return slot;
+        }
+        slot += 1;
+    }
+    panic!("not a name in COUNTER_NAMES")
+}
 
 impl WRes {
     /// Builds the wire result from a harness outcome. `bitmap_bits` folds
@@ -267,9 +283,10 @@ impl WRes {
                 out.rep_expansions,
                 out.oracle_subtrees_pruned,
                 out.oracle_snap_bytes_shared,
-                out.io_retries,
-                out.tasks_quarantined,
-                out.degraded_mode,
+                // The host-I/O slots: see `COUNTER_NAMES`.
+                0,
+                0,
+                0,
             ],
             state_bits,
             cov_bits,
@@ -311,11 +328,11 @@ impl WRes {
     /// Parses a result back.
     pub fn from_jval(v: &JVal) -> Result<Self, String> {
         let counters_arr = v.get("counters").and_then(JVal::as_arr).ok_or("wres: missing counters")?;
-        // 12 (pre-rep_check), 15 (pre-shared_oracle) and 17 (pre-host-io)
-        // are older layouts; missing slots stay 0.
-        if ![20, 17, 15, 12].contains(&counters_arr.len()) {
+        if counters_arr.len() != COUNTER_NAMES.len() {
             return Err(format!(
-                "wres: expected 12, 15, 17 or 20 counters, got {}",
+                "wres: expected {} counters, got {} — the line was written under another \
+                 counter layout; re-run the campaign in a fresh store",
+                COUNTER_NAMES.len(),
                 counters_arr.len()
             ));
         }
@@ -423,18 +440,12 @@ mod tests {
         let back = WRes::from_jval(&crate::jsonout::parse(&no_ops.to_jval().render()).unwrap())
             .unwrap();
         assert_eq!(back, no_ops);
-    }
 
-    #[test]
-    fn wres_accepts_legacy_twelve_counter_lines() {
-        // A journal written before the rep_check counters existed carries
-        // 12-element counter arrays; they parse with the rep slots zeroed.
-        let legacy = r#"{"name":"w","counters":[9,120,40,3,1,14,2,3,0,0,0,0],"state_bits":[],"cov_bits":[],"cov_new":[],"reports":[]}"#;
-        let w = WRes::from_jval(&crate::jsonout::parse(legacy).unwrap()).unwrap();
-        assert_eq!(w.counters[..12], [9, 120, 40, 3, 1, 14, 2, 3, 0, 0, 0, 0]);
-        assert_eq!(w.counters[12..], [0; 8], "rep/oracle/host-io slots default to zero");
-        let bad = legacy.replace("[9,120,40,3,1,14,2,3,0,0,0,0]", "[9,120,40]");
-        assert!(WRes::from_jval(&crate::jsonout::parse(&bad).unwrap()).is_err());
+        // Any other counter count is another layout: rejected by name, never
+        // zero-padded.
+        let short = no_ops.to_jval().render().replace(",0,0,0]", "]");
+        let err = WRes::from_jval(&crate::jsonout::parse(&short).unwrap()).unwrap_err();
+        assert!(err.contains("expected 20 counters, got 17") && err.contains("re-run"), "{err}");
     }
 
     #[test]
@@ -458,7 +469,8 @@ mod tests {
         let w = WRes::from_outcome(&out, &cov, 4096, vec![], None);
         assert_eq!(w.state_bits, vec![7, 9], "folded, sorted, deduplicated");
         assert_eq!(w.cov_bits, vec![3, 10]);
-        assert_eq!(w.counters[0], 3);
+        assert_eq!(w.counters[counter_slot("crash_points")], 3);
+        assert_eq!(w.counters[counter_slot("crash_states")], 5);
         assert_eq!(w.reports.len(), 1);
         assert_eq!(w.reports[0].class, "unmountable");
         assert_eq!(w.reports[0].point, None);

@@ -8,10 +8,7 @@ use std::{
     time::{Duration, Instant},
 };
 
-use chipmunk::{
-    reference, sandbox, test_workload, BugReport, CrashPhase, Stage, TestConfig, TestOutcome,
-    Violation,
-};
+use chipmunk::{reference, test_on_fresh_sinks, BugReport, TestConfig, TestOutcome};
 use ext4dax::Ext4DaxKind;
 use novafs::NovaKind;
 use pmfs::PmfsKind;
@@ -66,107 +63,52 @@ pub fn mode_for(fs: FsName) -> AceMode {
     }
 }
 
-/// Runs a batch of workloads through [`test_workload`] across
+/// Runs a batch of workloads through [`test_on_fresh_sinks`] across
 /// `cfg.threads` workers, returning `(outcome, per-workload coverage)`
 /// pairs **in batch order** — byte-identical to what a serial loop over the
-/// same batch would produce. A workload is checked entirely on its worker's
-/// thread, so a call never runs more than `cfg.threads` threads.
+/// same batch would produce. This is [`sched::run_shards`] over contiguous
+/// chunks of the batch with no per-worker state: a workload is checked
+/// entirely on its worker's thread, a call never runs more than
+/// `cfg.threads` threads, and a panic escaping one workload's run fails that
+/// workload only (see the `sched` module docs).
 ///
-/// Each workload is tested on a factory clone carrying fresh
-/// coverage/trace sinks ([`FsOptions::with_fresh_sinks`]), so workers never
-/// race on shared instrumentation. Afterwards each workload's sinks are
-/// absorbed into `kind`'s shared sinks in batch order and its
-/// `traced_bugs` is re-snapshotted from the shared trace — reproducing
-/// exactly the cumulative semantics of a serial run on a shared sink.
+/// Each workload is tested on fresh coverage/trace sinks, so workers never
+/// race on shared instrumentation; the results are then [`commit`]ted to
+/// `kind`'s shared sinks in batch order — reproducing exactly the
+/// cumulative semantics of a serial run on a shared sink.
 pub fn run_batch<K: FsKind>(
     kind: &K,
     batch: &[Workload],
     cfg: &TestConfig,
 ) -> Vec<(TestOutcome, HashSet<u64>)> {
-    let threads = cfg.threads.max(1);
-    let run_one = |w: &Workload| {
-        let fresh = kind.with_options(kind.options().with_fresh_sinks());
-        // With the sandbox on, a panic escaping the whole run (e.g. during
-        // recording, outside the per-stage checker guards) fails only this
-        // workload: it commits a synthesized worker-failure outcome and the
-        // rest of the batch proceeds. Sandbox off keeps fail-fast panics.
-        let out = if cfg.sandbox {
-            sandbox::guarded(Stage::Worker, || test_workload(&fresh, w, cfg))
-                .unwrap_or_else(|v| worker_failure_outcome(w, v))
-        } else {
-            test_workload(&fresh, w, cfg)
-        };
-        let cov = fresh.options().cov.snapshot();
-        let trace = fresh.options().trace.snapshot();
-        (out, cov, trace)
-    };
-
-    let mut slots: Vec<Option<(TestOutcome, HashSet<u64>, _)>> = Vec::with_capacity(batch.len());
-    slots.resize_with(batch.len(), || None);
-    if threads <= 1 || batch.len() <= 1 {
-        for (i, w) in batch.iter().enumerate() {
-            slots[i] = Some(run_one(w));
-        }
-    } else {
-        let per = batch.len().div_ceil(threads);
-        let run_one = &run_one;
-        std::thread::scope(|sc| {
-            let handles: Vec<_> = batch
-                .chunks(per)
-                .enumerate()
-                .map(|(c, shard)| {
-                    let h = sc.spawn(move || {
-                        shard
-                            .iter()
-                            .enumerate()
-                            .map(|(j, w)| (c * per + j, run_one(w)))
-                            .collect::<Vec<_>>()
-                    });
-                    (c, shard, h)
-                })
-                .collect();
-            for (c, shard, h) in handles {
-                match h.join() {
-                    Ok(rs) => {
-                        for (i, r) in rs {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(_) => {
-                        // A shard worker died (only possible with the
-                        // sandbox off, or on a harness bug). Re-run its
-                        // items one at a time so only the panicking
-                        // workload fails, with a diagnostic.
-                        for (j, w) in shard.iter().enumerate() {
-                            let r = sandbox::guarded(Stage::Worker, || run_one(w))
-                                .unwrap_or_else(|v| {
-                                    (worker_failure_outcome(w, v), HashSet::new(), Default::default())
-                                });
-                            slots[c * per + j] = Some(r);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    slots
+    let per = batch.len().div_ceil(cfg.threads.max(1)).max(1);
+    let indices: Vec<usize> = (0..batch.len()).collect();
+    let shards: Vec<Vec<usize>> = indices.chunks(per).map(<[usize]>::to_vec).collect();
+    let mut no_state = vec![(); shards.len()];
+    sched::run_shards(batch, cfg, &shards, &mut no_state, |_, w| test_on_fresh_sinks(kind, w, cfg))
         .into_iter()
-        .map(|slot| {
-            let (mut out, cov, trace) = slot.expect("every batch slot filled");
-            kind.options().cov.absorb(&cov);
-            kind.options().trace.absorb(&trace);
-            out.traced_bugs = kind.options().trace.snapshot();
-            (out, cov)
-        })
+        .map(|r| commit(kind, r))
         .collect()
+}
+
+/// Commits one workload's result to `kind`'s shared sinks: absorbs its
+/// private coverage and trace, then re-snapshots `traced_bugs` from the
+/// shared trace. Every batch runner calls this once per workload, in batch
+/// order, whatever order the workloads ran in.
+fn commit<K: FsKind>(
+    kind: &K,
+    (mut out, cov, trace): WorkloadResult,
+) -> (TestOutcome, HashSet<u64>) {
+    kind.options().cov.absorb(&cov);
+    kind.options().trace.absorb(&trace);
+    out.traced_bugs = kind.options().trace.snapshot();
+    (out, cov)
 }
 
 /// [`run_batch`]'s shape for the literal reference checker
 /// ([`chipmunk::reference`]): serial, every workload on a fresh-sink factory
-/// clone, sinks absorbed into `kind` and `traced_bugs` re-snapshotted in
-/// batch order — so a production batch and a reference batch compare
-/// element by element.
+/// clone, results [`commit`]ted in batch order — so a production batch and a
+/// reference batch compare element by element.
 pub fn run_reference<K: FsKind>(
     kind: &K,
     batch: &[Workload],
@@ -176,38 +118,11 @@ pub fn run_reference<K: FsKind>(
         .iter()
         .map(|w| {
             let fresh = kind.with_options(kind.options().with_fresh_sinks());
-            let mut out = reference::check_workload(&fresh, w, cfg);
-            let cov = fresh.options().cov.snapshot();
-            kind.options().cov.absorb(&cov);
-            kind.options().trace.absorb(&fresh.options().trace.snapshot());
-            out.traced_bugs = kind.options().trace.snapshot();
-            (out, cov)
+            let out = reference::check_workload(&fresh, w, cfg);
+            let (cov, trace) = (fresh.options().cov.snapshot(), fresh.options().trace.snapshot());
+            commit(kind, (out, cov, trace))
         })
         .collect()
-}
-
-/// The outcome committed for a workload whose *worker* died outside the
-/// per-stage checker sandbox (e.g. a panic while recording): one
-/// worker-stage report carrying the panic diagnostic, so a batch loses only
-/// the affected item.
-pub(crate) fn worker_failure_outcome(w: &Workload, v: Violation) -> TestOutcome {
-    let mut out = TestOutcome { workload: w.name.clone(), ..Default::default() };
-    match &v {
-        Violation::RecoveryPanic { .. } => out.recovery_panics = 1,
-        Violation::RecoveryHang { .. } => out.recovery_hangs = 1,
-        _ => {}
-    }
-    out.reports.push(BugReport {
-        workload: w.name.clone(),
-        op_seq: 0,
-        op_desc: "<worker>".to_string(),
-        phase: CrashPhase::DuringSyscall,
-        subset: String::new(),
-        point: None,
-        subset_ids: Vec::new(),
-        violation: v,
-    });
-    out
 }
 
 /// [`run_batch`] with an optional prefix-tree scheduler: when the scheduler
@@ -231,16 +146,7 @@ pub fn run_batch_cached<K: FsKind>(
         Some(s) if s.is_active() => s,
         _ => return run_batch(kind, batch, cfg),
     };
-    sched
-        .run(batch, cfg)
-        .into_iter()
-        .map(|(mut out, cov, trace)| {
-            kind.options().cov.absorb(&cov);
-            kind.options().trace.absorb(&trace);
-            out.traced_bugs = kind.options().trace.snapshot();
-            (out, cov)
-        })
-        .collect()
+    sched.run(batch, cfg).into_iter().map(|r| commit(kind, r)).collect()
 }
 
 /// The one batch-sizing rule for the scheduled batch runners (the ACE hunt
@@ -329,16 +235,6 @@ pub struct HuntResult {
     /// File-data bytes oracle snapshots shared with their predecessor
     /// instead of re-copying, until the find.
     pub oracle_snap_bytes_shared: u64,
-    /// Host-I/O retries performed until the find. Always 0 from the
-    /// in-memory harness; populated when a host-backed pipeline (the
-    /// campaign store) carries these counters end to end.
-    pub io_retries: u64,
-    /// Committed artifacts quarantined as corrupt until the find (host
-    /// pipeline only; 0 in-memory).
-    pub tasks_quarantined: u64,
-    /// 1 when the backing store entered read-only degraded mode (host
-    /// pipeline only; 0 in-memory).
-    pub degraded_mode: u64,
     /// Cumulative per-phase wall time over the committed workloads.
     pub phase: PhaseTotals,
 }
@@ -402,9 +298,6 @@ fn hunt_found(
         fuel_exhausted: sum.fuel_exhausted,
         oracle_subtrees_pruned: sum.oracle_subtrees_pruned,
         oracle_snap_bytes_shared: sum.oracle_snap_bytes_shared,
-        io_retries: sum.io_retries,
-        tasks_quarantined: sum.tasks_quarantined,
-        degraded_mode: sum.degraded_mode,
         phase: sum.phase,
     };
     (Some(find), workloads, states)
@@ -577,14 +470,6 @@ pub struct SuiteStats {
     /// File-data bytes oracle snapshots shared with their predecessor
     /// instead of re-copying.
     pub oracle_snap_bytes_shared: u64,
-    /// Host-I/O retries (0 from the in-memory harness; carried for the
-    /// campaign store's host-level counter pipeline).
-    pub io_retries: u64,
-    /// Committed artifacts quarantined as corrupt (0 in-memory).
-    pub tasks_quarantined: u64,
-    /// 1 when the backing store entered read-only degraded mode (0
-    /// in-memory).
-    pub degraded_mode: u64,
     /// Cumulative per-phase wall times.
     pub phase: PhaseTotals,
     /// Every violation report, in workload order (determinism witnesses
@@ -622,9 +507,6 @@ impl SuiteStats {
         self.fuel_exhausted += out.fuel_exhausted;
         self.oracle_subtrees_pruned += out.oracle_subtrees_pruned;
         self.oracle_snap_bytes_shared += out.oracle_snap_bytes_shared;
-        self.io_retries += out.io_retries;
-        self.tasks_quarantined += out.tasks_quarantined;
-        self.degraded_mode += out.degraded_mode;
         self.phase.add(&out.timing);
     }
 }
@@ -672,6 +554,26 @@ pub const STRONG_SYSTEMS: [FsName; 5] = [
     FsName::WineFs,
     FsName::SplitFs,
 ];
+
+/// Prints one line per triage cluster of `reports`: its minimal exemplar
+/// (fewest ops, then smallest replayed subset) — the report a developer
+/// would debug first, and the one `hunt --shrink` would package as the
+/// bundle. `campaign` prints its live rounds through here and `campaignd`
+/// its merged store.
+pub fn print_cluster_exemplars(reports: &[BugReport], clusters: &[Vec<usize>]) {
+    for cluster in clusters {
+        let e = &reports[chipmunk::exemplar(reports, cluster)];
+        println!(
+            "    [{} x{}] {} | {} @ op {} | {} in subset",
+            e.violation.class(),
+            cluster.len(),
+            e.workload,
+            e.op_desc,
+            e.op_seq,
+            e.subset_ids.len(),
+        );
+    }
+}
 
 /// Formats a duration compactly for tables.
 pub fn fmt_dur(d: Duration) -> String {
@@ -1242,9 +1144,6 @@ pub fn hunt_json(hit: Option<&HuntResult>, workloads: u64, states: u64) -> jsono
             ("fuel_exhausted", Json::U(h.fuel_exhausted)),
             ("oracle_subtrees_pruned", Json::U(h.oracle_subtrees_pruned)),
             ("oracle_snap_bytes_shared", Json::U(h.oracle_snap_bytes_shared)),
-            ("io_retries", Json::U(h.io_retries)),
-            ("tasks_quarantined", Json::U(h.tasks_quarantined)),
-            ("degraded_mode", Json::U(h.degraded_mode)),
             (
                 "per_worker_prefix_hits",
                 Json::Arr(h.per_worker_prefix_hits.iter().map(|&v| Json::U(v)).collect()),

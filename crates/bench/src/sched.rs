@@ -1,9 +1,32 @@
-//! Prefix-tree-aware deterministic scheduling of workload batches.
+//! The one batch executor, and the prefix-tree-aware scheduling built on it.
 //!
-//! Plain multi-thread sharding scatters a batch's workloads across workers
-//! by arrival position, destroying the adjacent shared op prefixes the
-//! incremental engine's [`PrefixCache`] feeds on. The [`Scheduler`] composes
-//! the two:
+//! ## The executor
+//!
+//! "Run these workloads on N workers, fill the slots in batch order, lose
+//! only the workload that panicked" is [`run_shards`], and nothing else in
+//! this crate spawns a thread. A caller hands it *shards* (the batch indices
+//! each worker runs, in order), one private state per shard, and a per-item
+//! closure. [`crate::run_batch`] is the executor over contiguous chunks with
+//! no state; [`Scheduler::run`] is the executor over prefix subtrees with a
+//! [`PrefixCache`] per worker. Worker isolation has two layers:
+//!
+//! * with `TestConfig::sandbox` on, every item runs under [`guarded_run`], so
+//!   a panic escaping a workload's whole run (while recording, say — outside
+//!   the checker's per-stage guards) commits a `<worker>` report for that
+//!   workload and the shard carries on, at any worker count;
+//! * with the sandbox off an item panics for real. On the caller's thread
+//!   that is the fail-fast the flag asks for; on a worker thread the shard
+//!   dies, and the join side re-runs its items one at a time under the guard
+//!   — the net under the only way a worker thread can die.
+//!
+//! The campaign's tasks keep their own loops (journal splice, re-warm and
+//! kill tick are theirs) and call [`guarded_run`] per workload.
+//!
+//! ## The scheduler
+//!
+//! Plain sharding scatters a batch's workloads across workers by arrival
+//! position, destroying the adjacent shared op prefixes the incremental
+//! engine's [`PrefixCache`] feeds on. The [`Scheduler`] composes the two:
 //!
 //! 1. [`plan_subtrees`] partitions a batch into **prefix subtrees** — the
 //!    groups of workloads sharing their first operation, each sorted
@@ -33,12 +56,103 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
-use chipmunk::{sandbox, PrefixCache, Stage, TestConfig, TestOutcome};
+use chipmunk::{
+    sandbox, BugReport, CrashPhase, PrefixCache, Stage, TestConfig, TestOutcome, Violation,
+};
 use vfs::{BugId, FsKind, Workload};
 
-/// What one scheduled workload produces: its outcome, the crash-state
-/// coverage keys it visited, and the bug ids it tripped.
+/// What one workload produces: its outcome, the coverage ids it recorded,
+/// and the bug ids it tripped.
 pub type WorkloadResult = (TestOutcome, HashSet<u64>, BTreeSet<BugId>);
+
+/// The outcome committed for a workload whose whole run panicked outside
+/// the per-stage checker sandbox (e.g. while recording): one worker-stage
+/// report carrying the panic diagnostic, so a batch loses only the affected
+/// item.
+fn worker_failure_outcome(w: &Workload, v: Violation) -> TestOutcome {
+    let mut out = TestOutcome { workload: w.name.clone(), ..Default::default() };
+    match &v {
+        Violation::RecoveryPanic { .. } => out.recovery_panics = 1,
+        Violation::RecoveryHang { .. } => out.recovery_hangs = 1,
+        _ => {}
+    }
+    out.reports.push(BugReport {
+        workload: w.name.clone(),
+        op_seq: 0,
+        op_desc: "<worker>".to_string(),
+        phase: CrashPhase::DuringSyscall,
+        subset: String::new(),
+        point: None,
+        subset_ids: Vec::new(),
+        violation: v,
+    });
+    out
+}
+
+/// Runs `test` — one workload's whole run — so that a panic escaping it
+/// fails only `w`: the result is then [`worker_failure_outcome`] with empty
+/// sinks, and the caller moves on to its next workload.
+pub(crate) fn guarded_run(w: &Workload, test: impl FnOnce() -> WorkloadResult) -> WorkloadResult {
+    sandbox::guarded(Stage::Worker, test)
+        .unwrap_or_else(|v| (worker_failure_outcome(w, v), HashSet::new(), BTreeSet::new()))
+}
+
+/// The batch executor (see the module docs). `shards[w]` lists the batch
+/// indices worker `w` runs, in its execution order, and `states[w]` is that
+/// worker's private state; every index of `batch` belongs to exactly one
+/// shard. Returns one result per workload **in batch order**. One shard (or
+/// none) runs on the caller's thread; more run on one scoped thread each.
+pub(crate) fn run_shards<S: Send>(
+    batch: &[Workload],
+    cfg: &TestConfig,
+    shards: &[Vec<usize>],
+    states: &mut [S],
+    test: impl Fn(&mut S, &Workload) -> WorkloadResult + Sync,
+) -> Vec<WorkloadResult> {
+    debug_assert_eq!(shards.len(), states.len());
+    // One shard's results, in the shard's order.
+    let run_shard = |state: &mut S, shard: &[usize], guard: bool| -> Vec<WorkloadResult> {
+        shard
+            .iter()
+            .map(|&i| {
+                let w = &batch[i];
+                if guard {
+                    guarded_run(w, || test(state, w))
+                } else {
+                    test(state, w)
+                }
+            })
+            .collect()
+    };
+    let done: Vec<Vec<WorkloadResult>> = if shards.len() <= 1 {
+        states.iter_mut().zip(shards).map(|(st, sh)| run_shard(st, sh, cfg.sandbox)).collect()
+    } else {
+        let run_shard = &run_shard;
+        let joined: Vec<std::thread::Result<_>> = std::thread::scope(|sc| {
+            let handles: Vec<_> = states
+                .iter_mut()
+                .zip(shards)
+                .map(|(st, sh)| sc.spawn(move || run_shard(st, sh, cfg.sandbox)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        joined
+            .into_iter()
+            .zip(states.iter_mut().zip(shards))
+            // A dead worker: re-run its shard one item at a time under the
+            // guard, so only the panicking workload fails. (A `PrefixCache`
+            // drops its live state while unwinding and restarts from
+            // genesis.)
+            .map(|(res, (st, sh))| res.unwrap_or_else(|_| run_shard(st, sh, true)))
+            .collect()
+    };
+    let mut slots: Vec<Option<WorkloadResult>> = Vec::with_capacity(batch.len());
+    slots.resize_with(batch.len(), || None);
+    for (&i, r) in shards.iter().flatten().zip(done.into_iter().flatten()) {
+        slots[i] = Some(r);
+    }
+    slots.into_iter().map(|s| s.expect("every batch index is in one shard")).collect()
+}
 
 /// A deterministic partition of one batch into prefix subtrees.
 ///
@@ -124,7 +238,8 @@ impl<K: FsKind> Scheduler<K> {
         self.caches.iter().all(|c| c.is_active())
     }
 
-    /// Runs `batch`, returning per-workload `(outcome, coverage, trace)`
+    /// Runs `batch` through [`run_shards`] — whole subtrees per worker, one
+    /// cache each — returning per-workload `(outcome, coverage, trace)`
     /// triples **in batch order**, byte-identical for every `cfg.threads`.
     /// Sinks are private per workload — callers absorb them in batch order
     /// (see [`crate::run_batch_cached`]).
@@ -152,92 +267,17 @@ impl<K: FsKind> Scheduler<K> {
             c.reset();
         }
 
-        let mut slots: Vec<Option<WorkloadResult>> = Vec::with_capacity(batch.len());
-        slots.resize_with(batch.len(), || None);
-        let mut hits = vec![0u64; workers];
-
-        if workers <= 1 {
-            let cache = &mut self.caches[0];
-            for g in &plan.groups {
-                for &i in g {
-                    let r = cache.run(&batch[i], cfg);
-                    hits[0] += r.0.prefix_hits;
-                    slots[i] = Some(r);
-                }
-            }
-        } else {
-            // Round-robin whole groups over workers by sorted-group index.
-            let mut assign: Vec<Vec<usize>> = vec![Vec::new(); workers];
-            for g in 0..plan.groups.len() {
-                assign[g % workers].push(g);
-            }
-            type WorkerOut = (u64, Vec<(usize, WorkloadResult)>);
-            let plan2 = &plan;
-            let worker_results: Vec<std::thread::Result<WorkerOut>> =
-                std::thread::scope(|sc| {
-                    let handles: Vec<_> = self
-                        .caches
-                        .iter_mut()
-                        .take(workers)
-                        .zip(&assign)
-                        .map(|(cache, gs)| {
-                            sc.spawn(move || {
-                                let mut out = Vec::new();
-                                let mut h = 0u64;
-                                for &g in gs {
-                                    for &i in &plan2.groups[g] {
-                                        let r = cache.run(&batch[i], cfg);
-                                        h += r.0.prefix_hits;
-                                        out.push((i, r));
-                                    }
-                                }
-                                (h, out)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join()).collect()
-                });
-            for (w, res) in worker_results.into_iter().enumerate() {
-                match res {
-                    Ok((h, rs)) => {
-                        hits[w] = h;
-                        for (i, r) in rs {
-                            slots[i] = Some(r);
-                        }
-                    }
-                    Err(_) => {
-                        // The worker died mid-group; its cache dropped its
-                        // live state during the unwind (the next run falls
-                        // back to genesis). Re-run its items one at a time
-                        // so only the panicking workload fails, with a
-                        // worker-stage diagnostic.
-                        let cache = &mut self.caches[w];
-                        for &g in &assign[w] {
-                            for &i in &plan.groups[g] {
-                                let r = sandbox::guarded(Stage::Worker, || {
-                                    cache.run(&batch[i], cfg)
-                                })
-                                .unwrap_or_else(|v| {
-                                    (
-                                        crate::worker_failure_outcome(&batch[i], v),
-                                        HashSet::new(),
-                                        BTreeSet::new(),
-                                    )
-                                });
-                                hits[w] += r.0.prefix_hits;
-                                slots[i] = Some(r);
-                            }
-                        }
-                    }
-                }
-            }
+        // Round-robin whole groups over workers by sorted-group index.
+        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); workers];
+        for (g, members) in plan.groups.iter().enumerate() {
+            shards[g % workers].extend(members);
         }
-        for (w, h) in hits.into_iter().enumerate() {
-            self.per_worker_hits[w] += h;
+        let mut out = run_shards(batch, cfg, &shards, &mut self.caches[..workers], |cache, w| {
+            cache.run(w, cfg)
+        });
+        for (total, shard) in self.per_worker_hits.iter_mut().zip(&shards) {
+            *total += shard.iter().map(|&i| out[i].0.prefix_hits).sum::<u64>();
         }
-
-        let mut out: Vec<_> =
-            slots.into_iter().map(|s| s.expect("every batch slot filled")).collect();
         if let Some(first) = out.first_mut() {
             first.0.sched_subtrees = plan.groups.len() as u64;
             first.0.sched_subtree_max_depth = plan.max_depth;

@@ -119,12 +119,17 @@ fn walk_hang_trips_the_fuel_watchdog() {
 
 /// Worker-level fault isolation (a panic while *recording*, outside the
 /// per-stage checker sandbox) fails only the affected workload: the other
-/// batch items keep their ordinary verdicts. The fault is planted at the
-/// smallest op index the short workload survives, so the longer workload —
-/// whose record lineage does strictly more device ops — is the only one hit.
+/// batch items keep their ordinary verdicts — through both production batch
+/// runners (plain `run_batch`, prefix-scheduled `run_batch_cached`), at
+/// `threads` 1, 2 and 8, whether the batch is two prefix subtrees or one
+/// (where the scheduler runs on the caller's thread at any thread count).
+/// The fault is planted at the smallest op index the unaffected workloads
+/// survive, so the longer workload — whose record lineage does strictly more
+/// device ops — is the only one hit.
 #[test]
 fn worker_panic_fails_only_the_affected_workload() {
     let short = creat_one();
+    let other = Workload::new("chaos-mkdir", vec![Op::Mkdir { path: "/d".into() }]);
     let long = Workload::new(
         "chaos-longer",
         vec![
@@ -134,13 +139,14 @@ fn worker_panic_fails_only_the_affected_workload() {
             Op::FsyncPath { path: "/f".into() },
         ],
     );
+    let unaffected = [short.clone(), other.clone()];
     let survives = |n: u64| {
         let kind = chaos_nova(FaultPlan { record_panic_at: Some(n), ..FaultPlan::none() });
-        let res = run_batch(&kind, std::slice::from_ref(&short), &TestConfig::default());
-        res[0].0.reports.iter().all(|r| r.op_desc != "<worker>")
+        let res = run_batch(&kind, &unaffected, &TestConfig::default());
+        res.iter().all(|(o, _)| o.reports.iter().all(|r| r.op_desc != "<worker>"))
     };
-    // Binary-search the short workload's total lineage op count: the fault
-    // fires iff its index is <= the ops one mkfs+run performs.
+    // Binary-search the unaffected workloads' largest lineage op count: the
+    // fault fires iff its index is <= the ops one mkfs+run performs.
     let mut lo = 1u64; // panics
     let mut hi = 1 << 22; // survives
     assert!(!survives(lo) && survives(hi), "probe bounds must bracket the op count");
@@ -153,18 +159,8 @@ fn worker_panic_fails_only_the_affected_workload() {
         }
     }
     let plan = FaultPlan { record_panic_at: Some(hi), ..FaultPlan::none() };
-    let batch = vec![long.clone(), short.clone()];
 
-    // Sandbox on, serial: the per-workload guard catches the panic.
-    let kind = chaos_nova(plan);
-    let serial = run_batch(&kind, &batch, &TestConfig::default());
-    // Sandbox off, two shards: the worker thread dies and the join-side
-    // requeue re-checks its items one at a time.
-    let kind2 = chaos_nova(plan);
-    let cfg2 = TestConfig { sandbox: false, ..TestConfig::default() }.with_threads(2);
-    let sharded = run_batch(&kind2, &batch, &cfg2);
-
-    for (label, res) in [("serial", &serial), ("sharded", &sharded)] {
+    let check = |label: &str, res: &[(TestOutcome, std::collections::HashSet<u64>)]| {
         let (hit, _) = &res[0];
         assert_eq!(hit.reports.len(), 1, "{label}: {:?}", hit.reports);
         assert_eq!(hit.reports[0].op_desc, "<worker>", "{label}");
@@ -182,7 +178,39 @@ fn worker_panic_fails_only_the_affected_workload() {
             ok.reports
         );
         assert!(ok.crash_states > 0, "{label}: unaffected workload must be fully checked");
+    };
+
+    // Sandbox on: the per-workload guard catches the panic in every cell, so
+    // every call returns and the cells of one batch agree.
+    let two_subtrees = vec![long.clone(), other];
+    let one_subtree = vec![long, short];
+    for (shape, batch) in [("two subtrees", &two_subtrees), ("one subtree", &one_subtree)] {
+        let mut prints: Vec<(String, Vec<String>)> = Vec::new();
+        for threads in [1usize, 2, 8] {
+            for scheduled in [false, true] {
+                let label = format!("{shape}, threads={threads}, scheduled={scheduled}");
+                let kind = chaos_nova(plan);
+                let cfg = TestConfig::default().with_threads(threads);
+                let res = if scheduled {
+                    let mut sched = Scheduler::new(&kind, &cfg);
+                    run_batch_cached(&kind, batch, &cfg, Some(&mut sched))
+                } else {
+                    run_batch(&kind, batch, &cfg)
+                };
+                check(&label, &res);
+                prints.push((label, res.iter().map(|(o, _)| fingerprint(o)).collect()));
+            }
+        }
+        let (base_label, base) = &prints[0];
+        for (label, p) in &prints[1..] {
+            assert_eq!(base, p, "{label} diverged from {base_label}");
+        }
     }
+
+    // Sandbox off, two shards: the worker thread dies and the join-side
+    // requeue re-checks its items one at a time.
+    let cfg = TestConfig { sandbox: false, ..TestConfig::default() }.with_threads(2);
+    check("sandbox off, sharded", &run_batch(&chaos_nova(plan), &one_subtree, &cfg));
 }
 
 /// A torn 8-byte store during recording never aborts the sweep and yields

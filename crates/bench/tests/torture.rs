@@ -34,14 +34,14 @@ fn small_spec() -> CampaignSpec {
     }
 }
 
-fn opts(threads: usize) -> RunOpts {
-    RunOpts { threads, ttl: Duration::from_secs(3600), ..RunOpts::default() }
+fn opts() -> RunOpts {
+    RunOpts { ttl: Duration::from_secs(3600), ..RunOpts::default() }
 }
 
 /// The fault-free merged document every torture run must reproduce.
 fn fault_free_doc(dir: &Path) -> String {
     let store = CampaignStore::open_or_init(dir, &small_spec()).unwrap();
-    let (_, merged) = runner::run_and_merge(&store, &opts(1)).unwrap();
+    let (_, merged) = runner::run_and_merge(&store, &opts()).unwrap();
     merged.doc
 }
 
@@ -59,56 +59,50 @@ fn assert_no_corrupt_commits(dir: &Path) {
     }
 }
 
-/// The tentpole sweep: fault schedules x kill depths x thread counts. Each
-/// cell runs the campaign under the standard fault mix (every class
-/// enabled), optionally dies at a journal checkpoint mid-flight and
-/// resumes, and must converge to the byte-identical fault-free document —
-/// the retry, abandon/re-lease, and quarantine machinery doing its job.
+/// The tentpole sweep: fault schedules x kill depths. Each cell runs the
+/// campaign under the standard fault mix (every class enabled), optionally
+/// dies at a journal checkpoint mid-flight and resumes, and must converge to
+/// the byte-identical fault-free document — the retry, abandon/re-lease, and
+/// quarantine machinery doing its job.
 #[test]
 fn torture_sweep_converges_to_fault_free_document() {
     let want = fault_free_doc(&tmpdir("sweep-base"));
     for seed in [0x1u64, 0x2e, 0xf16] {
         for kill_at in [None, Some(7u64)] {
-            for threads in [1usize, 2] {
-                let tag = format!("sweep-{seed:x}-{}-{threads}", kill_at.unwrap_or(0));
-                let dir = tmpdir(&tag);
-                let io = HostCtx::faulty(FaultSpec::standard(seed));
-                let store = CampaignStore::open_or_init_with(&dir, &small_spec(), io)
-                    .expect("store init retries through transient faults");
-                if let Some(k) = kill_at {
-                    let killed =
-                        RunOpts { kill_after_checkpoints: Some(k), ..opts(threads) };
-                    let sum = runner::run_worker(&store, &killed).expect("interrupted run");
-                    assert!(sum.interrupted, "kill hook must fire ({tag})");
-                }
-                match runner::run_and_merge(&store, &opts(threads)) {
-                    Ok((sum, merged)) => {
-                        assert_eq!(
-                            merged.doc, want,
-                            "torture run diverged from fault-free baseline ({tag})"
-                        );
-                        assert!(
-                            sum.faults_injected > 0,
-                            "the injector must actually fire ({tag})"
-                        );
-                    }
-                    // A declared halt is acceptable only if it is honest:
-                    // typed, and with no corrupt artifact left committed.
-                    Err(e) => {
-                        assert!(
-                            matches!(
-                                e,
-                                StoreError::Transient { .. }
-                                    | StoreError::Exhausted { .. }
-                                    | StoreError::Fatal { .. }
-                            ),
-                            "halt must carry a typed cause ({tag}): {e}"
-                        );
-                        assert_no_corrupt_commits(&dir);
-                    }
-                }
-                let _ = std::fs::remove_dir_all(&dir);
+            let tag = format!("sweep-{seed:x}-{}", kill_at.unwrap_or(0));
+            let dir = tmpdir(&tag);
+            let io = HostCtx::faulty(FaultSpec::standard(seed));
+            let store = CampaignStore::open_or_init_with(&dir, &small_spec(), io)
+                .expect("store init retries through transient faults");
+            if let Some(k) = kill_at {
+                let killed = RunOpts { kill_after_checkpoints: Some(k), ..opts() };
+                let sum = runner::run_worker(&store, &killed).expect("interrupted run");
+                assert!(sum.interrupted, "kill hook must fire ({tag})");
             }
+            match runner::run_and_merge(&store, &opts()) {
+                Ok((sum, merged)) => {
+                    assert_eq!(
+                        merged.doc, want,
+                        "torture run diverged from fault-free baseline ({tag})"
+                    );
+                    assert!(sum.faults_injected > 0, "the injector must actually fire ({tag})");
+                }
+                // A declared halt is acceptable only if it is honest:
+                // typed, and with no corrupt artifact left committed.
+                Err(e) => {
+                    assert!(
+                        matches!(
+                            e,
+                            StoreError::Transient { .. }
+                                | StoreError::Exhausted { .. }
+                                | StoreError::Fatal { .. }
+                        ),
+                        "halt must carry a typed cause ({tag}): {e}"
+                    );
+                    assert_no_corrupt_commits(&dir);
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -124,7 +118,7 @@ fn enospc_degrades_to_read_only_triage() {
     let spec = FaultSpec { enospc_after_bytes: Some(6_000), ..FaultSpec::none(7) };
     let store = CampaignStore::open_or_init_with(&dir, &small_spec(), HostCtx::faulty(spec))
         .expect("init fits in the byte budget");
-    let err = runner::run_and_merge(&store, &opts(1))
+    let err = runner::run_and_merge(&store, &opts())
         .expect_err("the campaign cannot finish on a full disk");
     assert!(matches!(err, StoreError::Exhausted { .. }), "{err}");
     assert_eq!(err.exit_code(), 3);
@@ -157,7 +151,7 @@ fn quarantined_result_heals_to_byte_identical_merge() {
     let dir = tmpdir("quarantine");
     let want = {
         let store = CampaignStore::open_or_init(&dir, &small_spec()).unwrap();
-        let (_, merged) = runner::run_and_merge(&store, &opts(1)).unwrap();
+        let (_, merged) = runner::run_and_merge(&store, &opts()).unwrap();
         merged.doc
     };
 
@@ -180,7 +174,7 @@ fn quarantined_result_heals_to_byte_identical_merge() {
     );
 
     // The heal: re-claim, re-run, re-merge — byte-identical.
-    let (sum, merged) = runner::run_and_merge(&store, &opts(1)).unwrap();
+    let (sum, merged) = runner::run_and_merge(&store, &opts()).unwrap();
     assert_eq!(merged.doc, want, "healed campaign must match the original");
     assert!(sum.tasks_run >= 1, "the quarantined task must have been re-run");
     let _ = std::fs::remove_dir_all(&dir);
@@ -197,7 +191,7 @@ fn crash_at_rename_halts_then_resumes_byte_identical() {
         let spec = FaultSpec { crash_at_rename: Some((6, side)), ..FaultSpec::none(11) };
         let store = CampaignStore::open_or_init_with(&dir, &small_spec(), HostCtx::faulty(spec))
             .expect("the crash schedule fires later than store init");
-        let err = runner::run_and_merge(&store, &opts(1))
+        let err = runner::run_and_merge(&store, &opts())
             .expect_err("the host dies before the campaign can finish");
         assert!(matches!(err, StoreError::Fatal { .. }), "{side:?}: {err}");
         assert!(store.io.crashed(), "{side:?}: the crash flag must be set");
@@ -205,7 +199,7 @@ fn crash_at_rename_halts_then_resumes_byte_identical() {
 
         // Reboot: a passthrough context over the surviving on-disk state.
         let store = CampaignStore::open(&dir).unwrap();
-        let (_, merged) = runner::run_and_merge(&store, &opts(1)).unwrap();
+        let (_, merged) = runner::run_and_merge(&store, &opts()).unwrap();
         assert_eq!(merged.doc, want, "{side:?}: post-crash resume must converge");
         let _ = std::fs::remove_dir_all(&dir);
     }

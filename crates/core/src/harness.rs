@@ -111,20 +111,6 @@ pub struct TestOutcome {
     /// later checked member) reported a violation — the class expanded back
     /// to exhaustive checking.
     pub rep_expansions: u64,
-    /// Host-I/O retries performed while persisting this outcome. Always 0
-    /// from the in-memory harness (it touches no host storage); the slot
-    /// exists so host-level tooling (the campaign store's fault-injected
-    /// persistence layer) can fold its retry counts through the same
-    /// counter pipeline as every other statistic.
-    pub io_retries: u64,
-    /// Committed artifacts quarantined as corrupt while persisting this
-    /// outcome. Always 0 from the in-memory harness; see
-    /// [`TestOutcome::io_retries`].
-    pub tasks_quarantined: u64,
-    /// 1 when the persistence layer entered read-only degraded mode
-    /// (ENOSPC) during this outcome. Always 0 from the in-memory harness;
-    /// see [`TestOutcome::io_retries`].
-    pub degraded_mode: u64,
     /// In-flight write counts observed at each crash point (before
     /// coalescing) — the data behind Observation 7.
     pub inflight_sizes: Vec<usize>,
@@ -308,6 +294,24 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
 
     out.traced_bugs = kind.options().trace.snapshot();
     out
+}
+
+/// [`test_workload`] on a factory clone of `kind` carrying fresh coverage and
+/// trace sinks, returning the outcome with the workload's private coverage
+/// ids and traced bugs. The batch runners, the campaign's fuzz tasks and
+/// [`PrefixCache`](crate::PrefixCache)'s uncached fallback all test a
+/// workload through here, so parallel workers never share instrumentation
+/// and callers absorb the sinks in whatever order they commit results.
+pub fn test_on_fresh_sinks<K: FsKind>(
+    kind: &K,
+    workload: &Workload,
+    cfg: &TestConfig,
+) -> (TestOutcome, HashSet<u64>, BTreeSet<BugId>) {
+    let fresh = kind.with_options(kind.options().with_fresh_sinks());
+    let out = test_workload(&fresh, workload, cfg);
+    let cov = fresh.options().cov.snapshot();
+    let trace = fresh.options().trace.snapshot();
+    (out, cov, trace)
 }
 
 /// Picks the data-relaxation mode for a mid-syscall atomicity check: data

@@ -58,7 +58,9 @@ pub mod sandbox;
 pub mod shrink;
 
 pub use config::TestConfig;
-pub use harness::{check_one_state, test_workload, PhaseTimings, StateProbe, TestOutcome};
+pub use harness::{
+    check_one_state, test_on_fresh_sinks, test_workload, PhaseTimings, StateProbe, TestOutcome,
+};
 pub use oracle::Scope;
 pub use prefix::PrefixCache;
 pub use report::{exemplar, triage, BugReport, CrashPhase, Stage, Violation};

@@ -25,7 +25,7 @@
 //! Anything the cache cannot handle exactly — a file system whose
 //! [`FsKind::fork_fs`] returns `None` (SplitFS's window device aliases its
 //! sibling), `mkfs`/oracle failures — falls back to the plain
-//! [`test_workload`] path.
+//! [`test_on_fresh_sinks`] path.
 //!
 //! A cache (and all its live checkpoints) is `Send`: the bench scheduler
 //! gives each of its workers a private one. Nothing here reads
@@ -45,7 +45,7 @@ use crate::{
     crashgen::PendingWrite,
     exec::{Executor, OpResult},
     harness::{
-        push_report, report_divergence, test_workload, CrossMemo, RepTable, ReplayEngine,
+        push_report, report_divergence, test_on_fresh_sinks, CrossMemo, RepTable, ReplayEngine,
         TestOutcome,
     },
     oracle::{advance_snapshot, snapshot_tree, Oracle, Tree},
@@ -172,18 +172,18 @@ impl<K: FsKind> PrefixCache<K> {
 
     /// Tests `w`, resuming from the deepest cached prefix when possible.
     /// Returns the outcome plus the workload's private coverage and trace
-    /// sets — the same triple a fresh-sink [`test_workload`] run yields.
+    /// sets — the same triple [`test_on_fresh_sinks`] yields.
     pub fn run(
         &mut self,
         w: &Workload,
         cfg: &TestConfig,
     ) -> (TestOutcome, HashSet<u64>, BTreeSet<BugId>) {
         if self.disabled {
-            return self.fallback(w, cfg);
+            return test_on_fresh_sinks(&self.origin, w, cfg);
         }
         if self.state.is_none() && !self.init_genesis(cfg) {
             self.disabled = true;
-            return self.fallback(w, cfg);
+            return test_on_fresh_sinks(&self.origin, w, cfg);
         }
         match self.run_cached(w, cfg) {
             Some(r) => r,
@@ -193,21 +193,9 @@ impl<K: FsKind> PrefixCache<K> {
                 // re-runs uncached, which reproduces the exact failure
                 // reports of the plain path.
                 self.state = None;
-                self.fallback(w, cfg)
+                test_on_fresh_sinks(&self.origin, w, cfg)
             }
         }
-    }
-
-    fn fallback(
-        &self,
-        w: &Workload,
-        cfg: &TestConfig,
-    ) -> (TestOutcome, HashSet<u64>, BTreeSet<BugId>) {
-        let fresh = self.origin.with_options(self.origin.options().with_fresh_sinks());
-        let out = test_workload(&fresh, w, cfg);
-        let cov = fresh.options().cov.snapshot();
-        let trace = fresh.options().trace.snapshot();
-        (out, cov, trace)
     }
 
     fn clear_sinks(&self) {
@@ -580,8 +568,7 @@ mod tests {
     }
 
     fn uncached<K: FsKind>(kind: &K, w: &Workload, cfg: &TestConfig) -> TestOutcome {
-        let fresh = kind.with_options(kind.options().with_fresh_sinks());
-        test_workload(&fresh, w, cfg)
+        test_on_fresh_sinks(kind, w, cfg).0
     }
 
     #[test]
