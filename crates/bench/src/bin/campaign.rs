@@ -17,7 +17,9 @@
 //! --store <dir>` (see `bench::campaign`), which triages its merged results
 //! the same way.
 
-use bench::{dispatch, mode_for, print_cluster_exemplars, run_batch, WithKind, STRONG_SYSTEMS};
+use bench::{
+    cli::Cli, dispatch, mode_for, print_cluster_exemplars, run_batch, WithKind, STRONG_SYSTEMS,
+};
 use chipmunk::{report::triage, BugReport, TestConfig};
 use vfs::{
     fs::{FsKind, FsOptions},
@@ -25,10 +27,7 @@ use vfs::{
 };
 use workloads::ace::{seq1, seq2};
 
-fn usage() -> ! {
-    eprintln!("usage: campaign [threads]");
-    std::process::exit(2);
-}
+const CLI: Cli = Cli("campaign [threads]");
 
 struct Iteration<'a> {
     cfg: &'a TestConfig,
@@ -68,22 +67,8 @@ impl WithKind for Iteration<'_> {
 }
 
 fn main() {
-    let pos: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(flag) = pos.iter().find(|a| a.starts_with('-')) {
-        eprintln!("unknown flag {flag:?}");
-        usage();
-    }
-    if pos.len() > 1 {
-        eprintln!("unexpected argument {:?}", pos[1]);
-        usage();
-    }
-    let threads: usize = match pos.first() {
-        None => 1,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("bad thread count: {s:?}");
-            usage()
-        }),
-    };
+    let pos = CLI.positionals(std::env::args().skip(1).collect(), 1);
+    let threads: usize = CLI.parse_pos(pos.first(), "thread count", 1);
 
     let cfg = TestConfig { cap: Some(2), ..TestConfig::default() }.with_threads(threads);
     println!("threads = {threads}");

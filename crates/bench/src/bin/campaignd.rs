@@ -52,35 +52,18 @@ use bench::campaign::{
     wire::{counter_slot, fnv1a},
     CampaignSpec,
 };
-use bench::jsonout::JVal;
+use bench::{cli::Cli, jsonout::JVal};
 use chipmunk::{report::triage, BugReport};
 use vfs::FsName;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: campaignd --store <dir> [--fs NAME] [--bug N] [--seq1-take N] [--seq2-step N]\n\
-         \x20                [--fuzz-budget N] [--seed HEX] [--batch N] [--cap N|none]\n\
-         \x20                [--bitmap-bits N] [--workers N] [--ttl-ms N] [--torture HEX]\n\
-         \x20      campaignd --resume <dir> [--workers N] [--ttl-ms N] [--torture HEX]\n\
-         \x20      campaignd --worker --store <dir> [--ttl-ms N] [--worker-id ID] [--die-after N]\n\
-         \x20                [--torture HEX]"
-    );
-    std::process::exit(2);
-}
-
-fn flag_value(flag: &str, it: &mut impl Iterator<Item = String>) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage()
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(what: &str, s: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bad {what}: {s:?}");
-        usage()
-    })
-}
+const CLI: Cli = Cli(
+    "campaignd --store <dir> [--fs NAME] [--bug N] [--seq1-take N] [--seq2-step N]\n\
+     \x20                [--fuzz-budget N] [--seed HEX] [--batch N] [--cap N|none]\n\
+     \x20                [--bitmap-bits N] [--workers N] [--ttl-ms N] [--torture HEX]\n\
+     \x20      campaignd --resume <dir> [--workers N] [--ttl-ms N] [--torture HEX]\n\
+     \x20      campaignd --worker --store <dir> [--ttl-ms N] [--worker-id ID] [--die-after N]\n\
+     \x20                [--torture HEX]",
+);
 
 fn fail(e: impl std::fmt::Display) -> ! {
     eprintln!("error: {e}");
@@ -165,82 +148,75 @@ fn main() {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--store" => store_dir = Some(PathBuf::from(flag_value("--store", &mut it))),
-            "--resume" => resume_dir = Some(PathBuf::from(flag_value("--resume", &mut it))),
+            "--store" => store_dir = Some(PathBuf::from(CLI.flag_value("--store", &mut it))),
+            "--resume" => resume_dir = Some(PathBuf::from(CLI.flag_value("--resume", &mut it))),
             "--worker" => worker_mode = true,
-            "--worker-id" => worker_id = Some(flag_value("--worker-id", &mut it)),
+            "--worker-id" => worker_id = Some(CLI.flag_value("--worker-id", &mut it)),
             "--die-after" => {
-                die_after = Some(parse_num("--die-after", &flag_value("--die-after", &mut it)));
+                let n = CLI.flag_value("--die-after", &mut it);
+                die_after = Some(CLI.parse("--die-after", &n));
             }
-            "--workers" => workers = parse_num("--workers", &flag_value("--workers", &mut it)),
-            "--ttl-ms" => ttl_ms = parse_num("--ttl-ms", &flag_value("--ttl-ms", &mut it)),
+            "--workers" => workers = CLI.parse("--workers", &CLI.flag_value("--workers", &mut it)),
+            "--ttl-ms" => ttl_ms = CLI.parse("--ttl-ms", &CLI.flag_value("--ttl-ms", &mut it)),
             "--torture" => {
-                let s = flag_value("--torture", &mut it);
-                torture = Some(u64::from_str_radix(&s, 16).unwrap_or_else(|_| {
-                    eprintln!("bad --torture (hex): {s:?}");
-                    usage()
-                }));
+                let s = CLI.flag_value("--torture", &mut it);
+                torture = Some(
+                    u64::from_str_radix(&s, 16)
+                        .unwrap_or_else(|_| CLI.fail(format_args!("bad --torture (hex): {s:?}"))),
+                );
             }
             "--fs" => {
-                spec.fs = flag_value("--fs", &mut it).parse::<FsName>().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage()
-                });
+                let name = CLI.flag_value("--fs", &mut it);
+                spec.fs = name.parse::<FsName>().unwrap_or_else(|e| CLI.fail(e));
                 (spec_flags, fs_given) = (true, true);
             }
             "--bug" => {
-                spec.bug = Some(parse_num("--bug", &flag_value("--bug", &mut it)));
+                spec.bug = Some(CLI.parse("--bug", &CLI.flag_value("--bug", &mut it)));
                 spec_flags = true;
             }
             "--seq1-take" => {
-                spec.seq1_take = parse_num("--seq1-take", &flag_value("--seq1-take", &mut it));
+                spec.seq1_take = CLI.parse("--seq1-take", &CLI.flag_value("--seq1-take", &mut it));
                 spec_flags = true;
             }
             "--seq2-step" => {
-                spec.seq2_step = parse_num("--seq2-step", &flag_value("--seq2-step", &mut it));
+                spec.seq2_step = CLI.parse("--seq2-step", &CLI.flag_value("--seq2-step", &mut it));
                 spec_flags = true;
             }
             "--fuzz-budget" => {
                 spec.fuzz_budget =
-                    parse_num("--fuzz-budget", &flag_value("--fuzz-budget", &mut it));
+                    CLI.parse("--fuzz-budget", &CLI.flag_value("--fuzz-budget", &mut it));
                 spec_flags = true;
             }
             "--seed" => {
-                let s = flag_value("--seed", &mut it);
-                spec.fuzz_seed = u64::from_str_radix(&s, 16).unwrap_or_else(|_| {
-                    eprintln!("bad --seed (hex): {s:?}");
-                    usage()
-                });
+                let s = CLI.flag_value("--seed", &mut it);
+                spec.fuzz_seed = u64::from_str_radix(&s, 16)
+                    .unwrap_or_else(|_| CLI.fail(format_args!("bad --seed (hex): {s:?}")));
                 spec_flags = true;
             }
             "--batch" => {
-                spec.batch = parse_num::<usize>("--batch", &flag_value("--batch", &mut it)).max(1);
+                let n = CLI.flag_value("--batch", &mut it);
+                spec.batch = CLI.parse::<usize>("--batch", &n).max(1);
                 spec_flags = true;
             }
             "--cap" => {
-                let s = flag_value("--cap", &mut it);
-                spec.cap = if s == "none" { None } else { Some(parse_num("--cap", &s)) };
+                let s = CLI.flag_value("--cap", &mut it);
+                spec.cap = if s == "none" { None } else { Some(CLI.parse("--cap", &s)) };
                 spec_flags = true;
             }
             "--bitmap-bits" => {
                 spec.bitmap_bits =
-                    parse_num("--bitmap-bits", &flag_value("--bitmap-bits", &mut it));
+                    CLI.parse("--bitmap-bits", &CLI.flag_value("--bitmap-bits", &mut it));
                 if !spec.bitmap_bits.is_power_of_two() {
-                    eprintln!("--bitmap-bits must be a power of two");
-                    usage();
+                    CLI.fail("--bitmap-bits must be a power of two");
                 }
                 spec_flags = true;
             }
-            s => {
-                eprintln!("unknown argument {s:?}");
-                usage();
-            }
+            s => CLI.fail(format_args!("unknown argument {s:?}")),
         }
     }
     if let Some(n) = spec.bug {
         let Some(info) = vfs::bugs::bug_table().iter().find(|b| b.id.number() == n) else {
-            eprintln!("no bug #{n} in the Table 1 corpus");
-            usage();
+            CLI.fail(format_args!("no bug #{n} in the Table 1 corpus"));
         };
         if !fs_given {
             spec.fs = info.fs;
@@ -258,12 +234,10 @@ fn main() {
 
     if worker_mode {
         if resume_dir.is_some() || spec_flags {
-            eprintln!("--worker takes --store plus worker flags only");
-            usage();
+            CLI.fail("--worker takes --store plus worker flags only");
         }
         let Some(dir) = store_dir else {
-            eprintln!("--worker needs --store");
-            usage();
+            CLI.fail("--worker needs --store");
         };
         let io = host_ctx(torture, &opts.worker_id);
         let store = CampaignStore::open_with(&dir, io).unwrap_or_else(|e| fail_store(None, e));
@@ -273,22 +247,19 @@ fn main() {
         return;
     }
     if die_after.is_some() || worker_id.is_some() {
-        eprintln!("--die-after/--worker-id only make sense with --worker");
-        usage();
+        CLI.fail("--die-after/--worker-id only make sense with --worker");
     }
 
     let io = host_ctx(torture, "w0");
     let store = match (store_dir, resume_dir) {
         (Some(_), Some(_)) | (None, None) => {
-            eprintln!("exactly one of --store / --resume is required");
-            usage();
+            CLI.fail("exactly one of --store / --resume is required");
         }
         (Some(dir), None) => CampaignStore::open_or_init_with(&dir, &spec, io)
             .unwrap_or_else(|e| fail_store(None, e)),
         (None, Some(dir)) => {
             if spec_flags {
-                eprintln!("--resume continues the persisted spec; spec flags are not allowed");
-                usage();
+                CLI.fail("--resume continues the persisted spec; spec flags are not allowed");
             }
             CampaignStore::open_with(&dir, io).unwrap_or_else(|e| fail_store(None, e))
         }

@@ -8,16 +8,18 @@
 //! ```sh
 //! cargo run --release -p bench --bin cap_sweep [fuzz_budget]
 //! ```
+//!
+//! A malformed or extra argument exits 2 with the usage line.
 
-use bench::{hunt_with_ace, hunt_with_fuzzer};
+use bench::{cli::Cli, hunt_with_ace, hunt_with_fuzzer};
 use chipmunk::TestConfig;
 use vfs::bugs::bug_table;
 
+const CLI: Cli = Cli("cap_sweep [fuzz_budget]");
+
 fn main() {
-    let fuzz_budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6000);
+    let pos = CLI.positionals(std::env::args().skip(1).collect(), 1);
+    let fuzz_budget: u64 = CLI.parse_pos(pos.first(), "fuzz budget", 6000);
     let caps: [Option<usize>; 4] = [Some(1), Some(2), Some(5), None];
 
     println!("bugs found at each replay cap (each bug hunted in isolation)\n");

@@ -8,8 +8,10 @@
 //! ```sh
 //! cargo run --release -p bench --bin chaos -- [threads] [--json <path>]
 //! ```
+//!
+//! A malformed or extra argument, or `--json` without a path, exits 2.
 
-use bench::{jsonout::Json, run_batch_cached, take_json_flag, Scheduler};
+use bench::{cli::Cli, jsonout::Json, run_batch_cached, Scheduler};
 use chipmunk::{TestConfig, TestOutcome};
 use novafs::NovaKind;
 use pmem::FaultPlan;
@@ -40,10 +42,13 @@ fn run(plan: FaultPlan, cfg: &TestConfig) -> Vec<TestOutcome> {
     run_batch_cached(&kind, &ws, cfg, Some(&mut sched)).into_iter().map(|(o, _)| o).collect()
 }
 
+const CLI: Cli = Cli("chaos [threads] [--json <path>]");
+
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = take_json_flag(&mut raw);
-    let threads: usize = raw.first().and_then(|s| s.parse().ok()).unwrap_or(4);
+    let json_path = CLI.take_flag(&mut raw, "--json");
+    let pos = CLI.positionals(raw, 1);
+    let threads: usize = CLI.parse_pos(pos.first(), "thread count", 4);
     let cfg = TestConfig::default().with_threads(threads);
     // A hang burn spends the whole budget per crash state; a small (but
     // still >10x-margin) budget keeps the smoke fast.

@@ -12,16 +12,18 @@
 //! ```sh
 //! cargo run --release -p bench --bin eadr [fuzz_budget]
 //! ```
+//!
+//! A malformed or extra argument exits 2 with the usage line.
 
-use bench::{hunt_with_ace, hunt_with_fuzzer};
+use bench::{cli::Cli, hunt_with_ace, hunt_with_fuzzer};
 use chipmunk::TestConfig;
 use vfs::bugs::{bug_table, BugKind};
 
+const CLI: Cli = Cli("eadr [fuzz_budget]");
+
 fn main() {
-    let fuzz_budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8000);
+    let pos = CLI.positionals(std::env::args().skip(1).collect(), 1);
+    let fuzz_budget: u64 = CLI.parse_pos(pos.first(), "fuzz budget", 8000);
     let adr = TestConfig { stop_on_first: true, ..TestConfig::default() };
     let eadr = TestConfig { stop_on_first: true, eadr: true, ..TestConfig::default() };
 

@@ -36,24 +36,11 @@ use bench::campaign::{
     wire::counter_slot,
     CampaignSpec,
 };
-use bench::{hunt_with_ace, hunt_with_fuzzer, jsonout::Json, PhaseTotals};
+use bench::{cli::Cli, hunt_with_ace, hunt_with_fuzzer, jsonout::Json, PhaseTotals};
 use chipmunk::TestConfig;
 use vfs::bugs::bug_table;
 
-fn usage() -> ! {
-    eprintln!("usage: figure3 [fuzz_budget] [threads] [norep] [--json <path>]");
-    std::process::exit(2);
-}
-
-fn parse_pos<T: std::str::FromStr>(v: Option<&String>, what: &str, default: T) -> T {
-    match v {
-        None => default,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("bad {what}: {s:?}");
-            usage()
-        }),
-    }
-}
+const CLI: Cli = Cli("figure3 [fuzz_budget] [threads] [norep] [--json <path>]");
 
 /// Benchmarks the persistent-campaign resume path for the `--json` doc: a
 /// small store-backed campaign run cold, then the same campaign killed
@@ -130,32 +117,13 @@ fn campaign_resume_bench() -> Json {
 }
 
 fn main() {
-    let mut pos: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = None;
-    let mut norep = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => {
-                json_path = Some(it.next().unwrap_or_else(|| {
-                    eprintln!("--json needs a value");
-                    usage()
-                }));
-            }
-            "norep" => norep = true,
-            s if s.starts_with('-') => {
-                eprintln!("unknown flag {s:?}");
-                usage();
-            }
-            _ => pos.push(a),
-        }
-    }
-    if pos.len() > 2 {
-        eprintln!("unexpected argument {:?}", pos[2]);
-        usage();
-    }
-    let fuzz_budget: u64 = parse_pos(pos.first(), "fuzz budget", 8000);
-    let threads: usize = parse_pos(pos.get(1), "thread count", 1);
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let json_path = CLI.take_flag(&mut raw, "--json");
+    let norep = raw.iter().any(|a| a == "norep");
+    raw.retain(|a| a != "norep");
+    let pos = CLI.positionals(raw, 2);
+    let fuzz_budget: u64 = CLI.parse_pos(pos.first(), "fuzz budget", 8000);
+    let threads: usize = CLI.parse_pos(pos.get(1), "thread count", 1);
     let rep_check = !norep;
     let ace_cfg = TestConfig { stop_on_first: true, rep_check, ..TestConfig::default() }
         .with_threads(threads);

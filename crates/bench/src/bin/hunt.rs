@@ -34,71 +34,33 @@
 //! rather than silently ignored.
 
 use bench::{
-    fmt_dur, hunt_json, hunt_with_ace, hunt_with_fuzzer, jsonout::Json, shrink_to_bundle,
+    cli::Cli, fmt_dur, hunt_json, hunt_with_ace, hunt_with_fuzzer, jsonout::Json, shrink_to_bundle,
     HuntResult, ReproBundle,
 };
 use chipmunk::TestConfig;
 use vfs::bugs::bug_table;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hunt [bug#] [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]"
-    );
-    eprintln!("       hunt --repro <bundle.json>");
-    std::process::exit(2);
-}
-
-fn flag_value(flag: &str, it: &mut impl Iterator<Item = String>) -> String {
-    it.next().unwrap_or_else(|| {
-        eprintln!("{flag} needs a value");
-        usage()
-    })
-}
-
-fn parse_pos<T: std::str::FromStr>(v: Option<&String>, what: &str, default: T) -> T {
-    match v {
-        None => default,
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("bad {what}: {s:?}");
-            usage()
-        }),
-    }
-}
+const CLI: Cli = Cli(
+    "hunt [bug#] [threads] [fuzz_budget] [seed] [--json <path>] [--shrink] [--out <path>]\n       \
+     hunt --repro <bundle.json>",
+);
 
 fn main() {
-    let mut pos: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = None;
-    let mut repro_path: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut do_shrink = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(flag_value("--json", &mut it)),
-            "--repro" => repro_path = Some(flag_value("--repro", &mut it)),
-            "--out" => out_path = Some(flag_value("--out", &mut it)),
-            "--shrink" => do_shrink = true,
-            s if s.starts_with('-') => {
-                eprintln!("unknown flag {s:?}");
-                usage();
-            }
-            _ => pos.push(a),
-        }
-    }
-    if pos.len() > 4 {
-        eprintln!("unexpected argument {:?}", pos[4]);
-        usage();
-    }
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let json_path = CLI.take_flag(&mut raw, "--json");
+    let repro_path = CLI.take_flag(&mut raw, "--repro");
+    let out_path = CLI.take_flag(&mut raw, "--out");
+    let do_shrink = raw.iter().any(|a| a == "--shrink");
+    raw.retain(|a| a != "--shrink");
+    let pos = CLI.positionals(raw, 4);
     if out_path.is_some() && !do_shrink {
-        eprintln!("--out only makes sense with --shrink");
-        usage();
+        CLI.fail("--out only makes sense with --shrink");
     }
 
     // Replay mode: no hunting, no other arguments.
     if let Some(path) = repro_path {
         if do_shrink || json_path.is_some() || !pos.is_empty() {
-            eprintln!("--repro takes no other arguments");
-            usage();
+            CLI.fail("--repro takes no other arguments");
         }
         // A malformed bundle exits 2 (the error names the file, the byte
         // offset of the first unparsable input, and the recovery action);
@@ -127,10 +89,10 @@ fn main() {
         std::process::exit(if out.ok { 0 } else { 1 });
     }
 
-    let number: u32 = parse_pos(pos.first(), "bug number", 14);
-    let threads: usize = parse_pos(pos.get(1), "thread count", 1);
-    let budget: u64 = parse_pos(pos.get(2), "fuzz budget", 4000);
-    let seed: u64 = parse_pos(pos.get(3), "seed", 0xf16 + number as u64);
+    let number: u32 = CLI.parse_pos(pos.first(), "bug number", 14);
+    let threads: usize = CLI.parse_pos(pos.get(1), "thread count", 1);
+    let budget: u64 = CLI.parse_pos(pos.get(2), "fuzz budget", 4000);
+    let seed: u64 = CLI.parse_pos(pos.get(3), "seed", 0xf16 + number as u64);
 
     let info = bug_table()
         .iter()

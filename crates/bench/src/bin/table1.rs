@@ -5,17 +5,19 @@
 //! ```sh
 //! cargo run --release -p bench --bin table1 [fuzz_budget]
 //! ```
+//!
+//! A malformed or extra argument exits 2 with the usage line.
 
-use bench::{fmt_dur, hunt_with_ace, hunt_with_fuzzer, mode_for, run_suite};
+use bench::{cli::Cli, fmt_dur, hunt_with_ace, hunt_with_fuzzer, mode_for, run_suite};
 use chipmunk::TestConfig;
 use vfs::{bugs::bug_table, BugSet, FsName};
 use workloads::ace::seq1;
 
+const CLI: Cli = Cli("table1 [fuzz_budget]");
+
 fn main() {
-    let fuzz_budget: u64 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8000);
+    let pos = CLI.positionals(std::env::args().skip(1).collect(), 1);
+    let fuzz_budget: u64 = CLI.parse_pos(pos.first(), "fuzz budget", 8000);
     let ace_cfg = TestConfig { stop_on_first: true, ..TestConfig::default() };
     let fuzz_cfg = TestConfig::fuzzing();
 

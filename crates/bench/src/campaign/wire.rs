@@ -72,7 +72,7 @@ impl WireReport {
             subset_ids: r.subset_ids.iter().map(|&i| i as u64).collect(),
             class: r.violation.class().to_string(),
             detail: r.violation.detail().to_string(),
-            stage: r.violation.stage().map(|s| crate::repro::stage_name(s).to_string()),
+            stage: r.violation.stage().map(|s| s.to_string()),
         }
     }
 

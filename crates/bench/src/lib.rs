@@ -25,6 +25,7 @@ use workloads::{
 };
 
 pub mod campaign;
+pub mod cli;
 pub mod repro;
 pub mod sched;
 
@@ -1097,18 +1098,6 @@ pub mod jsonout {
                 assert!(parse(bad).is_err(), "{bad:?} must not parse");
             }
         }
-    }
-}
-
-/// Pulls a `--json <path>` flag out of a raw argument list (any position),
-/// leaving the positional arguments in place.
-pub fn take_json_flag(args: &mut Vec<String>) -> Option<String> {
-    let i = args.iter().position(|a| a == "--json")?;
-    args.remove(i);
-    if i < args.len() {
-        Some(args.remove(i))
-    } else {
-        None
     }
 }
 

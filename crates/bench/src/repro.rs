@@ -69,16 +69,6 @@ pub struct ReplayOutcome {
     pub ok: bool,
 }
 
-pub(crate) fn stage_name(s: Stage) -> &'static str {
-    match s {
-        Stage::Mount => "mount",
-        Stage::Walk => "walk",
-        Stage::Compare => "compare",
-        Stage::Probe => "probe",
-        Stage::Worker => "worker",
-    }
-}
-
 pub(crate) fn stage_from(s: &str) -> Result<Stage, String> {
     match s {
         "mount" => Ok(Stage::Mount),
@@ -166,7 +156,7 @@ impl ReproBundle {
                     (
                         "stage",
                         match self.expect_stage {
-                            Some(s) => Json::S(stage_name(s).into()),
+                            Some(s) => Json::S(s.to_string()),
                             None => Json::Null,
                         },
                     ),

@@ -221,10 +221,11 @@ fn die_after_worker_then_resume_coordinator() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Strict argument parsing for the grown binaries: unknown flags (the store
-/// flags `campaign` and `hunt` no longer take, and `campaignd --threads`,
-/// among them), malformed numbers, extra positionals, and contradictory
-/// modes all exit 2.
+/// Strict argument parsing (`bench::cli`): unknown flags (the store flags
+/// `campaign` and `hunt` no longer take, and `campaignd --threads`, among
+/// them), malformed numbers — `eadr forty` used to run the default budget —
+/// extra positionals, a trailing `--json` without its path, and
+/// contradictory modes all exit 2.
 #[test]
 fn grown_binaries_reject_bad_args_with_exit_2() {
     let cases: &[(&str, &[&str])] = &[
@@ -246,6 +247,16 @@ fn grown_binaries_reject_bad_args_with_exit_2() {
         (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--threads", "2"]),
         (env!("CARGO_BIN_EXE_hunt"), &["14", "--store", "/tmp/x"]),
         (env!("CARGO_BIN_EXE_hunt"), &["--resume", "/tmp/x"]),
+        (env!("CARGO_BIN_EXE_table1"), &["x"]),
+        (env!("CARGO_BIN_EXE_table1"), &["40", "extra"]),
+        (env!("CARGO_BIN_EXE_eadr"), &["forty"]),
+        (env!("CARGO_BIN_EXE_eadr"), &["--wat"]),
+        (env!("CARGO_BIN_EXE_cap_sweep"), &["x"]),
+        (env!("CARGO_BIN_EXE_chaos"), &["x"]),
+        (env!("CARGO_BIN_EXE_chaos"), &["2", "extra"]),
+        (env!("CARGO_BIN_EXE_chaos"), &["--json"]),
+        (env!("CARGO_BIN_EXE_chaos"), &["2", "--json"]),
+        (env!("CARGO_BIN_EXE_figure3"), &["100", "--json"]),
     ];
     for (bin, args) in cases {
         let out = Command::new(bin).args(*args).output().expect("spawn");

@@ -135,7 +135,7 @@ impl Eq for SnapEntry {}
 /// payload (file bytes, or the sorted length-prefixed entry names), hashed
 /// in [`pmem::snap_key`]'s private term namespace. The serialization is
 /// injective, and it covers exactly the fields the diffs compare — sorted
-/// entries, because that is how [`diff_trees_scoped`] compares them — so
+/// entries, because that is how [`diff_trees_pruned`] compares them — so
 /// hash equality implies the exhaustive node diff finds no difference.
 pub fn node_hash(node: &NodeSnap) -> pmem::ImageKey {
     let mut head = [0u8; 25];
@@ -483,26 +483,15 @@ pub fn advance_snapshot<F: FileSystem>(
 ///
 /// Returns `None` on a match, or a human-readable first difference.
 pub fn diff_trees(actual: &Tree, expect: &Tree, compare_ino: bool) -> Option<String> {
-    diff_trees_scoped(actual, expect, compare_ino, &Scope::Full)
+    diff_trees_pruned(actual, expect, compare_ino, &Scope::Full, false, &mut 0)
 }
 
 /// [`diff_trees`], but file *contents* are compared only for paths inside
-/// `scope`. Structure — presence, type, ino (when configured), nlink, size,
-/// directory entries — is still compared for every path.
-pub fn diff_trees_scoped(
-    actual: &Tree,
-    expect: &Tree,
-    compare_ino: bool,
-    scope: &Scope,
-) -> Option<String> {
-    let mut pruned = 0;
-    diff_trees_pruned(actual, expect, compare_ino, scope, false, &mut pruned)
-}
-
-/// [`diff_trees_scoped`] with an optional hash fast path: when `prune` is
-/// set, a node pair whose content hashes match (or that share the same
-/// allocation) is skipped without field-by-field comparison, and `pruned`
-/// is incremented. Pruning is equality-only — hash equality implies the
+/// `scope` — structure (presence, type, ino when configured, nlink, size,
+/// directory entries) is still compared for every path — and with an
+/// optional hash fast path: when `prune` is set, a node pair whose content
+/// hashes match (or that share the same allocation) is skipped without
+/// field-by-field comparison, and `pruned` is incremented. Pruning is equality-only — hash equality implies the
 /// exhaustive node diff returns `None` — so verdicts and messages are
 /// byte-identical with pruning on or off.
 pub fn diff_trees_pruned(
@@ -637,27 +626,14 @@ pub fn diff_relaxed_write(
     target: &str,
     compare_ino: bool,
 ) -> Option<String> {
-    diff_relaxed_write_scoped(actual, prev, cur, target, compare_ino, &Scope::Full)
+    let full = &Scope::Full;
+    diff_relaxed_write_pruned(actual, prev, cur, target, compare_ino, full, false, &mut 0)
 }
 
-/// [`diff_relaxed_write`] with scoped data comparison for the untouched
-/// files (the written inode's aliases are always fully checked; the caller
-/// must have them in scope so the walk read their bytes).
-pub fn diff_relaxed_write_scoped(
-    actual: &Tree,
-    prev: &Tree,
-    cur: &Tree,
-    target: &str,
-    compare_ino: bool,
-    scope: &Scope,
-) -> Option<String> {
-    let mut pruned = 0;
-    diff_relaxed_write_pruned(actual, prev, cur, target, compare_ino, scope, false, &mut pruned)
-}
-
-/// [`diff_relaxed_write_scoped`] with the hash fast path of
-/// [`diff_trees_pruned`] applied to the untouched-file comparisons (the
-/// written inode's aliases are always checked byte-wise).
+/// [`diff_relaxed_write`] with scoped data comparison and the hash fast path
+/// of [`diff_trees_pruned`] for the untouched files (the written inode's
+/// aliases are always fully checked, byte-wise; the caller must have them in
+/// scope so the walk read their bytes).
 #[allow(clippy::too_many_arguments)]
 pub fn diff_relaxed_write_pruned(
     actual: &Tree,
@@ -754,26 +730,14 @@ pub fn diff_atomic_write(
     target: &str,
     compare_ino: bool,
 ) -> Option<String> {
-    diff_atomic_write_scoped(actual, prev, cur, target, compare_ino, &Scope::Full)
+    let full = &Scope::Full;
+    diff_atomic_write_pruned(actual, prev, cur, target, compare_ino, full, false, &mut 0)
 }
 
-/// [`diff_atomic_write`] with scoped data comparison for the untouched
-/// files (the written inode's aliases are always fully checked; the caller
-/// must have them in scope so the walk read their bytes).
-pub fn diff_atomic_write_scoped(
-    actual: &Tree,
-    prev: &Tree,
-    cur: &Tree,
-    target: &str,
-    compare_ino: bool,
-    scope: &Scope,
-) -> Option<String> {
-    let mut pruned = 0;
-    diff_atomic_write_pruned(actual, prev, cur, target, compare_ino, scope, false, &mut pruned)
-}
-
-/// [`diff_atomic_write_scoped`] with the hash fast path of
-/// [`diff_trees_pruned`] applied to the untouched-file comparisons.
+/// [`diff_atomic_write`] with scoped data comparison and the hash fast path
+/// of [`diff_trees_pruned`] for the untouched files (the written inode's
+/// aliases are always fully checked; the caller must have them in scope so
+/// the walk read their bytes).
 #[allow(clippy::too_many_arguments)]
 pub fn diff_atomic_write_pruned(
     actual: &Tree,
@@ -1060,7 +1024,7 @@ mod tests {
         // A mismatching node is still compared exhaustively: same message,
         // and only the matching nodes are pruned.
         actual.insert("/f".into(), file(1, b"diff"));
-        let unpruned = diff_trees_scoped(&actual, &expect, true, &Scope::Full);
+        let unpruned = diff_trees(&actual, &expect, true);
         let mut pruned = 0;
         let fast = diff_trees_pruned(&actual, &expect, true, &Scope::Full, true, &mut pruned);
         assert_eq!(fast, unpruned);

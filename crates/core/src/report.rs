@@ -206,53 +206,6 @@ impl BugReport {
     }
 }
 
-impl BugReport {
-    /// Renders the report as a single JSON object (hand-rolled writer — the
-    /// report structure is flat enough that a serialization framework would
-    /// be overkill). Used to export fuzzing-campaign results for external
-    /// triage dashboards, mirroring the paper's Syzkaller UI integration.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let point = match self.point {
-            Some(p) => p.to_string(),
-            None => "null".to_string(),
-        };
-        let ids = self
-            .subset_ids
-            .iter()
-            .map(|i| i.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"workload\":\"{}\",\"op_seq\":{},\"op\":\"{}\",\"phase\":\"{}\",\
-             \"subset\":\"{}\",\"point\":{},\"subset_ids\":[{}],\"class\":\"{}\",\
-             \"detail\":\"{}\"}}",
-            esc(&self.workload),
-            self.op_seq,
-            esc(&self.op_desc),
-            self.phase,
-            esc(&self.subset),
-            point,
-            ids,
-            self.violation.class(),
-            esc(self.violation.detail()),
-        )
-    }
-}
-
 fn jaccard(a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
@@ -350,30 +303,6 @@ mod tests {
         let a = report(0, "pwrite(/f, off=0, n=100)", "contents differ at offset 4096");
         let b = report(0, "pwrite(/f, off=8192, n=200)", "contents differ at offset 64");
         assert_eq!(triage(&[a, b], 0.5).len(), 1);
-    }
-
-    #[test]
-    fn json_escapes_and_round_trips_fields() {
-        let r = BugReport {
-            workload: "w\"q".into(),
-            op_seq: 3,
-            op_desc: "rename(/a, /b)".into(),
-            phase: CrashPhase::AfterSyscall,
-            subset: "[nt#0@0x10+8]".into(),
-            point: Some(17),
-            subset_ids: vec![0, 2],
-            violation: Violation::SynchronyViolation("line1\nline2".into()),
-        };
-        let j = r.to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"op_seq\":3"));
-        assert!(j.contains("w\\\"q"), "{j}");
-        assert!(j.contains("line1\\nline2"), "{j}");
-        assert!(j.contains("\"class\":\"synchrony\""));
-        assert!(j.contains("\"point\":17"), "{j}");
-        assert!(j.contains("\"subset_ids\":[0,2]"), "{j}");
-        let none = BugReport { point: None, subset_ids: vec![], ..r };
-        assert!(none.to_json().contains("\"point\":null"));
     }
 
     #[test]

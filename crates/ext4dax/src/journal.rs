@@ -31,30 +31,22 @@ pub fn max_blocks_per_txn(geo: &Geometry) -> usize {
     desc_cap.min(geo.journal_blocks as usize - 2)
 }
 
-/// One block to be journaled: home block number and contents (borrowed —
-/// the commit path journals page-cache blocks in place).
-pub struct JournalBlock<'a> {
-    /// Home (destination) block number.
-    pub blkno: u64,
-    /// Block contents.
-    pub data: &'a [u8],
-}
-
-fn checksum(blocks: &[JournalBlock<'_>]) -> u64 {
+fn checksum<B: AsRef<[u8]>>(blocks: &[(u64, B)]) -> u64 {
     let mut acc: u64 = 0x6a64_6273; // "jdbs"
-    for b in blocks {
-        acc = acc.rotate_left(7) ^ b.blkno ^ block_sum(b.data);
+    for (blkno, data) in blocks {
+        acc = acc.rotate_left(7) ^ blkno ^ block_sum(data.as_ref());
     }
     acc
 }
 
-/// Commits `blocks` through the journal and checkpoints them home.
+/// Commits `blocks` (home block number, contents — borrowed from the page
+/// cache) through the journal and checkpoints them home.
 ///
 /// On return everything is persistent and the journal is retired.
 pub fn commit_and_checkpoint<D: PmBackend>(
     dev: &mut D,
     geo: &Geometry,
-    blocks: &[JournalBlock<'_>],
+    blocks: &[(u64, &[u8])],
 ) -> FsResult<()> {
     for chunk in blocks.chunks(max_blocks_per_txn(geo).max(1)) {
         commit_one(dev, geo, chunk)?;
@@ -65,7 +57,7 @@ pub fn commit_and_checkpoint<D: PmBackend>(
 fn commit_one<D: PmBackend>(
     dev: &mut D,
     geo: &Geometry,
-    blocks: &[JournalBlock<'_>],
+    blocks: &[(u64, &[u8])],
 ) -> FsResult<()> {
     if blocks.is_empty() {
         return Ok(());
@@ -78,13 +70,13 @@ fn commit_one<D: PmBackend>(
     desc[0..8].copy_from_slice(&DESC_MAGIC.to_le_bytes());
     desc[8..16].copy_from_slice(&seq.to_le_bytes());
     desc[16..24].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
-    for (i, b) in blocks.iter().enumerate() {
+    for (i, (blkno, _)) in blocks.iter().enumerate() {
         let o = 24 + i * 8;
-        desc[o..o + 8].copy_from_slice(&b.blkno.to_le_bytes());
+        desc[o..o + 8].copy_from_slice(&blkno.to_le_bytes());
     }
     dev.memcpy_nt(jbase, &desc);
-    for (i, b) in blocks.iter().enumerate() {
-        dev.memcpy_nt(jbase + (1 + i as u64) * BLOCK, b.data);
+    for (i, (_, data)) in blocks.iter().enumerate() {
+        dev.memcpy_nt(jbase + (1 + i as u64) * BLOCK, data);
     }
     dev.fence();
 
@@ -97,8 +89,8 @@ fn commit_one<D: PmBackend>(
     dev.fence();
 
     // 3. Checkpoint home.
-    for b in blocks.iter() {
-        dev.memcpy_nt(b.blkno * BLOCK, b.data);
+    for (blkno, data) in blocks {
+        dev.memcpy_nt(blkno * BLOCK, data);
     }
     dev.fence();
 
@@ -127,7 +119,7 @@ pub fn recover<D: PmBackend>(dev: &mut D, geo: &Geometry) -> FsResult<u64> {
         return Ok(0); // uncommitted: discard
     }
     // Gather payload and verify the checksum.
-    let mut payload = Vec::with_capacity(nblocks as usize);
+    let mut blocks = Vec::with_capacity(nblocks as usize);
     for i in 0..nblocks {
         let blkno = dev.read_u64(jbase + 24 + i * 8);
         if blkno >= geo.total_blocks {
@@ -135,15 +127,13 @@ pub fn recover<D: PmBackend>(dev: &mut D, geo: &Geometry) -> FsResult<u64> {
                 "journal entry targets out-of-range block {blkno}"
             )));
         }
-        payload.push((blkno, dev.read_vec(jbase + (1 + i) * BLOCK, BLOCK)));
+        blocks.push((blkno, dev.read_vec(jbase + (1 + i) * BLOCK, BLOCK)));
     }
-    let blocks: Vec<JournalBlock<'_>> =
-        payload.iter().map(|(blkno, data)| JournalBlock { blkno: *blkno, data }).collect();
     if dev.read_u64(commit_off + 16) != checksum(&blocks) {
         return Ok(0); // torn commit: discard
     }
-    for b in &blocks {
-        dev.memcpy_nt(b.blkno * BLOCK, b.data);
+    for (blkno, data) in &blocks {
+        dev.memcpy_nt(blkno * BLOCK, data);
     }
     dev.fence();
     dev.persist_u64(sboff::JOURNAL_SEQ, seq + 1);
@@ -168,8 +158,7 @@ mod tests {
         let (mut dev, geo) = setup();
         let blk = geo.data_start;
         let data = vec![0xabu8; BLOCK as usize];
-        commit_and_checkpoint(&mut dev, &geo, &[JournalBlock { blkno: blk, data: &data }])
-            .unwrap();
+        commit_and_checkpoint(&mut dev, &geo, &[(blk, &data)]).unwrap();
         assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), data);
         assert_eq!(dev.read_u64(sboff::JOURNAL_SEQ), 1);
         // Journal now retired: recovery is a no-op.
@@ -187,7 +176,7 @@ mod tests {
         desc
     }
 
-    fn commit_record(seq: u64, blocks: &[JournalBlock<'_>]) -> [u8; 24] {
+    fn commit_record(seq: u64, blocks: &[(u64, &[u8])]) -> [u8; 24] {
         let mut commit = [0u8; 24];
         commit[0..8].copy_from_slice(&COMMIT_MAGIC.to_le_bytes());
         commit[8..16].copy_from_slice(&seq.to_le_bytes());
@@ -202,7 +191,7 @@ mod tests {
         let jbase = geo.journal_start * BLOCK;
         dev.memcpy_nt(jbase, &descriptor(seq, &[blk]));
         dev.memcpy_nt(jbase + BLOCK, data);
-        dev.memcpy_nt(jbase + 2 * BLOCK, &commit_record(seq, &[JournalBlock { blkno: blk, data }]));
+        dev.memcpy_nt(jbase + 2 * BLOCK, &commit_record(seq, &[(blk, data)]));
         dev.fence();
         seq
     }
@@ -258,8 +247,7 @@ mod tests {
         let a: Vec<u8> = (0..BLOCK).map(|i| (i * 3 + 1) as u8).collect();
         let b: Vec<u8> = (0..BLOCK).map(|i| (i * 5 + 2) as u8).collect();
         let (home_a, home_b) = (geo.data_start + 9, geo.data_start + 3);
-        let blocks =
-            [JournalBlock { blkno: home_a, data: &a }, JournalBlock { blkno: home_b, data: &b }];
+        let blocks: [(u64, &[u8]); 2] = [(home_a, &a), (home_b, &b)];
         commit_and_checkpoint(&mut dev, &geo, &blocks).unwrap();
 
         let jbase = geo.journal_start * BLOCK;
@@ -318,14 +306,14 @@ mod tests {
         let (mut dev, geo) = setup();
         let n = max_blocks_per_txn(&geo) + 3;
         let payload: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; BLOCK as usize]).collect();
-        let blocks: Vec<JournalBlock<'_>> = payload
+        let blocks: Vec<(u64, &[u8])> = payload
             .iter()
             .enumerate()
-            .map(|(i, data)| JournalBlock { blkno: geo.data_start + i as u64, data })
+            .map(|(i, data)| (geo.data_start + i as u64, &data[..]))
             .collect();
         commit_and_checkpoint(&mut dev, &geo, &blocks).unwrap();
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(dev.read_vec(b.blkno * BLOCK, BLOCK), vec![i as u8; BLOCK as usize]);
+        for (i, (blkno, _)) in blocks.iter().enumerate() {
+            assert_eq!(dev.read_vec(blkno * BLOCK, BLOCK), vec![i as u8; BLOCK as usize]);
         }
         assert_eq!(dev.read_u64(sboff::JOURNAL_SEQ), 2);
     }

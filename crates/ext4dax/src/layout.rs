@@ -1,4 +1,6 @@
-//! On-device layout: superblock, inode table, bitmap, directory entries.
+//! On-device layout: superblock, journal, bitmap, inode table. The inode
+//! header (type, links, size) and the directory-entry format are the shared
+//! core's ([`vfs::pagedfs`]).
 
 use vfs::{FsError, FsResult};
 
@@ -20,33 +22,9 @@ pub const PTRS_PER_BLOCK: u64 = BLOCK / 8;
 /// Maximum file size in blocks (direct + one indirect).
 pub const MAX_FILE_BLOCKS: u64 = NDIRECT as u64 + PTRS_PER_BLOCK;
 
-/// Size of an on-disk directory entry.
-pub const DENTRY_SIZE: u64 = 56;
-
-/// Maximum name length in a directory entry.
-pub const DENTRY_NAME_MAX: usize = 47;
-
-/// The root directory's inode number.
-pub const ROOT_INO: u64 = 1;
-
-/// File type tags stored in inodes.
-pub mod itype {
-    /// Free inode slot.
-    pub const FREE: u64 = 0;
-    /// Regular file.
-    pub const FILE: u64 = 1;
-    /// Directory.
-    pub const DIR: u64 = 2;
-}
-
 /// Field offsets within an inode.
 pub mod ioff {
-    /// File type tag (u64).
-    pub const FTYPE: u64 = 0;
-    /// Link count (u64).
-    pub const NLINK: u64 = 8;
-    /// Size in bytes (u64).
-    pub const SIZE: u64 = 16;
+    pub use vfs::pagedfs::ioff::{FTYPE, NLINK, SIZE};
     /// Xattr block number, 0 if none (u64).
     pub const XATTR: u64 = 24;
     /// First direct pointer (12 × u64).
@@ -143,39 +121,6 @@ pub mod sboff {
     pub const JOURNAL_SEQ: u64 = 80;
 }
 
-/// Serialized directory entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawDentry {
-    /// Target inode, 0 for a free slot.
-    pub ino: u64,
-    /// Entry name.
-    pub name: String,
-}
-
-impl RawDentry {
-    /// Encodes into the fixed 56-byte on-disk form.
-    pub fn encode(&self) -> [u8; DENTRY_SIZE as usize] {
-        let mut buf = [0u8; DENTRY_SIZE as usize];
-        buf[0..8].copy_from_slice(&self.ino.to_le_bytes());
-        let name = self.name.as_bytes();
-        debug_assert!(name.len() <= DENTRY_NAME_MAX);
-        buf[8] = name.len() as u8;
-        buf[9..9 + name.len()].copy_from_slice(name);
-        buf
-    }
-
-    /// Decodes from the on-disk form. Returns `None` for a free slot.
-    pub fn decode(buf: &[u8]) -> Option<RawDentry> {
-        let ino = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-        if ino == 0 {
-            return None;
-        }
-        let len = (buf[8] as usize).min(DENTRY_NAME_MAX);
-        let name = String::from_utf8_lossy(&buf[9..9 + len]).into_owned();
-        Some(RawDentry { ino, name })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,15 +139,6 @@ mod tests {
     #[test]
     fn tiny_device_rejected() {
         assert_eq!(Geometry::for_device(16 * 1024), Err(FsError::NoSpace));
-    }
-
-    #[test]
-    fn dentry_round_trip() {
-        let d = RawDentry { ino: 42, name: "hello.txt".into() };
-        let enc = d.encode();
-        assert_eq!(RawDentry::decode(&enc), Some(d));
-        let free = [0u8; DENTRY_SIZE as usize];
-        assert_eq!(RawDentry::decode(&free), None);
     }
 
     #[test]

@@ -3,26 +3,28 @@
 //! An ext4-DAX-style file system with *weak* crash-consistency guarantees.
 //!
 //! The paper tests ext4-DAX and XFS-DAX as mature baselines: disk-era file
-//! systems run in DAX mode so reads/writes go straight to PM, but retaining
-//! their original crash-consistency contract — **nothing is guaranteed
-//! durable until `fsync`/`fdatasync`/`sync`** (§2, "weak guarantees"). The
-//! paper found no bugs in them, attributing this to the maturity of the
-//! shared non-DAX code; this crate plays the same role here: a correct,
-//! journaling control file system, and the kernel-component substrate that
-//! `splitfs` builds on.
+//! systems run in DAX mode, retaining their original crash-consistency
+//! contract — **nothing is guaranteed durable until
+//! `fsync`/`fdatasync`/`sync`** (§2, "weak guarantees"). The paper found no
+//! bugs in them, attributing this to the maturity of the shared non-DAX
+//! code; here that shared code is literally shared: [`vfs::pagedfs`] is the
+//! page-cached journaling file system (system calls, directories, file I/O,
+//! write-back, commit driver) and this crate is one of its two on-media
+//! formats — and the kernel-component substrate that `splitfs` builds on.
 //!
-//! Architecture (deliberately ext4-like):
+//! What is ext4 about it ([`vfs::pagedfs::Media`] for [`layout::Geometry`]):
 //!
-//! * All reads and writes go through a volatile page cache; PM is only
-//!   touched at commit points.
-//! * `fsync` writes the file's data blocks in place (ordered mode), then
-//!   commits all dirty metadata blocks through a physical redo journal
-//!   (descriptor block, payload blocks, commit block with checksum), then
-//!   checkpoints them home and retires the journal.
-//! * Mount replays any committed-but-uncheckpointed transaction and ignores
-//!   a torn tail.
+//! * **Per-block pointers** — twelve direct pointers and one indirect block
+//!   per inode.
+//! * **One first-fit block bitmap** for the whole device, reconciled at
+//!   mount against what the inodes reference.
+//! * **A physical redo journal** ([`journal`], jbd2-style): descriptor
+//!   block, payload blocks, commit block with checksum; committed
+//!   transactions are checkpointed home and retired, mount replays a
+//!   committed-but-uncheckpointed one and ignores a torn tail.
+//! * **An epoch block** (block 1), journaled with everything else, for
+//!   SplitFS ([`vfs::pagedfs::EpochBlock`]).
 
-pub mod cache;
 pub mod fsimpl;
 pub mod journal;
 pub mod layout;

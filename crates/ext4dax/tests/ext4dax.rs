@@ -318,3 +318,45 @@ fn fsync_stores_the_cached_blocks_in_protocol_order() {
     .concat();
     assert_eq!(kinds, protocol);
 }
+
+/// A directory entry whose inode number lies outside the inode table (a
+/// crash state can hold arbitrary bytes) must surface as detected
+/// corruption from every call that looks the entry up — never as an
+/// out-of-range index into the inode table.
+#[test]
+fn out_of_range_dentry_inode_is_corrupt_not_a_panic() {
+    use pmem::PmBackend;
+    use vfs::pagedfs::RawDentry;
+    use ext4dax::layout::Geometry;
+
+    let mut fs = fresh();
+    fs.creat("/victim").unwrap();
+    fs.mkdir("/vdir").unwrap();
+    fs.creat("/src").unwrap();
+    fs.sync().unwrap();
+    let inos = ["/victim", "/vdir"].map(|p| fs.stat(p).unwrap().ino);
+    let mut dev = fs.into_device();
+    let bogus = Geometry::for_device(DEV).unwrap().inode_count + 5;
+    for (name, ino) in ["victim", "vdir"].into_iter().zip(inos) {
+        let enc = RawDentry { ino, name: name.into() }.encode();
+        let image = dev.read_vec(0, DEV);
+        // The last copy is the home block; earlier ones are retired log payload.
+        let at = image.windows(enc.len()).rposition(|w| w == enc).expect("dentry on media");
+        dev.persist(at as u64, &bogus.to_le_bytes());
+    }
+    let mut fs = Ext4Dax::mount(dev, &FsOptions::default()).unwrap();
+    assert!(matches!(fs.unlink("/victim"), Err(FsError::Corrupt(_))));
+    assert!(matches!(fs.rmdir("/vdir"), Err(FsError::Corrupt(_))));
+    assert!(matches!(fs.rename("/src", "/victim"), Err(FsError::Corrupt(_))));
+    assert!(matches!(fs.stat("/victim"), Err(FsError::Corrupt(_))));
+    assert!(fs.stat("/src").is_ok(), "the refused rename left its source alone");
+}
+
+#[test]
+fn fallocate_range_overflow_is_invalid() {
+    let mut fs = fresh();
+    let fd = fs.open("/f", OpenFlags::CREAT_TRUNC).unwrap();
+    for mode in vfs::FallocMode::ALL {
+        assert_eq!(fs.fallocate(fd, mode, u64::MAX - 1, 4), Err(FsError::Invalid), "{mode:?}");
+    }
+}

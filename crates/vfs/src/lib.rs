@@ -17,6 +17,9 @@
 //!   for the Syzkaller-style fuzzer);
 //! * [`freemap`] — the free-block bitmap the PM file systems rebuild at
 //!   mount;
+//! * [`pagecache`] and [`pagedfs`] — the volatile page cache and the
+//!   page-cached journaling file system the two DAX controls are (one POSIX
+//!   machine; `ext4dax` and `xfsdax` supply the on-media formats);
 //! * [`workload`] — the operation vocabulary shared by the ACE generator,
 //!   the fuzzer, and the test harness;
 //! * [`model`] — a plain in-memory reference file system used as the ground
@@ -30,6 +33,7 @@ pub mod freemap;
 pub mod fs;
 pub mod model;
 pub mod pagecache;
+pub mod pagedfs;
 pub mod path;
 pub mod trace;
 pub mod types;

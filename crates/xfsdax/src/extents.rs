@@ -89,11 +89,6 @@ impl ExtentMap {
         self.extents.iter().flat_map(|e| e.start..e.start + e.len)
     }
 
-    /// Number of mapped file blocks.
-    pub fn mapped_blocks(&self) -> u64 {
-        self.extents.iter().map(|e| e.len).sum()
-    }
-
     /// Drops every mapping at or beyond file block `keep`, returning the
     /// freed device blocks.
     pub fn truncate_from(&mut self, keep: u64) -> Vec<u64> {
@@ -157,7 +152,7 @@ mod tests {
         }
         let freed = m.truncate_from(2);
         assert_eq!(freed, vec![52, 53, 54, 55]);
-        assert_eq!(m.mapped_blocks(), 2);
+        assert_eq!(m.device_blocks().count(), 2);
         assert_eq!(m.lookup(1), Some(51));
         assert_eq!(m.lookup(2), None);
     }

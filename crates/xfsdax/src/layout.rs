@@ -1,5 +1,6 @@
-//! On-device layout: superblock, allocation groups, extent-based inodes,
-//! and the write-ahead log.
+//! On-device layout: superblock, write-ahead log, allocation groups,
+//! extent-based inodes. The inode header (type, links, size) and the
+//! directory-entry format are the shared core's ([`vfs::pagedfs`]).
 
 use vfs::{FsError, FsResult};
 
@@ -19,19 +20,6 @@ pub const NEXTENTS: usize = 12;
 /// extents of arbitrary length — the practical bound below keeps reads
 /// sane on corrupt images).
 pub const MAX_FILE_BLOCKS: u64 = 4096;
-
-/// On-disk directory entry size (shared format with the other block file
-/// systems in this workspace).
-pub const DENTRY_SIZE: u64 = 56;
-
-/// Dentry slots per directory block.
-pub const SLOTS_PER_BLOCK: u64 = BLOCK / DENTRY_SIZE;
-
-/// Maximum dentry name length.
-pub const DENTRY_NAME_MAX: usize = 47;
-
-/// The root inode.
-pub const ROOT_INO: u64 = 1;
 
 /// Superblock field offsets.
 pub mod sboff {
@@ -61,28 +49,13 @@ pub mod sboff {
 
 /// Inode field offsets.
 pub mod ioff {
-    /// File type tag (u64).
-    pub const FTYPE: u64 = 0;
-    /// Link count (u64).
-    pub const NLINK: u64 = 8;
-    /// Size in bytes (u64).
-    pub const SIZE: u64 = 16;
+    pub use vfs::pagedfs::ioff::{FTYPE, NLINK, SIZE};
     /// Number of live extents (u64).
     pub const NEXTENTS: u64 = 24;
     /// Xattr block (u64; 0 = none).
     pub const XATTR: u64 = 32;
     /// First extent record: 3 × u64 per record (file block, start, len).
     pub const EXTENTS: u64 = 40;
-}
-
-/// Inode type tags.
-pub mod itype {
-    /// Free slot.
-    pub const FREE: u64 = 0;
-    /// Regular file.
-    pub const FILE: u64 = 1;
-    /// Directory.
-    pub const DIR: u64 = 2;
 }
 
 /// Computed device geometry.
@@ -163,41 +136,6 @@ impl Geometry {
     pub fn agf_block(&self, ag: u64) -> u64 {
         self.agf_start + ag
     }
-
-    /// Dentry slot location: (file block index, offset within the block).
-    pub fn slot_loc(slot: u64) -> (u64, u64) {
-        (slot / SLOTS_PER_BLOCK, (slot % SLOTS_PER_BLOCK) * DENTRY_SIZE)
-    }
-}
-
-/// Serialized directory entry (ino 0 = free slot).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawDentry {
-    /// Target inode.
-    pub ino: u64,
-    /// Entry name.
-    pub name: String,
-}
-
-impl RawDentry {
-    /// Encodes to the 56-byte on-disk form.
-    pub fn encode(&self) -> [u8; DENTRY_SIZE as usize] {
-        let mut b = [0u8; DENTRY_SIZE as usize];
-        b[0..8].copy_from_slice(&self.ino.to_le_bytes());
-        b[8] = self.name.len() as u8;
-        b[9..9 + self.name.len()].copy_from_slice(self.name.as_bytes());
-        b
-    }
-
-    /// Decodes; `None` for a free slot.
-    pub fn decode(b: &[u8]) -> Option<RawDentry> {
-        let ino = u64::from_le_bytes(b[0..8].try_into().ok()?);
-        if ino == 0 {
-            return None;
-        }
-        let n = (b[8] as usize).min(DENTRY_NAME_MAX);
-        Some(RawDentry { ino, name: String::from_utf8_lossy(&b[9..9 + n]).into_owned() })
-    }
 }
 
 #[cfg(test)]
@@ -222,11 +160,5 @@ mod tests {
     #[test]
     fn inode_fits_its_extent_records() {
         assert!(ioff::EXTENTS + NEXTENTS as u64 * 24 <= INODE_SIZE);
-    }
-
-    #[test]
-    fn dentry_roundtrip() {
-        let d = RawDentry { ino: 4, name: "x".into() };
-        assert_eq!(RawDentry::decode(&d.encode()), Some(d));
     }
 }

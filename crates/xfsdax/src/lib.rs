@@ -4,8 +4,13 @@
 //! the paper's second mature control alongside ext4-DAX (§4.1; like its
 //! sibling, the paper found no bugs in it).
 //!
-//! Where the `ext4dax` crate mirrors ext4's shape, this crate mirrors the
-//! structures that make XFS XFS, in miniature:
+//! The POSIX machine — system calls, directories, file I/O through the
+//! volatile page cache, write-back, the commit driver — is the one the
+//! `ext4dax` crate runs too, [`vfs::pagedfs`]; nothing is durable before
+//! `fsync`/`fdatasync`/`sync`, so Chipmunk places crash points only after
+//! those calls. This crate is the on-media format
+//! ([`vfs::pagedfs::Media`] for [`layout::Geometry`]), the structures that
+//! make XFS XFS, in miniature:
 //!
 //! * **Allocation groups** — the device's data area is divided into
 //!   independent allocation groups, each with its own free-space bitmap;
@@ -14,14 +19,12 @@
 //!   within a group.
 //! * **Extent-based inodes** — files map their blocks with a small inline
 //!   array of `(file block, start block, length)` extents instead of
-//!   ext4-style per-block pointers.
+//!   ext4-style per-block pointers; a hole punch that would need a
+//!   thirteenth extent zeroes the block in place instead.
 //! * **A write-ahead log** with commit records and checkpointing, replayed
 //!   at mount. Like ext4-DAX's journal in this reproduction the log carries
 //!   metadata block images (real XFS logs logical items; the crash-visible
 //!   contract — committed or ignored — is the same).
-//! * **A volatile page cache**: nothing is durable before
-//!   `fsync`/`fdatasync`/`sync`, so Chipmunk places crash points only after
-//!   those calls.
 
 pub mod extents;
 pub mod fsimpl;

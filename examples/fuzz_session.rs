@@ -60,9 +60,9 @@ fn main() {
         }
     }
 
-    println!("\nraw bug reports: {} (first three as JSON for external triage):", reports.len());
+    println!("\nraw bug reports: {} (the first three):", reports.len());
     for r in reports.iter().take(3) {
-        println!("  {}", r.to_json());
+        print!("{}", r.to_text());
     }
     let clusters = triage(&reports, 0.4);
     println!("triaged clusters (distinct suspected root causes): {}\n", clusters.len());
