@@ -3,7 +3,7 @@
 //! throughput and the record pipeline.
 //!
 //! The deterministic simulated-PM-time versions (the numbers EXPERIMENTS.md
-//! compares against the paper) live in `cargo run -p bench --bin fixcost`;
+//! compares against the paper) live in `chipmunk fixcost`;
 //! these wall-clock runs demonstrate the same ordering on host time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,25 +1,26 @@
-//! Calibrates the `pmem::cost` simulated-time model against host wall-clock.
-//!
-//! Two sections:
+//! `calibrate`: the `pmem::cost` simulated-time model against host
+//! wall-clock.
 //!
 //! 1. **Primitives** — tight loops over one [`PmDevice`], measuring host
 //!    nanoseconds per simulated persistence primitive next to the model's
-//!    charge (read back exactly from `sim_cost()`), and the resulting
-//!    sim-ns : wall-ns ratio. The model constants describe Optane, not the
-//!    host, so the ratios are expected to differ per primitive — the table
-//!    exists so the constants' doc comments in `pmem/src/cost.rs` can carry
-//!    a dated host-side baseline.
+//!    charge (read back from `sim_cost()`) and their ratio. The constants
+//!    model Optane, not the host, so the ratios differ per primitive; the
+//!    table gives the constants' doc comments in `pmem/src/cost.rs` a dated
+//!    host-side baseline.
 //! 2. **Fuel** — arms a [`FuelGuard`] over a mixed persist loop on a
 //!    [`CowDevice`] (the checker's device, whose metered ops burn fuel),
 //!    prices one fuel unit in host wall time via [`fuel_remaining`], and
-//!    reports what the default recovery budget
-//!    (`chipmunk::config::DEFAULT_RECOVERY_FUEL`) implies as a worst-case
-//!    wall-clock bound on a hung recovery.
+//!    reports the worst-case wall-clock bound the default recovery budget
+//!    (`chipmunk::config::DEFAULT_RECOVERY_FUEL`) implies for a hung
+//!    recovery.
 //!
-//! Arg 1 (default 2_000_000) sets the per-primitive iteration count.
+//! `iters` (default 2 000 000) is the per-primitive iteration count.
+
+use std::time::Instant;
 
 use pmem::{fuel_remaining, CowDevice, FuelGuard, PmBackend, PmDevice, CACHE_LINE};
-use std::time::Instant;
+
+use crate::Cli;
 
 /// Runs `iters` repetitions of `op` against a fresh device, fencing every
 /// 256 iterations to keep the in-flight write set bounded, and returns
@@ -45,9 +46,9 @@ fn measure(iters: u64, mut op: impl FnMut(&mut PmDevice, u64)) -> (f64, f64) {
     (wall, sim)
 }
 
-fn main() {
-    let iters: u64 =
-        std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2_000_000);
+pub fn run(cli: &Cli, args: Vec<String>) {
+    let pos = cli.positionals(args, 1);
+    let iters: u64 = cli.parse_pos(pos.first(), "iteration count", 2_000_000);
     let line = CACHE_LINE;
     // Cycle stores over a 256 KiB window so the working set exceeds L1/L2
     // but all lines stay allocated after warm-up.
@@ -58,14 +59,8 @@ fn main() {
     println!("primitive calibration ({iters} iters each; fence amortized every 256 ops)");
     println!("{:<22} {:>12} {:>12} {:>10}", "primitive", "wall ns/op", "sim ns/op", "sim/wall");
     let rows: Vec<(&str, (f64, f64))> = vec![
-        (
-            "store word (8B)",
-            measure(iters, |d, i| d.store((i % slots) * line, &word)),
-        ),
-        (
-            "nt line (64B)",
-            measure(iters, |d, i| d.memcpy_nt((i % slots) * line, &buf)),
-        ),
+        ("store word (8B)", measure(iters, |d, i| d.store((i % slots) * line, &word))),
+        ("nt line (64B)", measure(iters, |d, i| d.memcpy_nt((i % slots) * line, &buf))),
         (
             "store+flush line",
             measure(iters, |d, i| {

@@ -1,21 +1,16 @@
-//! Chaos smoke: runs a small workload suite on NOVA with injected
-//! device-level faults (a panic planted in every crash-state mount, then an
-//! infinite recovery loop) and asserts the fault-isolated checker survives
-//! the whole sweep, converts the faults into `recovery-panic` /
-//! `recovery-hang` findings, and exits 0. The CI chaos job runs this at
-//! `threads = 4`.
-//!
-//! ```sh
-//! cargo run --release -p bench --bin chaos -- [threads] [--json <path>]
-//! ```
-//!
-//! A malformed or extra argument, or `--json` without a path, exits 2.
+//! `chaos`: a small workload suite on NOVA with injected device-level
+//! faults (a panic planted in every crash-state mount, then an infinite
+//! recovery loop). Asserts the fault-isolated checker survives the whole
+//! sweep and converts the faults into `recovery-panic` / `recovery-hang`
+//! findings. The CI chaos job runs it at `threads = 4`.
 
-use bench::{cli::Cli, jsonout::Json, run_batch_cached, Scheduler};
+use bench::{jsonout::Json, run_batch_cached, Scheduler};
 use chipmunk::{TestConfig, TestOutcome};
 use novafs::NovaKind;
 use pmem::FaultPlan;
 use vfs::{fs::FsOptions, ChaosKind, Op, Workload};
+
+use crate::Cli;
 
 fn workloads() -> Vec<Workload> {
     vec![
@@ -35,27 +30,24 @@ fn workloads() -> Vec<Workload> {
     ]
 }
 
-fn run(plan: FaultPlan, cfg: &TestConfig) -> Vec<TestOutcome> {
+fn run_plan(plan: FaultPlan, cfg: &TestConfig) -> Vec<TestOutcome> {
     let kind = ChaosKind::new(NovaKind { opts: FsOptions::fixed(), fortis: false }, plan);
     let ws = workloads();
     let mut sched = Scheduler::new(&kind, cfg);
     run_batch_cached(&kind, &ws, cfg, Some(&mut sched)).into_iter().map(|(o, _)| o).collect()
 }
 
-const CLI: Cli = Cli("chaos [threads] [--json <path>]");
-
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = CLI.take_flag(&mut raw, "--json");
-    let pos = CLI.positionals(raw, 1);
-    let threads: usize = CLI.parse_pos(pos.first(), "thread count", 4);
+pub fn run(cli: &Cli, mut args: Vec<String>) {
+    let json_path = cli.take_flag(&mut args, "--json");
+    let pos = cli.positionals(args, 1);
+    let threads: usize = cli.parse_pos(pos.first(), "thread count", 4);
     let cfg = TestConfig::default().with_threads(threads);
     // A hang burn spends the whole budget per crash state; a small (but
     // still >10x-margin) budget keeps the smoke fast.
     let hang_cfg = TestConfig { recovery_fuel: Some(2_000_000), ..cfg.clone() };
 
-    let panics = run(FaultPlan { mount_panic_at: Some(3), ..FaultPlan::none() }, &cfg);
-    let hangs = run(FaultPlan { mount_hang_at: Some(3), ..FaultPlan::none() }, &hang_cfg);
+    let panics = run_plan(FaultPlan { mount_panic_at: Some(3), ..FaultPlan::none() }, &cfg);
+    let hangs = run_plan(FaultPlan { mount_hang_at: Some(3), ..FaultPlan::none() }, &hang_cfg);
 
     let mut totals = [0u64; 6]; // states, panics, hangs, retries, fuel, reports
     for o in panics.iter().chain(&hangs) {

@@ -1,31 +1,16 @@
-//! Regenerates **Figure 3**: cumulative CPU time taken to find
-//! crash-consistency bugs by ACE and by the Syzkaller-style fuzzer.
-//!
-//! ```sh
-//! cargo run --release -p bench --bin figure3 [fuzz_budget] [threads] [norep] [--json <path>]
-//! ```
-//!
-//! With `--json <path>`, the two series and the aggregate counters
-//! (per-phase wall times, dedup/memo/prefix hits, states/sec) are also
-//! written to `path`, along with a `campaign_resume` section benchmarking
-//! the persistent campaign store's kill-and-resume path (see
-//! `bench::campaign`): cold vs resumed `prefix_ops_saved`, journal splice
-//! and rewarm counts, and a byte-identity check of the merged documents.
-//!
-//! `threads` (default 1) shards the workload batches of each hunt across
-//! that many workers; the table is identical for any value — only wall time
-//! changes (see EXPERIMENTS.md "Where the parallelism is").
+//! **Figure 3**: cumulative CPU time taken to find crash-consistency bugs
+//! by ACE and by the Syzkaller-style fuzzer.
 //!
 //! Each unique bug is hunted in isolation with each frontend; the series
-//! accumulate per-bug first-find CPU times (the paper accumulates across a
+//! accumulate per-bug first-find times (the paper accumulates across a
 //! shared campaign — per-bug isolation makes the comparison deterministic;
-//! EXPERIMENTS.md discusses the substitution). The paper's shape to match:
-//! ACE finds its 19 bugs in minutes of CPU time and plateaus; the fuzzer is
-//! one to two orders of magnitude slower to the shared bugs but keeps going
-//! and finds four more (23 total).
-//!
-//! Unknown flags, malformed numbers, and extra arguments are fatal (exit 2)
-//! rather than silently ignored.
+//! EXPERIMENTS.md discusses the substitution). The shape to match: ACE
+//! finds its 19 bugs fast and plateaus; the fuzzer is one to two orders of
+//! magnitude slower to the shared bugs but finds four more (23 total).
+//! `threads` shards each hunt's workload batches; the table is identical
+//! for any value. `--json <path>` also writes the two series, the aggregate
+//! counters and a `campaign_resume` section benchmarking the campaign
+//! store's kill-and-resume path.
 
 use std::time::Duration;
 
@@ -36,11 +21,11 @@ use bench::campaign::{
     wire::counter_slot,
     CampaignSpec,
 };
-use bench::{cli::Cli, hunt_with_ace, hunt_with_fuzzer, jsonout::Json, PhaseTotals};
+use bench::{jsonout::Json, HuntResult, PhaseTotals};
 use chipmunk::TestConfig;
 use vfs::bugs::bug_table;
 
-const CLI: Cli = Cli("figure3 [fuzz_budget] [threads] [norep] [--json <path>]");
+use crate::{hunt_corpus_bug, Cli};
 
 /// Benchmarks the persistent-campaign resume path for the `--json` doc: a
 /// small store-backed campaign run cold, then the same campaign killed
@@ -116,14 +101,59 @@ fn campaign_resume_bench() -> Json {
     doc
 }
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let json_path = CLI.take_flag(&mut raw, "--json");
-    let norep = raw.iter().any(|a| a == "norep");
-    raw.retain(|a| a != "norep");
-    let pos = CLI.positionals(raw, 2);
-    let fuzz_budget: u64 = CLI.parse_pos(pos.first(), "fuzz budget", 8000);
-    let threads: usize = CLI.parse_pos(pos.get(1), "thread count", 1);
+/// Counters summed over every find of both frontends.
+#[derive(Default)]
+struct Totals {
+    states: u64,
+    dedup: u64,
+    memo: u64,
+    prefix: u64,
+    saved: u64,
+    rep: [u64; 3],
+    subtrees: u64,
+    depth_max: u64,
+    worker_hits: Vec<u64>,
+    sandbox: [u64; 4],
+    oracle: [u64; 2],
+    phase: PhaseTotals,
+}
+
+impl Totals {
+    fn add(&mut self, h: &HuntResult) {
+        self.states += h.states;
+        self.dedup += h.dedup_hits;
+        self.memo += h.memo_hits;
+        self.rep[0] += h.rep_classes;
+        self.rep[1] += h.rep_skipped;
+        self.rep[2] += h.rep_expansions;
+        self.prefix += h.prefix_hits;
+        self.saved += h.prefix_ops_saved;
+        self.subtrees += h.sched_subtrees;
+        self.depth_max = self.depth_max.max(h.sched_subtree_max_depth);
+        if self.worker_hits.len() < h.per_worker_prefix_hits.len() {
+            self.worker_hits.resize(h.per_worker_prefix_hits.len(), 0);
+        }
+        for (slot, &v) in self.worker_hits.iter_mut().zip(&h.per_worker_prefix_hits) {
+            *slot += v;
+        }
+        self.sandbox[0] += h.recovery_panics;
+        self.sandbox[1] += h.recovery_hangs;
+        self.sandbox[2] += h.sandbox_retries;
+        self.sandbox[3] += h.fuel_exhausted;
+        self.oracle[0] += h.oracle_subtrees_pruned;
+        self.oracle[1] += h.oracle_snap_bytes_shared;
+        self.phase.oracle += h.phase.oracle;
+        self.phase.record += h.phase.record;
+        self.phase.check += h.phase.check;
+    }
+}
+
+pub fn run(cli: &Cli, mut args: Vec<String>) {
+    let json_path = cli.take_flag(&mut args, "--json");
+    let norep = cli.take_switch(&mut args, "norep");
+    let pos = cli.positionals(args, 2);
+    let fuzz_budget: u64 = cli.parse_pos(pos.first(), "fuzz budget", 8000);
+    let threads: usize = cli.parse_pos(pos.get(1), "thread count", 1);
     let rep_check = !norep;
     let ace_cfg = TestConfig { stop_on_first: true, rep_check, ..TestConfig::default() }
         .with_threads(threads);
@@ -144,64 +174,15 @@ fn main() {
     // program it tries, which is where its real cost lives).
     let mut ace_series: Vec<(u32, Duration, u64)> = Vec::new();
     let mut fuzz_series: Vec<(u32, Duration, u64)> = Vec::new();
-    let (mut states_total, mut dedup_total) = (0u64, 0u64);
-    let (mut memo_total, mut prefix_total, mut saved_total) = (0u64, 0u64, 0u64);
-    let mut rep_totals = [0u64; 3];
-    let (mut subtree_total, mut depth_max) = (0u64, 0u64);
-    let mut worker_hits: Vec<u64> = Vec::new();
-    let mut sandbox_totals = [0u64; 4];
-    let mut oracle_totals = [0u64; 2];
-    let mut phase_total = PhaseTotals::default();
+    let mut t = Totals::default();
     for info in &uniques {
-        if info.ace_findable {
-            if let (Some(h), w, _) = hunt_with_ace(info.id, &ace_cfg, 400) {
-                states_total += h.states;
-                dedup_total += h.dedup_hits;
-                memo_total += h.memo_hits;
-                rep_totals[0] += h.rep_classes;
-                rep_totals[1] += h.rep_skipped;
-                rep_totals[2] += h.rep_expansions;
-                prefix_total += h.prefix_hits;
-                saved_total += h.prefix_ops_saved;
-                subtree_total += h.sched_subtrees;
-                depth_max = depth_max.max(h.sched_subtree_max_depth);
-                if worker_hits.len() < h.per_worker_prefix_hits.len() {
-                    worker_hits.resize(h.per_worker_prefix_hits.len(), 0);
-                }
-                for (slot, &v) in worker_hits.iter_mut().zip(&h.per_worker_prefix_hits) {
-                    *slot += v;
-                }
-                sandbox_totals[0] += h.recovery_panics;
-                sandbox_totals[1] += h.recovery_hangs;
-                sandbox_totals[2] += h.sandbox_retries;
-                sandbox_totals[3] += h.fuel_exhausted;
-                oracle_totals[0] += h.oracle_subtrees_pruned;
-                oracle_totals[1] += h.oracle_snap_bytes_shared;
-                phase_total.oracle += h.phase.oracle;
-                phase_total.record += h.phase.record;
-                phase_total.check += h.phase.check;
-                ace_series.push((info.id.number(), h.elapsed, w));
+        let ace = hunt_corpus_bug(info, Some((&ace_cfg, 400)), None);
+        let fuzz = hunt_corpus_bug(info, None, Some((&fuzz_cfg, 0xf16, fuzz_budget)));
+        for ((hit, w, _), series) in [(ace, &mut ace_series), (fuzz, &mut fuzz_series)] {
+            if let Some(h) = hit {
+                t.add(&h);
+                series.push((info.id.number(), h.elapsed, w));
             }
-        }
-        let (fh, w, _) =
-            hunt_with_fuzzer(info.id, &fuzz_cfg, 0xf16 + info.id.number() as u64, fuzz_budget);
-        if let Some(h) = fh {
-            states_total += h.states;
-            dedup_total += h.dedup_hits;
-            memo_total += h.memo_hits;
-            rep_totals[0] += h.rep_classes;
-            rep_totals[1] += h.rep_skipped;
-            rep_totals[2] += h.rep_expansions;
-            sandbox_totals[0] += h.recovery_panics;
-            sandbox_totals[1] += h.recovery_hangs;
-            sandbox_totals[2] += h.sandbox_retries;
-            sandbox_totals[3] += h.fuel_exhausted;
-            oracle_totals[0] += h.oracle_subtrees_pruned;
-            oracle_totals[1] += h.oracle_snap_bytes_shared;
-            phase_total.oracle += h.phase.oracle;
-            phase_total.record += h.phase.record;
-            phase_total.check += h.phase.check;
-            fuzz_series.push((info.id.number(), h.elapsed, w));
         }
         eprintln!("hunted bug {} ({})", info.id.number(), info.fs);
     }
@@ -249,19 +230,19 @@ fn main() {
     );
     println!(
         "crash states to the finds: {} total, {} served from the dedup cache ({:.1}% hit rate)",
-        states_total,
-        dedup_total,
-        100.0 * dedup_total as f64 / states_total.max(1) as f64
+        t.states,
+        t.dedup,
+        100.0 * t.dedup as f64 / t.states.max(1) as f64
     );
-    let checked_total = states_total - dedup_total - rep_totals[1];
+    let checked_total = t.states - t.dedup - t.rep[1];
     println!(
         "representative-state checking: {} classes, {} states skipped, {} expansions \
          ({} states actually checked, {:.1}% of non-dup)",
-        rep_totals[0],
-        rep_totals[1],
-        rep_totals[2],
+        t.rep[0],
+        t.rep[1],
+        t.rep[2],
         checked_total,
-        100.0 * checked_total as f64 / (states_total - dedup_total).max(1) as f64
+        100.0 * checked_total as f64 / (t.states - t.dedup).max(1) as f64
     );
     let k = ace_series.len().min(fuzz_series.len());
     if k > 0 {
@@ -297,40 +278,37 @@ fn main() {
             (
                 "totals",
                 Json::Obj(vec![
-                    ("states", Json::U(states_total)),
-                    ("dedup_hits", Json::U(dedup_total)),
-                    ("memo_hits", Json::U(memo_total)),
-                    ("prefix_hits", Json::U(prefix_total)),
-                    ("prefix_ops_saved", Json::U(saved_total)),
-                    ("subtrees", Json::U(subtree_total)),
-                    ("subtree_max_depth", Json::U(depth_max)),
-                    ("recovery_panics", Json::U(sandbox_totals[0])),
-                    ("recovery_hangs", Json::U(sandbox_totals[1])),
-                    ("sandbox_retries", Json::U(sandbox_totals[2])),
-                    ("fuel_exhausted", Json::U(sandbox_totals[3])),
-                    ("oracle_subtrees_pruned", Json::U(oracle_totals[0])),
-                    ("oracle_snap_bytes_shared", Json::U(oracle_totals[1])),
+                    ("states", Json::U(t.states)),
+                    ("dedup_hits", Json::U(t.dedup)),
+                    ("memo_hits", Json::U(t.memo)),
+                    ("prefix_hits", Json::U(t.prefix)),
+                    ("prefix_ops_saved", Json::U(t.saved)),
+                    ("subtrees", Json::U(t.subtrees)),
+                    ("subtree_max_depth", Json::U(t.depth_max)),
+                    ("recovery_panics", Json::U(t.sandbox[0])),
+                    ("recovery_hangs", Json::U(t.sandbox[1])),
+                    ("sandbox_retries", Json::U(t.sandbox[2])),
+                    ("fuel_exhausted", Json::U(t.sandbox[3])),
+                    ("oracle_subtrees_pruned", Json::U(t.oracle[0])),
+                    ("oracle_snap_bytes_shared", Json::U(t.oracle[1])),
                     (
                         "per_worker_prefix_hits",
-                        Json::Arr(worker_hits.iter().map(|&v| Json::U(v)).collect()),
+                        Json::Arr(t.worker_hits.iter().map(|&v| Json::U(v)).collect()),
                     ),
-                    ("oracle_seconds", Json::F(phase_total.oracle.as_secs_f64())),
-                    ("record_seconds", Json::F(phase_total.record.as_secs_f64())),
-                    ("check_seconds", Json::F(phase_total.check.as_secs_f64())),
-                    (
-                        "states_per_sec",
-                        Json::F(states_total as f64 / total_secs.max(1e-9)),
-                    ),
+                    ("oracle_seconds", Json::F(t.phase.oracle.as_secs_f64())),
+                    ("record_seconds", Json::F(t.phase.record.as_secs_f64())),
+                    ("check_seconds", Json::F(t.phase.check.as_secs_f64())),
+                    ("states_per_sec", Json::F(t.states as f64 / total_secs.max(1e-9))),
                 ]),
             ),
             (
                 "rep_check",
                 Json::Obj(vec![
-                    ("states", Json::U(states_total)),
+                    ("states", Json::U(t.states)),
                     ("checked", Json::U(checked_total)),
-                    ("classes", Json::U(rep_totals[0])),
-                    ("skipped", Json::U(rep_totals[1])),
-                    ("expansions", Json::U(rep_totals[2])),
+                    ("classes", Json::U(t.rep[0])),
+                    ("skipped", Json::U(t.rep[1])),
+                    ("expansions", Json::U(t.rep[2])),
                 ]),
             ),
             ("campaign_resume", campaign_resume_bench()),

@@ -1,27 +1,19 @@
-//! Regenerates the Observation 2 fix-cost measurements (simulated PM time):
-//!
-//! * a microbenchmark that repeatedly overwrites a file using `rename` runs
-//!   ~25% slower once rename-atomicity bugs 4 and 5 are fixed (the fix
-//!   journals more data);
-//! * a metadata-intensive git-checkout-like benchmark shows negligible
-//!   (<1%) overhead from the same fix;
-//! * fixing bug 6 makes a repeated-`link` microbenchmark ~7% *faster* (the
-//!   in-place path paid a validating read from media).
-//!
-//! Wall-clock versions live in `cargo bench -p bench --bench fixcost`.
-//!
-//! ```sh
-//! cargo run --release -p bench --bin fixcost
-//! ```
+//! `fixcost`: the Observation 2 fix-cost measurements in simulated Optane
+//! time (deterministic). Fixing rename-atomicity bugs 4 and 5 makes a
+//! rename-overwrite loop ~25% slower and a git-checkout-like metadata storm
+//! <1% slower; fixing bug 6 makes a repeated-`link` loop ~7% *faster*. The
+//! wall-clock versions are `cargo bench -p bench --bench fixcost`.
 
 use chipmunk::{test_workload, TestConfig};
 use novafs::{Nova, NovaKind};
-use workloads::ace::{seq2, AceMode};
 use pmem::PmDevice;
 use vfs::{
     fs::{FileSystem, FsKind, FsOptions},
     BugId, BugSet,
 };
+use workloads::ace::{seq2, AceMode};
+
+use crate::Cli;
 
 const DEV: u64 = 16 * 1024 * 1024;
 
@@ -113,7 +105,8 @@ fn rename_only_ns(bugs: BugSet, iters: u64) -> u64 {
     fs.sim_cost().ns - start
 }
 
-fn main() {
+pub fn run(cli: &Cli, args: Vec<String>) {
+    cli.positionals(args, 0);
     println!("Observation 2 fix-cost benchmarks (simulated Optane time, deterministic)\n");
 
     let rename_bugs = BugSet::only(&[BugId::B04, BugId::B05]);

@@ -447,6 +447,19 @@ impl FaultyHostIo {
         io::Error::other("injected EIO")
     }
 
+    /// Fails with an injected EIO when `roll` says so, else runs `op` on the
+    /// real filesystem.
+    fn unless_eio<T>(
+        &self,
+        roll: Roll,
+        op: impl FnOnce(&PassthroughIo) -> io::Result<T>,
+    ) -> io::Result<T> {
+        match roll {
+            Roll::Eio => Err(self.fault()),
+            _ => op(&self.inner),
+        }
+    }
+
     fn charge_bytes(&self, n: usize) -> io::Result<()> {
         let total = self.bytes_written.fetch_add(n as u64, Ordering::SeqCst) + n as u64;
         if let Some(budget) = self.spec.enospc_after_bytes {
@@ -461,10 +474,7 @@ impl FaultyHostIo {
 
 impl HostIo for FaultyHostIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.roll()? {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.read(path),
-        }
+        self.unless_eio(self.roll()?, |io| io.read(path))
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -528,40 +538,25 @@ impl HostIo for FaultyHostIo {
                 };
             }
         }
-        match self.roll()? {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.rename(from, to),
-        }
+        self.unless_eio(self.roll()?, |io| io.rename(from, to))
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        match self.roll()? {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.remove_file(path),
-        }
+        self.unless_eio(self.roll()?, |io| io.remove_file(path))
     }
 
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<bool> {
         let roll = self.roll()?;
         self.charge_bytes(bytes.len())?;
-        match roll {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.create_new(path, bytes),
-        }
+        self.unless_eio(roll, |io| io.create_new(path, bytes))
     }
 
     fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        match self.roll()? {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.create_dir_all(path),
-        }
+        self.unless_eio(self.roll()?, |io| io.create_dir_all(path))
     }
 
     fn set_len(&self, path: &Path, len: u64) -> io::Result<()> {
-        match self.roll()? {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.set_len(path, len),
-        }
+        self.unless_eio(self.roll()?, |io| io.set_len(path, len))
     }
 
     fn file_len(&self, path: &Path) -> io::Result<Option<u64>> {
@@ -572,10 +567,7 @@ impl HostIo for FaultyHostIo {
     }
 
     fn fsync_dir(&self, path: &Path) -> io::Result<()> {
-        match self.roll()? {
-            Roll::Eio => Err(self.fault()),
-            _ => self.inner.fsync_dir(path),
-        }
+        self.unless_eio(self.roll()?, |io| io.fsync_dir(path))
     }
 
     fn verify_writes(&self) -> bool {
@@ -707,33 +699,37 @@ impl HostCtx {
         std::thread::yield_now();
     }
 
-    /// Runs `f` with bounded retry: Transient errors are retried
-    /// [`MAX_ATTEMPTS`] times with simulated-clock backoff; Exhausted and
-    /// Fatal return immediately.
+    /// The one bounded-retry loop: runs `attempt` up to [`MAX_ATTEMPTS`]
+    /// times with simulated-clock backoff between tries, retrying only
+    /// Transient errors; Exhausted and Fatal return immediately.
+    fn attempts<T>(
+        &self,
+        mut attempt: impl FnMut(&dyn HostIo) -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        let mut last: Option<StoreError> = None;
+        for n in 0..MAX_ATTEMPTS {
+            if n > 0 {
+                self.inner.retries.fetch_add(1, Ordering::SeqCst);
+                self.backoff(n - 1);
+            }
+            match attempt(self.inner.io.as_ref()) {
+                Ok(v) => return Ok(v),
+                Err(se @ StoreError::Transient { .. }) => last = Some(se),
+                Err(se) => return Err(se),
+            }
+        }
+        Err(last.expect("at least one attempt ran"))
+    }
+
+    /// [`Self::attempts`] over one raw operation, its errors classified as
+    /// `op` on `path`.
     fn retrying<T>(
         &self,
         op: &'static str,
         path: &Path,
         mut f: impl FnMut(&dyn HostIo) -> io::Result<T>,
     ) -> Result<T, StoreError> {
-        let mut last: Option<StoreError> = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                self.inner.retries.fetch_add(1, Ordering::SeqCst);
-                self.backoff(attempt - 1);
-            }
-            match f(self.inner.io.as_ref()) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    let se = self.classify(op, path, &e);
-                    if !matches!(se, StoreError::Transient { .. }) {
-                        return Err(se);
-                    }
-                    last = Some(se);
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
+        self.attempts(|io| f(io).map_err(|e| self.classify(op, path, &e)))
     }
 
     /// Atomic durable write: tmp sibling → fsync → rename → parent-dir
@@ -746,47 +742,30 @@ impl HostCtx {
             Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
             _ => PathBuf::from("."),
         };
-        let mut last: Option<StoreError> = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                self.inner.retries.fetch_add(1, Ordering::SeqCst);
-                self.backoff(attempt - 1);
-            }
-            let res = (|| -> Result<(), StoreError> {
-                let io = self.inner.io.as_ref();
-                io.write(&tmp, bytes).map_err(|e| self.classify("write", &tmp, &e))?;
-                if io.verify_writes() {
-                    let back = io.read(&tmp).map_err(|e| self.classify("read", &tmp, &e))?;
-                    if back != bytes {
-                        return Err(StoreError::Transient {
-                            op: "write-verify",
-                            path: tmp.display().to_string(),
-                            detail: format!(
-                                "read back {} bytes, wrote {} (lying write)",
-                                back.len(),
-                                bytes.len()
-                            ),
-                        });
-                    }
-                }
-                io.rename(&tmp, path).map_err(|e| self.classify("rename", path, &e))?;
-                // The rename is not durable until the directory is synced.
-                io.fsync_dir(&parent).map_err(|e| self.classify("fsync-dir", &parent, &e))?;
-                Ok(())
-            })();
-            match res {
-                Ok(()) => return Ok(()),
-                Err(se) => {
-                    if !matches!(se, StoreError::Transient { .. }) {
-                        let _ = self.inner.io.remove_file(&tmp);
-                        return Err(se);
-                    }
-                    last = Some(se);
+        let res = self.attempts(|io| {
+            io.write(&tmp, bytes).map_err(|e| self.classify("write", &tmp, &e))?;
+            if io.verify_writes() {
+                let back = io.read(&tmp).map_err(|e| self.classify("read", &tmp, &e))?;
+                if back != bytes {
+                    return Err(StoreError::Transient {
+                        op: "write-verify",
+                        path: tmp.display().to_string(),
+                        detail: format!(
+                            "read back {} bytes, wrote {} (lying write)",
+                            back.len(),
+                            bytes.len()
+                        ),
+                    });
                 }
             }
+            io.rename(&tmp, path).map_err(|e| self.classify("rename", path, &e))?;
+            // The rename is not durable until the directory is synced.
+            io.fsync_dir(&parent).map_err(|e| self.classify("fsync-dir", &parent, &e))
+        });
+        if res.is_err() {
+            let _ = self.inner.io.remove_file(&tmp);
         }
-        let _ = self.inner.io.remove_file(&tmp);
-        Err(last.expect("at least one attempt ran"))
+        res
     }
 
     /// Durable single-line append with torn-write rollback: the file length
@@ -797,14 +776,8 @@ impl HostCtx {
         let base = self
             .retrying("stat", path, |io| io.file_len(path))?
             .unwrap_or(0);
-        let mut last: Option<StoreError> = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                self.inner.retries.fetch_add(1, Ordering::SeqCst);
-                self.backoff(attempt - 1);
-            }
-            let res = (|| -> Result<(), StoreError> {
-                let io = self.inner.io.as_ref();
+        self.attempts(|io| {
+            let res = (|| {
                 io.append(path, bytes).map_err(|e| self.classify("append", path, &e))?;
                 if io.verify_writes() {
                     let back = io.read(path).map_err(|e| self.classify("read", path, &e))?;
@@ -819,20 +792,13 @@ impl HostCtx {
                 }
                 Ok(())
             })();
-            match res {
-                Ok(()) => return Ok(()),
-                Err(se) => {
-                    // Roll the torn tail back before the next attempt (or
-                    // before handing the file to a successor).
-                    self.rollback_len(path, base);
-                    if !matches!(se, StoreError::Transient { .. }) {
-                        return Err(se);
-                    }
-                    last = Some(se);
-                }
+            if res.is_err() {
+                // Roll the torn tail back before the next attempt (or
+                // before handing the file to a successor).
+                self.rollback_len(path, base);
             }
-        }
-        Err(last.expect("at least one attempt ran"))
+            res
+        })
     }
 
     /// Best-effort truncate back to `base` (append rollback).
@@ -858,25 +824,10 @@ impl HostCtx {
 
     /// Reads a whole file, `None` when it does not exist.
     pub fn read_opt(&self, path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
-        let mut last: Option<StoreError> = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                self.inner.retries.fetch_add(1, Ordering::SeqCst);
-                self.backoff(attempt - 1);
-            }
-            match self.inner.io.read(path) {
-                Ok(v) => return Ok(Some(v)),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-                Err(e) => {
-                    let se = self.classify("read", path, &e);
-                    if !matches!(se, StoreError::Transient { .. }) {
-                        return Err(se);
-                    }
-                    last = Some(se);
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
+        self.retrying("read", path, |io| match io.read(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            r => r.map(Some),
+        })
     }
 
     /// Reads a file as UTF-8 text, `None` when absent.
@@ -901,25 +852,10 @@ impl HostCtx {
 
     /// Removes a file with retry; absence is success.
     pub fn remove_file(&self, path: &Path) -> Result<(), StoreError> {
-        let mut last: Option<StoreError> = None;
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                self.inner.retries.fetch_add(1, Ordering::SeqCst);
-                self.backoff(attempt - 1);
-            }
-            match self.inner.io.remove_file(path) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
-                Err(e) => {
-                    let se = self.classify("remove", path, &e);
-                    if !matches!(se, StoreError::Transient { .. }) {
-                        return Err(se);
-                    }
-                    last = Some(se);
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
+        self.retrying("remove", path, |io| match io.remove_file(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            r => r,
+        })
     }
 
     /// Renames with retry.
@@ -968,6 +904,7 @@ pub fn default_ctx() -> &'static HostCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::wire::fnv1a;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("chipmunk-hostio-{tag}-{}", std::process::id()));
@@ -1149,5 +1086,66 @@ mod tests {
         assert!(msg.contains("quarantined"), "{msg}");
         assert!(e.task_recoverable());
         assert!(!StoreError::fatal("x").task_recoverable());
+    }
+
+    /// Runs a fixed script of every `HostCtx` operation in `dir`; returns a
+    /// digest of each call's outcome and of the files left behind.
+    fn pinned_script(ctx: &HostCtx, dir: &Path) -> u64 {
+        let mut outcomes = String::new();
+        let mut note = |ok: bool| outcomes.push(if ok { '.' } else { 'x' });
+        let (log, absent) = (dir.join("journal.log"), dir.join("absent"));
+        for i in 0..60 {
+            let doc = dir.join(format!("doc{}.json", i % 3));
+            let lease = dir.join(format!("lease{}", i % 4));
+            note(ctx.write_atomic(&doc, format!("{{\"i\":{i}}}\n").as_bytes()).is_ok());
+            note(ctx.append_line(&log, format!("line {i}\n").as_bytes()).is_ok());
+            note(ctx.read_opt(&doc).is_ok());
+            note(ctx.read_opt(&absent).is_ok());
+            note(ctx.create_new(&lease, b"pid").is_ok());
+            note(ctx.create_dir_all(&dir.join("sub")).is_ok());
+            note(ctx.rename(&doc, &dir.join("sub").join("moved.json")).is_ok());
+            note(ctx.file_len(&log).is_ok());
+            if i % 5 == 4 {
+                note(ctx.remove_file(&lease).is_ok());
+                note(ctx.remove_file(&absent).is_ok());
+                note(ctx.set_len(&log, 0).is_ok());
+            }
+        }
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .chain(std::fs::read_dir(dir.join("sub")).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.is_file())
+            .collect();
+        files.sort();
+        files.iter().fold(fnv1a(outcomes.as_bytes(), 0), |h, p| {
+            let h = fnv1a(p.file_name().unwrap().as_encoded_bytes(), h);
+            fnv1a(&std::fs::read(p).unwrap(), h)
+        })
+    }
+
+    /// Pins the fault draws of every `HostCtx` operation: the fixed script
+    /// under `FaultSpec::standard` (and under a harsher EIO rate, whose
+    /// retries run out) must keep its per-call outcomes, its
+    /// `(io_retries, backoff_ticks, faults_injected)` and the bytes it
+    /// leaves behind, so a reordered, missing or extra `roll()` in any
+    /// operation fails here.
+    #[test]
+    fn standard_schedule_script_is_pinned() {
+        for (tag, spec, want) in [
+            ("std", FaultSpec::standard(0x5eed), (31, 34, 31, 0xe4bb_4656_24fe_a712)),
+            (
+                "eio",
+                FaultSpec { eio_permille: 350, ..FaultSpec::standard(0x5eed) },
+                (388, 712, 422, 0x2d07_0fbb_bbd5_75ac),
+            ),
+        ] {
+            let dir = tmpdir(&format!("pinned-{tag}"));
+            let ctx = HostCtx::faulty(spec);
+            let digest = pinned_script(&ctx, &dir);
+            let got = (ctx.io_retries(), ctx.backoff_ticks(), ctx.faults_injected(), digest);
+            assert_eq!(got, want, "{tag}: (io_retries, backoff_ticks, faults_injected, digest)");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -1,7 +1,9 @@
 #![warn(missing_docs)]
 
-//! Shared machinery for the evaluation harnesses (one binary per paper
-//! table/figure — see DESIGN.md §4 for the index).
+//! Shared machinery for the evaluation harnesses: the batch runners, the
+//! single-bug hunts, the campaign store and the JSON emitter behind the
+//! `chipmunk` binary's subcommands (one per paper table/figure — see
+//! DESIGN.md §4 for the index).
 
 use std::{
     collections::HashSet,
@@ -25,7 +27,6 @@ use workloads::{
 };
 
 pub mod campaign;
-pub mod cli;
 pub mod repro;
 pub mod sched;
 
@@ -556,42 +557,13 @@ pub const STRONG_SYSTEMS: [FsName; 5] = [
     FsName::SplitFs,
 ];
 
-/// Prints one line per triage cluster of `reports`: its minimal exemplar
-/// (fewest ops, then smallest replayed subset) — the report a developer
-/// would debug first, and the one `hunt --shrink` would package as the
-/// bundle. `campaign` prints its live rounds through here and `campaignd`
-/// its merged store.
-pub fn print_cluster_exemplars(reports: &[BugReport], clusters: &[Vec<usize>]) {
-    for cluster in clusters {
-        let e = &reports[chipmunk::exemplar(reports, cluster)];
-        println!(
-            "    [{} x{}] {} | {} @ op {} | {} in subset",
-            e.violation.class(),
-            cluster.len(),
-            e.workload,
-            e.op_desc,
-            e.op_seq,
-            e.subset_ids.len(),
-        );
-    }
-}
-
-/// Formats a duration compactly for tables.
-pub fn fmt_dur(d: Duration) -> String {
-    if d.as_secs() >= 1 {
-        format!("{:.2}s", d.as_secs_f64())
-    } else {
-        format!("{:.1}ms", d.as_secs_f64() * 1e3)
-    }
-}
-
-/// Minimal JSON document builder for the binaries' `--json` flags (the
+/// Minimal JSON document builder for the subcommands' `--json` flags (the
 /// workspace is dependency-frozen, so no serde).
 pub mod jsonout {
     /// Writes `contents` to `path` atomically: the bytes go to a `.tmp`
     /// sibling first and are renamed over the target only once fully
     /// written, so a failure mid-write leaves any existing file at `path`
-    /// untouched (the binaries overwrite baseline artifacts in place).
+    /// untouched (the subcommands overwrite baseline artifacts in place).
     ///
     /// The temp file is fsynced before the rename and the parent directory
     /// after it — without the directory fsync the rename itself is not
@@ -1099,50 +1071,6 @@ pub mod jsonout {
             }
         }
     }
-}
-
-/// Serializes one frontend's hunt result (or a miss) for the `--json`
-/// outputs: per-phase wall times, cache-layer hit counters, and throughput.
-pub fn hunt_json(hit: Option<&HuntResult>, workloads: u64, states: u64) -> jsonout::Json {
-    use jsonout::Json;
-    let mut f = vec![
-        ("found", Json::B(hit.is_some())),
-        ("workloads", Json::U(workloads)),
-        ("states", Json::U(states)),
-    ];
-    if let Some(h) = hit {
-        let secs = h.elapsed.as_secs_f64();
-        f.extend([
-            ("seconds", Json::F(secs)),
-            ("states_per_sec", Json::F(h.states as f64 / secs.max(1e-9))),
-            ("class", Json::S(h.class.clone())),
-            ("detail", Json::S(h.detail.clone())),
-            ("traced", Json::B(h.traced)),
-            ("dedup_hits", Json::U(h.dedup_hits)),
-            ("memo_hits", Json::U(h.memo_hits)),
-            ("rep_classes", Json::U(h.rep_classes)),
-            ("rep_skipped", Json::U(h.rep_skipped)),
-            ("rep_expansions", Json::U(h.rep_expansions)),
-            ("prefix_hits", Json::U(h.prefix_hits)),
-            ("prefix_ops_saved", Json::U(h.prefix_ops_saved)),
-            ("subtrees", Json::U(h.sched_subtrees)),
-            ("subtree_max_depth", Json::U(h.sched_subtree_max_depth)),
-            ("recovery_panics", Json::U(h.recovery_panics)),
-            ("recovery_hangs", Json::U(h.recovery_hangs)),
-            ("sandbox_retries", Json::U(h.sandbox_retries)),
-            ("fuel_exhausted", Json::U(h.fuel_exhausted)),
-            ("oracle_subtrees_pruned", Json::U(h.oracle_subtrees_pruned)),
-            ("oracle_snap_bytes_shared", Json::U(h.oracle_snap_bytes_shared)),
-            (
-                "per_worker_prefix_hits",
-                Json::Arr(h.per_worker_prefix_hits.iter().map(|&v| Json::U(v)).collect()),
-            ),
-            ("oracle_seconds", Json::F(h.phase.oracle.as_secs_f64())),
-            ("record_seconds", Json::F(h.phase.record.as_secs_f64())),
-            ("check_seconds", Json::F(h.phase.check.as_secs_f64())),
-        ]);
-    }
-    Json::Obj(f)
 }
 
 #[cfg(test)]

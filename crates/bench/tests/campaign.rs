@@ -2,7 +2,7 @@
 //! determinism (the merged document is byte-identical however often and
 //! wherever a campaign dies), warm-resume (a resumed sweep re-earns the
 //! serial `prefix_ops_saved`), real SIGKILL'd worker processes with lease
-//! reclamation, and strict argument parsing for the grown binaries.
+//! reclamation, and strict argument parsing for every `chipmunk` subcommand.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -137,7 +137,7 @@ fn parallel_workers_and_repeated_kills_converge() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A real SIGKILL'd worker *process*: spawn `campaignd --worker`, kill it
+/// A real SIGKILL'd worker *process*: spawn `chipmunk campaignd --worker`, kill it
 /// mid-campaign, verify its lease is left behind, then let an in-process
 /// worker reclaim it and finish — the merged document must match the
 /// serial baseline, and no lease may survive completion.
@@ -149,8 +149,8 @@ fn sigkilled_worker_process_is_reclaimed() {
     let dir = tmpdir("sigkill");
     let store = CampaignStore::open_or_init(&dir, &small_spec()).unwrap();
     // A long TTL proves reclamation runs on pid-liveness, not timeout.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_campaignd"))
-        .args(["--worker", "--store"])
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
+        .args(["campaignd", "--worker", "--store"])
         .arg(&dir)
         .args(["--ttl-ms", "3600000", "--worker-id", "doomed"])
         .spawn()
@@ -198,16 +198,16 @@ fn die_after_worker_then_resume_coordinator() {
 
     let dir = tmpdir("dieafter");
     CampaignStore::open_or_init(&dir, &small_spec()).unwrap();
-    let status = Command::new(env!("CARGO_BIN_EXE_campaignd"))
-        .args(["--worker", "--store"])
+    let status = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
+        .args(["campaignd", "--worker", "--store"])
         .arg(&dir)
         .args(["--ttl-ms", "3600000", "--worker-id", "doomed", "--die-after", "3"])
         .status()
         .expect("spawn campaignd worker");
     assert!(!status.success(), "--die-after must abort the process");
 
-    let status = Command::new(env!("CARGO_BIN_EXE_campaignd"))
-        .args(["--resume"])
+    let status = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
+        .args(["campaignd", "--resume"])
         .arg(&dir)
         .args(["--workers", "2", "--ttl-ms", "3600000"])
         .status()
@@ -221,50 +221,61 @@ fn die_after_worker_then_resume_coordinator() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Strict argument parsing (`bench::cli`): unknown flags (the store flags
-/// `campaign` and `hunt` no longer take, and `campaignd --threads`, among
-/// them), malformed numbers — `eadr forty` used to run the default budget —
-/// extra positionals, a trailing `--json` without its path, and
+/// Strict argument parsing, shared by every `chipmunk` subcommand: no
+/// subcommand or an unknown one, unknown flags (the store flags `campaign`
+/// and `hunt` no longer take, and `campaignd --threads`, among them),
+/// malformed numbers — `eadr forty` used to run the default budget — extra
+/// positionals (including any argument to a subcommand that takes none), a
+/// trailing `--json` without its path, an unknown bug number and
 /// contradictory modes all exit 2.
 #[test]
 fn grown_binaries_reject_bad_args_with_exit_2() {
-    let cases: &[(&str, &[&str])] = &[
-        (env!("CARGO_BIN_EXE_campaign"), &["--wat"]),
-        (env!("CARGO_BIN_EXE_campaign"), &["two"]),
-        (env!("CARGO_BIN_EXE_campaign"), &["1", "extra"]),
-        (env!("CARGO_BIN_EXE_campaign"), &["--store", "/tmp/x"]),
-        (env!("CARGO_BIN_EXE_figure3"), &["--wat"]),
-        (env!("CARGO_BIN_EXE_figure3"), &["bogus"]),
-        (env!("CARGO_BIN_EXE_figure3"), &["100", "notanum"]),
-        (env!("CARGO_BIN_EXE_figure3"), &["100", "1", "norep", "extra"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--wat"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &[]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--resume", "/tmp/y"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--resume", "/tmp/x", "--fs", "NOVA"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--die-after", "3"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--bitmap-bits", "1000"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--bug", "999"]),
-        (env!("CARGO_BIN_EXE_campaignd"), &["--store", "/tmp/x", "--threads", "2"]),
-        (env!("CARGO_BIN_EXE_hunt"), &["14", "--store", "/tmp/x"]),
-        (env!("CARGO_BIN_EXE_hunt"), &["--resume", "/tmp/x"]),
-        (env!("CARGO_BIN_EXE_table1"), &["x"]),
-        (env!("CARGO_BIN_EXE_table1"), &["40", "extra"]),
-        (env!("CARGO_BIN_EXE_eadr"), &["forty"]),
-        (env!("CARGO_BIN_EXE_eadr"), &["--wat"]),
-        (env!("CARGO_BIN_EXE_cap_sweep"), &["x"]),
-        (env!("CARGO_BIN_EXE_chaos"), &["x"]),
-        (env!("CARGO_BIN_EXE_chaos"), &["2", "extra"]),
-        (env!("CARGO_BIN_EXE_chaos"), &["--json"]),
-        (env!("CARGO_BIN_EXE_chaos"), &["2", "--json"]),
-        (env!("CARGO_BIN_EXE_figure3"), &["100", "--json"]),
+    let cases: &[&[&str]] = &[
+        &[],
+        &["wat"],
+        &["campaign", "--wat"],
+        &["campaign", "two"],
+        &["campaign", "1", "extra"],
+        &["campaign", "--store", "/tmp/x"],
+        &["figure3", "--wat"],
+        &["figure3", "bogus"],
+        &["figure3", "100", "notanum"],
+        &["figure3", "100", "1", "norep", "extra"],
+        &["campaignd", "--wat"],
+        &["campaignd"],
+        &["campaignd", "--store", "/tmp/x", "--resume", "/tmp/y"],
+        &["campaignd", "--resume", "/tmp/x", "--fs", "NOVA"],
+        &["campaignd", "--store", "/tmp/x", "--die-after", "3"],
+        &["campaignd", "--store", "/tmp/x", "--bitmap-bits", "1000"],
+        &["campaignd", "--store", "/tmp/x", "--bug", "999"],
+        &["campaignd", "--store", "/tmp/x", "--threads", "2"],
+        &["hunt", "14", "--store", "/tmp/x"],
+        &["hunt", "--resume", "/tmp/x"],
+        &["hunt", "999"],
+        &["table1", "x"],
+        &["table1", "40", "extra"],
+        &["table2", "x"],
+        &["eadr", "forty"],
+        &["eadr", "--wat"],
+        &["cap_sweep", "x"],
+        &["ablation", "--wat"],
+        &["fixcost", "5"],
+        &["ace_counts", "x"],
+        &["crash_states", "--wat"],
+        &["inflight", "1"],
+        &["calibrate", "many"],
+        &["chaos", "x"],
+        &["chaos", "2", "extra"],
+        &["chaos", "--json"],
+        &["chaos", "2", "--json"],
+        &["figure3", "100", "--json"],
     ];
-    for (bin, args) in cases {
-        let out = Command::new(bin).args(*args).output().expect("spawn");
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_chipmunk")).args(*args).output().expect("spawn");
         assert_eq!(
             out.status.code(),
             Some(2),
-            "{} {:?} must exit 2 (stderr: {})",
-            bin,
+            "chipmunk {:?} must exit 2 (stderr: {})",
             args,
             String::from_utf8_lossy(&out.stderr),
         );

@@ -3,12 +3,13 @@
 //! `chipmunk::crashgen::state_key` hashes each crash state's surviving
 //! bytes straight out of the borrowed pending-write data, one 8-byte word
 //! per step (`pmem::span_key`). The property this test pins is the one the
-//! `hash_speed` example measures but cannot assert: keying a subset never
-//! materializes the crash image. An implementation that rebuilt the byte
-//! range spanned by the writes — the natural naive one — would allocate
-//! proportionally to the *span* (here, a gigabyte); the incremental scan
-//! allocates only small per-subset scratch (the sorted index order and the
-//! segment list), independent of where on the device the writes landed.
+//! benchmark's `pmem.hash_*_mbps` lanes time but cannot assert: keying a
+//! subset never materializes the crash image. An implementation that
+//! rebuilt the byte range spanned by the writes — the natural naive one —
+//! would allocate proportionally to the *span* (here, a gigabyte); the
+//! incremental scan allocates only small per-subset scratch (the sorted
+//! index order and the segment list), independent of where on the device
+//! the writes landed.
 //!
 //! The test runs in its own binary so it can install a counting global
 //! allocator without affecting other suites.

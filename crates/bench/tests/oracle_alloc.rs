@@ -3,7 +3,7 @@
 //! `chipmunk::oracle::advance_snapshot` advances an oracle snapshot across
 //! one op by re-probing only the op's footprint and structurally sharing
 //! every untouched node with the previous snapshot. The property this test
-//! pins is the one the `oracle_speed` example measures but cannot assert:
+//! pins is the one the benchmark's `oracle.*` lanes time but cannot assert:
 //! advancing across an op that touches one small file allocates
 //! independently of the *total data* held in the tree. The deep-copy
 //! implementation it replaced re-read and re-stored every file's contents

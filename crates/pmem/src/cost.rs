@@ -12,7 +12,7 @@
 //!
 //! # Calibration
 //!
-//! `cargo run --release -p bench --example fuel_calibrate` re-measures, on
+//! `cargo run --release -p bench --bin chipmunk -- calibrate` re-measures, on
 //! the current host, the wall-clock cost of each primitive below and of one
 //! *fuel unit* (the deterministic watchdog's currency, [`op_units`]), and
 //! prints the scale factor between simulated and host time. Each constant's

@@ -74,5 +74,5 @@ fn main() {
     println!();
     println!("Logic bugs transcend the persistence model (Observation 1);");
     println!("PM-programming bugs are an ADR phenomenon. Full-corpus version:");
-    println!("  cargo run --release -p bench --bin eadr");
+    println!("  cargo run --release -p bench --bin chipmunk -- eadr");
 }
