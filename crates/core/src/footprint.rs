@@ -14,6 +14,14 @@
 //! recorded footprint matches the recorder's therefore inherits the
 //! recorder's (clean) verdict without being mounted.
 //!
+//! Projections are XORs of position-aware word hashes, so every state's
+//! projection is the point's base-image projection adjusted on the recorded
+//! words its subset overwrites. Both sides of a match share that base term,
+//! so an entry keeps only the recorder's adjustment (its *delta*) and a
+//! candidate matches when its own delta over the same words is equal: the
+//! cost of recording and of matching grows with the subset's writes, not
+//! with the size of the footprint.
+//!
 //! This is what makes the sweep sub-linear on the dominant crash-point
 //! shape: metadata operations on log-structured PM file systems stage their
 //! log entries *before* publishing a tail pointer, and recovery reads only
@@ -51,18 +59,19 @@ pub(crate) const FP_MIN_STATES: usize = 2;
 /// footprint would cost more than the checks it could save.
 pub(crate) const FP_WORD_CAP: usize = 32768;
 
-/// One recorded footprint: the clean words a full check read, with content
-/// projections of the point's base image and of the recorder's image over
-/// them. Projections are XOR-composable position-aware hashes
-/// ([`pmem::word_term`]), so a candidate's projection is the base
-/// projection adjusted only on the words its subset actually touches.
+/// One recorded footprint: the clean words a full check read, and the
+/// recorder's projection delta over them.
+///
+/// A projection is the XOR of one position-aware hash ([`pmem::word_term`])
+/// per recorded word, so an image's projection over `words` is the base
+/// image's projection `B` adjusted on the words its subset touches: `B ^ d`.
+/// A candidate matches when `B ^ d_c == B ^ d_r`, which holds exactly when
+/// `d_c == d_r` — `B` cancels, so it is never computed.
 struct FpEntry {
     /// Sorted ascending.
     words: Vec<u32>,
-    /// Projection of the base image over `words`.
-    base_proj: u128,
-    /// Projection of the recorder's image over `words`.
-    proj: u128,
+    /// The recorder's projection delta over `words`.
+    delta: u128,
 }
 
 /// The footprints recorded at one crash point, in canonical state order.
@@ -95,30 +104,16 @@ impl FpSet {
             self.gave_up = true;
             return;
         }
-        let base_proj = base_projection(base, &words);
-        let entry = FpEntry { words, base_proj, proj: 0 };
-        let proj = base_proj ^ delta(&entry, base, writes, subset);
-        self.entries.push(FpEntry { proj, ..entry });
+        let delta = delta(&words, base, writes, subset);
+        self.entries.push(FpEntry { words, delta });
     }
 
     /// Whether `subset`'s image matches any recorded footprint — i.e., it
     /// agrees with some recorder's image on every word that recorder's
     /// check read, and so provably shares its clean verdict.
     pub(crate) fn matches(&self, base: &[u8], writes: &[PendingWrite], subset: &[usize]) -> bool {
-        self.entries.iter().any(|e| e.base_proj ^ delta(e, base, writes, subset) == e.proj)
+        self.entries.iter().any(|e| delta(&e.words, base, writes, subset) == e.delta)
     }
-}
-
-/// Projection of `base` over `words`: XOR of one [`pmem::word_term`] per
-/// recorded word — a single splitmix cascade each, not per-byte hashing
-/// (projections run on the hot path of every footprint record and match).
-fn base_projection(base: &[u8], words: &[u32]) -> u128 {
-    let mut p = 0;
-    for &w in words {
-        let off = w as u64 * WORD;
-        p ^= pmem::word_term(off, word_at(base, off));
-    }
-    p
 }
 
 /// The 8-byte little-endian word at `off`, zero-padded past the image end.
@@ -134,10 +129,10 @@ fn word_at(base: &[u8], off: u64) -> u64 {
 }
 
 /// Projection delta between the base image and `base + subset` over
-/// `e.words`: only words both recorded and touched by a subset write are
+/// `words`: only words both recorded and touched by a subset write are
 /// rebuilt and re-hashed. Write application order mirrors
 /// [`crate::crashgen::apply_subset`] (ascending log order).
-fn delta(e: &FpEntry, base: &[u8], writes: &[PendingWrite], subset: &[usize]) -> u128 {
+fn delta(words: &[u32], base: &[u8], writes: &[PendingWrite], subset: &[usize]) -> u128 {
     // Enumerated subsets arrive ascending; only a hand-built one is copied.
     let mut order = Cow::Borrowed(subset);
     if !subset.is_sorted() {
@@ -147,8 +142,8 @@ fn delta(e: &FpEntry, base: &[u8], writes: &[PendingWrite], subset: &[usize]) ->
     let mut d = 0;
     for (k, &wi) in order.iter().enumerate() {
         let w = &writes[wi];
-        let from = e.words.partition_point(|&x| (x as u64) < w.off / WORD);
-        for &wd in &e.words[from..] {
+        let from = words.partition_point(|&x| (x as u64) < w.off / WORD);
+        for &wd in &words[from..] {
             let off = wd as u64 * WORD;
             if !overlaps(w, off) {
                 break;
@@ -185,14 +180,16 @@ fn overlay(buf: &mut [u8], word_off: u64, w: &PendingWrite) {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn wr(off: u64, data: &[u8]) -> PendingWrite {
         PendingWrite { off, data: data.to_vec(), nt: true }
     }
 
-    /// Reference projection: materialize the full image and hash the words.
-    fn proj_naive(base: &[u8], writes: &[PendingWrite], subset: &[usize], words: &[u32]) -> u128 {
+    /// The image `base + subset`, writes laid in ascending log order.
+    fn materialize(base: &[u8], writes: &[PendingWrite], subset: &[usize]) -> Vec<u8> {
         let mut img = base.to_vec();
         let mut order = subset.to_vec();
         order.sort_unstable();
@@ -200,27 +197,75 @@ mod tests {
             let w = &writes[wi];
             img[w.off as usize..w.off as usize + w.data.len()].copy_from_slice(&w.data);
         }
-        base_projection(&img, words)
+        img
     }
 
-    #[test]
-    fn incremental_projection_equals_naive() {
-        let base: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-        let writes = vec![
-            wr(10, &[7; 30]),
-            wr(100, &[0; 64]),
-            wr(20, &[9; 40]), // overlaps the first — order matters
-            wr(700, &[3; 200]),
-            wr(4000, &[1; 96]),
-        ];
-        let words: Vec<u32> = vec![0, 1, 2, 13, 14, 89, 90, 503, 504];
-        let e = FpEntry { words: words.clone(), base_proj: base_projection(&base, &words), proj: 0 };
-        for subset in [vec![], vec![0], vec![0, 2], vec![2, 0], vec![1, 3], vec![0, 1, 2, 3, 4]] {
-            assert_eq!(
-                e.base_proj ^ delta(&e, &base, &writes, &subset),
-                proj_naive(&base, &writes, &subset, &words),
-                "subset {subset:?}"
-            );
+    /// Reference projection: one word term per recorded word of the whole
+    /// materialized image.
+    fn projection(img: &[u8], words: &[u32]) -> u128 {
+        words.iter().fold(0, |p, &w| {
+            let off = w as u64 * WORD;
+            p ^ pmem::word_term(off, word_at(img, off))
+        })
+    }
+
+    /// The indices of `writes` a bit mask selects, ascending — or
+    /// descending, to exercise a hand-built unsorted subset.
+    fn pick(mask: u8, n: usize, reversed: bool) -> Vec<usize> {
+        let mut s: Vec<usize> = (0..n).filter(|i| mask >> i & 1 == 1).collect();
+        if reversed {
+            s.reverse();
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `record` + `matches` decide exactly what materializing both images
+        /// and comparing their projections over each recorder's words
+        /// decides — and, 128-bit collisions aside, what comparing the
+        /// recorded words byte for byte decides. A three-letter alphabet
+        /// makes writes that restore base bytes, and candidates that agree
+        /// with a recorder, common.
+        #[test]
+        fn record_and_match_agree_with_materialized_model(
+            len in 60usize..400,
+            base in prop::collection::vec(0u8..3, 400),
+            raw_writes in prop::collection::vec((0u64..400, prop::collection::vec(0u8..3, 1..24)), 1..7),
+            recorders in prop::collection::vec(
+                (prop::collection::vec(0u32..50, 0..12), any::<u8>()), 1..=FP_MAX_ENTRIES),
+            candidates in prop::collection::vec((any::<u8>(), any::<bool>()), 1..12),
+        ) {
+            let base = &base[..len];
+            let writes: Vec<PendingWrite> = raw_writes
+                .iter()
+                .map(|(off, data)| {
+                    let off = off % len as u64;
+                    wr(off, &data[..data.len().min(len - off as usize)])
+                })
+                .collect();
+            let n_words = len.div_ceil(WORD as usize) as u32;
+            let mut fp = FpSet::default();
+            let mut model = Vec::new();
+            for (raw_words, mask) in &recorders {
+                let mut words: Vec<u32> = raw_words.iter().map(|w| w % n_words).collect();
+                words.sort_unstable();
+                words.dedup();
+                let subset = pick(*mask, writes.len(), false);
+                fp.record(words.clone(), base, &writes, &subset);
+                model.push((materialize(base, &writes, &subset), words));
+            }
+            for &(mask, reversed) in &candidates {
+                let subset = pick(mask, writes.len(), reversed);
+                let img = materialize(base, &writes, &subset);
+                let by_hash = model.iter().any(|(rec, words)| projection(&img, words) == projection(rec, words));
+                let by_bytes = model.iter().any(|(rec, words)| {
+                    words.iter().all(|&w| word_at(&img, w as u64 * WORD) == word_at(rec, w as u64 * WORD))
+                });
+                prop_assert_eq!(fp.matches(base, &writes, &subset), by_hash, "subset {:?}", subset);
+                prop_assert_eq!(by_hash, by_bytes, "subset {:?}", subset);
+            }
         }
     }
 

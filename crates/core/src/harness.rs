@@ -408,6 +408,12 @@ pub(crate) struct ReplayEngine<'a, K: FsKind> {
     pub pending_seqs: BTreeSet<usize>,
     /// Whether any pending write predates the first marker.
     pub pending_unknown: bool,
+    /// The last crash scope built, keyed by what it depends on besides the
+    /// engine's fixed inputs: `(seq, pending_seqs, pending_unknown)`. The
+    /// crash points of one op share it until a write of another op is left
+    /// pending, so it is built about once per op rather than once per point,
+    /// and every memo entry walked under it shares it too.
+    scope: Option<(usize, BTreeSet<usize>, bool, Arc<Scope>)>,
     cur_op: Option<usize>,
     /// The last completed op.
     pub last_done: Option<usize>,
@@ -478,6 +484,7 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
             rep: RepTable::default(),
             pending_seqs: BTreeSet::new(),
             pending_unknown: false,
+            scope: None,
             cur_op: None,
             last_done: None,
             started: false,
@@ -499,16 +506,31 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
         self.base.write(off, data);
     }
 
-    fn scope_for(&self, seq: usize) -> Scope {
-        crash_scope(
-            self.workload,
-            self.rec_results,
-            self.oracle,
-            seq,
-            &self.pending_seqs,
-            self.pending_unknown,
-            self.cfg,
-        )
+    /// The crash scope of a point at op `seq` with the current pending
+    /// writes: the cached one when its key still holds, else built and
+    /// cached.
+    fn scope_for(&mut self, seq: usize) -> Arc<Scope> {
+        let build = |e: &Self| {
+            crash_scope(
+                e.workload,
+                e.rec_results,
+                e.oracle,
+                seq,
+                &e.pending_seqs,
+                e.pending_unknown,
+                e.cfg,
+            )
+        };
+        if let Some((s, seqs, unknown, scope)) = &self.scope {
+            if *s == seq && *seqs == self.pending_seqs && *unknown == self.pending_unknown {
+                debug_assert_eq!(**scope, build(self), "cached crash scope is stale");
+                return Arc::clone(scope);
+            }
+        }
+        let scope = Arc::new(build(self));
+        self.scope =
+            Some((seq, self.pending_seqs.clone(), self.pending_unknown, Arc::clone(&scope)));
+        scope
     }
 
     /// Consumes one log entry. With `out` present, crash points are visited
@@ -781,9 +803,10 @@ pub fn check_one_state<K: FsKind>(
 struct StateArtifacts {
     /// Mount + tree-walk outcome (check stages 1–2).
     pre: Result<Arc<Tree>, Violation>,
-    /// The scope the memoized walk ran under. Reuse at a later point
-    /// requires compatibility (see [`memo_walk_compatible`]).
-    walked: Scope,
+    /// The scope the memoized walk ran under, shared with the crash points
+    /// that built it. Reuse at a later point requires compatibility (see
+    /// [`memo_walk_compatible`]).
+    walked: Arc<Scope>,
     /// Coverage hit during mount + walk.
     cov_mw: Arc<HashSet<u64>>,
     /// Injected-bug trace hit during mount + walk.
@@ -950,26 +973,27 @@ fn is_sandbox_violation(v: &Violation) -> bool {
 /// *successful* walk under a covering scope read (at least) every byte this
 /// point's comparison can touch, so its tree substitutes exactly. A *failed*
 /// walk is only equivalent when the scopes match: a wider walk may fail on
-/// corrupt file data that a narrower walk never reads.
-fn memo_walk_compatible(a: &StateArtifacts, ws: &Scope) -> bool {
-    match &a.pre {
-        Ok(_) => a.walked.covers(ws),
-        Err(_) => &a.walked == ws,
-    }
+/// corrupt file data that a narrower walk never reads. A walk under this very
+/// scope (the same `Arc`, built for an earlier point of the op) is both.
+fn memo_walk_compatible(a: &StateArtifacts, ws: &Arc<Scope>) -> bool {
+    Arc::ptr_eq(&a.walked, ws)
+        || match &a.pre {
+            Ok(_) => a.walked.covers(ws),
+            Err(_) => a.walked == *ws,
+        }
 }
 
-/// Check stages 1–4 on a prepared device. `fresh` must carry private
-/// coverage/trace sinks. Non-sandbox verdicts carry their artifacts for the
-/// cross-point memo.
+/// Check stages 1–4 on a prepared device, walking and comparing under `ws`.
+/// `fresh` must carry private coverage/trace sinks. Non-sandbox verdicts
+/// carry their artifacts for the cross-point memo.
 fn check_staged<K: FsKind, D: pmem::PmBackend>(
     fresh: &K,
     dev: D,
     check: &CheckKind<'_>,
     cfg: &TestConfig,
-    scope: &Scope,
+    ws: &Arc<Scope>,
 ) -> CheckRes {
-    let ws = walk_scope(cfg, scope);
-    let (mut fs, tree) = match sandbox::mount_walk(fresh, dev, &ws, cfg) {
+    let (mut fs, tree) = match sandbox::mount_walk(fresh, dev, ws, cfg) {
         Ok(x) => x,
         Err(v) => {
             let cov_mw = Arc::new(fresh.options().cov.snapshot());
@@ -981,7 +1005,7 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
                 trace: vec![trace_mw.clone()],
                 art: memoizable.then_some(StateArtifacts {
                     pre: Err(v),
-                    walked: ws,
+                    walked: Arc::clone(ws),
                     cov_mw,
                     trace_mw,
                     probe: None,
@@ -994,7 +1018,7 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
     let trace_mw = Arc::new(fresh.options().trace.snapshot());
     let tree = Arc::new(tree);
     let mut pruned = 0;
-    let verdict = sandbox::compare(&tree, check, cfg, &ws, &mut pruned);
+    let verdict = sandbox::compare(&tree, check, cfg, ws, &mut pruned);
     let mut probe_art = None;
     let violation = match verdict {
         Some(v) => Some(v),
@@ -1018,8 +1042,13 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
         violation,
         cov,
         trace,
-        art: memoizable
-            .then_some(StateArtifacts { pre: Ok(tree), walked: ws, cov_mw, trace_mw, probe: probe_art }),
+        art: memoizable.then_some(StateArtifacts {
+            pre: Ok(tree),
+            walked: Arc::clone(ws),
+            cov_mw,
+            trace_mw,
+            probe: probe_art,
+        }),
         pruned,
         ..Default::default()
     }
@@ -1273,7 +1302,7 @@ fn visit_crash_point<K: FsKind>(
     check: &CheckKind<'_>,
     check_base: bool,
     torn_drop: bool,
-    scope: &Scope,
+    scope: &Arc<Scope>,
     memo: &mut CrossMemo,
     rep: &mut RepTable,
     out: &mut TestOutcome,
@@ -1307,7 +1336,9 @@ fn visit_crash_point<K: FsKind>(
         stop_on_first: cfg.stop_on_first,
         collect_keys: cfg.collect_state_keys,
     };
-    let ws = walk_scope(cfg, scope);
+    // The crash scope already folds `cfg.scoped_check` in, so it is the walk
+    // scope itself: every state of the point borrows it.
+    debug_assert_eq!(**scope, walk_scope(cfg, scope));
 
     // Representative layer: the point's half of every state's behavioral
     // signature (context hash, per-write terms).
@@ -1354,14 +1385,14 @@ fn visit_crash_point<K: FsKind>(
             CheckRes::default()
         } else {
             let fresh = kind.with_options(kind.options().with_fresh_sinks());
-            let art = memo.get(&key).filter(|a| memo_walk_compatible(a, &ws));
+            let art = memo.get(&key).filter(|a| memo_walk_compatible(a, scope));
             // A from-scratch check doubles as a footprint recorder while
             // the point still wants one: the same check under a read tracker.
             let record = art.is_none() && fp_eligible && fp.want_record();
             let mark = walker.mark();
             let (staged, words) = match art {
                 Some(art) => {
-                    let r = resolve_memo_hit(art, check, cfg, &ws, |tree| {
+                    let r = resolve_memo_hit(art, check, cfg, scope, |tree| {
                         probe_on(&fresh, &mut *walker.device(), tree, cfg)
                     });
                     (r, None)

@@ -7,24 +7,115 @@
 //! copy-on-write block device for the same reason; [`CowDevice`] is the PM
 //! equivalent: a page-granular overlay over a borrowed base image, so
 //! constructing a crash state never copies the whole device and rolling back
-//! checker mutations is just dropping the overlay.
+//! checker mutations is just undoing (or dropping) the overlay.
+//!
+//! Every device access of a check — each `read_u64` of an inode field, each
+//! dentry load — goes through the overlay's page lookup, and every crash
+//! point builds, steps and drops an overlay, so the bookkeeping is laid out
+//! to cost neither hashing nor heap traffic per state:
+//!
+//! * the page table is dense, indexed by page number (one pointer per 4 KiB
+//!   of device, `None` reading through to the base);
+//! * overlay pages are boxed 4 KiB slots: a page fault takes a recycled slot
+//!   and fills it from the base, undoing the fault hands the slot back;
+//! * undo pre-images are appended to one byte arena, popped in log order;
+//! * all of that scratch is on loan from the thread, like the footprint
+//!   tracker's word bitmap ([`crate::ReadTracker`]): an overlay takes the
+//!   thread's idle scratch, and on `Drop` empties it and hands it back,
+//!   keeping at most `KEEP_PAGES` slots and `KEEP_ARENA` arena bytes.
+//!
+//! After a thread's first few overlays, building a crash state, checking it
+//! and rewinding it allocate nothing. An overlay created while another one is
+//! live on the same thread (the slow-path re-check runs under the delta
+//! replayer's overlay) starts from empty scratch; whichever is dropped last
+//! leaves its scratch to the thread.
+
+use std::cell::Cell;
 
 use crate::{
     backend::{assert_in_range, PmBackend},
     cost::{self, SimCost},
-    fxmap::FxHashMap,
 };
 
 /// Overlay page size.
-const PAGE: u64 = 4096;
+const PAGE: usize = 4096;
+
+// What a thread keeps between overlays. Each cap sits above what nearly every
+// crash-point overlay of the benchmark reaches (at most 21 pages and 280 undo
+// records; 99.9 % stay under 230 KiB of pre-images, the largest 272 KiB), so
+// a thread's scratch stops growing early. A cap the common case crosses would
+// shrink on every such drop and regrow on the next overlay; with a 64 KiB
+// arena cap that churn fragmented the heap enough to add 70 KiB of peak RSS
+// per benchmark pass. A whole-device memset dirties every page; the excess
+// is freed when its overlay is dropped.
+
+/// Recycled page slots a thread keeps (128 KiB).
+const KEEP_PAGES: usize = 32;
+
+/// Undo-arena bytes a thread keeps.
+const KEEP_ARENA: usize = 256 * 1024;
+
+/// Undo records a thread keeps room for (16 KiB).
+const KEEP_UNDO: usize = 1024;
+
+type Page = [u8; PAGE];
 
 /// One reversible step in the overlay's undo log.
 enum UndoRecord {
-    /// The page was absent before the write; undoing removes it (the page
-    /// content is still available in the base image).
-    FreshPage(u64),
-    /// Pre-image of a byte range within a single already-present page.
-    Bytes { off: u64, old: Box<[u8]> },
+    /// A page fault: undoing it releases the most recently faulted page
+    /// (faults and their records are pushed in the same order), whose
+    /// content is still available in the base image.
+    Fresh,
+    /// Pre-image of `len` bytes at `off` within one already-present page;
+    /// the bytes are the last `len` of the arena.
+    Bytes { off: u64, len: u16 },
+}
+
+/// An overlay's mutable state, on loan from [`IDLE`]. Idle scratch has
+/// every table entry `None` and an empty log; only capacity carries over.
+struct Scratch {
+    /// Page table indexed by page number: `None` reads through to the base.
+    table: Vec<Option<Box<Page>>>,
+    /// Page numbers with a slot in `table`, in fault order.
+    live: Vec<usize>,
+    /// Recycled slots, contents stale.
+    free: Vec<Box<Page>>,
+    undo: Vec<UndoRecord>,
+    /// Pre-image bytes of the [`UndoRecord::Bytes`] records, in log order.
+    arena: Vec<u8>,
+}
+
+impl Scratch {
+    const EMPTY: Scratch = Scratch {
+        table: Vec::new(),
+        live: Vec::new(),
+        free: Vec::new(),
+        undo: Vec::new(),
+        arena: Vec::new(),
+    };
+
+    /// Releases every live page and clears the log.
+    fn clear(&mut self) {
+        for pno in self.live.drain(..) {
+            let page = self.table[pno].take().expect("live page present");
+            self.free.push(page);
+        }
+        self.undo.clear();
+        self.arena.clear();
+    }
+}
+
+impl Default for Scratch {
+    fn default() -> Self {
+        Scratch::EMPTY
+    }
+}
+
+thread_local! {
+    /// This thread's idle overlay scratch. Per thread rather than pooled
+    /// like [`crate::ImageLease`]: an overlay never leaves the thread that
+    /// checks its crash state.
+    static IDLE: Cell<Scratch> = const { Cell::new(Scratch::EMPTY) };
 }
 
 /// A position in the undo log, returned by [`CowDevice::mark`].
@@ -44,20 +135,31 @@ pub type UndoMark = usize;
 /// the overlay from scratch per state.
 pub struct CowDevice<'a> {
     base: &'a [u8],
-    pages: FxHashMap<u64, Box<[u8]>>,
-    undo: Option<Vec<UndoRecord>>,
+    s: Scratch,
+    undo_on: bool,
 }
 
 impl<'a> CowDevice<'a> {
     /// Creates an overlay over `base`.
     pub fn new(base: &'a [u8]) -> Self {
-        CowDevice { base, pages: FxHashMap::default(), undo: None }
+        Self::lease(base, false)
     }
 
     /// Creates an overlay over `base` that records pre-images, enabling
     /// [`CowDevice::mark`] / [`CowDevice::undo_to`].
     pub fn new_with_undo(base: &'a [u8]) -> Self {
-        CowDevice { base, pages: FxHashMap::default(), undo: Some(Vec::new()) }
+        Self::lease(base, true)
+    }
+
+    /// Borrows the thread's idle scratch (empty on a thread's first overlay,
+    /// or for one nested inside another) and sizes its page table to `base`.
+    fn lease(base: &'a [u8], undo_on: bool) -> Self {
+        let mut s = IDLE.try_with(Cell::take).unwrap_or_default();
+        debug_assert!(s.live.is_empty() && s.undo.is_empty() && s.arena.is_empty());
+        debug_assert!(s.table.iter().all(Option::is_none), "idle page table is not empty");
+        s.table.truncate(base.len().div_ceil(PAGE));
+        s.table.resize_with(base.len().div_ceil(PAGE), || None);
+        CowDevice { base, s, undo_on }
     }
 
     /// Applies `data` at `off` (used by the replayer to lay a subset of
@@ -68,54 +170,39 @@ impl<'a> CowDevice<'a> {
 
     /// Number of dirtied overlay pages.
     pub fn dirty_pages(&self) -> usize {
-        self.pages.len()
+        self.s.live.len()
     }
 
     /// Discards all overlay modifications, reverting to the base image.
     pub fn rollback(&mut self) {
-        self.pages.clear();
-        if let Some(log) = &mut self.undo {
-            log.clear();
-        }
+        self.s.clear();
     }
 
     /// Current undo-log position. Writes made after a mark can be reverted
     /// with [`CowDevice::undo_to`]. Returns 0 when undo is disabled.
     pub fn mark(&self) -> UndoMark {
-        self.undo.as_ref().map_or(0, Vec::len)
+        self.s.undo.len()
     }
 
     /// Rewinds the overlay to the state it had at `mark`, undoing every
     /// write made since (most recent first). No-op when undo is disabled.
     pub fn undo_to(&mut self, mark: UndoMark) {
-        let Some(log) = &mut self.undo else { return };
-        while log.len() > mark {
-            match log.pop().expect("log.len() > mark >= 0") {
-                UndoRecord::FreshPage(pno) => {
-                    self.pages.remove(&pno);
+        let Scratch { table, live, free, undo, arena } = &mut self.s;
+        while undo.len() > mark {
+            match undo.pop().expect("undo.len() > mark >= 0") {
+                UndoRecord::Fresh => {
+                    let pno = live.pop().expect("a fault record has its page");
+                    free.push(table[pno].take().expect("faulted page present"));
                 }
-                UndoRecord::Bytes { off, old } => {
-                    let pno = off / PAGE;
-                    let in_page = (off % PAGE) as usize;
-                    let page = self.pages.get_mut(&pno).expect("undone page present");
-                    page[in_page..in_page + old.len()].copy_from_slice(&old);
+                UndoRecord::Bytes { off, len } => {
+                    let at = arena.len() - len as usize;
+                    let in_page = off as usize % PAGE;
+                    let page = table[off as usize / PAGE].as_mut().expect("undone page present");
+                    page[in_page..in_page + len as usize].copy_from_slice(&arena[at..]);
+                    arena.truncate(at);
                 }
             }
         }
-    }
-
-    fn page_mut(&mut self, pno: u64) -> &mut [u8] {
-        let base = self.base;
-        self.pages.entry(pno).or_insert_with(|| {
-            let start = (pno * PAGE) as usize;
-            let end = (start + PAGE as usize).min(base.len());
-            // Build the page from the base slice directly; only an unaligned
-            // tail page needs zero padding past the end of the base.
-            let mut p = Vec::with_capacity(PAGE as usize);
-            p.extend_from_slice(&base[start..end]);
-            p.resize(PAGE as usize, 0);
-            p.into_boxed_slice()
-        })
     }
 
     fn write_bytes(&mut self, off: u64, data: &[u8]) {
@@ -125,23 +212,29 @@ impl<'a> CowDevice<'a> {
         // watchdog fires mid-sequence.
         cost::tick(cost::op_units(data.len()));
         assert_in_range(off, data.len() as u64, self.base.len() as u64);
+        let Scratch { table, live, free, undo, arena } = &mut self.s;
         let mut pos = 0usize;
         while pos < data.len() {
-            let cur = off + pos as u64;
-            let pno = cur / PAGE;
-            let in_page = (cur % PAGE) as usize;
-            let n = (PAGE as usize - in_page).min(data.len() - pos);
-            if let Some(undo) = &mut self.undo {
-                let rec = match self.pages.get(&pno) {
-                    None => UndoRecord::FreshPage(pno),
-                    Some(p) => UndoRecord::Bytes {
-                        off: cur,
-                        old: p[in_page..in_page + n].to_vec().into_boxed_slice(),
-                    },
-                };
-                undo.push(rec);
-            }
-            self.page_mut(pno)[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
+            let cur = off as usize + pos;
+            let (pno, in_page) = (cur / PAGE, cur % PAGE);
+            let n = (PAGE - in_page).min(data.len() - pos);
+            let page = match &mut table[pno] {
+                Some(page) => {
+                    if self.undo_on {
+                        undo.push(UndoRecord::Bytes { off: cur as u64, len: n as u16 });
+                        arena.extend_from_slice(&page[in_page..in_page + n]);
+                    }
+                    page
+                }
+                slot @ None => {
+                    if self.undo_on {
+                        undo.push(UndoRecord::Fresh);
+                    }
+                    live.push(pno);
+                    slot.insert(fault(self.base, free, pno))
+                }
+            };
+            page[in_page..in_page + n].copy_from_slice(&data[pos..pos + n]);
             pos += n;
         }
     }
@@ -151,19 +244,53 @@ impl<'a> CowDevice<'a> {
         assert_in_range(off, buf.len() as u64, self.base.len() as u64);
         let mut pos = 0usize;
         while pos < buf.len() {
-            let cur = off + pos as u64;
-            let pno = cur / PAGE;
-            let in_page = (cur % PAGE) as usize;
-            let n = (PAGE as usize - in_page).min(buf.len() - pos);
-            match self.pages.get(&pno) {
-                Some(p) => buf[pos..pos + n].copy_from_slice(&p[in_page..in_page + n]),
-                None => {
-                    let start = cur as usize;
-                    buf[pos..pos + n].copy_from_slice(&self.base[start..start + n]);
-                }
-            }
+            let cur = off as usize + pos;
+            let (pno, in_page) = (cur / PAGE, cur % PAGE);
+            let n = (PAGE - in_page).min(buf.len() - pos);
+            let src = match &self.s.table[pno] {
+                Some(page) => &page[in_page..in_page + n],
+                None => &self.base[cur..cur + n],
+            };
+            buf[pos..pos + n].copy_from_slice(src);
             pos += n;
         }
+    }
+}
+
+/// A slot holding page `pno` of `base`: a recycled one refilled, or a
+/// fresh one built from the base slice directly. Past the end of `base` (a
+/// short last page) a slot holds whatever it held before; no access can
+/// reach those bytes.
+fn fault(base: &[u8], free: &mut Vec<Box<Page>>, pno: usize) -> Box<Page> {
+    let src = &base[pno * PAGE..((pno + 1) * PAGE).min(base.len())];
+    match free.pop() {
+        Some(mut page) => {
+            page[..src.len()].copy_from_slice(src);
+            page
+        }
+        None => {
+            let mut p = Vec::with_capacity(PAGE);
+            p.extend_from_slice(src);
+            p.resize(PAGE, 0);
+            p.into_boxed_slice().try_into().expect("one page")
+        }
+    }
+}
+
+impl Drop for CowDevice<'_> {
+    /// Empties the scratch, trims it to the kept caps and returns it to the
+    /// thread. Runs during unwinding too (the sandbox catches checker panics
+    /// with an overlay live), so nothing here can panic: on a thread already
+    /// tearing its locals down the scratch is simply freed.
+    fn drop(&mut self) {
+        let s = &mut self.s;
+        s.clear();
+        s.free.truncate(KEEP_PAGES);
+        s.free.shrink_to(KEEP_PAGES);
+        s.live.shrink_to(KEEP_PAGES);
+        s.arena.shrink_to(KEEP_ARENA);
+        s.undo.shrink_to(KEEP_UNDO);
+        let _ = IDLE.try_with(|idle| idle.set(std::mem::take(s)));
     }
 }
 
@@ -189,10 +316,10 @@ impl PmBackend for CowDevice<'_> {
         // device must not allocate O(len) (it used to build a `vec![val;
         // len]` per call, which dominated large fallocate replays).
         assert_in_range(off, len, self.base.len() as u64);
-        let buf = [val; PAGE as usize];
+        let buf = [val; PAGE];
         let mut pos = 0u64;
         while pos < len {
-            let n = (len - pos).min(PAGE) as usize;
+            let n = (len - pos).min(PAGE as u64) as usize;
             self.write_bytes(off + pos, &buf[..n]);
             pos += n as u64;
         }
@@ -345,5 +472,23 @@ mod tests {
         let mut b = [0u8; 10];
         cow.read(4990, &mut b);
         assert_eq!(b, [4u8; 10]);
+    }
+
+    #[test]
+    fn recycled_slot_is_refilled_from_its_own_page() {
+        // A slot released by one overlay comes back holding another page's
+        // bytes; the next fault must overwrite every byte the device covers.
+        let dirty = vec![0xeeu8; 2 * PAGE];
+        let mut cow = CowDevice::new(&dirty);
+        cow.store(0, &[1]);
+        drop(cow);
+        let base: Vec<u8> = (0..PAGE + 100).map(|i| (i % 253) as u8).collect();
+        let mut cow = CowDevice::new(&base);
+        cow.store(PAGE as u64, &[7]); // the short tail page, from the recycled slot
+        let mut got = vec![0u8; base.len()];
+        cow.read(0, &mut got);
+        let mut want = base.clone();
+        want[PAGE] = 7;
+        assert_eq!(got, want);
     }
 }

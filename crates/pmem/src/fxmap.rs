@@ -1,13 +1,14 @@
-//! A fast non-cryptographic hash map for the simulator's hot page tables.
+//! A fast non-cryptographic hash map for sparse, integer-keyed page tables.
 //!
-//! Every device access in a crash-state check — each `read_u64` of an inode
-//! field, each dentry load, each journal scan word — pays one page lookup in
-//! a `HashMap<u64, Box<[u8]>>` ([`crate::CowDevice`]) or up to one per
-//! overlay layer ([`crate::ForkDevice`]). With the standard library's
-//! SipHash those lookups dominate mount/probe time across a sweep's tens of
-//! thousands of crash states. Page numbers are small, attacker-free
-//! integers, so a multiply-xor hash (the Firefox/rustc "FxHash" recipe) is
-//! sufficient and several times faster.
+//! Every device access of a crash-free phase — the oracle run and the
+//! recorded run on [`crate::ForkDevice`], whose lookups pay up to one probe
+//! per overlay layer — and every page-cache hit of the DAX controls is a
+//! lookup in a `HashMap<u64, _>` keyed by page number. With the standard
+//! library's SipHash those lookups dominate the phases' device time. Page
+//! numbers are small, attacker-free integers, so a multiply-xor hash (the
+//! Firefox/rustc "FxHash" recipe) is sufficient and several times faster.
+//! (The crash-state overlay, [`crate::CowDevice`], needs no hash at all: it
+//! spans one device, so its page table is a dense array.)
 //!
 //! Determinism: the harness never iterates these maps in an order-sensitive
 //! way (lookups, inserts, and wholesale clears only), so the hasher change

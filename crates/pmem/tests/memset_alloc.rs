@@ -1,39 +1,55 @@
-//! Regression test: `CowDevice::memset_nt` must not allocate a buffer
-//! proportional to the memset length (it used to build `vec![val; len]` per
-//! call, which dominated large fallocate replays).
+//! Allocation regressions of the crash-state overlay: `CowDevice::memset_nt`
+//! must not allocate a buffer proportional to the memset length (it used to
+//! build `vec![val; len]` per call, which dominated large fallocate
+//! replays), a page fault costs one page at most, and the overlay scratch a
+//! thread lends from one overlay to the next makes a warm overlay's faults,
+//! undo records and rewinds allocation-free while keeping only a capped
+//! amount of memory between overlays.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pmem::{CowDevice, PmBackend, PmDevice};
 
-/// System allocator wrapper recording the largest single allocation and the
-/// total bytes requested — per thread, because the tests of this binary run
-/// on parallel threads and each measures only its own allocations.
+/// System allocator wrapper recording the largest single allocation, the
+/// total bytes requested, the number of requests and the bytes live — per
+/// thread, because the tests of this binary run on parallel threads and each
+/// measures only its own allocations.
 struct MaxTracking;
 
 thread_local! {
     static MAX_ALLOC: Cell<usize> = const { Cell::new(0) };
     static TOTAL_ALLOC: Cell<usize> = const { Cell::new(0) };
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(size: usize) {
     MAX_ALLOC.with(|m| m.set(m.get().max(size)));
     TOTAL_ALLOC.with(|t| t.set(t.get() + size));
+    CALLS.with(|c| c.set(c.get() + 1));
+}
+
+fn live(delta: isize) {
+    // `try_with`: the allocator also serves this thread's TLS teardown.
+    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
 }
 
 unsafe impl GlobalAlloc for MaxTracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        live(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        live(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -50,8 +66,9 @@ fn cow_memset_allocates_pages_not_the_whole_range() {
     MAX_ALLOC.set(0);
     cow.memset_nt(0, 0xab, LEN);
     let peak = MAX_ALLOC.get();
-    // Overlay pages are 4 KiB; allow generous slack for HashMap growth, but
-    // nothing near the 4 MiB the old `vec![val; len]` implementation hit.
+    // Overlay pages are 4 KiB slots; allow generous slack for the page table
+    // and slot lists (8 KiB each for this device), but nothing near the
+    // 4 MiB the old `vec![val; len]` implementation hit.
     assert!(
         peak <= 256 * 1024,
         "memset_nt allocated {peak} bytes in one request (len {LEN})"
@@ -79,11 +96,11 @@ fn cow_page_fault_allocates_one_page_without_zero_prefill() {
     // `page_mut` used to zero-fill a fresh 4 KiB buffer and then overwrite
     // the whole thing with the base copy. The page is now built from the
     // base slice directly, so faulting a page costs exactly one page-sized
-    // allocation (plus small HashMap bookkeeping), with no transient second
-    // buffer and no reallocation.
+    // allocation (plus the growth of the overlay's list of live pages), with
+    // no transient second buffer and no reallocation.
     let base = vec![0x5au8; 64 * 4096];
     let mut cow = CowDevice::new(&base);
-    cow.store(0, &[1]); // warm up the overlay HashMap
+    cow.store(0, &[1]); // warm up the overlay's live-page list
     let pages = 32usize;
     TOTAL_ALLOC.set(0);
     MAX_ALLOC.set(0);
@@ -92,7 +109,7 @@ fn cow_page_fault_allocates_one_page_without_zero_prefill() {
     }
     let total = TOTAL_ALLOC.get();
     let peak = MAX_ALLOC.get();
-    // One 4096-byte buffer per faulted page + bounded map growth slack.
+    // One 4096-byte slot per faulted page + bounded list growth slack.
     assert!(
         total <= pages * 4096 + 16 * 1024,
         "{pages} page faults allocated {total} bytes in total"
@@ -102,6 +119,61 @@ fn cow_page_fault_allocates_one_page_without_zero_prefill() {
     let mut b = [0u8; 2];
     cow.read(4096, &mut b);
     assert_eq!(b, [2, 0x5a]);
+}
+
+/// One crash state's worth of overlay traffic: faults on eight pages,
+/// overwrites of faulted pages (undo pre-images), a page-crossing write, and
+/// a rewind of the check's writes and then of the state's.
+fn crash_state_cycle(cow: &mut CowDevice<'_>) {
+    let state = cow.mark();
+    for p in 0..8u64 {
+        cow.apply(p * 4096 + 40, &[1; 64]);
+    }
+    let check = cow.mark();
+    cow.store(40, &[2; 16]);
+    cow.memcpy_nt(4096 - 8, &[3; 16]);
+    cow.memset_nt(2 * 4096, 0, 4096);
+    let mut b = [0u8; 8];
+    cow.read(4096 - 4, &mut b);
+    assert_eq!(b, [3; 8]);
+    cow.undo_to(check);
+    cow.read(40, &mut b);
+    assert_eq!(b, [1; 8]);
+    cow.undo_to(state);
+    cow.read(40, &mut b);
+    assert_eq!(b, [0x5a; 8]);
+}
+
+#[test]
+fn warm_overlay_faults_undoes_and_rewinds_without_allocating() {
+    let base = vec![0x5au8; 64 * 4096];
+    // The thread's first overlay grows the scratch its successors borrow.
+    let mut warm = CowDevice::new_with_undo(&base);
+    crash_state_cycle(&mut warm);
+    drop(warm);
+    let mut cow = CowDevice::new_with_undo(&base);
+    CALLS.set(0);
+    crash_state_cycle(&mut cow);
+    crash_state_cycle(&mut cow);
+    assert_eq!(CALLS.get(), 0, "a warm overlay allocated");
+    drop(cow);
+    assert_eq!(CALLS.get(), 0, "dropping an overlay allocated");
+}
+
+#[test]
+fn dropped_overlay_leaves_only_capped_scratch_on_the_thread() {
+    let base = vec![0u8; LEN as usize];
+    let before = LIVE.get();
+    let mut cow = CowDevice::new_with_undo(&base);
+    cow.memset_nt(0, 0xab, LEN);
+    cow.memset_nt(0, 0xcd, LEN); // a page-sized undo pre-image per page
+    assert!(LIVE.get() - before > 2 * LEN as isize, "the memset faulted every page");
+    drop(cow);
+    let kept = LIVE.get() - before;
+    // The caps: 32 page slots (128 KiB), 256 KiB of undo bytes and 1024
+    // undo records (16 KiB), plus one page-table pointer per page of the
+    // device (8 KiB here) and the slot lists' room.
+    assert!(kept <= 416 * 1024, "the thread kept {kept} bytes of overlay scratch");
 }
 
 #[test]
