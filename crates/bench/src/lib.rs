@@ -87,7 +87,8 @@ pub fn run_batch<K: FsKind>(
     let indices: Vec<usize> = (0..batch.len()).collect();
     let shards: Vec<Vec<usize>> = indices.chunks(per).map(<[usize]>::to_vec).collect();
     let mut no_state = vec![(); shards.len()];
-    sched::run_shards(batch, cfg, &shards, &mut no_state, |_, w| test_on_fresh_sinks(kind, w, cfg))
+    let test = |_: &mut (), w: &Workload| test_on_fresh_sinks(kind, w, cfg);
+    sched::run_shards(batch, cfg, &shards, &mut no_state, None, test, |_, _, _| {})
         .into_iter()
         .map(|r| commit(kind, r))
         .collect()
@@ -162,7 +163,11 @@ pub fn run_batch_cached<K: FsKind>(
 ///   prefix counters) are identical for every `threads` value.
 /// * `total = None`, cache inactive: `threads * 2`, just enough lookahead to
 ///   keep the sharded [`run_batch`] workers busy without over-speculating
-///   past a stop-on-first winner.
+///   past a stop-on-first winner. The ACE hunt does not get this window: it
+///   sizes its window once, before the first batch, and a cache only finds
+///   out that its kind cannot fork on first use — so a SplitFS hunt's
+///   windows are 64 wide too (its first window goes through the scheduler,
+///   whose caches disable themselves, and is counted in `sched_subtrees`).
 pub fn sched_batch_len(threads: usize, cache_active: bool, total: Option<usize>) -> usize {
     let threads = threads.max(1);
     match total {
@@ -175,9 +180,10 @@ pub fn sched_batch_len(threads: usize, cache_active: bool, total: Option<usize>)
 /// Result of hunting one bug with one frontend.
 #[derive(Debug, Clone)]
 pub struct HuntResult {
-    /// CPU time until the first violation.
+    /// Wall time until the first violation (measured with `Instant`).
     pub elapsed: Duration,
-    /// Workloads executed until then.
+    /// Workloads committed, in stream order, up to and including the one
+    /// that reported. Workloads run speculatively past it are not counted.
     pub workloads: u64,
     /// Crash states checked until then.
     pub states: u64,
@@ -215,9 +221,10 @@ pub struct HuntResult {
     pub sched_subtrees: u64,
     /// Deepest within-subtree shared op prefix seen in any batch.
     pub sched_subtree_max_depth: u64,
-    /// Cumulative `prefix_hits` per scheduler worker slot — describes the
-    /// schedule, so (unlike every other field) it varies with the thread
-    /// count. Empty when the scheduler never engaged.
+    /// Cumulative `prefix_hits` per scheduler worker slot over the
+    /// committed workloads, so for an ACE hunt it sums to `prefix_hits`.
+    /// Describes the schedule, so (unlike every other field) it varies with
+    /// the thread count. Empty when the scheduler never engaged.
     pub per_worker_prefix_hits: Vec<u64>,
     /// Checker-stage panics converted into `recovery-panic` findings until
     /// the find (see `TestConfig::sandbox`).
@@ -327,7 +334,12 @@ impl WithKind for AceHunt<'_> {
         // The ACE stream is a pure iterator (no feedback), so the batch size
         // is pure lookahead — it never affects which workload wins: the walk
         // below commits counters in stream order and stops at the first
-        // report, discarding speculative results past it.
+        // report. `run_to_find` does not run the window past that report
+        // (skipped workloads only advance a worker's cache along the ops the
+        // next committed one shares), and every committed counter is what
+        // running the whole window would give; see "Stopping at the find" in
+        // the `sched` module docs. A kind that cannot fork takes the plain
+        // `run_batch` path once its caches have disabled themselves.
         let mut sched = Scheduler::new(&kind, self.cfg);
         let batch_len = sched_batch_len(self.cfg.threads, sched.is_active(), None);
         loop {
@@ -335,7 +347,12 @@ impl WithKind for AceHunt<'_> {
             if batch.is_empty() {
                 return (None, sum.workloads, sum.crash_states);
             }
-            let results = run_batch_cached(&kind, &batch, self.cfg, Some(&mut sched));
+            let results = if sched.is_active() {
+                let done = sched.run_to_find(&batch, self.cfg);
+                done.into_iter().map(|r| commit(&kind, r)).collect()
+            } else {
+                run_batch(&kind, &batch, self.cfg)
+            };
             for (w, (out, _cov)) in batch.iter().zip(results) {
                 sum.add(&out);
                 if let Some(r) = out.reports.first() {

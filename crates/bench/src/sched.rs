@@ -8,7 +8,9 @@
 //! each worker runs, in order), one private state per shard, and a per-item
 //! closure. [`crate::run_batch`] is the executor over contiguous chunks with
 //! no state; [`Scheduler::run`] is the executor over prefix subtrees with a
-//! [`PrefixCache`] per worker. Worker isolation has two layers:
+//! [`PrefixCache`] per worker, and [`Scheduler::run_to_find`] is that run
+//! stopped at the first report (see "Stopping at the find" below). Worker
+//! isolation has two layers:
 //!
 //! * with `TestConfig::sandbox` on, every item runs under [`guarded_run`], so
 //!   a panic escaping a workload's whole run (while recording, say — outside
@@ -52,9 +54,37 @@
 //! at the start of every scheduled call so counters are a pure function of
 //! the batch, not of scheduling history.
 //!
+//! ## Stopping at the find
+//!
+//! A hunt commits results in batch order up to and including the first
+//! workload that reports, and discards the rest of its lookahead window.
+//! [`Scheduler::run_to_find`] does not run that rest. Its workers share the
+//! lowest reporting batch index seen so far (an `AtomicUsize` lowered with
+//! `fetch_min`); a worker reaching an item above it skips the item. Skipping
+//! must not move a committed workload's counters, and it does not, because
+//! of two facts:
+//!
+//! * a cached boundary-`k` state is a pure function of `ops[0..k]` (the
+//!   [`PrefixCache`] invariant), so a cache that ran only a skipped
+//!   workload's first `t` ops resumes the next workload exactly as one that
+//!   ran all of them, as long as the two share no more than `t` ops;
+//! * in op-lexicographic shard order, `LCP(P, W) <= LCP(P, W_next)` for
+//!   every `W` after `W_next`, so the next item still at or below the find
+//!   shares the deepest prefix any later item can share with `P`.
+//!
+//! So for a skipped item `P`, a worker with a live cache runs `P`'s ops
+//! shared with that next item through the cache and drops the result; the
+//! next item then resumes at exactly the depth it resumed at when `P` ran
+//! in full. The shared index only decreases, so every item at or below the
+//! final find runs. Without a live cache (SplitFS) a skipped item is simply
+//! not run. The one difference: a cache anomaly (`run` falling back to the
+//! plain path) inside a skipped item's unshared suffix would have reset the
+//! cache.
+//!
 //! [`reset`]: PrefixCache::reset
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use chipmunk::{
     sandbox, BugReport, CrashPhase, PrefixCache, Stage, TestConfig, TestOutcome, Violation,
@@ -102,29 +132,53 @@ pub(crate) fn guarded_run(w: &Workload, test: impl FnOnce() -> WorkloadResult) -
 /// worker's private state; every index of `batch` belongs to exactly one
 /// shard. Returns one result per workload **in batch order**. One shard (or
 /// none) runs on the caller's thread; more run on one scoped thread each.
+///
+/// With `first_find` given, the executor stops at the find (see "Stopping
+/// at the find" in the module docs): an item whose batch index is above the
+/// value is not run — `skip(state, item, next)` is called instead, `next`
+/// being the shard's next item still at or below the value — and a run item
+/// that reports lowers the value to its index. The results then end at the
+/// first reporting workload in batch order.
 pub(crate) fn run_shards<S: Send>(
     batch: &[Workload],
     cfg: &TestConfig,
     shards: &[Vec<usize>],
     states: &mut [S],
+    first_find: Option<&AtomicUsize>,
     test: impl Fn(&mut S, &Workload) -> WorkloadResult + Sync,
+    skip: impl Fn(&mut S, &Workload, Option<&Workload>) + Sync,
 ) -> Vec<WorkloadResult> {
     debug_assert_eq!(shards.len(), states.len());
-    // One shard's results, in the shard's order.
-    let run_shard = |state: &mut S, shard: &[usize], guard: bool| -> Vec<WorkloadResult> {
+    // The value publishes no other data and only decreases, so a relaxed
+    // load never skips an item at or below the final find; the final read
+    // below comes after every worker has joined.
+    let past_find = |i: usize| first_find.is_some_and(|f| i > f.load(Ordering::Relaxed));
+    // One shard's results, in the shard's order; `None` for a skipped item.
+    let run_shard = |state: &mut S, shard: &[usize], guard: bool| -> Vec<Option<WorkloadResult>> {
         shard
             .iter()
-            .map(|&i| {
+            .enumerate()
+            .map(|(pos, &i)| {
                 let w = &batch[i];
-                if guard {
-                    guarded_run(w, || test(state, w))
-                } else {
-                    test(state, w)
+                if past_find(i) {
+                    let next = shard[pos + 1..].iter().find(|&&j| !past_find(j));
+                    let next = next.map(|&j| &batch[j]);
+                    if guard {
+                        let _ = sandbox::guarded(Stage::Worker, || skip(state, w, next));
+                    } else {
+                        skip(state, w, next);
+                    }
+                    return None;
                 }
+                let r = if guard { guarded_run(w, || test(state, w)) } else { test(state, w) };
+                if let Some(f) = first_find.filter(|_| !r.0.reports.is_empty()) {
+                    f.fetch_min(i, Ordering::Relaxed);
+                }
+                Some(r)
             })
             .collect()
     };
-    let done: Vec<Vec<WorkloadResult>> = if shards.len() <= 1 {
+    let done: Vec<Vec<Option<WorkloadResult>>> = if shards.len() <= 1 {
         states.iter_mut().zip(shards).map(|(st, sh)| run_shard(st, sh, cfg.sandbox)).collect()
     } else {
         let run_shard = &run_shard;
@@ -149,9 +203,17 @@ pub(crate) fn run_shards<S: Send>(
     let mut slots: Vec<Option<WorkloadResult>> = Vec::with_capacity(batch.len());
     slots.resize_with(batch.len(), || None);
     for (&i, r) in shards.iter().flatten().zip(done.into_iter().flatten()) {
-        slots[i] = Some(r);
+        slots[i] = r;
     }
-    slots.into_iter().map(|s| s.expect("every batch index is in one shard")).collect()
+    if let Some(f) = first_find {
+        slots.truncate(f.load(Ordering::Relaxed).saturating_add(1));
+    }
+    slots.into_iter().map(|s| s.expect("every item up to the find ran")).collect()
+}
+
+/// How many leading ops `a` and `b` share.
+fn shared_ops(a: &Workload, b: &Workload) -> usize {
+    a.ops.iter().zip(&b.ops).take_while(|(x, y)| x == y).count()
 }
 
 /// A deterministic partition of one batch into prefix subtrees.
@@ -202,7 +264,9 @@ pub fn plan_subtrees(keys: &[Vec<String>]) -> SubtreePlan {
 /// deterministic subtree partitioning that keeps them effective under
 /// `threads > 1`. Create one next to a batch loop (where a bare
 /// `PrefixCache` used to live) and feed batches through [`Scheduler::run`]
-/// — or through [`crate::run_batch_cached`], which also absorbs sinks.
+/// — or through [`crate::run_batch_cached`], which also absorbs sinks. A
+/// hunt, which keeps nothing past its first find, feeds them through
+/// [`Scheduler::run_to_find`].
 pub struct Scheduler<K: FsKind> {
     kind: K,
     caches: Vec<PrefixCache<K>>,
@@ -210,10 +274,12 @@ pub struct Scheduler<K: FsKind> {
     pub subtrees: u64,
     /// Deepest within-subtree shared prefix seen in any batch.
     pub subtree_max_depth: u64,
-    /// Cumulative `prefix_hits` per worker slot. Length = the most workers
-    /// any batch used; unlike every other counter this *is* a function of
-    /// the thread count (it describes the schedule, not the results), so it
-    /// stays out of determinism fingerprints.
+    /// Cumulative `prefix_hits` per worker slot, over the returned results
+    /// only (a workload [`Scheduler::run_to_find`] skipped, or whose result
+    /// it did not return, adds nothing). Length = the most workers any batch
+    /// used; unlike every other counter this *is* a function of the thread
+    /// count (it describes the schedule, not the results), so it stays out
+    /// of determinism fingerprints.
     pub per_worker_hits: Vec<u64>,
 }
 
@@ -248,6 +314,25 @@ impl<K: FsKind> Scheduler<K> {
         batch: &[Workload],
         cfg: &TestConfig,
     ) -> Vec<WorkloadResult> {
+        self.run_scheduled(batch, cfg, false)
+    }
+
+    /// The hunt entry point: [`Scheduler::run`] that stops at the find. The
+    /// results end at the first workload, in batch order, that reports
+    /// (a `<worker>` report counts); workloads past it are skipped as
+    /// "Stopping at the find" in the module docs describes. Every returned
+    /// result, and `per_worker_hits`, equals what `run` would give for that
+    /// prefix of the batch.
+    pub fn run_to_find(&mut self, batch: &[Workload], cfg: &TestConfig) -> Vec<WorkloadResult> {
+        self.run_scheduled(batch, cfg, true)
+    }
+
+    fn run_scheduled(
+        &mut self,
+        batch: &[Workload],
+        cfg: &TestConfig,
+        to_find: bool,
+    ) -> Vec<WorkloadResult> {
         let keys: Vec<Vec<String>> = batch
             .iter()
             .map(|w| w.ops.iter().map(|o| o.describe()).collect())
@@ -272,11 +357,28 @@ impl<K: FsKind> Scheduler<K> {
         for (g, members) in plan.groups.iter().enumerate() {
             shards[g % workers].extend(members);
         }
-        let mut out = run_shards(batch, cfg, &shards, &mut self.caches[..workers], |cache, w| {
-            cache.run(w, cfg)
-        });
+        let first_find = AtomicUsize::new(usize::MAX);
+        let mut out = run_shards(
+            batch,
+            cfg,
+            &shards,
+            &mut self.caches[..workers],
+            to_find.then_some(&first_find),
+            |cache, w| cache.run(w, cfg),
+            // Advance the cache along the ops the skipped workload shares
+            // with the next one that runs, and drop the result.
+            |cache, skipped, next| {
+                let t = next.map_or(0, |n| shared_ops(skipped, n));
+                if t > 0 && cache.is_active() {
+                    let prefix = Workload::new(skipped.name.clone(), skipped.ops[..t].to_vec());
+                    let _ = cache.run(&prefix, cfg);
+                }
+            },
+        );
+        // Skipped workloads, and run ones past the find, have no result.
         for (total, shard) in self.per_worker_hits.iter_mut().zip(&shards) {
-            *total += shard.iter().map(|&i| out[i].0.prefix_hits).sum::<u64>();
+            let committed = shard.iter().filter_map(|&i| out.get(i));
+            *total += committed.map(|r| r.0.prefix_hits).sum::<u64>();
         }
         if let Some(first) = out.first_mut() {
             first.0.sched_subtrees = plan.groups.len() as u64;
