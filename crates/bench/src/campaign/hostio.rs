@@ -253,15 +253,32 @@ impl HostIo for PassthroughIo {
         std::fs::remove_file(path)
     }
 
+    /// The body is written and made durable under a temp name of this
+    /// claimant's own, and only then published with a `link`, which fails if
+    /// the name is taken. A claimant killed at any point leaves either no
+    /// file at `path` or its whole body, never an empty lease; at worst a
+    /// stray temp file, which no later claim uses.
     fn create_new(&self, path: &Path, bytes: &[u8]) -> io::Result<bool> {
         use std::io::Write;
-        let mut f = match std::fs::OpenOptions::new().write(true).create_new(true).open(path) {
-            Ok(f) => f,
+        static CLAIMS: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = path.as_os_str().to_os_string();
+        let claim = CLAIMS.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}.{claim}.claim", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let published = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(bytes)?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::hard_link(&tmp, path));
+        let _ = std::fs::remove_file(&tmp);
+        match published {
+            Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::AlreadyExists => return Ok(false),
             Err(e) => return Err(e),
-        };
-        f.write_all(bytes)?;
-        f.sync_data()?;
+        }
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        self.fsync_dir(dir.unwrap_or(Path::new(".")))?;
         Ok(true)
     }
 
@@ -923,6 +940,81 @@ mod tests {
             io.write(&f, body.as_bytes()).unwrap();
             assert_eq!(io.read(&f).unwrap(), body.as_bytes());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Claimants racing for one lease: exactly one wins, and a reader
+    /// polling the path meanwhile sees nothing or the winner's whole body,
+    /// never an empty or partial lease.
+    #[test]
+    fn passthrough_create_new_publishes_one_whole_body() {
+        use std::sync::Barrier;
+        const CLAIMANTS: usize = 8;
+        let dir = tmpdir("create-new");
+        for round in 0..20 {
+            let lease = dir.join(format!("task-{round}.lease"));
+            let bodies: Vec<Vec<u8>> =
+                (0..CLAIMANTS).map(|i| vec![b'a' + i as u8; 64 * 1024]).collect();
+            let start = Barrier::new(CLAIMANTS + 1);
+            let done = AtomicBool::new(false);
+            let won: Vec<bool> = std::thread::scope(|sc| {
+                let reader = sc.spawn(|| {
+                    start.wait();
+                    while !done.load(Ordering::Relaxed) {
+                        if let Ok(got) = std::fs::read(&lease) {
+                            let len = got.len();
+                            assert!(bodies.contains(&got), "read a partial lease: {len} bytes");
+                        }
+                    }
+                });
+                let claims: Vec<_> = bodies
+                    .iter()
+                    .map(|body| {
+                        let start = &start;
+                        let lease = &lease;
+                        sc.spawn(move || {
+                            start.wait();
+                            PassthroughIo.create_new(lease, body).unwrap()
+                        })
+                    })
+                    .collect();
+                let won = claims.into_iter().map(|h| h.join().unwrap()).collect();
+                done.store(true, Ordering::Relaxed);
+                reader.join().unwrap();
+                won
+            });
+            let winners: Vec<usize> = (0..CLAIMANTS).filter(|&i| won[i]).collect();
+            assert_eq!(winners.len(), 1, "round {round}: {won:?}");
+            assert_eq!(std::fs::read(&lease).unwrap(), bodies[winners[0]], "round {round}");
+        }
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|n| n.ends_with(".lease")), "temp files left: {names:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A claimant killed before it published leaves only its temp file
+    /// (here with a partial body); killed after, its temp file is a second
+    /// name of the lease. Neither blocks or taints the next claim.
+    #[test]
+    fn stray_claim_temp_files_do_not_block_the_next_claim() {
+        let dir = tmpdir("stray-claim");
+        let lease = dir.join("task-0.lease");
+        let before_link = dir.join(format!("task-0.lease.{}.0.claim", u32::MAX));
+        std::fs::write(&before_link, b"{\"worker\":\"dead").unwrap();
+        let io = PassthroughIo;
+        assert!(io.create_new(&lease, b"first\n").unwrap());
+        assert!(!io.create_new(&lease, b"second\n").unwrap());
+        assert_eq!(io.read(&lease).unwrap(), b"first\n");
+
+        let after_link = dir.join(format!("task-0.lease.{}.1.claim", u32::MAX));
+        std::fs::hard_link(&lease, &after_link).unwrap();
+        io.remove_file(&lease).unwrap();
+        assert!(io.create_new(&lease, b"third\n").unwrap());
+        assert_eq!(io.read(&lease).unwrap(), b"third\n");
+        assert_eq!(std::fs::read(&after_link).unwrap(), b"first\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,8 @@
 //! File-based shared work queue: lease + heartbeat files.
 //!
 //! Claiming task `n` creates `leases/task-<n>.lease` with `create_new`
-//! (atomic on every real file system — exactly one claimant wins). The
+//! (exactly one claimant wins, and the lease appears with its whole body:
+//! see `PassthroughIo::create_new`). The
 //! lease records the worker id, pid, and a **monotonic heartbeat sequence
 //! number**; the runner heartbeats it (rewrites the file with `seq + 1`)
 //! after every journaled workload. A lease is **stale** — reclaimable —

@@ -24,7 +24,6 @@
 //! `quarantine/`), failing only its own task, which is then re-leased and
 //! re-run.
 
-use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use crate::jsonout::{self, JVal};
@@ -317,15 +316,6 @@ impl TaskJournal {
         // One write per line: a torn line can only be the very tail.
         self.io.append_line(&self.path, line.as_bytes())
     }
-}
-
-/// Reads a whole file as bytes, returning an empty vec when absent.
-pub fn read_bytes_or_empty(path: &Path) -> Vec<u8> {
-    let mut buf = Vec::new();
-    if let Ok(mut f) = std::fs::File::open(path) {
-        let _ = f.read_to_end(&mut buf);
-    }
-    buf
 }
 
 #[cfg(test)]

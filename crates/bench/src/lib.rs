@@ -51,8 +51,8 @@ pub fn dispatch<W: WithKind>(fs: FsName, opts: FsOptions, w: W) -> W::Out {
         FsName::Pmfs => w.call(PmfsKind { opts }),
         FsName::WineFs => w.call(WineFsKind { opts, strict: true }),
         FsName::SplitFs => w.call(SplitFsKind { opts }),
-        FsName::Ext4Dax => w.call(Ext4DaxKind { opts }),
-        FsName::XfsDax => w.call(XfsDaxKind { opts }),
+        FsName::Ext4Dax => w.call(Ext4DaxKind::new(opts)),
+        FsName::XfsDax => w.call(XfsDaxKind::new(opts)),
     }
 }
 
@@ -88,7 +88,7 @@ pub fn run_batch<K: FsKind>(
     let shards: Vec<Vec<usize>> = indices.chunks(per).map(<[usize]>::to_vec).collect();
     let mut no_state = vec![(); shards.len()];
     let test = |_: &mut (), w: &Workload| test_on_fresh_sinks(kind, w, cfg);
-    sched::run_shards(batch, cfg, &shards, &mut no_state, None, test, |_, _, _| {})
+    sched::run_shards(batch, &shards, &mut no_state, None, test, |_, _, _| {})
         .into_iter()
         .map(|r| commit(kind, r))
         .collect()
@@ -227,7 +227,7 @@ pub struct HuntResult {
     /// the thread count. Empty when the scheduler never engaged.
     pub per_worker_prefix_hits: Vec<u64>,
     /// Checker-stage panics converted into `recovery-panic` findings until
-    /// the find (see `TestConfig::sandbox`).
+    /// the find (see `chipmunk::sandbox`).
     pub recovery_panics: u64,
     /// Fuel-watchdog hangs converted into `recovery-hang` findings until
     /// the find.
@@ -751,14 +751,6 @@ pub mod jsonout {
         pub fn as_arr(&self) -> Option<&[JVal]> {
             match self {
                 JVal::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// The boolean payload, if this is a boolean.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                JVal::Bool(b) => Some(*b),
                 _ => None,
             }
         }

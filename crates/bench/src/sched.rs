@@ -9,17 +9,12 @@
 //! closure. [`crate::run_batch`] is the executor over contiguous chunks with
 //! no state; [`Scheduler::run`] is the executor over prefix subtrees with a
 //! [`PrefixCache`] per worker, and [`Scheduler::run_to_find`] is that run
-//! stopped at the first report (see "Stopping at the find" below). Worker
-//! isolation has two layers:
-//!
-//! * with `TestConfig::sandbox` on, every item runs under [`guarded_run`], so
-//!   a panic escaping a workload's whole run (while recording, say — outside
-//!   the checker's per-stage guards) commits a `<worker>` report for that
-//!   workload and the shard carries on, at any worker count;
-//! * with the sandbox off an item panics for real. On the caller's thread
-//!   that is the fail-fast the flag asks for; on a worker thread the shard
-//!   dies, and the join side re-runs its items one at a time under the guard
-//!   — the net under the only way a worker thread can die.
+//! stopped at the first report (see "Stopping at the find" below). Every
+//! item runs under [`guarded_run`], so a panic escaping a workload's whole
+//! run (while recording, say — outside the checker's per-stage guards)
+//! commits a `<worker>` report for that workload and the shard carries on,
+//! at any worker count. A worker thread can then die only of a harness bug,
+//! and the join re-raises that panic on the caller's thread.
 //!
 //! The campaign's tasks keep their own loops (journal splice, re-warm and
 //! kill tick are theirs) and call [`guarded_run`] per workload.
@@ -141,7 +136,6 @@ pub(crate) fn guarded_run(w: &Workload, test: impl FnOnce() -> WorkloadResult) -
 /// first reporting workload in batch order.
 pub(crate) fn run_shards<S: Send>(
     batch: &[Workload],
-    cfg: &TestConfig,
     shards: &[Vec<usize>],
     states: &mut [S],
     first_find: Option<&AtomicUsize>,
@@ -154,7 +148,7 @@ pub(crate) fn run_shards<S: Send>(
     // below comes after every worker has joined.
     let past_find = |i: usize| first_find.is_some_and(|f| i > f.load(Ordering::Relaxed));
     // One shard's results, in the shard's order; `None` for a skipped item.
-    let run_shard = |state: &mut S, shard: &[usize], guard: bool| -> Vec<Option<WorkloadResult>> {
+    let run_shard = |state: &mut S, shard: &[usize]| -> Vec<Option<WorkloadResult>> {
         shard
             .iter()
             .enumerate()
@@ -163,14 +157,10 @@ pub(crate) fn run_shards<S: Send>(
                 if past_find(i) {
                     let next = shard[pos + 1..].iter().find(|&&j| !past_find(j));
                     let next = next.map(|&j| &batch[j]);
-                    if guard {
-                        let _ = sandbox::guarded(Stage::Worker, || skip(state, w, next));
-                    } else {
-                        skip(state, w, next);
-                    }
+                    let _ = sandbox::guarded(Stage::Worker, || skip(state, w, next));
                     return None;
                 }
-                let r = if guard { guarded_run(w, || test(state, w)) } else { test(state, w) };
+                let r = guarded_run(w, || test(state, w));
                 if let Some(f) = first_find.filter(|_| !r.0.reports.is_empty()) {
                     f.fetch_min(i, Ordering::Relaxed);
                 }
@@ -179,26 +169,20 @@ pub(crate) fn run_shards<S: Send>(
             .collect()
     };
     let done: Vec<Vec<Option<WorkloadResult>>> = if shards.len() <= 1 {
-        states.iter_mut().zip(shards).map(|(st, sh)| run_shard(st, sh, cfg.sandbox)).collect()
+        states.iter_mut().zip(shards).map(|(st, sh)| run_shard(st, sh)).collect()
     } else {
         let run_shard = &run_shard;
-        let joined: Vec<std::thread::Result<_>> = std::thread::scope(|sc| {
+        std::thread::scope(|sc| {
             let handles: Vec<_> = states
                 .iter_mut()
                 .zip(shards)
-                .map(|(st, sh)| sc.spawn(move || run_shard(st, sh, cfg.sandbox)))
+                .map(|(st, sh)| sc.spawn(move || run_shard(st, sh)))
                 .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        joined
-            .into_iter()
-            .zip(states.iter_mut().zip(shards))
-            // A dead worker: re-run its shard one item at a time under the
-            // guard, so only the panicking workload fails. (A `PrefixCache`
-            // drops its live state while unwinding and restarts from
-            // genesis.)
-            .map(|(res, (st, sh))| res.unwrap_or_else(|_| run_shard(st, sh, true)))
-            .collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
     };
     let mut slots: Vec<Option<WorkloadResult>> = Vec::with_capacity(batch.len());
     slots.resize_with(batch.len(), || None);
@@ -360,7 +344,6 @@ impl<K: FsKind> Scheduler<K> {
         let first_find = AtomicUsize::new(usize::MAX);
         let mut out = run_shards(
             batch,
-            cfg,
             &shards,
             &mut self.caches[..workers],
             to_find.then_some(&first_find),

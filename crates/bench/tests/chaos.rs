@@ -184,8 +184,8 @@ fn worker_panic_fails_only_the_affected_workload() {
     // `short`, which the scheduler runs before `long` (same subtree).
     let window = vec![other.clone(), long.clone(), short.clone()];
 
-    // Sandbox on: the per-workload guard catches the panic in every cell, so
-    // every call returns and the cells of one batch agree.
+    // The per-workload guard catches the panic in every cell, so every call
+    // returns and the cells of one batch agree.
     let two_subtrees = vec![long.clone(), other];
     let one_subtree = vec![long, short];
     for (shape, batch) in [("two subtrees", &two_subtrees), ("one subtree", &one_subtree)] {
@@ -211,15 +211,9 @@ fn worker_panic_fails_only_the_affected_workload() {
         }
     }
 
-    // Sandbox off, two shards: the worker thread dies and the join-side
-    // requeue re-checks its items one at a time.
-    let cfg = TestConfig { sandbox: false, ..TestConfig::default() }.with_threads(2);
-    check("sandbox off, sharded", &run_batch(&chaos_nova(plan), &one_subtree, &cfg));
-
     // Stopping at the find: the `<worker>` report is a find, so the results
-    // end at `long`'s batch index — also with the sandbox off at threads 2,
-    // where `long`'s worker thread dies and the join side re-runs its shard
-    // under the guard.
+    // end at `long`'s batch index — on the caller's thread and with the two
+    // subtrees on two worker threads.
     let find_at = |cfg: &TestConfig| {
         let kind = chaos_nova(plan);
         let res = Scheduler::new(&kind, cfg).run_to_find(&window, cfg);
@@ -228,9 +222,9 @@ fn worker_panic_fails_only_the_affected_workload() {
         assert!(res[0].0.reports.is_empty(), "`other` keeps its clean verdict");
         res.len() - 1
     };
-    let sandboxed = find_at(&TestConfig::default());
-    let sharded = find_at(&cfg);
-    assert_eq!((sandboxed, sharded), (1, 1), "the find lands at `long`'s index");
+    let serial = find_at(&TestConfig::default());
+    let sharded = find_at(&TestConfig::default().with_threads(2));
+    assert_eq!((serial, sharded), (1, 1), "the find lands at `long`'s index");
 }
 
 /// A torn 8-byte store during recording never aborts the sweep and yields

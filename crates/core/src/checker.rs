@@ -16,15 +16,15 @@
 //!    which the caller discards — the analogue of the paper's undo log for
 //!    checker mutations.
 
-use pmem::{CowDevice, PmBackend};
+use pmem::CowDevice;
 use vfs::{FileSystem, FsKind};
 
 use crate::{
     config::TestConfig,
     crashgen::{apply_subset, PendingWrite},
     oracle::{
-        diff_atomic_write_pruned, diff_relaxed_write_pruned, diff_trees_pruned,
-        snapshot_tree_scoped, NodeSnap, Scope, Tree,
+        diff_atomic_write_pruned, diff_relaxed_write_pruned, diff_trees_pruned, NodeSnap, Scope,
+        Tree,
     },
     report::Violation,
 };
@@ -104,20 +104,6 @@ pub fn check_crash_state<K: FsKind>(
         return crate::sandbox::probe(&mut fs, &tree, cfg);
     }
     None
-}
-
-/// Mounts `kind` on `dev` (running crash recovery) and walks the tree,
-/// reading file contents only inside `walk_scope`. The two failure modes
-/// are the first two check stages: [`Violation::Unmountable`] and
-/// [`Violation::CorruptState`].
-pub fn mount_state<K: FsKind, D: PmBackend>(
-    kind: &K,
-    dev: D,
-    walk_scope: &Scope,
-) -> Result<(K::Fs<D>, Tree), Violation> {
-    let fs = kind.mount(dev).map_err(|e| Violation::Unmountable(e.to_string()))?;
-    let tree = snapshot_tree_scoped(&fs, walk_scope).map_err(Violation::CorruptState)?;
-    Ok((fs, tree))
 }
 
 /// The scope the tree walk and the comparison use: the crash point's scope

@@ -48,21 +48,14 @@ pub struct TestConfig {
     /// [`reference`](crate::reference) asks the shared walk/compare
     /// primitives for the literal full-tree semantics.
     pub scoped_check: bool,
-    /// Fault isolation for the checking pipeline: run every checker stage
-    /// (mount, walk, compare, probe) under `catch_unwind`, so a file-system
-    /// panic while checking a crash state becomes a
-    /// [`Violation::RecoveryPanic`](crate::report::Violation::RecoveryPanic)
-    /// finding instead of tearing down the sweep — the in-process analogue
-    /// of the paper's VM isolation. `false` restores fail-fast panics (for
-    /// debugging the harness itself).
-    pub sandbox: bool,
     /// Deterministic recovery watchdog: the fuel budget, in simulated device
     /// ops, that one mount+walk (or probe) of a crash state may spend before
     /// it is declared a
     /// [`Violation::RecoveryHang`](crate::report::Violation::RecoveryHang).
     /// Counted in device ops rather than wall-clock so verdicts are
-    /// bit-identical at any thread count. Requires `sandbox`. `None`
-    /// disables the watchdog.
+    /// bit-identical at any thread count. The watchdog unwinds, and the
+    /// checker's stage guards ([`crate::sandbox`]) turn the unwind into the
+    /// verdict. `None` disables the watchdog.
     pub recovery_fuel: Option<u64>,
     /// Representative-state checking: cluster crash states by a behavioral
     /// signature ([`crashgen::behavior_sig`](crate::crashgen::behavior_sig)
@@ -129,7 +122,6 @@ impl Default for TestConfig {
             large_first_subsets: false,
             threads: 1,
             scoped_check: true,
-            sandbox: true,
             recovery_fuel: Some(DEFAULT_RECOVERY_FUEL),
             rep_check: true,
             shared_oracle: true,
@@ -183,7 +175,6 @@ impl TestConfig {
             ("compare_ino", self.compare_ino.to_string()),
             ("eadr", self.eadr.to_string()),
             ("large_first_subsets", self.large_first_subsets.to_string()),
-            ("sandbox", self.sandbox.to_string()),
             ("recovery_fuel", opt(self.recovery_fuel)),
         ]
     }
@@ -211,7 +202,6 @@ impl TestConfig {
             "compare_ino" => self.compare_ino = b(value)?,
             "eadr" => self.eadr = b(value)?,
             "large_first_subsets" => self.large_first_subsets = b(value)?,
-            "sandbox" => self.sandbox = b(value)?,
             "recovery_fuel" => self.recovery_fuel = opt_n(value)?,
             _ => return Err(format!("unknown config knob {key:?}")),
         }
@@ -235,7 +225,6 @@ mod tests {
         assert_eq!(TestConfig::default().with_threads(4).threads, 4);
         assert_eq!(TestConfig::default().with_threads(0).threads, 1);
         assert!(c.scoped_check);
-        assert!(c.sandbox);
         assert_eq!(c.recovery_fuel, Some(DEFAULT_RECOVERY_FUEL));
         assert!(c.rep_check);
         assert!(c.shared_oracle);

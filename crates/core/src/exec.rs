@@ -73,11 +73,18 @@ impl Executor {
                     // Keep slot paths current: a rename of the opened file
                     // (or any ancestor directory) changes where the
                     // descriptor's inode is visible, and the checker's
-                    // data-write relaxation keys on that path. (A rename
-                    // *onto* a slot's path orphans its inode; the stale
-                    // association can only widen the relaxation — same as
-                    // an unlinked-but-open descriptor — never flag a false
-                    // positive.)
+                    // data-write relaxation keys on that path.
+                    //
+                    // Known hole (ROADMAP item 1): a slot's path is only
+                    // rebound here. After `link` + `unlink` (or a rename
+                    // *onto* the slot's path) it still names a path the
+                    // inode no longer has, e.g. `/x0` for a file now only
+                    // at `/d0/f0`. The oracle's shared snapshot then misses
+                    // the write, which flags a false positive on fixed
+                    // PMFS and NOVA (fuzz seed 0xc41f); and the write's
+                    // crash scope misses the live name, so the scoped walk
+                    // cannot see a real lost write there. The fix keys
+                    // slots by inode, not by path.
                     for s in self.slots.iter_mut().flatten() {
                         if s.1 == *old {
                             s.1 = new.clone();

@@ -78,7 +78,7 @@ pub struct TestOutcome {
     pub sched_subtree_max_depth: u64,
     /// Crash states whose committed verdict was a
     /// [`Violation::RecoveryPanic`] — the file system panicked while the
-    /// sandbox was checking the state (see [`TestConfig::sandbox`]).
+    /// sandbox was checking the state (see [`crate::sandbox`]).
     pub recovery_panics: u64,
     /// Crash states whose committed verdict was a
     /// [`Violation::RecoveryHang`] — the deterministic fuel watchdog fired
@@ -1063,24 +1063,17 @@ fn probe_on<K: FsKind, D: pmem::PmBackend>(
     tree: &Tree,
     cfg: &TestConfig,
 ) -> ProbeArtifacts {
-    let violation = if cfg.sandbox {
-        // One fuel budget covers the re-mount and the probe, mirroring the
-        // fresh-check path's mount+walk / probe budgets.
-        let _fuel = pmem::FuelGuard::arm(cfg.recovery_fuel);
-        match sandbox::guarded(Stage::Mount, || fresh.mount(dev)) {
+    // One fuel budget covers the re-mount and the probe, mirroring the
+    // fresh-check path's mount+walk / probe budgets.
+    let _fuel = pmem::FuelGuard::arm(cfg.recovery_fuel);
+    let violation = match sandbox::guarded(Stage::Mount, || fresh.mount(dev)) {
+        Err(v) => Some(v),
+        // Identical bytes mounted before; defensive.
+        Ok(Err(e)) => Some(Violation::Unmountable(e.to_string())),
+        Ok(Ok(mut fs)) => match sandbox::guarded(Stage::Probe, || probe_state(&mut fs, tree)) {
+            Ok(v) => v,
             Err(v) => Some(v),
-            // Identical bytes mounted before; defensive.
-            Ok(Err(e)) => Some(Violation::Unmountable(e.to_string())),
-            Ok(Ok(mut fs)) => match sandbox::guarded(Stage::Probe, || probe_state(&mut fs, tree)) {
-                Ok(v) => v,
-                Err(v) => Some(v),
-            },
-        }
-    } else {
-        match fresh.mount(dev) {
-            Ok(mut fs) => probe_state(&mut fs, tree),
-            Err(e) => Some(Violation::Unmountable(e.to_string())),
-        }
+        },
     };
     ProbeArtifacts {
         violation,

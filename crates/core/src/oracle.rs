@@ -54,11 +54,6 @@ impl Scope {
         }
     }
 
-    /// Whether this is the full (unscoped) comparison.
-    pub fn is_full(&self) -> bool {
-        matches!(self, Scope::Full)
-    }
-
     /// Whether every path in scope for `other` is also in scope here.
     ///
     /// Used by cross-state artifact reuse: a tree walked under scope `a` can

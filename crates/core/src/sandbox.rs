@@ -17,11 +17,11 @@
 //!   into [`Violation::RecoveryHang`]. Fuel is counted in device ops, not
 //!   wall-clock, so verdicts stay bit-identical at any thread count.
 //!
-//! Both behaviours are gated by [`TestConfig::sandbox`] /
-//! [`TestConfig::recovery_fuel`] (default on). While a guard is active the
-//! process panic hook is silenced on this thread, so a sweep over thousands
-//! of panicking crash states does not flood stderr; the payload ends up in
-//! the bug report instead.
+//! The stage guards are always on; the watchdog's budget is
+//! [`TestConfig::recovery_fuel`] (`None` disables it). While a guard is
+//! active the process panic hook is silenced on this thread, so a sweep over
+//! thousands of panicking crash states does not flood stderr; the payload
+//! ends up in the bug report instead.
 
 use std::{
     any::Any,
@@ -34,7 +34,7 @@ use pmem::{FuelExhausted, FuelGuard, PmBackend};
 use vfs::{FileSystem, FsKind};
 
 use crate::{
-    checker::{compare_state, mount_state, probe_state, CheckKind},
+    checker::{compare_state, probe_state, CheckKind},
     config::TestConfig,
     oracle::{snapshot_tree_scoped, Scope, Tree},
     report::{Stage, Violation},
@@ -121,17 +121,13 @@ pub fn guarded<T>(stage: Stage, f: impl FnOnce() -> T) -> Result<T, Violation> {
 }
 
 /// Mounts `kind` on `dev` and walks the tree — the first two checker stages
-/// — under the sandbox and fuel watchdog when `cfg` enables them. Falls back
-/// to the raw [`mount_state`] path when `cfg.sandbox` is off.
+/// — under the sandbox and the fuel watchdog.
 pub fn mount_walk<K: FsKind, D: PmBackend>(
     kind: &K,
     dev: D,
     walk_scope: &Scope,
     cfg: &TestConfig,
 ) -> Result<(K::Fs<D>, Tree), Violation> {
-    if !cfg.sandbox {
-        return mount_state(kind, dev, walk_scope);
-    }
     // One fuel budget covers recovery and the walk together: a hanging
     // recovery often only manifests when the walk first touches the broken
     // structure.
@@ -154,9 +150,6 @@ pub fn compare<'a>(
     scope: &Scope,
     pruned: &mut u64,
 ) -> Option<Violation> {
-    if !cfg.sandbox {
-        return compare_state(tree, check, cfg, scope, pruned);
-    }
     let mut inner = 0;
     match guarded(Stage::Compare, || compare_state(tree, check, cfg, scope, &mut inner)) {
         Ok(v) => {
@@ -170,9 +163,6 @@ pub fn compare<'a>(
 
 /// Stage-4 usability probe under the sandbox and fuel watchdog.
 pub fn probe<F: FileSystem>(fs: &mut F, tree: &Tree, cfg: &TestConfig) -> Option<Violation> {
-    if !cfg.sandbox {
-        return probe_state(fs, tree);
-    }
     let _fuel = FuelGuard::arm(cfg.recovery_fuel);
     match guarded(Stage::Probe, || probe_state(fs, tree)) {
         Ok(v) => v,

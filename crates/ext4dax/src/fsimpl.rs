@@ -7,15 +7,12 @@ use pmem::PmBackend;
 use vfs::{
     covpoint,
     pagecache::BlockClass,
-    pagedfs::{itype, EpochBlock, Media, PagedFs, ROOT_INO},
-    Cov, FsError, FsResult,
+    pagedfs::{itype, EpochBlock, Media, PagedFs, RedoLog, ROOT_INO},
+    Cov, FsError, FsName, FsResult,
 };
 
-use crate::{
-    journal,
-    layout::{
-        ioff, sboff, Geometry, BLOCK, INODE_SIZE, MAGIC, MAX_FILE_BLOCKS, NDIRECT, PTRS_PER_BLOCK,
-    },
+use crate::layout::{
+    ioff, sboff, Geometry, BLOCK, INODE_SIZE, MAGIC, MAX_FILE_BLOCKS, NDIRECT, PTRS_PER_BLOCK,
 };
 
 /// The ext4-DAX-style file system (see the crate docs): the shared
@@ -27,6 +24,15 @@ impl EpochBlock for Geometry {
 }
 
 impl Media for Geometry {
+    const NAME: FsName = FsName::Ext4Dax;
+    /// The jbd2-style journal.
+    const LOG: RedoLog = RedoLog {
+        desc_magic: u64::from_le_bytes(*b"J4DESC\0\0"),
+        commit_magic: u64::from_le_bytes(*b"J4COMMIT"),
+        seed: 0x6a64_6273, // "jdbs"
+        rotate: 7,
+        seq_off: sboff::JOURNAL_SEQ,
+    };
     const INODE_SIZE: u64 = INODE_SIZE;
     const XATTR: u64 = ioff::XATTR;
     const MAX_FILE_BLOCKS: u64 = MAX_FILE_BLOCKS;
@@ -41,6 +47,10 @@ impl Media for Geometry {
 
     fn data_blocks(&self) -> Range<u64> {
         self.data_start..self.total_blocks
+    }
+
+    fn log_region(&self) -> Range<u64> {
+        self.journal_start..self.journal_start + self.journal_blocks
     }
 
     fn format<D: PmBackend>(dev: &mut D) -> FsResult<Self> {
@@ -99,7 +109,7 @@ impl Media for Geometry {
         if geo.total_blocks * BLOCK > dev.len() || geo.data_start >= geo.total_blocks {
             return Err(FsError::Unmountable("superblock geometry out of range".into()));
         }
-        let replayed = journal::recover(dev, &geo)?;
+        let replayed = Self::LOG.recover(dev, geo.log_region(), geo.total_blocks)?;
         covpoint!(cov, if replayed > 0 { 1 } else { 0 });
         Ok(geo)
     }
@@ -135,10 +145,6 @@ impl Media for Geometry {
             }
         }
         fs.check_root()
-    }
-
-    fn log_commit<D: PmBackend>(&self, dev: &mut D, blocks: &[(u64, &[u8])]) -> FsResult<()> {
-        journal::commit_and_checkpoint(dev, self, blocks)
     }
 
     /// First fit over the one bitmap.

@@ -18,61 +18,21 @@
 //!   per inode.
 //! * **One first-fit block bitmap** for the whole device, reconciled at
 //!   mount against what the inodes reference.
-//! * **A physical redo journal** ([`journal`], jbd2-style): descriptor
-//!   block, payload blocks, commit block with checksum; committed
-//!   transactions are checkpointed home and retired, mount replays a
-//!   committed-but-uncheckpointed one and ignores a torn tail.
+//! * **A physical redo journal** (jbd2-style): the shared
+//!   [`vfs::pagedfs::RedoLog`] protocol under this format's constants
+//!   (`J4DESC`/`J4COMMIT` tags, its own checksum seed and rotation, the
+//!   sequence number at superblock offset 80, blocks `2..` after the epoch
+//!   block). Descriptor block, payload blocks, commit block with checksum;
+//!   committed transactions are checkpointed home and retired, mount replays
+//!   a committed-but-uncheckpointed one and ignores a torn tail.
 //! * **An epoch block** (block 1), journaled with everything else, for
 //!   SplitFS ([`vfs::pagedfs::EpochBlock`]).
 
 pub mod fsimpl;
-pub mod journal;
 pub mod layout;
 
 pub use fsimpl::Ext4Dax;
 
-use pmem::PmBackend;
-use vfs::{
-    fs::{FsKind, FsOptions, Guarantees},
-    FsName, FsResult,
-};
-
-/// Factory for [`Ext4Dax`] instances.
-#[derive(Debug, Clone, Default)]
-pub struct Ext4DaxKind {
-    /// Construction options (ext4-DAX has no injected bugs; options carry
-    /// coverage config).
-    pub opts: FsOptions,
-}
-
-impl FsKind for Ext4DaxKind {
-    type Fs<D: PmBackend> = Ext4Dax<D>;
-
-    fn name(&self) -> FsName {
-        FsName::Ext4Dax
-    }
-
-    fn options(&self) -> &FsOptions {
-        &self.opts
-    }
-
-    fn with_options(&self, opts: FsOptions) -> Self {
-        Self { opts }
-    }
-
-    fn guarantees(&self) -> Guarantees {
-        Guarantees { strong: false, atomic_data_writes: false, data_checksums: false }
-    }
-
-    fn mkfs<D: PmBackend>(&self, dev: D) -> FsResult<Self::Fs<D>> {
-        Ext4Dax::mkfs(dev, &self.opts)
-    }
-
-    fn mount<D: PmBackend>(&self, dev: D) -> FsResult<Self::Fs<D>> {
-        Ext4Dax::mount(dev, &self.opts)
-    }
-
-    fn fork_fs<D: PmBackend + Clone>(&self, fs: &Self::Fs<D>) -> Option<Self::Fs<D>> {
-        Some(fs.clone())
-    }
-}
+/// Factory for [`Ext4Dax`] instances: the shared [`vfs::pagedfs::PagedKind`]
+/// over this crate's format.
+pub type Ext4DaxKind = vfs::pagedfs::PagedKind<layout::Geometry>;

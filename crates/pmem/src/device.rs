@@ -102,12 +102,6 @@ impl PmDevice {
         &self.stats
     }
 
-    /// Resets operation counters and simulated time (keeps contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = PmStats::default();
-        self.cost = SimCost::default();
-    }
-
     /// Simulates a crash that persists exactly the in-flight writes whose
     /// indices appear in `subset` (applied in program order), returning the
     /// resulting media image. Dirty unflushed cache lines are lost.

@@ -55,11 +55,6 @@ impl FaultPlan {
     pub fn none() -> FaultPlan {
         FaultPlan::default()
     }
-
-    /// Whether this plan injects any fault at all.
-    pub fn is_noop(&self) -> bool {
-        *self == FaultPlan::default()
-    }
 }
 
 /// Which lineage a [`FaultDevice`] instance is metering.

@@ -13,23 +13,29 @@
 //! by each format's geometry: where inodes sit and how large they are, the
 //! block map (per-block pointers vs. inline extents), the allocator (one
 //! first-fit bitmap vs. allocation groups), how an inode is released, mkfs,
-//! log recovery, the mount-time bitmap reconciliation, and the log protocol.
+//! the mount-time bitmap reconciliation, and where the log lives. The log
+//! protocol itself is one [`RedoLog`] for both; a format only supplies its
+//! constants. [`PagedKind`] is the one `FsKind` of both controls.
 //!
 //! The device calls this module issues — reads included, in order — are
 //! pinned by the root `dax_trace` suite: the read-footprint layer and the
 //! recovery fuel meter both count them.
 
-use std::{collections::HashMap, ops::Range};
+use std::{collections::HashMap, marker::PhantomData, ops::Range};
 
 use pmem::PmBackend;
 
 use crate::{
     covpoint,
-    fs::{FileSystem, FsOptions},
+    fs::{FileSystem, FsKind, FsOptions, Guarantees},
     pagecache::{BlockClass, PageCache, BLOCK},
     path::{components, is_path_prefix, split_parent, NAME_MAX},
-    Cov, DirEntry, FallocMode, Fd, FileType, FsError, FsResult, Metadata, OpenFlags,
+    Cov, DirEntry, FallocMode, Fd, FileType, FsError, FsName, FsResult, Metadata, OpenFlags,
 };
+
+mod redo;
+
+pub use redo::RedoLog;
 
 /// The root directory's inode number.
 pub const ROOT_INO: u64 = 1;
@@ -108,7 +114,11 @@ fn slot_loc(slot: u64) -> (u64, u64) {
 ///
 /// Functions that touch the cache or the device take the file system; what
 /// they read and write, and in which order, is part of the format.
-pub trait Media: Sized {
+pub trait Media: Clone + Send {
+    /// Which of the paper's file systems this format is.
+    const NAME: FsName;
+    /// The format's redo-log constants.
+    const LOG: RedoLog;
     /// Inode size in bytes.
     const INODE_SIZE: u64;
     /// Offset of the xattr block pointer within an inode (u64; 0 = none).
@@ -122,17 +132,17 @@ pub trait Media: Sized {
     fn inode_off(&self, ino: u64) -> u64;
     /// The general-purpose blocks: everything an inode may point at.
     fn data_blocks(&self) -> Range<u64>;
+    /// The blocks of the redo log.
+    fn log_region(&self) -> Range<u64>;
 
     /// mkfs: writes an empty file system and returns its geometry.
     fn format<D: PmBackend>(dev: &mut D) -> FsResult<Self>;
-    /// First half of mount: reads the superblock and replays the log.
+    /// First half of mount: reads the superblock and replays the log
+    /// ([`RedoLog::recover`]).
     fn recover<D: PmBackend>(dev: &mut D, cov: &Cov) -> FsResult<Self>;
     /// Second half of mount, a light fsck: [`PagedFs::check_root`] and the
     /// reconciliation of the allocation bitmap with what inodes reference.
     fn reconcile<D: PmBackend>(fs: &mut PagedFs<D, Self>) -> FsResult<()>;
-    /// Makes `blocks` (home block number, contents) durable atomically
-    /// through the log and checkpoints them home.
-    fn log_commit<D: PmBackend>(&self, dev: &mut D, blocks: &[(u64, &[u8])]) -> FsResult<()>;
 
     /// Allocates one block on behalf of `ino` that continues no extent.
     fn alloc_block<D: PmBackend>(fs: &mut PagedFs<D, Self>, ino: u64) -> FsResult<u64>;
@@ -515,7 +525,9 @@ impl<D: PmBackend, M: Media> PagedFs<D, M> {
         self.dev.fence();
     }
 
-    fn commit_metadata(&mut self) -> FsResult<()> {
+    /// Makes every dirty metadata block durable atomically through the
+    /// format's log and checkpoints them home.
+    fn commit_metadata(&mut self) {
         // Pending frees become part of this commit: once it is durable, no
         // committed state references the blocks, so reuse is safe.
         for b in std::mem::take(&mut self.pending_free) {
@@ -523,15 +535,14 @@ impl<D: PmBackend, M: Media> PagedFs<D, M> {
         }
         let dirty = self.cache.dirty_of(BlockClass::Meta);
         if dirty.is_empty() {
-            return Ok(());
+            return;
         }
         let blocks: Vec<(u64, &[u8])> =
             dirty.iter().map(|&b| (b, self.cache.dirty_block(b))).collect();
-        self.geo.log_commit(&mut self.dev, &blocks)?;
+        M::LOG.commit(&mut self.dev, self.geo.log_region(), &blocks);
         for b in dirty {
             self.cache.mark_clean(b);
         }
-        Ok(())
     }
 
     // ---- xattrs ----
@@ -765,13 +776,15 @@ impl<D: PmBackend, M: Media> FileSystem for PagedFs<D, M> {
         let ino = self.fd_ino(fd)?;
         let dirty = M::mapped(self, ino).into_iter().filter(|&b| self.cache.is_dirty(b)).collect();
         self.write_back(dirty);
-        self.commit_metadata()
+        self.commit_metadata();
+        Ok(())
     }
 
     fn sync(&mut self) -> FsResult<()> {
         covpoint!(self.cov);
         self.write_back(self.cache.dirty_of(BlockClass::Data));
-        self.commit_metadata()
+        self.commit_metadata();
+        Ok(())
     }
 
     fn stat(&self, path: &str) -> FsResult<Metadata> {
@@ -851,6 +864,66 @@ impl<D: PmBackend, M: Media> FileSystem for PagedFs<D, M> {
         let off = self.xattr_find(xblk, name).0.ok_or(FsError::NotFound)?;
         self.cache.write(&self.dev, xblk, off, &[0u8; XATTR_ENTRY as usize], BlockClass::Meta);
         Ok(())
+    }
+}
+
+/// The [`FsKind`] of [`PagedFs`] in format `M`: the factory of both DAX
+/// controls, named by [`Media::NAME`].
+pub struct PagedKind<M> {
+    /// Construction options (the controls have no injected bugs; the options
+    /// carry the coverage config).
+    pub opts: FsOptions,
+    format: PhantomData<fn() -> M>,
+}
+
+impl<M> PagedKind<M> {
+    /// A factory passing `opts` to its instances.
+    pub fn new(opts: FsOptions) -> Self {
+        PagedKind { opts, format: PhantomData }
+    }
+}
+
+impl<M> Default for PagedKind<M> {
+    fn default() -> Self {
+        Self::new(FsOptions::default())
+    }
+}
+
+impl<M> Clone for PagedKind<M> {
+    fn clone(&self) -> Self {
+        Self::new(self.opts.clone())
+    }
+}
+
+impl<M: Media> FsKind for PagedKind<M> {
+    type Fs<D: PmBackend> = PagedFs<D, M>;
+
+    fn name(&self) -> FsName {
+        M::NAME
+    }
+
+    fn options(&self) -> &FsOptions {
+        &self.opts
+    }
+
+    fn with_options(&self, opts: FsOptions) -> Self {
+        Self::new(opts)
+    }
+
+    fn guarantees(&self) -> Guarantees {
+        Guarantees { strong: false, atomic_data_writes: false, data_checksums: false }
+    }
+
+    fn mkfs<D: PmBackend>(&self, dev: D) -> FsResult<Self::Fs<D>> {
+        PagedFs::mkfs(dev, &self.opts)
+    }
+
+    fn mount<D: PmBackend>(&self, dev: D) -> FsResult<Self::Fs<D>> {
+        PagedFs::mount(dev, &self.opts)
+    }
+
+    fn fork_fs<D: PmBackend + Clone>(&self, fs: &Self::Fs<D>) -> Option<Self::Fs<D>> {
+        Some(fs.clone())
     }
 }
 

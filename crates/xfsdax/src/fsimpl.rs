@@ -1,15 +1,15 @@
 //! The XFS-DAX on-media format under [`vfs::pagedfs`]: mkfs and mount, the
-//! write-ahead log, the allocation groups, and the inline extent map.
+//! write-ahead log's constants, the allocation groups, and the inline extent
+//! map.
 
 use std::ops::Range;
 
 use pmem::PmBackend;
 use vfs::{
-    cov::block_sum,
     covpoint,
     pagecache::BlockClass,
-    pagedfs::{itype, Media, PagedFs, ROOT_INO},
-    Cov, FsError, FsResult,
+    pagedfs::{itype, Media, PagedFs, RedoLog, ROOT_INO},
+    Cov, FsError, FsName, FsResult,
 };
 
 use crate::{
@@ -17,15 +17,20 @@ use crate::{
     layout::{ioff, sboff, Geometry, BLOCK, INODE_SIZE, MAGIC, MAX_FILE_BLOCKS, NEXTENTS},
 };
 
-/// Log record tags.
-const LOG_DESC: u64 = u64::from_le_bytes(*b"XLOGDESC");
-const LOG_COMMIT: u64 = u64::from_le_bytes(*b"XLOGCMMT");
-
 /// The XFS-DAX-style file system (see the crate docs): the shared
 /// page-cached core over this crate's format.
 pub type XfsDax<D> = PagedFs<D, Geometry>;
 
 impl Media for Geometry {
+    const NAME: FsName = FsName::XfsDax;
+    /// The write-ahead log.
+    const LOG: RedoLog = RedoLog {
+        desc_magic: u64::from_le_bytes(*b"XLOGDESC"),
+        commit_magic: u64::from_le_bytes(*b"XLOGCMMT"),
+        seed: 0x786c_6f67, // "xlog"
+        rotate: 9,
+        seq_off: sboff::LOG_SEQ,
+    };
     const INODE_SIZE: u64 = INODE_SIZE;
     const XATTR: u64 = ioff::XATTR;
     const MAX_FILE_BLOCKS: u64 = MAX_FILE_BLOCKS;
@@ -40,6 +45,10 @@ impl Media for Geometry {
 
     fn data_blocks(&self) -> Range<u64> {
         self.data_start..self.total_blocks
+    }
+
+    fn log_region(&self) -> Range<u64> {
+        self.log_start..self.log_start + self.log_blocks
     }
 
     fn format<D: PmBackend>(dev: &mut D) -> FsResult<Self> {
@@ -92,7 +101,7 @@ impl Media for Geometry {
         {
             return Err(FsError::Unmountable("superblock geometry out of range".into()));
         }
-        let replayed = recover_log(dev, &geo)?;
+        let replayed = Self::LOG.recover(dev, geo.log_region(), geo.total_blocks)?;
         covpoint!(cov, u64::from(replayed > 0));
         Ok(geo)
     }
@@ -119,10 +128,6 @@ impl Media for Geometry {
             }
         }
         Ok(())
-    }
-
-    fn log_commit<D: PmBackend>(&self, dev: &mut D, blocks: &[(u64, &[u8])]) -> FsResult<()> {
-        log_commit(dev, self, blocks)
     }
 
     /// From the allocation group the inode hashes to.
@@ -205,103 +210,6 @@ impl Media for Geometry {
         }
         fs.zero_inode(ino);
     }
-}
-
-// ---- the write-ahead log ----
-
-fn log_capacity(geo: &Geometry) -> usize {
-    ((BLOCK as usize - 24) / 8).min(geo.log_blocks as usize - 2)
-}
-
-fn log_checksum<B: AsRef<[u8]>>(blocks: &[(u64, B)]) -> u64 {
-    let mut acc: u64 = 0x786c_6f67; // "xlog"
-    for (blkno, data) in blocks {
-        acc = acc.rotate_left(9) ^ blkno ^ block_sum(data.as_ref());
-    }
-    acc
-}
-
-/// Commits `blocks` (home block number, contents — borrowed from the
-/// page cache) through the log and checkpoints them home.
-fn log_commit<D: PmBackend>(dev: &mut D, geo: &Geometry, blocks: &[(u64, &[u8])]) -> FsResult<()> {
-    let cap = log_capacity(geo).max(1);
-    for chunk in blocks.chunks(cap) {
-        log_commit_one(dev, geo, chunk)?;
-    }
-    Ok(())
-}
-
-fn log_commit_one<D: PmBackend>(
-    dev: &mut D,
-    geo: &Geometry,
-    blocks: &[(u64, &[u8])],
-) -> FsResult<()> {
-    if blocks.is_empty() {
-        return Ok(());
-    }
-    let seq = dev.read_u64(sboff::LOG_SEQ);
-    let lbase = geo.log_start * BLOCK;
-    let mut desc = vec![0u8; BLOCK as usize];
-    desc[0..8].copy_from_slice(&LOG_DESC.to_le_bytes());
-    desc[8..16].copy_from_slice(&seq.to_le_bytes());
-    desc[16..24].copy_from_slice(&(blocks.len() as u64).to_le_bytes());
-    for (i, (blkno, _)) in blocks.iter().enumerate() {
-        desc[24 + i * 8..32 + i * 8].copy_from_slice(&blkno.to_le_bytes());
-    }
-    dev.memcpy_nt(lbase, &desc);
-    for (i, (_, data)) in blocks.iter().enumerate() {
-        dev.memcpy_nt(lbase + (1 + i as u64) * BLOCK, data);
-    }
-    dev.fence();
-    let mut commit = [0u8; 24];
-    commit[0..8].copy_from_slice(&LOG_COMMIT.to_le_bytes());
-    commit[8..16].copy_from_slice(&seq.to_le_bytes());
-    commit[16..24].copy_from_slice(&log_checksum(blocks).to_le_bytes());
-    dev.memcpy_nt(lbase + (1 + blocks.len() as u64) * BLOCK, &commit);
-    dev.fence();
-    for (blkno, data) in blocks {
-        dev.memcpy_nt(blkno * BLOCK, data);
-    }
-    dev.fence();
-    dev.persist_u64(sboff::LOG_SEQ, seq + 1);
-    Ok(())
-}
-
-fn recover_log<D: PmBackend>(dev: &mut D, geo: &Geometry) -> FsResult<u64> {
-    let seq = dev.read_u64(sboff::LOG_SEQ);
-    let lbase = geo.log_start * BLOCK;
-    if dev.read_u64(lbase) != LOG_DESC || dev.read_u64(lbase + 8) != seq {
-        return Ok(0);
-    }
-    let n = dev.read_u64(lbase + 16);
-    if n == 0 || n > log_capacity(geo) as u64 {
-        return Err(FsError::Unmountable(format!(
-            "log descriptor claims {n} blocks, exceeding log capacity"
-        )));
-    }
-    let commit_off = lbase + (1 + n) * BLOCK;
-    if dev.read_u64(commit_off) != LOG_COMMIT || dev.read_u64(commit_off + 8) != seq {
-        return Ok(0); // uncommitted transaction: discard
-    }
-    let mut blocks = Vec::with_capacity(n as usize);
-    for i in 0..n {
-        let blkno = dev.read_u64(lbase + 24 + i * 8);
-        if blkno >= geo.total_blocks {
-            return Err(FsError::Unmountable(format!(
-                "log record targets out-of-range block {blkno}"
-            )));
-        }
-        blocks.push((blkno, dev.read_vec(lbase + (1 + i) * BLOCK, BLOCK)));
-    }
-    if dev.read_u64(commit_off + 16) != log_checksum(&blocks) {
-        return Ok(0); // torn commit: discard
-    }
-    for (blkno, data) in &blocks {
-        dev.memcpy_nt(blkno * BLOCK, data);
-    }
-    dev.fence();
-    dev.persist_u64(sboff::LOG_SEQ, seq + 1);
-    Ok(n)
 }
 
 // ---- extent maps ----
@@ -403,107 +311,4 @@ fn alloc_in_ag<D: PmBackend>(
         }
     }
     Err(FsError::NoSpace)
-}
-
-#[cfg(test)]
-mod tests {
-    use pmem::PmDevice;
-    use pmlog::{LogEntry, LogHandle, LoggingPm};
-
-    use super::*;
-
-    const SIZE: u64 = 8 * 1024 * 1024;
-
-    fn descriptor(seq: u64, blknos: &[u64]) -> Vec<u8> {
-        let mut desc = vec![0u8; BLOCK as usize];
-        desc[0..8].copy_from_slice(&LOG_DESC.to_le_bytes());
-        desc[8..16].copy_from_slice(&seq.to_le_bytes());
-        desc[16..24].copy_from_slice(&(blknos.len() as u64).to_le_bytes());
-        for (i, b) in blknos.iter().enumerate() {
-            desc[24 + i * 8..32 + i * 8].copy_from_slice(&b.to_le_bytes());
-        }
-        desc
-    }
-
-    fn commit_record(seq: u64, blocks: &[(u64, &[u8])]) -> [u8; 24] {
-        let mut commit = [0u8; 24];
-        commit[0..8].copy_from_slice(&LOG_COMMIT.to_le_bytes());
-        commit[8..16].copy_from_slice(&seq.to_le_bytes());
-        commit[16..24].copy_from_slice(&log_checksum(blocks).to_le_bytes());
-        commit
-    }
-
-    #[test]
-    fn committed_but_uncheckpointed_transaction_replays_unless_a_payload_word_is_torn() {
-        let geo = Geometry::for_device(SIZE).unwrap();
-        let mut dev = PmDevice::new(SIZE);
-        let blk = geo.data_start + 1;
-        let lbase = geo.log_start * BLOCK;
-        let old: Vec<u8> = (0..BLOCK).map(|i| (i * 7 + 3) as u8).collect();
-        let data: Vec<u8> = (0..BLOCK).map(|i| (i * 13 + 5) as u8).collect();
-        let home = dev.read_vec(blk * BLOCK, BLOCK);
-        // A crash right after the commit record: log written, home not
-        // updated, sequence not bumped.
-        let seq = dev.read_u64(sboff::LOG_SEQ);
-        dev.memcpy_nt(lbase, &descriptor(seq, &[blk]));
-        dev.memcpy_nt(lbase + BLOCK, &data);
-        dev.memcpy_nt(lbase + 2 * BLOCK, &commit_record(seq, &[(blk, &data)]));
-        dev.fence();
-        // One 8-byte store of the payload never reached the media (the log
-        // block still holds its old bytes there): the checksum must tell.
-        for word in [0usize, 1, 3, 255, 510, 511] {
-            let at = word * 8;
-            dev.memcpy_nt(lbase + BLOCK + at as u64, &old[at..at + 8]);
-            dev.fence();
-            assert_eq!(recover_log(&mut dev, &geo).unwrap(), 0, "word {word} torn");
-            assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), home, "home block untouched");
-            assert_eq!(dev.read_u64(sboff::LOG_SEQ), seq);
-            dev.memcpy_nt(lbase + BLOCK + at as u64, &data[at..at + 8]);
-            dev.fence();
-        }
-        assert_eq!(recover_log(&mut dev, &geo).unwrap(), 1);
-        assert_eq!(dev.read_vec(blk * BLOCK, BLOCK), data);
-        assert_eq!(dev.read_u64(sboff::LOG_SEQ), seq + 1);
-    }
-
-    /// The commit path borrows its blocks instead of copying them; the
-    /// device must see what it always saw — every store, in order, byte for
-    /// byte, the whole 4 KiB descriptor block included.
-    #[test]
-    fn log_commit_issues_the_same_stores_in_the_same_order() {
-        let geo = Geometry::for_device(SIZE).unwrap();
-        let log = LogHandle::new();
-        let mut dev = LoggingPm::new(PmDevice::new(SIZE), log.clone());
-        let a: Vec<u8> = (0..BLOCK).map(|i| (i * 3 + 1) as u8).collect();
-        let b: Vec<u8> = (0..BLOCK).map(|i| (i * 5 + 2) as u8).collect();
-        let (home_a, home_b) = (geo.data_start + 9, geo.data_start + 3);
-        let blocks: [(u64, &[u8]); 2] = [(home_a, &a), (home_b, &b)];
-        log_commit(&mut dev, &geo, &blocks).unwrap();
-
-        let lbase = geo.log_start * BLOCK;
-        let nt = |off: u64, data: &[u8]| LogEntry::Nt { off, data: data.to_vec() };
-        // The retired sequence number lands with its whole cache line.
-        let line = sboff::LOG_SEQ / 64 * 64;
-        let mut seq_line = vec![0u8; 64];
-        let at = (sboff::LOG_SEQ - line) as usize;
-        seq_line[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
-        let expected = [
-            nt(lbase, &descriptor(0, &[home_a, home_b])),
-            nt(lbase + BLOCK, &a),
-            nt(lbase + 2 * BLOCK, &b),
-            LogEntry::Fence,
-            nt(lbase + 3 * BLOCK, &commit_record(0, &blocks)),
-            LogEntry::Fence,
-            nt(home_a * BLOCK, &a),
-            nt(home_b * BLOCK, &b),
-            LogEntry::Fence,
-            LogEntry::Flush { off: line, data: seq_line },
-            LogEntry::Fence,
-        ];
-        let got = log.take();
-        assert_eq!(got.len(), expected.len());
-        for (i, (got, want)) in got.entries().iter().zip(&expected).enumerate() {
-            assert_eq!(got, want, "log entry {i}");
-        }
-    }
 }

@@ -22,9 +22,12 @@
 //!   ext4-style per-block pointers; a hole punch that would need a
 //!   thirteenth extent zeroes the block in place instead.
 //! * **A write-ahead log** with commit records and checkpointing, replayed
-//!   at mount. Like ext4-DAX's journal in this reproduction the log carries
-//!   metadata block images (real XFS logs logical items; the crash-visible
-//!   contract — committed or ignored — is the same).
+//!   at mount: the shared [`vfs::pagedfs::RedoLog`] protocol under this
+//!   format's constants (`XLOGDESC`/`XLOGCMMT` tags, its own checksum seed
+//!   and rotation, the sequence number at superblock offset 80, blocks `1..`
+//!   after the superblock). Like ext4-DAX's journal the log carries metadata
+//!   block images (real XFS logs logical items; the crash-visible contract —
+//!   committed or ignored — is the same).
 
 pub mod extents;
 pub mod fsimpl;
@@ -32,47 +35,6 @@ pub mod layout;
 
 pub use fsimpl::XfsDax;
 
-use pmem::PmBackend;
-use vfs::{
-    fs::{FsKind, FsOptions, Guarantees},
-    FsName, FsResult,
-};
-
-/// Factory for [`XfsDax`] instances.
-#[derive(Debug, Clone, Default)]
-pub struct XfsDaxKind {
-    /// Construction options (no injected bugs; carries coverage config).
-    pub opts: FsOptions,
-}
-
-impl FsKind for XfsDaxKind {
-    type Fs<D: PmBackend> = XfsDax<D>;
-
-    fn name(&self) -> FsName {
-        FsName::XfsDax
-    }
-
-    fn options(&self) -> &FsOptions {
-        &self.opts
-    }
-
-    fn with_options(&self, opts: FsOptions) -> Self {
-        Self { opts }
-    }
-
-    fn guarantees(&self) -> Guarantees {
-        Guarantees { strong: false, atomic_data_writes: false, data_checksums: false }
-    }
-
-    fn mkfs<D: PmBackend>(&self, dev: D) -> FsResult<Self::Fs<D>> {
-        XfsDax::mkfs(dev, &self.opts)
-    }
-
-    fn mount<D: PmBackend>(&self, dev: D) -> FsResult<Self::Fs<D>> {
-        XfsDax::mount(dev, &self.opts)
-    }
-
-    fn fork_fs<D: PmBackend + Clone>(&self, fs: &Self::Fs<D>) -> Option<Self::Fs<D>> {
-        Some(fs.clone())
-    }
-}
+/// Factory for [`XfsDax`] instances: the shared [`vfs::pagedfs::PagedKind`]
+/// over this crate's format.
+pub type XfsDaxKind = vfs::pagedfs::PagedKind<layout::Geometry>;
