@@ -4,11 +4,15 @@
 //! flag.
 
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
-use bench::{dispatch, hunt_with_ace, ReproBundle, WithKind};
-use chipmunk::{reference, shrink::matches_class, BugReport, TestConfig, Violation};
+use bench::{dispatch, hunt_with_ace, HuntResult, ReproBundle, WithKind};
+use chipmunk::{
+    check_one_state, reference, shrink::matches_class, test_workload, BugReport, StateProbe,
+    TestConfig, Violation,
+};
 use vfs::{
-    bugs::bug_table,
+    bugs::{bug_table, BugInfo},
     fs::{FsKind, FsOptions},
     BugSet, Workload,
 };
@@ -65,21 +69,41 @@ impl WithKind for FirstReport<'_> {
     }
 }
 
+/// The hunts' stop-on-first config.
+fn hunt_cfg() -> TestConfig {
+    TestConfig { stop_on_first: true, ..TestConfig::default() }
+}
+
+/// Production's ACE hunt find for each of the 19 ACE-findable unique corpus
+/// bugs, hunted once per test binary.
+fn ace_finds() -> &'static [(&'static BugInfo, HuntResult)] {
+    static FINDS: OnceLock<Vec<(&'static BugInfo, HuntResult)>> = OnceLock::new();
+    FINDS.get_or_init(|| {
+        let mut seen_groups = BTreeSet::new();
+        let finds: Vec<_> = bug_table()
+            .iter()
+            .filter(|b| seen_groups.insert(b.fix_group) && b.ace_findable)
+            .map(|info| {
+                let (hit, _, _) = hunt_with_ace(info.id, &hunt_cfg(), 400);
+                let hit = hit.unwrap_or_else(|| {
+                    panic!("bug {}: production's ACE hunt must find it", info.id.number())
+                });
+                (info, hit)
+            })
+            .collect();
+        assert_eq!(finds.len(), 19, "the ACE-findable unique bugs");
+        finds
+    })
+}
+
 /// Each of the 19 ACE-findable corpus bugs, on the workload production's
 /// hunt found it with: the reference must stop at the same system call with
 /// the same violation class.
 #[test]
 fn reference_finds_the_ace_corpus_where_production_does() {
-    let cfg = TestConfig { stop_on_first: true, ..TestConfig::default() };
-    let mut seen_groups = BTreeSet::new();
-    let mut checked = 0;
-    for info in bug_table().iter().filter(|b| seen_groups.insert(b.fix_group)) {
-        if !info.ace_findable {
-            continue;
-        }
+    let cfg = hunt_cfg();
+    for (info, hit) in ace_finds() {
         let bug = info.id.number();
-        let (hit, _, _) = hunt_with_ace(info.id, &cfg, 400);
-        let hit = hit.unwrap_or_else(|| panic!("bug {bug}: production's ACE hunt must find it"));
         let opts = FsOptions::with_bugs(BugSet::only(&[info.id]));
         let r = dispatch(info.fs, opts, FirstReport(&hit.workload, &cfg))
             .unwrap_or_else(|| panic!("bug {bug}: the reference misses {}", hit.workload.name));
@@ -90,7 +114,49 @@ fn reference_finds_the_ace_corpus_where_production_does() {
             hit.workload.name,
             hit.report
         );
-        checked += 1;
     }
-    assert_eq!(checked, 19, "the ACE-findable unique bugs");
+}
+
+/// Every crash-state report production gives on one workload, each paired
+/// with `check_one_state`'s replay of that one state.
+struct Replayed<'a>(&'a Workload, &'a TestConfig);
+
+impl WithKind for Replayed<'_> {
+    type Out = Vec<(BugReport, Result<StateProbe, String>)>;
+
+    fn call<K: FsKind>(self, kind: K) -> Self::Out {
+        let (w, cfg) = (self.0, self.1);
+        let reports = test_workload(&kind, w, cfg).reports;
+        reports
+            .into_iter()
+            .filter_map(|r| {
+                let probe = check_one_state(&kind, w, cfg, r.point?, &r.subset_ids);
+                Some((r, probe))
+            })
+            .collect()
+    }
+}
+
+/// Single-state replay re-targets production's reports: on each ACE corpus
+/// find, every report of a full (not stop-on-first) production run replays
+/// through `check_one_state` to the same class, system call and phase.
+#[test]
+fn check_one_state_replays_every_production_report_on_the_ace_corpus() {
+    let cfg = TestConfig::default();
+    for (info, hit) in ace_finds() {
+        let bug = info.id.number();
+        let opts = FsOptions::with_bugs(BugSet::only(&[info.id]));
+        let replayed = dispatch(info.fs, opts, Replayed(&hit.workload, &cfg));
+        assert!(!replayed.is_empty(), "bug {bug}: no crash-state report on {}", hit.workload.name);
+        for (r, probe) in replayed {
+            let p = probe.unwrap_or_else(|e| panic!("bug {bug}: {r:?} does not replay: {e}"));
+            let v = p.violation.as_ref().map(Violation::class);
+            assert_eq!(
+                (v, p.op_seq, p.op_desc.as_str(), p.phase),
+                (Some(r.violation.class()), r.op_seq, r.op_desc.as_str(), r.phase),
+                "bug {bug} on {}: production {r:?} vs single-state {p:?}",
+                hit.workload.name
+            );
+        }
+    }
 }

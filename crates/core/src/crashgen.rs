@@ -55,23 +55,17 @@ pub fn coalesce(writes: &[PendingWrite]) -> Vec<PendingWrite> {
     out
 }
 
-/// Enumerates the subsets of `n` in-flight writes to replay, in increasing
-/// subset size (Observation 7: buggy crash states usually involve few
-/// writes, so small subsets first finds bugs quickly).
+/// Enumerates the subsets of `n` in-flight writes to replay, by subset size:
+/// increasing (Observation 7: buggy crash states usually involve few writes,
+/// so small subsets first finds bugs quickly) or, with `large_first`,
+/// decreasing — the ablation control for Observation 7 (with stop-on-first,
+/// small-first should reach the buggy state in far fewer mounts).
 ///
 /// The empty subset is excluded (it equals the already-checked base state).
 /// With a `cap`, subsets larger than the cap are skipped but the *full* set
 /// is always included — it is the state an actual crash immediately before
 /// the fence would most plausibly leave, and it is the next base. At most
 /// `max_states` subsets are returned.
-pub fn enumerate_subsets(n: usize, cap: Option<usize>, max_states: u64) -> Vec<Vec<usize>> {
-    enumerate_subsets_ordered(n, cap, max_states, false)
-}
-
-/// [`enumerate_subsets`] with an explicit size order. `large_first` visits
-/// big subsets before small ones — the ablation control for Observation 7
-/// (with stop-on-first, small-first should reach the buggy state in far
-/// fewer mounts, because buggy crash states usually involve few writes).
 pub fn enumerate_subsets_ordered(
     n: usize,
     cap: Option<usize>,
@@ -592,7 +586,7 @@ mod tests {
         for (writes, absorbed) in &cases {
             for drop_data in [false, true] {
                 let cache = SigCache::new(writes, absorbed, drop_data);
-                for subset in enumerate_subsets(writes.len(), None, u64::MAX) {
+                for subset in enumerate_subsets_ordered(writes.len(), None, u64::MAX, false) {
                     assert_eq!(
                         cache.sig(&subset),
                         behavior_sig(writes, &subset, absorbed, drop_data),
@@ -605,7 +599,7 @@ mod tests {
 
     #[test]
     fn subsets_of_three_exhaustive() {
-        let s = enumerate_subsets(3, None, 1 << 20);
+        let s = enumerate_subsets_ordered(3, None, 1 << 20, false);
         // 2^3 - 1 = 7 non-empty subsets.
         assert_eq!(s.len(), 7);
         // Ordered by size.
@@ -620,14 +614,14 @@ mod tests {
     fn paper_counts_hold() {
         // "For n in-flight writes, there will be 2^n - 1 crash states."
         for n in 1..=10 {
-            let s = enumerate_subsets(n, None, u64::MAX);
+            let s = enumerate_subsets_ordered(n, None, u64::MAX, false);
             assert_eq!(s.len(), (1usize << n) - 1, "n={n}");
         }
     }
 
     #[test]
     fn cap_keeps_small_subsets_plus_full() {
-        let s = enumerate_subsets(5, Some(2), 1 << 20);
+        let s = enumerate_subsets_ordered(5, Some(2), 1 << 20, false);
         // C(5,1) + C(5,2) + full = 5 + 10 + 1.
         assert_eq!(s.len(), 16);
         assert_eq!(s.last().unwrap().len(), 5);
@@ -636,7 +630,7 @@ mod tests {
 
     #[test]
     fn cap_equal_to_n_is_exhaustive_without_duplicate_full() {
-        let s = enumerate_subsets(3, Some(3), 1 << 20);
+        let s = enumerate_subsets_ordered(3, Some(3), 1 << 20, false);
         assert_eq!(s.len(), 7);
     }
 
@@ -665,13 +659,13 @@ mod tests {
 
     #[test]
     fn max_states_truncates() {
-        let s = enumerate_subsets(10, None, 20);
+        let s = enumerate_subsets_ordered(10, None, 20, false);
         assert_eq!(s.len(), 20);
     }
 
     #[test]
     fn zero_inflight_yields_nothing() {
-        assert!(enumerate_subsets(0, None, 100).is_empty());
+        assert!(enumerate_subsets_ordered(0, None, 100, false).is_empty());
     }
 
     #[test]
@@ -679,12 +673,12 @@ mod tests {
         // Regression: `out.len() == max_states && limit < n` used to
         // overwrite the last enumerated subset with the full set. The budget
         // now reserves the full set's slot up front instead.
-        let s = enumerate_subsets(5, Some(2), 4);
+        let s = enumerate_subsets_ordered(5, Some(2), 4, false);
         assert_eq!(s.len(), 4, "budget must hold exactly");
         assert_eq!(*s.last().unwrap(), vec![0, 1, 2, 3, 4], "full set present");
         // The enumerated prefix is exactly the first budget-1 subsets of the
         // untruncated enumeration — nothing skipped, nothing overwritten.
-        let untruncated = enumerate_subsets(5, Some(2), u64::MAX);
+        let untruncated = enumerate_subsets_ordered(5, Some(2), u64::MAX, false);
         assert_eq!(&s[..3], &untruncated[..3]);
         let set: std::collections::HashSet<Vec<usize>> = s.iter().cloned().collect();
         assert_eq!(set.len(), 4, "no duplicates");
@@ -694,7 +688,7 @@ mod tests {
     fn truncation_without_cap_still_includes_full_set() {
         // With no cap but a state budget, small-first enumeration never
         // reaches the full set on its own; it must still be included.
-        let s = enumerate_subsets(10, None, 20);
+        let s = enumerate_subsets_ordered(10, None, 20, false);
         assert_eq!(s.len(), 20);
         assert_eq!(*s.last().unwrap(), (0..10).collect::<Vec<_>>());
     }
@@ -709,7 +703,7 @@ mod tests {
 
     #[test]
     fn budget_of_one_with_cap_yields_only_the_full_set() {
-        let s = enumerate_subsets(5, Some(2), 1);
+        let s = enumerate_subsets_ordered(5, Some(2), 1, false);
         assert_eq!(s, vec![vec![0, 1, 2, 3, 4]]);
     }
 
@@ -900,7 +894,7 @@ mod tests {
             PendingWrite { off: 4000, data: vec![3u8; 200], nt: true }, // crosses page
             PendingWrite { off: 100, data: vec![0u8; 4], nt: false }, // zeroes base bytes
         ];
-        let subsets = enumerate_subsets(writes.len(), None, u64::MAX);
+        let subsets = enumerate_subsets_ordered(writes.len(), None, u64::MAX, false);
         let mut walker = SubsetWalker::new(&base, pmem::image_key(&base));
         use pmem::PmBackend;
         for s in &subsets {

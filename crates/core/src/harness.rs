@@ -5,6 +5,16 @@
 //! Observation 7 is why there is little to shard inside a point). Parallelism
 //! lives a level up, in the batch runners of the `bench` crate, which shard
 //! *workloads* over [`TestConfig::threads`] workers.
+//!
+//! Each stage has one step, shared by every runner: an oracle op is
+//! `oracle_step`, a recorded op is `record_op` on the device
+//! `logging_device` picks, and the crash-state stage is `ReplayEngine`,
+//! production's only replay. Between syscalls the engine is wholly
+//! described by its durable `BaseImage` and one `ReplayState` value, which
+//! is what the [`PrefixCache`](crate::PrefixCache) checkpoints and resumes.
+//! Replaying a single `(point, subset)` state ([`check_one_state`]) is not
+//! the engine's job: it is the literal reference walk
+//! ([`mod@reference`]), stopped at that state.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -12,10 +22,7 @@ use std::time::{Duration, Instant};
 
 use pmem::{write_delta, ForkDevice, ImageKey, ImageLease, PmBackend};
 use pmlog::{LogEntry, LogHandle, LoggingPm, Marker, OpRecord};
-use vfs::{
-    fs::SyscallKind,
-    BugId, FsKind, Workload,
-};
+use vfs::{fs::SyscallKind, BugId, FileSystem, FsKind, Op, Workload};
 
 use crate::{
     checker::{check_crash_state, probe_state, walk_scope, CheckKind, DataRelax},
@@ -199,6 +206,34 @@ pub(crate) fn report_divergence(
     }
 }
 
+/// The recorded run's device: `dev` behind the write logger, or behind the
+/// eADR logger under `cfg.eadr`.
+pub(crate) fn logging_device<D: PmBackend>(
+    dev: D,
+    log: &LogHandle,
+    cfg: &TestConfig,
+) -> LoggingPm<D> {
+    if cfg.eadr {
+        LoggingPm::new_eadr(dev, log.clone())
+    } else {
+        LoggingPm::new(dev, log.clone())
+    }
+}
+
+/// One op of the recorded run, bracketed by its syscall markers.
+pub(crate) fn record_op<F: FileSystem>(
+    log: &LogHandle,
+    ex: &mut Executor,
+    fs: &mut F,
+    op: &Op,
+    seq: usize,
+) -> OpResult {
+    log.marker(Marker::SyscallBegin(OpRecord { seq, desc: op.describe() }));
+    let r = ex.exec(fs, op, seq);
+    log.marker(Marker::SyscallEnd { seq, ok: r.result.is_ok() });
+    r
+}
+
 /// Stages 1–2 of the pipeline: the crash-free oracle run, the recorded run,
 /// and the divergence reports between them, with both stage timings. A
 /// stage that cannot run at all (oracle failure, mkfs failure) is reported
@@ -206,10 +241,10 @@ pub(crate) fn report_divergence(
 ///
 /// Both stages run on a fresh device from `new_dev`. Production passes the
 /// page-sparse [`ForkDevice`] (a workload touches a few dozen KiB of the
-/// device, so nothing device-sized is allocated); the literal reference
-/// passes the dense [`pmem::PmDevice`], which makes the production ≡
-/// reference matrix also pin "log recorded on a sparse device ≡ log
-/// recorded on the dense device".
+/// device, so nothing device-sized is allocated); the literal reference's
+/// whole-workload walk passes the dense [`pmem::PmDevice`], which makes the
+/// production ≡ reference matrix also pin "log recorded on a sparse device
+/// ≡ log recorded on the dense device".
 pub(crate) fn oracle_and_record<K: FsKind, D: PmBackend>(
     kind: &K,
     workload: &Workload,
@@ -229,17 +264,9 @@ pub(crate) fn oracle_and_record<K: FsKind, D: PmBackend>(
     out.timing.oracle = t_oracle.elapsed();
     out.oracle_snap_bytes_shared = oracle.snap_bytes_shared;
 
-    // Recorded run: a fresh device behind the write logger (the eADR logger
-    // under `cfg.eadr`), every op bracketed by syscall markers.
     let t_record = Instant::now();
     let log = LogHandle::new();
-    let dev = new_dev(cfg.device_size);
-    let lp = if cfg.eadr {
-        LoggingPm::new_eadr(dev, log.clone())
-    } else {
-        LoggingPm::new(dev, log.clone())
-    };
-    let mut fs = match kind.mkfs(lp) {
+    let mut fs = match kind.mkfs(logging_device(new_dev(cfg.device_size), &log, cfg)) {
         Ok(fs) => fs,
         Err(e) => {
             let v = Violation::RuntimeError(format!("mkfs failed: {e}"));
@@ -248,13 +275,12 @@ pub(crate) fn oracle_and_record<K: FsKind, D: PmBackend>(
         }
     };
     let mut ex = Executor::new();
-    let mut rec_results = Vec::with_capacity(workload.ops.len());
-    for (seq, op) in workload.ops.iter().enumerate() {
-        log.marker(Marker::SyscallBegin(OpRecord { seq, desc: op.describe() }));
-        let r = ex.exec(&mut fs, op, seq);
-        log.marker(Marker::SyscallEnd { seq, ok: r.result.is_ok() });
-        rec_results.push(r);
-    }
+    let rec_results: Vec<OpResult> = workload
+        .ops
+        .iter()
+        .enumerate()
+        .map(|(seq, op)| record_op(&log, &mut ex, &mut fs, op, seq))
+        .collect();
     drop(fs);
     let log = log.take();
     out.timing.record = t_record.elapsed();
@@ -269,7 +295,6 @@ pub(crate) fn oracle_and_record<K: FsKind, D: PmBackend>(
 /// 3. crash-state construction and checking at every crash point.
 pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig) -> TestOutcome {
     let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
-    let guarantees = kind.guarantees();
     kind.options().trace.clear();
 
     let Some((oracle, rec_results, log)) =
@@ -279,16 +304,15 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
     };
 
     let t_check = Instant::now();
-    // The all-zero image hashes to 0.
-    let base = ImageLease::zeroed(cfg.device_size);
+    let base = BaseImage::zeroed(cfg.device_size);
     let mut engine =
-        ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees, base, 0);
+        ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, base, ReplayState::default());
     for entry in log.entries() {
         if engine.stop {
             // Replaying to completion is unnecessary once stopping.
             break;
         }
-        engine.step(entry, Some(&mut out));
+        engine.step(entry, &mut out);
     }
     out.timing.check = t_check.elapsed();
 
@@ -374,11 +398,165 @@ fn insert_with_parent(set: &mut BTreeSet<String>, p: &str) {
     }
 }
 
+/// The replay's last-known-persistent image (every write a fence, or under
+/// eADR landing at all, made durable) with its running content hash. While
+/// taping, every write also records the bytes it overwrote, so the prefix
+/// cache can step the image back across syscall boundaries.
+pub(crate) struct BaseImage {
+    image: ImageLease,
+    /// Incremental content hash of `image`.
+    key: ImageKey,
+    tape: Option<TapeSeg>,
+}
+
+/// The undo records of one stretch of writes to a [`BaseImage`], and the
+/// image's key before them.
+pub(crate) struct TapeSeg {
+    undo: Vec<(u64, Vec<u8>)>,
+    key_before: ImageKey,
+}
+
+impl BaseImage {
+    /// The all-zero image (which hashes to 0), not taping.
+    pub fn zeroed(len: u64) -> Self {
+        BaseImage { image: ImageLease::zeroed(len), key: 0, tape: None }
+    }
+
+    /// The image's length in bytes.
+    pub fn len(&self) -> u64 {
+        self.image.len() as u64
+    }
+
+    /// Applies one write, maintaining the hash and the open tape segment.
+    fn apply(&mut self, off: u64, data: &[u8]) {
+        let o = off as usize;
+        let old = &self.image[o..o + data.len()];
+        self.key ^= write_delta(off, old, data);
+        if let Some(seg) = &mut self.tape {
+            seg.undo.push((off, old.to_vec()));
+        }
+        self.image.write(off, data);
+    }
+
+    /// Starts taping: opens an empty segment at the current image.
+    pub fn start_tape(&mut self) {
+        self.tape = Some(TapeSeg { undo: Vec::new(), key_before: self.key });
+    }
+
+    /// Closes the open tape segment, returning it, and opens the next.
+    pub fn cut(&mut self) -> TapeSeg {
+        let next = TapeSeg { undo: Vec::new(), key_before: self.key };
+        std::mem::replace(self.tape.as_mut().expect("taping"), next)
+    }
+
+    /// Stops taping, rolling back the writes of the open segment so the
+    /// image rests where the last [`cut`](BaseImage::cut) left it.
+    pub fn end_tape(&mut self) {
+        if let Some(seg) = self.tape.take() {
+            self.rewind(&seg);
+        }
+    }
+
+    /// Undoes the writes of `seg`, the segment cut last.
+    pub fn rewind(&mut self, seg: &TapeSeg) {
+        for (off, old) in seg.undo.iter().rev() {
+            self.image.write(*off, old);
+        }
+        self.key = seg.key_before;
+    }
+}
+
+/// Everything the replay carries from one syscall boundary to the next
+/// besides the durable image: the one value the prefix cache checkpoints.
+#[derive(Clone, Default)]
+pub(crate) struct ReplayState {
+    /// In-flight writes since the last fence.
+    pending: Vec<PendingWrite>,
+    /// Writes absorbed into the base image (fences crossed, or eADR stores
+    /// applied) since the current op began — cleared at every
+    /// `SyscallBegin`. The behavioral signature hashes these alongside a
+    /// state's subset so the signature is anchored at the base image *as of
+    /// op start*: the state after fence `k` absorbs signs identically whether
+    /// its writes are still pending or already in the base. Kept in the same
+    /// coalesced/uncoalesced form the subset enumeration uses.
+    op_absorbed: Vec<PendingWrite>,
+    /// Which ops still have writes in `pending` (for scope computation).
+    pending_seqs: BTreeSet<usize>,
+    /// Whether any pending write predates the first marker.
+    pending_unknown: bool,
+    /// The last completed op.
+    last_done: Option<usize>,
+    /// Whether the first syscall marker has been seen (mkfs writes precede
+    /// it and are never crash points).
+    started: bool,
+    /// Cross-point artifact memo.
+    memo: CrossMemo,
+    /// Behavioral class table ([`TestConfig::rep_check`]).
+    rep: RepTable,
+}
+
+impl ReplayState {
+    /// The state's half of [`ReplayEngine::step`]: moves one log entry into
+    /// the state and `base` without visiting any crash point. `cur_op` is
+    /// the op in progress. Returns whether the entry was a store made
+    /// durable on landing (eADR), which is a crash point of its own.
+    pub fn advance(
+        &mut self,
+        entry: &LogEntry,
+        cur_op: Option<usize>,
+        base: &mut BaseImage,
+        cfg: &TestConfig,
+    ) -> bool {
+        match entry {
+            LogEntry::Marker(Marker::SyscallBegin(_)) => {
+                self.started = true;
+                self.op_absorbed.clear();
+            }
+            LogEntry::Marker(Marker::SyscallEnd { seq, .. }) => self.last_done = Some(*seq),
+            // eADR fences order stores that are already durable.
+            LogEntry::Fence if cfg.eadr => {}
+            LogEntry::Fence => {
+                let pending = std::mem::take(&mut self.pending);
+                for w in &pending {
+                    base.apply(w.off, &w.data);
+                }
+                // Absorbed writes keep contributing to behavioral signatures
+                // (in the same shape the subset enumeration saw them) until
+                // the next op begins.
+                if cfg.coalesce_data {
+                    self.op_absorbed.extend(coalesce(&pending));
+                } else {
+                    self.op_absorbed.extend(pending);
+                }
+                self.pending_seqs.clear();
+                self.pending_unknown = false;
+            }
+            e => {
+                let Some(w) = PendingWrite::from_entry(e) else { return false };
+                if cfg.eadr {
+                    // Persistent caches: durable the moment it lands.
+                    base.apply(w.off, &w.data);
+                    self.op_absorbed.push(w);
+                    return true;
+                }
+                match cur_op.or(self.last_done) {
+                    Some(s) => {
+                        self.pending_seqs.insert(s);
+                    }
+                    None => self.pending_unknown = true,
+                }
+                self.pending.push(w);
+            }
+        }
+        false
+    }
+}
+
 /// The crash-state construction and checking stage as a resumable machine:
-/// [`step`](ReplayEngine::step) consumes one log entry at a time, so the
-/// prefix cache can fast-forward through a shared prefix (checkpointed
-/// counters stand in for the skipped checks), snapshot the mutable state at
-/// any syscall boundary, and hand the suffix to a later workload.
+/// [`step`](ReplayEngine::step) consumes one log entry at a time, and
+/// between syscalls the engine is wholly described by its [`BaseImage`] and
+/// its [`ReplayState`]. The prefix cache checkpoints both at every syscall
+/// boundary and starts a later workload's engine from them.
 pub(crate) struct ReplayEngine<'a, K: FsKind> {
     kind: &'a K,
     workload: &'a Workload,
@@ -387,27 +565,9 @@ pub(crate) struct ReplayEngine<'a, K: FsKind> {
     rec_results: &'a [OpResult],
     guarantees: vfs::Guarantees,
     /// The last-known-persistent image (all pending writes drained).
-    pub base: ImageLease,
-    /// Incremental content hash of `base`.
-    pub base_key: ImageKey,
-    /// Cross-point artifact memo.
-    pub memo: CrossMemo,
-    /// In-flight writes since the last fence.
-    pub pending: Vec<PendingWrite>,
-    /// Writes absorbed into `base` (fences crossed, or eADR stores applied)
-    /// since the current op began — cleared at every `SyscallBegin`. The
-    /// behavioral signature hashes these alongside a state's subset so the
-    /// signature is anchored at the base image *as of op start*: the state
-    /// after fence `k` absorbs signs identically whether its writes are
-    /// still pending or already in `base`. Kept in the same
-    /// coalesced/uncoalesced form the subset enumeration uses.
-    pub op_absorbed: Vec<PendingWrite>,
-    /// Behavioral class table ([`TestConfig::rep_check`]).
-    pub rep: RepTable,
-    /// Which ops still have writes in `pending` (for scope computation).
-    pub pending_seqs: BTreeSet<usize>,
-    /// Whether any pending write predates the first marker.
-    pub pending_unknown: bool,
+    pub base: BaseImage,
+    /// The resumable rest of the replay.
+    pub state: ReplayState,
     /// The last crash scope built, keyed by what it depends on besides the
     /// engine's fixed inputs: `(seq, pending_seqs, pending_unknown)`. The
     /// crash points of one op share it until a write of another op is left
@@ -415,28 +575,8 @@ pub(crate) struct ReplayEngine<'a, K: FsKind> {
     /// and every memo entry walked under it shares it too.
     scope: Option<(usize, BTreeSet<usize>, bool, Arc<Scope>)>,
     cur_op: Option<usize>,
-    /// The last completed op.
-    pub last_done: Option<usize>,
-    /// Whether the first syscall marker has been seen (mkfs writes precede
-    /// it and are never crash points).
-    pub started: bool,
     /// Stop-on-first fired; no further entries should be fed.
     pub stop: bool,
-    /// When set, every mutation of `base` records `(off, old bytes)` here so
-    /// the caller can roll the image back (the prefix cache's base tape).
-    pub undo: Option<Vec<(u64, Vec<u8>)>>,
-    /// When set, the engine is in single-state mode: crash points are only
-    /// counted until the target ordinal is reached, where exactly one subset
-    /// state is built and checked (see [`check_one_state`]).
-    single: Option<SingleTarget>,
-}
-
-/// Target and result slot for the engine's single-state mode.
-struct SingleTarget {
-    point: u64,
-    subset: Vec<usize>,
-    result: Option<StateProbe>,
-    error: Option<String>,
 }
 
 /// The verdict of replaying exactly one crash state (see [`check_one_state`]).
@@ -456,18 +596,16 @@ pub struct StateProbe {
 }
 
 impl<'a, K: FsKind> ReplayEngine<'a, K> {
-    /// An engine positioned at `base` (whose content hash is `base_key`)
-    /// with nothing in flight.
-    #[allow(clippy::too_many_arguments)]
+    /// An engine resuming from `base` and `state` (a fresh run passes the
+    /// zeroed image and the default state).
     pub fn new(
         kind: &'a K,
         workload: &'a Workload,
         cfg: &'a TestConfig,
         oracle: &'a Oracle,
         rec_results: &'a [OpResult],
-        guarantees: vfs::Guarantees,
-        base: ImageLease,
-        base_key: ImageKey,
+        base: BaseImage,
+        state: ReplayState,
     ) -> Self {
         ReplayEngine {
             kind,
@@ -475,35 +613,13 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
             cfg,
             oracle,
             rec_results,
-            guarantees,
+            guarantees: kind.guarantees(),
             base,
-            base_key,
-            memo: CrossMemo::default(),
-            pending: Vec::new(),
-            op_absorbed: Vec::new(),
-            rep: RepTable::default(),
-            pending_seqs: BTreeSet::new(),
-            pending_unknown: false,
+            state,
             scope: None,
             cur_op: None,
-            last_done: None,
-            started: false,
             stop: false,
-            undo: None,
-            single: None,
         }
-    }
-
-    /// Applies one write to `base`, maintaining the incremental hash and the
-    /// undo tape.
-    fn apply_base(&mut self, off: u64, data: &[u8]) {
-        let o = off as usize;
-        let old = &self.base[o..o + data.len()];
-        self.base_key ^= write_delta(off, old, data);
-        if let Some(u) = &mut self.undo {
-            u.push((off, old.to_vec()));
-        }
-        self.base.write(off, data);
     }
 
     /// The crash scope of a point at op `seq` with the current pending
@@ -516,103 +632,73 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
                 e.rec_results,
                 e.oracle,
                 seq,
-                &e.pending_seqs,
-                e.pending_unknown,
+                &e.state.pending_seqs,
+                e.state.pending_unknown,
                 e.cfg,
             )
         };
+        let st = &self.state;
         if let Some((s, seqs, unknown, scope)) = &self.scope {
-            if *s == seq && *seqs == self.pending_seqs && *unknown == self.pending_unknown {
+            if *s == seq && *seqs == st.pending_seqs && *unknown == st.pending_unknown {
                 debug_assert_eq!(**scope, build(self), "cached crash scope is stale");
                 return Arc::clone(scope);
             }
         }
         let scope = Arc::new(build(self));
         self.scope =
-            Some((seq, self.pending_seqs.clone(), self.pending_unknown, Arc::clone(&scope)));
+            Some((seq, st.pending_seqs.clone(), st.pending_unknown, Arc::clone(&scope)));
         scope
     }
 
-    /// Consumes one log entry. With `out` present, crash points are visited
-    /// and results committed into it; with `None` the entry only advances
-    /// the replay state (fast-forward through an already-checked prefix).
-    pub fn step(&mut self, entry: &LogEntry, out: Option<&mut TestOutcome>) {
+    /// Consumes one log entry, visiting the crash points it creates and
+    /// committing their results into `out`.
+    pub fn step(&mut self, entry: &LogEntry, out: &mut TestOutcome) {
+        let strong = self.guarantees.strong;
         match entry {
             LogEntry::Marker(Marker::SyscallBegin(OpRecord { seq, .. })) => {
-                self.started = true;
-                self.cur_op = Some(*seq);
-                self.op_absorbed.clear();
+                self.cur_op = Some(*seq)
             }
-            LogEntry::Marker(Marker::SyscallEnd { seq, .. }) => {
-                self.cur_op = None;
-                self.last_done = Some(*seq);
-                let op = &self.workload.ops[*seq];
-                if !op.is_mutating() {
-                    return;
-                }
-                let Some(out) = out else { return };
-                if self.guarantees.strong {
-                    let check = CheckKind::Synchrony { cur: self.oracle.after(*seq) };
-                    self.visit(*seq, CrashPhase::AfterSyscall, &check, true, false, out);
-                } else if matches!(op.kind(), SyscallKind::Fsync | SyscallKind::Sync) {
-                    let target = self.rec_results[*seq].target.as_deref();
-                    let target = if op.kind() == SyscallKind::Sync { None } else { target };
-                    let check = CheckKind::WeakFsync { cur: self.oracle.after(*seq), target };
-                    self.visit(*seq, CrashPhase::AfterFsync, &check, true, false, out);
-                }
+            LogEntry::Marker(Marker::SyscallEnd { .. }) => self.cur_op = None,
+            // An ADR fence with writes in flight is a crash point before it
+            // drains them into the base image.
+            LogEntry::Fence
+                if !self.cfg.eadr
+                    && strong
+                    && self.state.started
+                    && !self.state.pending.is_empty() =>
+            {
+                self.visit_mid_op(false, out)
             }
-            LogEntry::Fence => {
-                if self.cfg.eadr {
-                    // eADR: fences are pure ordering points. Every store has
-                    // already been visited as its own crash state, and the
-                    // state at the fence equals the state after the last
-                    // store, so there is nothing new to check here.
-                    return;
-                }
-                if self.started && self.guarantees.strong && !self.pending.is_empty() {
-                    if let Some(out) = out {
-                        self.visit_mid_op(false, out);
-                    }
-                }
-                let pending = std::mem::take(&mut self.pending);
-                for w in &pending {
-                    self.apply_base(w.off, &w.data);
-                }
-                // Absorbed writes keep contributing to behavioral signatures
-                // (in the same shape the subset enumeration saw them) until
-                // the next op begins.
-                if self.cfg.coalesce_data {
-                    self.op_absorbed.extend(coalesce(&pending));
-                } else {
-                    self.op_absorbed.extend(pending);
-                }
-                self.pending_seqs.clear();
-                self.pending_unknown = false;
-            }
-            e => {
-                let Some(w) = PendingWrite::from_entry(e) else { return };
-                if self.cfg.eadr {
-                    // Persistent caches: durable the moment it lands, and the
-                    // instant after any store is a real crash state — not
-                    // just fence boundaries. (A torn in-place update is only
-                    // visible *between* the stores that make it up; see bug
-                    // 19.)
-                    self.apply_base(w.off, &w.data);
-                    self.op_absorbed.push(w);
-                    if self.started && self.guarantees.strong {
-                        let Some(out) = out else { return };
-                        self.visit_mid_op(true, out);
-                    }
-                } else {
-                    match self.cur_op.or(self.last_done) {
-                        Some(s) => {
-                            self.pending_seqs.insert(s);
-                        }
-                        None => self.pending_unknown = true,
-                    }
-                    self.pending.push(w);
-                }
-            }
+            _ => {}
+        }
+        let durable_store = self.state.advance(entry, self.cur_op, &mut self.base, self.cfg);
+        if let LogEntry::Marker(Marker::SyscallEnd { seq, .. }) = entry {
+            self.visit_op_end(*seq, out);
+        } else if durable_store && strong && self.state.started {
+            // eADR: the instant after any store is a real crash state — not
+            // just fence boundaries. (A torn in-place update is only visible
+            // *between* the stores that make it up; see bug 19.) Fences are
+            // pure ordering points: the state at one equals the state after
+            // the last store, already checked there.
+            self.visit_mid_op(true, out);
+        }
+    }
+
+    /// The crash point at the end of op `seq`: synchrony of every mutating
+    /// op under strong guarantees, of `fsync`/`sync` under weak ones.
+    fn visit_op_end(&mut self, seq: usize, out: &mut TestOutcome) {
+        let op = &self.workload.ops[seq];
+        if !op.is_mutating() {
+            return;
+        }
+        if self.guarantees.strong {
+            let check = CheckKind::Synchrony { cur: self.oracle.after(seq) };
+            self.visit(seq, CrashPhase::AfterSyscall, &check, true, false, out);
+        } else if matches!(op.kind(), SyscallKind::Fsync | SyscallKind::Sync) {
+            let target = self.rec_results[seq].target.as_deref();
+            let target = if op.kind() == SyscallKind::Sync { None } else { target };
+            let check = CheckKind::WeakFsync { cur: self.oracle.after(seq), target };
+            self.visit(seq, CrashPhase::AfterFsync, &check, true, false, out);
         }
     }
 
@@ -639,7 +725,7 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
                 self.visit(seq, CrashPhase::DuringSyscall, &check, durable, durable, out);
             }
             None => {
-                if let Some(seq) = self.last_done {
+                if let Some(seq) = self.state.last_done {
                     let check = CheckKind::Synchrony { cur: self.oracle.after(seq) };
                     self.visit(seq, CrashPhase::AfterSyscall, &check, durable, durable, out);
                 }
@@ -658,12 +744,9 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
         no_pending: bool,
         out: &mut TestOutcome,
     ) {
-        if self.single.is_some() {
-            self.visit_single(seq, phase, check, no_pending, out);
-            return;
-        }
         let scope = self.scope_for(seq);
-        let pending: &[PendingWrite] = if no_pending { &[] } else { &self.pending };
+        let st = &mut self.state;
+        let pending: &[PendingWrite] = if no_pending { &[] } else { &st.pending };
         // Torn-data drop precondition (see [`crashgen::behavior_sig`]): the
         // check tolerates any old/new/zero byte mix in the written file, the
         // FS cannot turn torn data into a read error, and every in-flight
@@ -674,87 +757,38 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
         let torn_drop = self.cfg.rep_check
             && matches!(check, CheckKind::Atomicity { relax: DataRelax::Torn(_), .. })
             && !self.guarantees.data_checksums
-            && !self.pending_unknown
-            && self.pending_seqs.iter().all(|&s| s == seq);
+            && !st.pending_unknown
+            && st.pending_seqs.iter().all(|&s| s == seq);
         visit_crash_point(
             self.kind,
             self.workload,
             self.cfg,
-            &self.base,
-            self.base_key,
+            &self.base.image,
+            self.base.key,
             pending,
-            &self.op_absorbed,
+            &st.op_absorbed,
             seq,
             phase,
             check,
             check_base,
             torn_drop,
             &scope,
-            &mut self.memo,
-            &mut self.rep,
+            &mut st.memo,
+            &mut st.rep,
             out,
             &mut self.stop,
         );
-    }
-
-    /// Single-state mode: counts crash points exactly like
-    /// [`visit_crash_point`] does, and at the target ordinal checks the one
-    /// requested subset state through the literal single-state primitive
-    /// ([`check_crash_state`]) instead of enumerating.
-    fn visit_single(
-        &mut self,
-        seq: usize,
-        phase: CrashPhase,
-        check: &CheckKind<'_>,
-        no_pending: bool,
-        out: &mut TestOutcome,
-    ) {
-        out.crash_points += 1;
-        let ordinal = out.crash_points - 1;
-        let tgt = self.single.as_ref().expect("single mode");
-        if ordinal != tgt.point {
-            return;
-        }
-        let pending: &[PendingWrite] = if no_pending { &[] } else { &self.pending };
-        let writes = if self.cfg.coalesce_data { coalesce(pending) } else { pending.to_vec() };
-        let subset = tgt.subset.clone();
-        if let Some(&bad) = subset.iter().find(|&&i| i >= writes.len()) {
-            let tgt = self.single.as_mut().expect("single mode");
-            tgt.error = Some(format!(
-                "subset index {bad} out of range ({} in-flight writes at point {ordinal})",
-                writes.len()
-            ));
-            self.stop = true;
-            return;
-        }
-        let violation = check_crash_state(
-            self.kind,
-            &self.base,
-            &writes,
-            &subset,
-            check,
-            &reference::literal(self.cfg),
-        );
-        out.crash_states += 1;
-        let probe = StateProbe {
-            violation,
-            op_seq: seq,
-            op_desc: self.workload.ops[seq].describe(),
-            phase,
-            n_writes: writes.len(),
-        };
-        let tgt = self.single.as_mut().expect("single mode");
-        tgt.result = Some(probe);
-        self.stop = true;
     }
 }
 
 /// Replays exactly one crash state of a workload: the crash point with
 /// global ordinal `point` (a full run's [`BugReport::point`]), with the
-/// in-flight write subset `subset` applied. One oracle run and one recorded
-/// run, then a replay that fast-forwards to the target point and checks a
-/// single state instead of enumerating all subsets — the primitive behind
-/// repro-bundle replay and the shrinker's crash-subset ddmin pass.
+/// in-flight write subset `subset` applied — the primitive behind
+/// repro-bundle replay and the shrinker's crash-subset ddmin pass. It is
+/// the literal reference's single-state walk ([`mod@reference`]) on the
+/// page-sparse [`ForkDevice`]: one oracle run and one recorded run, then a
+/// log walk that counts crash points up to the target and checks that one
+/// state through [`check_crash_state`].
 ///
 /// Errors are infrastructure problems (oracle/mkfs failure, ordinal or
 /// subset index out of range), not violations.
@@ -765,33 +799,7 @@ pub fn check_one_state<K: FsKind>(
     point: u64,
     subset: &[usize],
 ) -> Result<StateProbe, String> {
-    let guarantees = kind.guarantees();
-    kind.options().trace.clear();
-    let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
-    let Some((oracle, rec_results, log)) =
-        oracle_and_record(kind, workload, cfg, ForkDevice::new, &mut out)
-    else {
-        let failure = out.reports.pop().expect("a stage that cannot run reports why");
-        return Err(failure.violation.detail().to_string());
-    };
-    let base = ImageLease::zeroed(cfg.device_size);
-    let mut engine =
-        ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, guarantees, base, 0);
-    engine.single =
-        Some(SingleTarget { point, subset: subset.to_vec(), result: None, error: None });
-    for entry in log.entries() {
-        if engine.stop {
-            break;
-        }
-        engine.step(entry, Some(&mut out));
-    }
-    let tgt = engine.single.take().expect("single mode");
-    if let Some(e) = tgt.error {
-        return Err(e);
-    }
-    tgt.result.ok_or_else(|| {
-        format!("crash point ordinal {point} out of range ({} points)", out.crash_points)
-    })
+    reference::check_one(kind, workload, cfg, ForkDevice::new, point, subset)
 }
 
 /// Memoized artifacts of one checked crash-state *image*, keyed by content

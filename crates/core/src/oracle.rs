@@ -266,11 +266,9 @@ impl Oracle {
 }
 
 /// Runs `workload` crash-free on a fresh `kind` instance formatted on
-/// `new_dev(cfg.device_size)`, capturing snapshots. With `cfg.shared_oracle`
-/// each post-op snapshot is advanced incrementally from its predecessor
-/// ([`advance_snapshot`]); otherwise every snapshot is an independent full
-/// walk. Production passes [`pmem::ForkDevice::new`] (page-sparse), the
-/// literal reference [`pmem::PmDevice::new`] (dense).
+/// `new_dev(cfg.device_size)`, capturing snapshots (`oracle_step`).
+/// Production passes [`pmem::ForkDevice::new`] (page-sparse), the literal
+/// reference's whole-workload walk [`pmem::PmDevice::new`] (dense).
 pub fn build_oracle<K: FsKind, D: PmBackend>(
     kind: &K,
     workload: &Workload,
@@ -284,20 +282,36 @@ pub fn build_oracle<K: FsKind, D: PmBackend>(
     let mut snap_bytes_shared = 0u64;
     snaps.push(Arc::new(snapshot_tree(&fs).map_err(FsError::Corrupt)?));
     for (seq, op) in workload.ops.iter().enumerate() {
-        let r = ex.exec(&mut fs, op, seq);
-        let next = if cfg.shared_oracle {
-            let (next, shared) =
-                advance_snapshot(&fs, snaps.last().unwrap(), op, r.target.as_deref())
-                    .map_err(FsError::Corrupt)?;
-            snap_bytes_shared += shared;
-            next
-        } else {
-            Arc::new(snapshot_tree(&fs).map_err(FsError::Corrupt)?)
-        };
+        let prev = snaps.last().expect("root snapshot present");
+        let (r, next, shared) =
+            oracle_step(&mut ex, &mut fs, op, seq, prev, cfg).map_err(FsError::Corrupt)?;
+        snap_bytes_shared += shared;
         snaps.push(next);
         results.push(r);
     }
     Ok(Oracle { snaps, results, snap_bytes_shared })
+}
+
+/// One op of the oracle run: executes `op` on the crash-free `fs`, then
+/// snapshots the tree from `prev`, the snapshot before the op — advanced
+/// incrementally ([`advance_snapshot`]) under `cfg.shared_oracle`, else an
+/// independent full walk. Returns the op's result, the new snapshot and the
+/// file-data bytes it shares with `prev`.
+pub(crate) fn oracle_step<F: FileSystem>(
+    ex: &mut Executor,
+    fs: &mut F,
+    op: &vfs::Op,
+    seq: usize,
+    prev: &Arc<Tree>,
+    cfg: &TestConfig,
+) -> Result<(OpResult, Arc<Tree>, u64), String> {
+    let r = ex.exec(fs, op, seq);
+    let (next, shared) = if cfg.shared_oracle {
+        advance_snapshot(fs, prev, op, r.target.as_deref())?
+    } else {
+        (Arc::new(snapshot_tree(fs)?), 0)
+    };
+    Ok((r, next, shared))
 }
 
 /// The paths an op addresses, or `None` when its footprint is unbounded
@@ -587,8 +601,8 @@ fn diff_nodes_scoped(
 /// alias set. A data write through one name is equally visible through
 /// every hard link, so the relaxation must cover them all. Always contains
 /// `target` itself; inode 0 is treated as "unknown" and never grouped.
-fn write_aliases<'t>(tree: &'t Tree, target: &'t str) -> std::collections::BTreeSet<&'t str> {
-    let mut set = std::collections::BTreeSet::new();
+fn write_aliases<'t>(tree: &'t Tree, target: &'t str) -> BTreeSet<&'t str> {
+    let mut set = BTreeSet::new();
     set.insert(target);
     if let Some(NodeSnap::File { ino, .. }) = tree.get(target).map(|e| e.node.as_ref()) {
         if *ino != 0 {
@@ -607,6 +621,50 @@ fn write_aliases<'t>(tree: &'t Tree, target: &'t str) -> std::collections::BTree
 /// to expand a crash point's scope across hard links.
 pub fn alias_set(tree: &Tree, target: &str) -> BTreeSet<String> {
     write_aliases(tree, target).into_iter().map(str::to_string).collect()
+}
+
+/// The untouched-files half of the write-relaxed diffs: every node of `cur`
+/// outside the written inode's `aliases` must match `actual` (data compared
+/// inside `scope`, hash-pruned as in [`diff_trees_pruned`]), and `actual` may
+/// hold nothing outside `aliases` that `cur` lacks.
+fn diff_untouched(
+    actual: &Tree,
+    cur: &Tree,
+    aliases: &BTreeSet<&str>,
+    compare_ino: bool,
+    scope: &Scope,
+    prune: bool,
+    pruned: &mut u64,
+) -> Option<String> {
+    for (path, enode) in cur {
+        if aliases.contains(path.as_str()) {
+            continue;
+        }
+        match actual.get(path) {
+            None => return Some(format!("{path} missing (untouched by the data write)")),
+            Some(anode) => {
+                if prune && nodes_hash_equal(anode, enode) {
+                    *pruned += 1;
+                    continue;
+                }
+                if let Some(d) = diff_nodes_scoped(
+                    path,
+                    &anode.node,
+                    &enode.node,
+                    compare_ino,
+                    scope.contains(path),
+                ) {
+                    return Some(format!("untouched file changed: {d}"));
+                }
+            }
+        }
+    }
+    for path in actual.keys() {
+        if !aliases.contains(path.as_str()) && !cur.contains_key(path) {
+            return Some(format!("{path} appeared (untouched by the data write)"));
+        }
+    }
+    None
 }
 
 /// Relaxed comparison for crashes in the middle of a non-atomic data write:
@@ -641,34 +699,8 @@ pub fn diff_relaxed_write_pruned(
     pruned: &mut u64,
 ) -> Option<String> {
     let aliases = write_aliases(cur, target);
-    // Check all non-target nodes against the current oracle.
-    for (path, enode) in cur {
-        if aliases.contains(path.as_str()) {
-            continue;
-        }
-        match actual.get(path) {
-            None => return Some(format!("{path} missing (untouched by the data write)")),
-            Some(anode) => {
-                if prune && nodes_hash_equal(anode, enode) {
-                    *pruned += 1;
-                    continue;
-                }
-                if let Some(d) = diff_nodes_scoped(
-                    path,
-                    &anode.node,
-                    &enode.node,
-                    compare_ino,
-                    scope.contains(path),
-                ) {
-                    return Some(format!("untouched file changed: {d}"));
-                }
-            }
-        }
-    }
-    for path in actual.keys() {
-        if !aliases.contains(path.as_str()) && !cur.contains_key(path) {
-            return Some(format!("{path} appeared (untouched by the data write)"));
-        }
+    if let Some(d) = diff_untouched(actual, cur, &aliases, compare_ino, scope, prune, pruned) {
+        return Some(d);
     }
     // Check the written file byte-wise, under each of its names.
     for &alias in &aliases {
@@ -745,33 +777,8 @@ pub fn diff_atomic_write_pruned(
     pruned: &mut u64,
 ) -> Option<String> {
     let aliases = write_aliases(cur, target);
-    for (path, enode) in cur {
-        if aliases.contains(path.as_str()) {
-            continue;
-        }
-        match actual.get(path) {
-            None => return Some(format!("{path} missing (untouched by the data write)")),
-            Some(anode) => {
-                if prune && nodes_hash_equal(anode, enode) {
-                    *pruned += 1;
-                    continue;
-                }
-                if let Some(d) = diff_nodes_scoped(
-                    path,
-                    &anode.node,
-                    &enode.node,
-                    compare_ino,
-                    scope.contains(path),
-                ) {
-                    return Some(format!("untouched file changed: {d}"));
-                }
-            }
-        }
-    }
-    for path in actual.keys() {
-        if !aliases.contains(path.as_str()) && !cur.contains_key(path) {
-            return Some(format!("{path} appeared (untouched by the data write)"));
-        }
+    if let Some(d) = diff_untouched(actual, cur, &aliases, compare_ino, scope, prune, pruned) {
+        return Some(d);
     }
     for &alias in &aliases {
         let ok = match actual.get(alias).map(|e| e.node.as_ref()) {

@@ -10,13 +10,15 @@
 //!   snapshots) on a [`ForkDevice`];
 //! * a live, forked recording file system (plus the write log and per-op
 //!   results);
-//! * the crash-replay state — persisted base image (kept as one mutable
-//!   image plus an undo tape between boundaries), pending writes, the
-//!   cross-point artifact memo, and the check counters/reports accumulated
-//!   through that boundary.
+//! * the crash-replay stage — the replay engine's persisted base image (kept
+//!   as one mutable image plus an undo tape between boundaries), its
+//!   resumable state saved whole as one `ReplayState` value (pending writes,
+//!   the cross-point artifact memo, the behavioral classes, …), and the
+//!   check counters/reports accumulated through that boundary.
 //!
 //! Testing the next workload resumes every stage from the deepest checkpoint
-//! whose op prefix matches, re-running only the suffix. Checked results for
+//! whose op prefix matches, re-running only the suffix through the same
+//! per-op steps and the same replay engine the uncached pipeline uses. Checked results for
 //! the shared prefix are *spliced* (re-labelled with the new workload's
 //! name), never re-computed — and because all three stages are deterministic
 //! functions of the op prefix, the spliced outcome is bit-identical to an
@@ -36,19 +38,18 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-use pmem::{ForkDevice, ImageKey, ImageLease};
-use pmlog::{LogEntry, LogHandle, LoggingPm, Marker, OpRecord};
+use pmem::ForkDevice;
+use pmlog::{LogEntry, LogHandle, LoggingPm, Marker};
 use vfs::{BugId, FsKind, Op, Workload};
 
 use crate::{
     config::TestConfig,
-    crashgen::PendingWrite,
     exec::{Executor, OpResult},
     harness::{
-        push_report, report_divergence, test_on_fresh_sinks, CrossMemo, RepTable, ReplayEngine,
-        TestOutcome,
+        logging_device, push_report, record_op, report_divergence, test_on_fresh_sinks,
+        BaseImage, ReplayEngine, ReplayState, TapeSeg, TestOutcome,
     },
-    oracle::{advance_snapshot, snapshot_tree, Oracle, Tree},
+    oracle::{oracle_step, snapshot_tree, Oracle, Tree},
 };
 
 /// A checkpoint of one crash-free stage (oracle or record) at a syscall
@@ -61,28 +62,13 @@ struct PhaseCkpt<F> {
     trace: BTreeSet<BugId>,
 }
 
-/// Undo data to step the persisted base image back across one boundary.
-struct TapeSeg {
-    undo: Vec<(u64, Vec<u8>)>,
-    key_before: ImageKey,
-}
-
-/// The crash-replay stage's state at a syscall boundary, plus the check
-/// results accumulated through it (spliced on resume instead of re-checked).
-#[derive(Clone)]
+/// The crash-replay stage at a syscall boundary, plus the check results
+/// accumulated through it (spliced on resume instead of re-checked).
+#[derive(Clone, Default)]
 struct ReplayCkpt {
-    pending: Vec<PendingWrite>,
-    /// Writes absorbed since the current op began (behavioral-signature
-    /// anchoring; see `ReplayEngine::op_absorbed`).
-    op_absorbed: Vec<PendingWrite>,
-    pending_seqs: BTreeSet<usize>,
-    pending_unknown: bool,
-    last_done: Option<usize>,
-    started: bool,
-    memo: CrossMemo,
-    /// Behavioral class table — checkpointed so prefix splices preserve the
-    /// classes the shared prefix established.
-    rep: RepTable,
+    /// The engine's resumable state, behavioral classes and memo included,
+    /// so prefix splices preserve what the shared prefix established.
+    state: ReplayState,
     /// The check stage's outcome through this boundary: its counters,
     /// in-flight sizes, state keys and reports, nothing of the other stages.
     /// Reports carry the *cached* workload's name; splicing re-labels them.
@@ -120,11 +106,11 @@ struct CacheState<K: FsKind> {
     record_ckpts: Vec<PhaseCkpt<K::Fs<LoggingPm<ForkDevice>>>>,
     replay: Vec<ReplayCkpt>,
     /// The persisted base image, positioned at boundary `tape.len()`;
-    /// popping a segment rewinds it one boundary. Leased, so `reset` and
-    /// `drop` hand the buffer back zeroed instead of freeing it, and the
-    /// next genesis (every scheduled batch) costs no device-sized calloc.
-    base: ImageLease,
-    base_key: ImageKey,
+    /// rewinding the last segment steps it back one boundary. Leased, so
+    /// `reset` and `drop` hand the buffer back zeroed instead of freeing it,
+    /// and the next genesis (every scheduled batch) costs no device-sized
+    /// calloc.
+    base: BaseImage,
     tape: Vec<TapeSeg>,
 }
 
@@ -223,29 +209,18 @@ impl<K: FsKind> PrefixCache<K> {
 
         // Record lineage.
         let log_handle = LogHandle::new();
-        let ldev = ForkDevice::new(cfg.device_size);
-        let lp = if cfg.eadr {
-            LoggingPm::new_eadr(ldev, log_handle.clone())
-        } else {
-            LoggingPm::new(ldev, log_handle.clone())
-        };
-        let Ok(rfs) = self.record_kind.mkfs(lp) else { return false };
+        let ldev = logging_device(ForkDevice::new(cfg.device_size), &log_handle, cfg);
+        let Ok(rfs) = self.record_kind.mkfs(ldev) else { return false };
         let log: Vec<LogEntry> = log_handle.take().entries().to_vec();
         let r_cov = self.record_kind.options().cov.snapshot();
         let r_trace = self.record_kind.options().trace.snapshot();
 
         // Replay stage: fast-forward the base image through the mkfs writes
         // (no markers yet, so no crash points exist in this span).
-        let dummy_w = Workload::new("", vec![]);
-        let dummy_oracle = Oracle { snaps: vec![], results: vec![], snap_bytes_shared: 0 };
-        let guarantees = self.check_kind.guarantees();
-        // The all-zero image hashes to 0.
-        let base = ImageLease::zeroed(cfg.device_size);
-        let mut engine = ReplayEngine::new(
-            &self.check_kind, &dummy_w, cfg, &dummy_oracle, &[], guarantees, base, 0,
-        );
+        let mut base = BaseImage::zeroed(cfg.device_size);
+        let mut state = ReplayState::default();
         for e in &log {
-            engine.step(e, None);
+            state.advance(e, None, &mut base, cfg);
         }
 
         self.state = Some(CacheState {
@@ -259,22 +234,8 @@ impl<K: FsKind> PrefixCache<K> {
             log_handle,
             oracle_ckpts: vec![PhaseCkpt { fs: ofs, ex: Executor::new(), cov: o_cov, trace: o_trace }],
             record_ckpts: vec![PhaseCkpt { fs: rfs, ex: Executor::new(), cov: r_cov, trace: r_trace }],
-            replay: vec![ReplayCkpt {
-                pending: engine.pending.clone(),
-                op_absorbed: engine.op_absorbed.clone(),
-                pending_seqs: engine.pending_seqs.clone(),
-                pending_unknown: engine.pending_unknown,
-                last_done: engine.last_done,
-                started: engine.started,
-                memo: CrossMemo::default(),
-                rep: RepTable::default(),
-                chk: TestOutcome::default(),
-                cov: HashSet::new(),
-                trace: BTreeSet::new(),
-                stopped: false,
-            }],
-            base_key: engine.base_key,
-            base: engine.base,
+            replay: vec![ReplayCkpt { state, ..Default::default() }],
+            base,
             tape: Vec::new(),
         });
         true
@@ -288,7 +249,7 @@ impl<K: FsKind> PrefixCache<K> {
         cfg: &TestConfig,
     ) -> Option<(TestOutcome, HashSet<u64>, BTreeSet<BugId>)> {
         let mut st = self.state.take()?;
-        debug_assert_eq!(st.base.len() as u64, cfg.device_size, "one cache per TestConfig");
+        debug_assert_eq!(st.base.len(), cfg.device_size, "one cache per TestConfig");
 
         // Deepest shared boundary.
         let max = st.ops.len().min(w.ops.len());
@@ -314,15 +275,10 @@ impl<K: FsKind> PrefixCache<K> {
         let mut oex = st.oracle_ckpts[k].ex.clone();
         st.oracle_ckpts.truncate(k + 1);
         for (seq, op) in w.ops.iter().enumerate().skip(k) {
-            let r = oex.exec(&mut ofs, op, seq);
+            let prev = snaps.last().expect("root snapshot present");
             // An oracle snapshot failure is reported by the plain path with
             // its own early-return shape; fall back rather than imitate it.
-            let (next, shared) = if cfg.shared_oracle {
-                let prev = snaps.last().expect("root snapshot present");
-                advance_snapshot(&ofs, prev, op, r.target.as_deref()).ok()?
-            } else {
-                (Arc::new(snapshot_tree(&ofs).ok()?), 0)
-            };
+            let (r, next, shared) = oracle_step(&mut oex, &mut ofs, op, seq, prev, cfg).ok()?;
             snaps.push(next);
             snap_shared.push(snap_shared.last().expect("root entry present") + shared);
             results.push(r);
@@ -352,11 +308,7 @@ impl<K: FsKind> PrefixCache<K> {
         st.boundary_pos.truncate(k + 1);
         debug_assert!(st.log_handle.with(|l| l.is_empty()), "log not drained between runs");
         for (seq, op) in w.ops.iter().enumerate().skip(k) {
-            st.log_handle
-                .marker(Marker::SyscallBegin(OpRecord { seq, desc: op.describe() }));
-            let r = rex.exec(&mut rfs, op, seq);
-            st.log_handle.marker(Marker::SyscallEnd { seq, ok: r.result.is_ok() });
-            rec_results.push(r);
+            rec_results.push(record_op(&st.log_handle, &mut rex, &mut rfs, op, seq));
             st.boundary_pos.push(pos_k + st.log_handle.with(|l| l.len()));
             let fork = self.record_kind.fork_fs(&rfs)?;
             st.record_ckpts.push(PhaseCkpt {
@@ -380,14 +332,10 @@ impl<K: FsKind> PrefixCache<K> {
         // Rewind the base image to boundary k.
         while st.tape.len() > k {
             let seg = st.tape.pop().expect("len checked");
-            for (off, old) in seg.undo.iter().rev() {
-                st.base.write(*off, old);
-            }
-            st.base_key = seg.key_before;
+            st.base.rewind(&seg);
         }
 
         let ck = &st.replay[k];
-        let ck_stopped = ck.stopped;
         self.check_kind.options().cov.absorb(&ck.cov);
         self.check_kind.options().trace.absorb(&ck.trace);
         // The check stage's own outcome: seeded with the spliced prefix,
@@ -398,70 +346,40 @@ impl<K: FsKind> PrefixCache<K> {
             r.workload = w.name.clone();
         }
 
-        if !ck_stopped {
-            let guarantees = self.check_kind.guarantees();
+        if ck.stopped {
+            // A workload sharing this prefix stops at the same earlier
+            // point: every later boundary freezes the spliced stop state.
+            let frozen = ck.clone();
+            st.replay.resize(n + 1, frozen);
+        } else {
             // The engine takes the cache's image for the suffix; it moves
             // back below.
             let mut engine = ReplayEngine::new(
-                &self.check_kind, w, cfg, &oracle, &rec_results, guarantees, st.base, st.base_key,
+                &self.check_kind, w, cfg, &oracle, &rec_results, st.base, ck.state.clone(),
             );
-            engine.memo = ck.memo.clone();
-            engine.rep = ck.rep.clone();
-            engine.pending = ck.pending.clone();
-            engine.op_absorbed = ck.op_absorbed.clone();
-            engine.pending_seqs = ck.pending_seqs.clone();
-            engine.pending_unknown = ck.pending_unknown;
-            engine.last_done = ck.last_done;
-            engine.started = ck.started;
-            engine.undo = Some(Vec::new());
-            let mut seg_key = engine.base_key;
-
-            for pos in pos_k..st.log.len() {
+            engine.base.start_tape();
+            for entry in &st.log[pos_k..] {
                 if engine.stop {
                     break;
                 }
-                let entry = &st.log[pos];
-                engine.step(entry, Some(&mut chk));
+                engine.step(entry, &mut chk);
                 if let LogEntry::Marker(Marker::SyscallEnd { .. }) = entry {
                     // A stop *at* this boundary keeps its full segment; only
-                    // mid-op partial segments are rolled back below.
-                    st.tape.push(TapeSeg {
-                        undo: engine.undo.replace(Vec::new()).expect("undo enabled"),
-                        key_before: seg_key,
-                    });
-                    seg_key = engine.base_key;
-                    st.replay.push(Self::snap_replay(&engine, &chk, &self.check_kind));
-                    if engine.stop {
-                        break;
-                    }
+                    // a mid-op partial segment is rolled back below.
+                    st.tape.push(engine.base.cut());
+                    st.replay.push(self.snap_replay(&engine, &chk));
                 }
             }
+            // The tape rests exactly at a boundary. After a stop, the
+            // remaining boundaries are padded with the frozen stop state (any
+            // workload sharing a deeper prefix stops at the same earlier
+            // point).
+            engine.base.end_tape();
             if engine.stop {
-                // Roll back any partial segment so the tape rests exactly at
-                // a boundary, then pad the remaining boundaries with the
-                // frozen stop state (any workload sharing a deeper prefix
-                // stops at the same earlier point).
-                if let Some(undo) = engine.undo.take() {
-                    for (off, old) in undo.iter().rev() {
-                        engine.base.write(*off, old);
-                    }
-                    engine.base_key = seg_key;
-                }
-                while st.replay.len() < n + 1 {
-                    st.replay.push(Self::snap_replay(&engine, &chk, &self.check_kind));
-                }
-            } else {
-                engine.undo = None;
+                let frozen = self.snap_replay(&engine, &chk);
+                st.replay.resize(n + 1, frozen);
             }
-            st.base_key = engine.base_key;
             st.base = engine.base;
-        } else {
-            // A workload sharing this prefix stops at the same earlier
-            // point: every later boundary freezes the spliced stop state.
-            let frozen = st.replay[k].clone();
-            while st.replay.len() < n + 1 {
-                st.replay.push(frozen.clone());
-            }
         }
         debug_assert_eq!(st.replay.len(), n + 1);
         out.timing.check = t_check.elapsed();
@@ -499,20 +417,13 @@ impl<K: FsKind> PrefixCache<K> {
     }
 
     /// Snapshots the replay stage at a boundary (stop-state padding reuses
-    /// the same shape with `stopped = true`).
-    fn snap_replay(engine: &ReplayEngine<'_, K>, chk: &TestOutcome, check_kind: &K) -> ReplayCkpt {
+    /// it with the engine stopped).
+    fn snap_replay(&self, engine: &ReplayEngine<'_, K>, chk: &TestOutcome) -> ReplayCkpt {
         ReplayCkpt {
-            pending: engine.pending.clone(),
-            op_absorbed: engine.op_absorbed.clone(),
-            pending_seqs: engine.pending_seqs.clone(),
-            pending_unknown: engine.pending_unknown,
-            last_done: engine.last_done,
-            started: engine.started,
-            memo: engine.memo.clone(),
-            rep: engine.rep.clone(),
+            state: engine.state.clone(),
             chk: chk.clone(),
-            cov: check_kind.options().cov.snapshot(),
-            trace: check_kind.options().trace.snapshot(),
+            cov: self.check_kind.options().cov.snapshot(),
+            trace: self.check_kind.options().trace.snapshot(),
             stopped: engine.stop,
         }
     }
@@ -537,7 +448,9 @@ mod tests {
     use super::*;
     use ext4dax::Ext4DaxKind;
     use novafs::NovaKind;
+    use pmfs::PmfsKind;
     use vfs::fs::FsOptions;
+    use winefs::WineFsKind;
 
     /// The whole cache — live forked file systems, log handles, replay
     /// checkpoints — must be movable to a scheduler worker thread.
@@ -571,18 +484,43 @@ mod tests {
         test_on_fresh_sinks(kind, w, cfg).0
     }
 
+    /// Cached ≡ uncached on as-released NOVA, PMFS, WineFS and ext4-DAX,
+    /// under the default config and under each knob the replay engine or
+    /// the subset enumeration reads. The eADR row is the ACE hunt of
+    /// `chipmunk eadr`.
     #[test]
     fn resumed_runs_match_uncached_bit_for_bit() {
-        let kind = NovaKind { opts: FsOptions::default(), fortis: false };
-        let cfg = keyed(TestConfig::default());
-        let mut cache = PrefixCache::new(&kind);
+        let base = TestConfig::default();
+        let cfgs = [
+            base.clone(),
+            TestConfig { eadr: true, ..base.clone() },
+            TestConfig { coalesce_data: false, ..base.clone() },
+            TestConfig { large_first_subsets: true, ..base.clone() },
+            TestConfig { rep_check: false, ..base.clone() },
+            TestConfig { cap: Some(2), ..base.clone() },
+            TestConfig { stop_on_first: true, ..base },
+        ];
+        for cfg in cfgs.map(keyed) {
+            resumes_match(&NovaKind { opts: FsOptions::default(), fortis: false }, &cfg);
+            resumes_match(&PmfsKind::default(), &cfg);
+            resumes_match(&WineFsKind::default(), &cfg);
+            resumes_match(&Ext4DaxKind::default(), &cfg);
+        }
+    }
+
+    /// Workloads sharing a two-op setup, each ending in `sync` so that weak
+    /// file systems have a crash point too, run through one cache and
+    /// compared with uncached runs.
+    fn resumes_match<K: FsKind>(kind: &K, cfg: &TestConfig) {
+        let ctx = |name: &str| format!("{:?} {name} {cfg:?}", kind.name());
+        let mut cache = PrefixCache::new(kind);
         let shared = vec![
             Op::Mkdir { path: "/A".into() },
             Op::Creat { path: "/A/foo".into() },
         ];
         let mk = |name: &str, tail: Op| {
             let mut ops = shared.clone();
-            ops.push(tail);
+            ops.extend([tail, Op::Sync]);
             Workload::new(name, ops)
         };
         let ws = [
@@ -591,31 +529,33 @@ mod tests {
             mk("w2", Op::Unlink { path: "/A/foo".into() }),
         ];
         for w in &ws {
-            let (got, _, _) = cache.run(w, &cfg);
-            let want = uncached(&kind, w, &cfg);
-            assert_eq!(fingerprint(&got), fingerprint(&want), "{}", w.name);
-            assert!(!got.state_keys.is_empty(), "{}", w.name);
+            let (got, _, _) = cache.run(w, cfg);
+            let want = uncached(kind, w, cfg);
+            assert_eq!(fingerprint(&got), fingerprint(&want), "{}", ctx(&w.name));
+            assert!(!got.state_keys.is_empty(), "{}", ctx(&w.name));
         }
         // The cache now holds w2, which shares the 2-op setup prefix.
-        let (o1, _, _) = cache.run(&ws[1], &cfg);
+        let (o1, _, _) = cache.run(&ws[1], cfg);
         assert_eq!(o1.prefix_hits, 1);
         assert_eq!(o1.prefix_ops_saved, 2 * 2, "resumes past the shared setup ops");
         // An identical rerun resumes past every op.
-        let (o1b, _, _) = cache.run(&ws[1], &cfg);
-        assert_eq!(o1b.prefix_ops_saved, 2 * 3);
-        assert_eq!(fingerprint(&o1), fingerprint(&o1b));
-        // A write, then an op that leaves the written file alone: the oracle
-        // shares the file's bytes, so a resume past both ops splices nonzero
+        let (o1b, _, _) = cache.run(&ws[1], cfg);
+        assert_eq!(o1b.prefix_ops_saved, 2 * 4);
+        assert_eq!(fingerprint(&o1), fingerprint(&o1b), "{}", ctx("w1 rerun"));
+        // A write, then ops that leave the written file alone: the oracle
+        // shares the file's bytes, so a resume past them splices nonzero
         // oracle counters.
         let mut ops = ws[0].ops.clone();
         ops.push(Op::Creat { path: "/A/baz".into() });
         let deep = Workload::new("w3", ops);
-        let want = uncached(&kind, &deep, &cfg);
-        assert!(want.oracle_snap_bytes_shared > 0 && want.oracle_subtrees_pruned > 0);
-        cache.run(&deep, &cfg);
-        let (again, _, _) = cache.run(&deep, &cfg);
-        assert_eq!(again.prefix_ops_saved, 2 * 4);
-        assert_eq!(fingerprint(&again), fingerprint(&want));
+        let want = uncached(kind, &deep, cfg);
+        assert!(want.oracle_snap_bytes_shared > 0, "{}", ctx("w3"));
+        // A stop at a find may come before any comparison prunes.
+        assert!(cfg.stop_on_first || want.oracle_subtrees_pruned > 0, "{}", ctx("w3"));
+        cache.run(&deep, cfg);
+        let (again, _, _) = cache.run(&deep, cfg);
+        assert_eq!(again.prefix_ops_saved, 2 * 5);
+        assert_eq!(fingerprint(&again), fingerprint(&want), "{}", ctx("w3 rerun"));
     }
 
     #[test]

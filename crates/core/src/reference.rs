@@ -9,9 +9,9 @@
 //! PAPERS.md B3) so the differential tests have something to hold production
 //! against:
 //!
-//! 1. run the workload crash-free on a dense [`PmDevice`], deep-walking the
-//!    whole tree after every op (the oracle);
-//! 2. run it again, on another dense device, through the write logger;
+//! 1. run the workload crash-free on a fresh device, deep-walking the whole
+//!    tree after every op (the oracle);
+//! 2. run it again, on another fresh device, through the write logger;
 //! 3. walk the log. Writes accumulate as in-flight until a fence makes them
 //!    durable. Crash points are every fence with writes in flight and every
 //!    completed mutating syscall (strong guarantees), every completed
@@ -19,7 +19,7 @@
 //!    (eADR, where nothing is ever in flight);
 //! 4. at each crash point enumerate the in-flight subsets in canonical
 //!    order and check **every** state through
-//!    [`check_crash_state`](crate::checker::check_crash_state): private
+//!    [`check_crash_state`]: private
 //!    overlay of the durable image, mount, full tree walk, full comparison
 //!    against the oracle, usability probe.
 //!
@@ -28,8 +28,18 @@
 //! their literal semantics through [`literal`] — so a disagreement between
 //! [`check_workload`] and [`test_workload`](crate::test_workload) isolates a
 //! fault in a fast path (or names a state `rep_check` wrongly skipped).
+//!
+//! The same walk, stopped at one `(point, subset)` state, is the only
+//! single-state replay there is: [`check_state`] runs it for the tests and
+//! [`check_one_state`](crate::check_one_state) for repro-bundle replay and
+//! the shrinker. The entry points differ only in the device under stages
+//! 1–2: [`check_workload`] and [`check_state`] use the dense [`PmDevice`],
+//! so the production ≡ reference matrix also pins "same log on either
+//! device"; `check_one_state` uses production's page-sparse
+//! [`ForkDevice`](pmem::ForkDevice), so nothing device-sized is allocated
+//! per candidate. The durable image is a leased [`ImageLease`] either way.
 
-use pmem::PmDevice;
+use pmem::{ImageLease, PmBackend, PmDevice};
 use pmlog::{LogEntry, Marker, OpRecord};
 use vfs::{fs::SyscallKind, FsKind, Guarantees, Workload};
 
@@ -38,7 +48,7 @@ use crate::{
     config::TestConfig,
     crashgen::{coalesce, describe_subset, enumerate_subsets_ordered, PendingWrite},
     exec::OpResult,
-    harness::{atomicity_relax, oracle_and_record, push_report, TestOutcome},
+    harness::{atomicity_relax, oracle_and_record, push_report, StateProbe, TestOutcome},
     oracle::Oracle,
     report::{BugReport, CrashPhase, Violation},
 };
@@ -62,15 +72,14 @@ pub fn literal(cfg: &TestConfig) -> TestConfig {
 /// as [`test_workload`](crate::test_workload) does; fast-path counters and
 /// the check timing stay zero. Coverage and traces land in `kind`'s sinks.
 pub fn check_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig) -> TestOutcome {
-    run(kind, workload, cfg, None).0
+    run(kind, workload, cfg, PmDevice::new, None).0
 }
 
 /// Checks the single crash state `(point, subset)` of `workload`: `point`
 /// is the global crash-point ordinal ([`BugReport::point`]) and `subset`
 /// indexes the in-flight writes there ([`BugReport::subset_ids`]). `Ok(None)`
-/// means the state is consistent; errors are an ordinal past the last crash
-/// point (a run whose oracle or mkfs failed has none) or a subset index out
-/// of range.
+/// means the state is consistent; errors are a failed oracle or recorded
+/// run, an ordinal past the last crash point or a subset index out of range.
 pub fn check_state<K: FsKind>(
     kind: &K,
     workload: &Workload,
@@ -78,36 +87,46 @@ pub fn check_state<K: FsKind>(
     point: u64,
     subset: &[usize],
 ) -> Result<Option<Violation>, String> {
-    let (out, err) = run(kind, workload, cfg, Some((point, subset)));
-    if let Some(e) = err {
-        return Err(e);
-    }
-    if out.crash_points <= point {
-        return Err(format!(
-            "crash point ordinal {point} out of range ({} points)",
-            out.crash_points
-        ));
-    }
-    Ok(out.reports.into_iter().find(|r| r.point == Some(point)).map(|r| r.violation))
+    check_one(kind, workload, cfg, PmDevice::new, point, subset).map(|p| p.violation)
 }
 
-/// The pipeline behind both entry points. With `only` set, crash points are
-/// counted as usual but just the named state is checked.
-fn run<K: FsKind>(
+/// The walk to one crash state, with stages 1–2 on devices from `new_dev`:
+/// [`check_state`] and [`check_one_state`](crate::check_one_state) both
+/// come here.
+pub(crate) fn check_one<K: FsKind, D: PmBackend>(
     kind: &K,
     workload: &Workload,
     cfg: &TestConfig,
+    new_dev: impl Fn(u64) -> D,
+    point: u64,
+    subset: &[usize],
+) -> Result<StateProbe, String> {
+    let (out, found) = run(kind, workload, cfg, new_dev, Some((point, subset)));
+    found?.ok_or_else(|| {
+        format!("crash point ordinal {point} out of range ({} points)", out.crash_points)
+    })
+}
+
+/// The pipeline behind every entry point. With `only` set, crash points are
+/// counted as usual but just the named state is checked, and the second
+/// value is its probe (`Ok(None)`: the ordinal was never reached). A stage
+/// that cannot run, or a subset index out of range, is an error.
+fn run<K: FsKind, D: PmBackend>(
+    kind: &K,
+    workload: &Workload,
+    cfg: &TestConfig,
+    new_dev: impl Fn(u64) -> D,
     only: Option<(u64, &[usize])>,
-) -> (TestOutcome, Option<String>) {
+) -> (TestOutcome, Result<Option<StateProbe>, String>) {
     let cfg = &literal(cfg);
     let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
     kind.options().trace.clear();
 
-    // The dense device, not production's sparse one: the literal pipeline
-    // shares the recorder's code but not the device under it.
-    let Some((oracle, rec, log)) = oracle_and_record(kind, workload, cfg, PmDevice::new, &mut out)
+    let Some((oracle, rec, log)) = oracle_and_record(kind, workload, cfg, new_dev, &mut out)
     else {
-        return (out, None);
+        let failure = out.reports.last().expect("a stage that cannot run reports why");
+        let failure = failure.violation.detail().to_string();
+        return (out, Err(failure));
     };
 
     let mut walk = Walk {
@@ -117,13 +136,13 @@ fn run<K: FsKind>(
         oracle: &oracle,
         rec: &rec,
         guarantees: kind.guarantees(),
-        durable: vec![0u8; cfg.device_size as usize],
+        durable: ImageLease::zeroed(cfg.device_size),
         in_flight: Vec::new(),
         cur_op: None,
         last_done: None,
         started: false,
         only,
-        error: None,
+        found: Ok(None),
     };
     for entry in log.entries() {
         if walk.step(entry, &mut out) {
@@ -131,7 +150,7 @@ fn run<K: FsKind>(
         }
     }
     out.traced_bugs = kind.options().trace.snapshot();
-    (out, walk.error)
+    (out, walk.found)
 }
 
 /// The log walk's state.
@@ -144,7 +163,7 @@ struct Walk<'a, K: FsKind> {
     guarantees: Guarantees,
     /// The image a crash is guaranteed to preserve: every write that a
     /// fence (or, under eADR, landing at all) has made durable.
-    durable: Vec<u8>,
+    durable: ImageLease,
     /// Writes since the last fence; any subset may have reached media.
     in_flight: Vec<PendingWrite>,
     cur_op: Option<usize>,
@@ -153,13 +172,13 @@ struct Walk<'a, K: FsKind> {
     /// are never crash points).
     started: bool,
     only: Option<(u64, &'a [usize])>,
-    error: Option<String>,
+    /// What [`run`] returns for the `only` state.
+    found: Result<Option<StateProbe>, String>,
 }
 
 impl<K: FsKind> Walk<'_, K> {
     fn persist(&mut self, w: &PendingWrite) {
-        let o = w.off as usize;
-        self.durable[o..o + w.data.len()].copy_from_slice(&w.data);
+        self.durable.write(w.off, &w.data);
     }
 
     /// Consumes one log entry; `true` means stop (first violation under
@@ -265,14 +284,16 @@ impl<K: FsKind> Walk<'_, K> {
         let point = out.crash_points;
         out.crash_points += 1;
         out.inflight_sizes.push(self.in_flight.len());
+        if self.only.is_some_and(|(p, _)| p != point) {
+            return false;
+        }
         let writes =
             if self.cfg.coalesce_data { coalesce(&self.in_flight) } else { self.in_flight.clone() };
 
         let subsets: Vec<Vec<usize>> = match self.only {
-            Some((p, _)) if p != point => return false,
             Some((_, s)) => {
                 if let Some(bad) = s.iter().find(|&&i| i >= writes.len()) {
-                    self.error = Some(format!(
+                    self.found = Err(format!(
                         "subset index {bad} out of range ({} in-flight writes at point {point})",
                         writes.len()
                     ));
@@ -298,6 +319,16 @@ impl<K: FsKind> Walk<'_, K> {
             out.crash_states += 1;
             let verdict =
                 check_crash_state(self.kind, &self.durable, &writes, subset, check, self.cfg);
+            if self.only.is_some() {
+                self.found = Ok(Some(StateProbe {
+                    violation: verdict,
+                    op_seq: seq,
+                    op_desc: self.workload.ops[seq].describe(),
+                    phase,
+                    n_writes: writes.len(),
+                }));
+                return true;
+            }
             if let Some(violation) = verdict {
                 push_report(
                     out,
@@ -317,6 +348,6 @@ impl<K: FsKind> Walk<'_, K> {
                 }
             }
         }
-        self.only.is_some()
+        false
     }
 }
