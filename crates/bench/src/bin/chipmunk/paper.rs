@@ -173,14 +173,14 @@ pub fn ace_counts(cli: &Cli, args: Vec<String>) {
     println!("ACE workload-space sizes (paper §3.4.1 in parentheses)\n");
     let s1 = seq1(AceMode::Strong).len();
     println!("strong seq-1:          {s1:>8}   (paper: 56)");
-    let s2 = seq2(AceMode::Strong).count();
+    let s2 = seq2(AceMode::Strong).len();
     println!("strong seq-2:          {s2:>8}   (paper: 3136)");
     let m = core_ops_metadata().len();
-    let s3 = seq3_metadata().count();
+    let s3 = seq3_metadata().len();
     println!("strong seq-3 metadata: {s3:>8}   (paper: 50650; this enumeration is {m}^3)");
     let w1 = seq1(AceMode::Weak).len();
     println!("weak seq-1:            {w1:>8}   (paper: 419; different fsync-insertion rules)");
-    let w2 = seq2(AceMode::Weak).count();
+    let w2 = seq2(AceMode::Weak).len();
     println!("weak seq-2:            {w2:>8}   (paper: 432462; different fsync-insertion rules)");
     println!(
         "\nThe strong-mode spaces match the paper exactly for seq-1/seq-2 and to within \n\

@@ -39,7 +39,7 @@ pub mod wire;
 
 use chipmunk::TestConfig;
 use vfs::{FsName, Workload};
-use workloads::ace::{seq1, seq2};
+use workloads::ace::{seq1, seq1_len, seq2};
 
 use crate::jsonout::JVal;
 use wire::{jval_u64, ju};
@@ -113,7 +113,8 @@ pub enum TaskKind {
 
 impl CampaignSpec {
     /// The ACE workload population, in canonical order (seq-1 then sampled
-    /// seq-2). Cheap enough for every worker to recompute.
+    /// seq-2). Builds only the sampled seq-2 workloads, so it is cheap
+    /// enough for every worker to recompute.
     pub fn ace_workloads(&self) -> Vec<Workload> {
         let mode = crate::mode_for(self.fs);
         let mut ws = seq1(mode);
@@ -126,9 +127,23 @@ impl CampaignSpec {
         ws
     }
 
+    /// `ace_workloads().len()`, counted without building a workload.
+    fn ace_len(&self) -> usize {
+        let mode = crate::mode_for(self.fs);
+        let s1 = match self.seq1_take {
+            0 => seq1_len(mode),
+            take => take.min(seq1_len(mode)),
+        };
+        let s2 = match self.seq2_step {
+            0 => 0,
+            step => seq2(mode).step_by(step).len(),
+        };
+        s1 + s2
+    }
+
     /// Number of ACE tasks.
     pub fn ace_tasks(&self) -> usize {
-        self.ace_workloads().len().div_ceil(self.batch.max(1))
+        self.ace_len().div_ceil(self.batch.max(1))
     }
 
     /// Number of fuzz tasks.
@@ -260,6 +275,27 @@ mod tests {
         assert_eq!(spec.task_kind(2, 10), TaskKind::Ace { start: 8, len: 2 });
         assert_eq!(spec.task_kind(3, 10), TaskKind::Fuzz { index: 0 });
         assert_eq!(spec.task_kind(5, 10), TaskKind::Fuzz { index: 2 });
+    }
+
+    #[test]
+    fn task_counts_match_the_materialised_population() {
+        for fs in [FsName::Nova, FsName::Pmfs, FsName::Ext4Dax] {
+            for seq1_take in [0, 10] {
+                for seq2_step in [0, 1, 3, 96] {
+                    let base = CampaignSpec { fs, seq1_take, seq2_step, ..CampaignSpec::default() };
+                    let ace = base.ace_workloads().len();
+                    for batch in [4, 32, 64] {
+                        for fuzz_budget in [0, 20] {
+                            let spec = CampaignSpec { fuzz_budget, batch, ..base.clone() };
+                            let tasks = ace.div_ceil(batch);
+                            assert_eq!(spec.ace_len(), ace, "{spec:?}");
+                            assert_eq!(spec.ace_tasks(), tasks, "{spec:?}");
+                            assert_eq!(spec.total_tasks(), tasks + spec.fuzz_tasks(), "{spec:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //! stream, corpus, and seen-set exactly where the killed worker left them.
 
 use std::collections::{BTreeMap, HashSet};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use chipmunk::{test_on_fresh_sinks, PrefixCache, TestConfig};
 use vfs::{
@@ -145,11 +146,69 @@ enum TaskRun {
 /// retry + re-lease is not going to heal itself.
 const MAX_TASK_ATTEMPTS: u32 = 5;
 
-/// Consecutive no-progress queue passes before the worker declares a
-/// livelock. Generous — each pass sleeps 25ms, so this is minutes of a
-/// genuinely wedged store, never a slow sibling worker (their completed
-/// tasks count as progress on our next pass).
-const MAX_STALLED_PASSES: u32 = 12_000;
+/// Time without progress before the worker declares a livelock, on the
+/// monotonic clock. Generous: minutes of a genuinely wedged store, never a
+/// slow sibling worker (their completed tasks count as progress on our
+/// next pass).
+const MAX_STALL: Duration = Duration::from_secs(300);
+
+/// Longest wait between two queue passes of a stalled worker. Workers in
+/// this process wake at once on [`QUEUE_EVENTS`]; a worker in another
+/// process is seen only by polling at this period.
+const STALL_POLL: Duration = Duration::from_millis(25);
+
+/// A count of queue events with a wake-up for waiters: the one way a
+/// stalled worker hears that a sibling in the same process committed a
+/// task, released or abandoned a lease, or stopped.
+struct QueueEvents {
+    count: Mutex<u64>,
+    bumped: Condvar,
+}
+
+/// The process-wide queue-event counter every worker bumps and waits on.
+static QUEUE_EVENTS: QueueEvents = QueueEvents::new();
+
+impl QueueEvents {
+    const fn new() -> Self {
+        QueueEvents { count: Mutex::new(0), bumped: Condvar::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, u64> {
+        self.count.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The current count; pass it to [`wait_past`](Self::wait_past).
+    fn seen(&self) -> u64 {
+        *self.lock()
+    }
+
+    /// Records one event and wakes every waiter.
+    fn bump(&self) {
+        *self.lock() += 1;
+        self.bumped.notify_all();
+    }
+
+    /// Waits until the count differs from `seen` or `timeout` passes.
+    /// Returns at once if an event happened since `seen` was read.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let guard = self.lock();
+        drop(
+            self.bumped
+                .wait_timeout_while(guard, timeout, |n| *n == seen)
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+    }
+}
+
+/// Bumps [`QUEUE_EVENTS`] when dropped: on every way out of a worker,
+/// panics included.
+struct StopEvent;
+
+impl Drop for StopEvent {
+    fn drop(&mut self) {
+        QUEUE_EVENTS.bump();
+    }
+}
 
 /// Runs one worker over the store until every task has a committed result
 /// (or the kill hook fires). Safe to run concurrently with any number of
@@ -169,9 +228,12 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
     let mut budget = opts.kill_after_checkpoints;
     let mut sum = WorkerSummary::default();
     let mut attempts: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut stalled = 0u32;
+    let mut last_progress = Instant::now();
+    let _stop = StopEvent;
 
     loop {
+        // Read before the pass, so an event during it cuts the wait short.
+        let seen = QUEUE_EVENTS.seen();
         let mut progressed = false;
         let mut all_done = true;
         for id in 0..total {
@@ -202,6 +264,7 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
             match step {
                 Ok(true) => {
                     lease.release();
+                    QUEUE_EVENTS.bump();
                     sum.tasks_run += 1;
                     progressed = true;
                 }
@@ -220,6 +283,7 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
                     // lands here too: its completion marker is gone, so
                     // the id-order pass re-runs the dependency first.
                     lease.release();
+                    QUEUE_EVENTS.bump();
                     sum.tasks_abandoned += 1;
                     let n = attempts.entry(id).or_insert(0);
                     *n += 1;
@@ -241,7 +305,7 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
             break;
         }
         if progressed {
-            stalled = 0;
+            last_progress = Instant::now();
         } else {
             // Someone else holds the remaining leases (or a fuzz dependency
             // is still running elsewhere): wait for heartbeats to resolve.
@@ -262,14 +326,14 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
                     detail: "store is out of space; switching to read-only degraded mode".into(),
                 });
             }
-            stalled += 1;
-            if stalled > MAX_STALLED_PASSES {
+            if last_progress.elapsed() > MAX_STALL {
                 sum.absorb_io(store);
                 return Err(StoreError::fatal(format!(
-                    "queue made no progress for {MAX_STALLED_PASSES} passes; giving up"
+                    "queue made no progress for {} s; giving up",
+                    MAX_STALL.as_secs()
                 )));
             }
-            std::thread::sleep(Duration::from_millis(25));
+            QUEUE_EVENTS.wait_past(seen, STALL_POLL);
         }
     }
     sum.absorb_io(store);
@@ -753,5 +817,39 @@ pub fn run_and_merge(
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_bump_wakes_a_waiter_long_before_its_timeout() {
+        let events = QueueEvents::new();
+        let seen = events.seen();
+        let t = Instant::now();
+        std::thread::scope(|sc| {
+            sc.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                events.bump();
+            });
+            events.wait_past(seen, Duration::from_secs(10));
+        });
+        assert!(t.elapsed() < Duration::from_secs(1), "woke after {:?}", t.elapsed());
+        assert_eq!(events.seen(), seen + 1);
+    }
+
+    #[test]
+    fn a_missed_bump_does_not_wait_and_no_bump_times_out() {
+        let events = QueueEvents::new();
+        let seen = events.seen();
+        events.bump();
+        let t = Instant::now();
+        events.wait_past(seen, Duration::from_secs(10));
+        assert!(t.elapsed() < Duration::from_secs(1), "waited {:?}", t.elapsed());
+        let t = Instant::now();
+        events.wait_past(events.seen(), Duration::from_millis(30));
+        assert!(t.elapsed() >= Duration::from_millis(30));
     }
 }

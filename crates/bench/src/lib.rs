@@ -577,6 +577,8 @@ pub const STRONG_SYSTEMS: [FsName; 5] = [
 /// Minimal JSON document builder for the subcommands' `--json` flags (the
 /// workspace is dependency-frozen, so no serde).
 pub mod jsonout {
+    use std::fmt::Write as _;
+
     /// Writes `contents` to `path` atomically: the bytes go to a `.tmp`
     /// sibling first and are renamed over the target only once fully
     /// written, so a failure mid-write leaves any existing file at `path`
@@ -626,19 +628,43 @@ pub mod jsonout {
     /// Shared by both emitters so object keys and values escape identically.
     fn escape_str(out: &mut String, v: &str) {
         out.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
+        // Every character that needs escaping is ASCII, so scanning bytes
+        // never splits a multi-byte character; the runs between escapes
+        // are copied whole.
+        let mut run = 0;
+        for (i, b) in v.bytes().enumerate() {
+            let short = match b {
+                b'"' => Some("\\\""),
+                b'\\' => Some("\\\\"),
+                b'\n' => Some("\\n"),
+                b'\t' => Some("\\t"),
+                0..=0x1f => None,
+                _ => continue,
+            };
+            out.push_str(&v[run..i]);
+            match short {
+                Some(esc) => out.push_str(esc),
+                None => {
+                    let _ = write!(out, "\\u{b:04x}");
                 }
-                c => out.push(c),
             }
+            run = i + 1;
         }
+        out.push_str(&v[run..]);
         out.push('"');
+    }
+
+    /// Writes a finite `n` exactly as `format!("{n}")` would (the shortest
+    /// form that round-trips). Integral values below 2^53 go through the
+    /// integer formatter: every such value is an exact integer, so its
+    /// shortest form is its integer digits. `-0.0` keeps its sign.
+    fn write_num(out: &mut String, n: f64) {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        if n.fract() == 0.0 && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+            let _ = write!(out, "{}", n as i64);
+        } else {
+            let _ = write!(out, "{n}");
+        }
     }
 
     impl Json {
@@ -770,9 +796,7 @@ pub mod jsonout {
 
         fn render_into(&self, out: &mut String) {
             match self {
-                JVal::Num(n) if n.is_finite() => {
-                    out.push_str(&format!("{n}"));
-                }
+                JVal::Num(n) if n.is_finite() => write_num(out, *n),
                 JVal::Num(_) => out.push_str("null"),
                 JVal::Str(s) => escape_str(out, s),
                 JVal::Bool(b) => out.push_str(if *b { "true" } else { "false" }),

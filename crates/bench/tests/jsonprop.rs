@@ -160,3 +160,88 @@ fn known_garbage_rejected() {
         assert!(parse(bad).is_err(), "must reject {bad:?}");
     }
 }
+
+/// Golden bytes of the compact renderer: numbers in Rust's shortest
+/// round-trip `Display` form (integers exact below 2^53, digits then zeros
+/// above it, `-0` signed, no exponent), non-finite values as `null`, every
+/// escape, and non-ASCII text copied through. Campaign fingerprints hash
+/// these bytes, so any change here moves every pinned fingerprint.
+#[test]
+fn render_golden_bytes() {
+    let nums: &[(f64, &str)] = &[
+        (0.0, "0"),
+        (-0.0, "-0"),
+        (1.0, "1"),
+        (-1.0, "-1"),
+        (4096.0, "4096"),
+        (1.5e12, "1500000000000"),
+        (9_007_199_254_740_991.0, "9007199254740991"),
+        (-9_007_199_254_740_991.0, "-9007199254740991"),
+        (9_007_199_254_740_992.0, "9007199254740992"),
+        (9_007_199_254_740_994.0, "9007199254740994"),
+        (-9_007_199_254_740_994.0, "-9007199254740994"),
+        (18_014_398_509_481_988.0, "18014398509481988"),
+        ((1u64 << 60) as f64, "1152921504606847000"),
+        (u64::MAX as f64, "18446744073709552000"),
+        (1e21, "1000000000000000000000"),
+        (0.5, "0.5"),
+        (-2.25, "-2.25"),
+        (0.1, "0.1"),
+        (1e-7, "0.0000001"),
+        (123_456.789, "123456.789"),
+        (f64::NAN, "null"),
+        (f64::INFINITY, "null"),
+        (f64::NEG_INFINITY, "null"),
+    ];
+    for &(n, want) in nums {
+        assert_eq!(JVal::Num(n).render(), want, "{n:e}");
+        if n.is_finite() {
+            assert_eq!(JVal::Num(n).render(), format!("{n}"), "{n:e}");
+        }
+    }
+    let strs: &[(&str, &str)] = &[
+        ("", r#""""#),
+        ("plain", r#""plain""#),
+        ("a\"b", r#""a\"b""#),
+        ("a\\b", r#""a\\b""#),
+        ("l1\nl2", r#""l1\nl2""#),
+        ("\tx\t", r#""\tx\t""#),
+        ("\r", r#""\u000d""#),
+        ("\u{0}\u{1}\u{1f}", r#""\u0000\u0001\u001f""#),
+        ("\u{7f} /{}[]:,", "\"\u{7f} /{}[]:,\""),
+        ("é質🦀", "\"é質🦀\""),
+        ("é\"質\n🦀\\", r#""é\"質\n🦀\\""#),
+    ];
+    for &(s, want) in strs {
+        assert_eq!(JVal::Str(s.to_string()).render(), want, "{s:?}");
+    }
+    let doc = JVal::Obj(vec![
+        ("k\"1".to_string(), JVal::Arr(vec![JVal::Num(-0.0), JVal::Num(2.5), JVal::Null])),
+        ("ü".to_string(), JVal::Bool(true)),
+    ]);
+    assert_eq!(doc.render(), r#"{"k\"1":[-0,2.5,null],"ü":true}"#);
+}
+
+/// The integral fast path is exact: every integer-valued float renders as
+/// `format!("{n}")` does, across the 2^53 boundary and at random bit
+/// patterns.
+#[test]
+fn numbers_render_as_display() {
+    let mut rng = StdRng::seed_from_u64(0x5eed);
+    let edge = (1u64 << 53) as f64;
+    let check = |n: f64| {
+        if n.is_finite() {
+            assert_eq!(JVal::Num(n).render(), format!("{n}"), "{n:e}");
+        }
+    };
+    for d in -4i64..=4 {
+        check(edge + d as f64);
+        check(-edge + d as f64);
+        check(2.0 * edge + 2.0 * d as f64);
+    }
+    for _ in 0..20_000 {
+        check(f64::from_bits(rng.gen::<u64>()));
+        check(rng.gen_range(-(1i64 << 54)..(1i64 << 54)) as f64);
+        check(rng.gen_range(-100_000i64..100_000) as f64 / 8.0);
+    }
+}

@@ -135,7 +135,7 @@ pub fn satisfy_dependencies(core: &[Op]) -> Vec<Op> {
     let have_dir = |setup: &mut Vec<Op>, path: &str| {
         // Create ancestors in order.
         for d in DIRS {
-            if (path.starts_with(&format!("{d}/")) || path == d)
+            if (path == d || is_under(path, d))
                 && !setup.iter().any(|o| matches!(o, Op::Mkdir { path: p } if p == d))
             {
                 setup.push(Op::Mkdir { path: d.into() });
@@ -161,7 +161,7 @@ pub fn satisfy_dependencies(core: &[Op]) -> Vec<Op> {
             Op::Mkdir { path } => {
                 // Only ancestors, not the target.
                 for d in DIRS {
-                    if path.starts_with(&format!("{d}/"))
+                    if is_under(path, d)
                         && !setup.iter().any(|o| matches!(o, Op::Mkdir { path: p } if p == d))
                     {
                         setup.push(Op::Mkdir { path: d.into() });
@@ -196,6 +196,11 @@ pub fn satisfy_dependencies(core: &[Op]) -> Vec<Op> {
     }
     out.extend(core.iter().cloned());
     out
+}
+
+/// Whether `path` lies strictly below directory `dir`.
+fn is_under(path: &str, dir: &str) -> bool {
+    path.strip_prefix(dir).is_some_and(|rest| rest.starts_with('/'))
 }
 
 /// Appends the weak-mode persistence suffix: fsync of the op's target (when
@@ -248,36 +253,92 @@ pub fn seq1(mode: AceMode) -> Vec<Workload> {
     }
 }
 
+/// `seq1(mode).len()`, without building the workloads.
+pub fn seq1_len(mode: AceMode) -> usize {
+    match mode {
+        AceMode::Strong => core_ops_strong().len(),
+        AceMode::Weak => 2 * core_ops_weak().len(),
+    }
+}
+
 /// All seq-2 workloads for `mode`, generated lazily (3136 strong).
-pub fn seq2(mode: AceMode) -> impl Iterator<Item = Workload> {
+pub fn seq2(mode: AceMode) -> AceSeq {
     let core = match mode {
         AceMode::Strong => core_ops_strong(),
         AceMode::Weak => core_ops_weak(),
     };
-    let n = core.len();
-    (0..n * n).map(move |k| {
-        let (i, j) = (k / n, k % n);
-        let pair = [core[i].clone(), core[j].clone()];
-        let ops = satisfy_dependencies(&pair);
-        let ops = if mode == AceMode::Weak { weak_suffix(&ops, 1) } else { ops };
-        Workload::new(format!("seq2-{i:03}x{j:03}"), ops)
-    })
+    AceSeq::new(core, 2, mode == AceMode::Weak)
 }
 
 /// All seq-3 metadata workloads (strong mode only), generated lazily
 /// (37³ = 50,653).
-pub fn seq3_metadata() -> impl Iterator<Item = Workload> {
-    let core = core_ops_metadata();
-    let n = core.len();
-    (0..n * n * n).map(move |k| {
-        let (i, j, l) = (k / (n * n), (k / n) % n, k % n);
-        let triple = [core[i].clone(), core[j].clone(), core[l].clone()];
-        Workload::new(
-            format!("seq3-{i:02}x{j:02}x{l:02}"),
-            satisfy_dependencies(&triple),
-        )
-    })
+pub fn seq3_metadata() -> AceSeq {
+    AceSeq::new(core_ops_metadata(), 3, false)
 }
+
+/// A seq-2 or seq-3 workload space, generated lazily and addressed by
+/// index: workload `k` is the core-op tuple whose indices are the base-`n`
+/// digits of `k`, most significant first (seq-2 `k` is `(k / n, k % n)`).
+/// Only the workloads handed out are built, so `nth`, and with it `skip`
+/// and `step_by`, jump over the others, and `len` is exact.
+#[derive(Debug, Clone)]
+pub struct AceSeq {
+    core: Vec<Op>,
+    arity: u32,
+    weak: bool,
+    next: usize,
+    end: usize,
+}
+
+impl AceSeq {
+    fn new(core: Vec<Op>, arity: u32, weak: bool) -> Self {
+        let end = core.len().pow(arity);
+        AceSeq { core, arity, weak, next: 0, end }
+    }
+
+    /// The workload at index `k` of the space.
+    fn build(&self, k: usize) -> Workload {
+        let n = self.core.len();
+        if self.arity == 2 {
+            let (i, j) = (k / n, k % n);
+            let ops = satisfy_dependencies(&[self.core[i].clone(), self.core[j].clone()]);
+            let ops = if self.weak { weak_suffix(&ops, 1) } else { ops };
+            Workload::new(format!("seq2-{i:03}x{j:03}"), ops)
+        } else {
+            let (i, j, l) = (k / (n * n), (k / n) % n, k % n);
+            let triple = [self.core[i].clone(), self.core[j].clone(), self.core[l].clone()];
+            Workload::new(format!("seq3-{i:02}x{j:02}x{l:02}"), satisfy_dependencies(&triple))
+        }
+    }
+}
+
+impl Iterator for AceSeq {
+    type Item = Workload;
+
+    fn next(&mut self) -> Option<Workload> {
+        if self.next >= self.end {
+            return None;
+        }
+        self.next += 1;
+        Some(self.build(self.next - 1))
+    }
+
+    fn nth(&mut self, skip: usize) -> Option<Workload> {
+        self.next = self.next.saturating_add(skip).min(self.end);
+        self.next()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.end - self.next;
+        (left, Some(left))
+    }
+
+    fn count(self) -> usize {
+        self.len()
+    }
+}
+
+impl ExactSizeIterator for AceSeq {}
 
 #[cfg(test)]
 mod tests {
@@ -345,6 +406,209 @@ mod tests {
                 "{} has no fsync/sync",
                 w.name
             );
+        }
+    }
+
+    /// `satisfy_dependencies` as it was before it stopped allocating a
+    /// `"{d}/"` string per directory per op: the reference the production
+    /// function must match op for op.
+    fn satisfy_dependencies_v0(core: &[Op]) -> Vec<Op> {
+        let mut setup: Vec<Op> = Vec::new();
+        let have_dir = |setup: &mut Vec<Op>, path: &str| {
+            // Create ancestors in order.
+            for d in DIRS {
+                if (path.starts_with(&format!("{d}/")) || path == d)
+                    && !setup.iter().any(|o| matches!(o, Op::Mkdir { path: p } if p == d))
+                {
+                    setup.push(Op::Mkdir { path: d.into() });
+                }
+            }
+        };
+        let have_file = |setup: &mut Vec<Op>, path: &str| {
+            if !setup.iter().any(|o| matches!(o, Op::Creat { path: p } if p == path)) {
+                setup.push(Op::Creat { path: path.into() });
+            }
+        };
+        for op in core {
+            match op {
+                Op::Creat { path } => {
+                    have_dir(&mut setup, path);
+                }
+                Op::WritePath { path, .. } | Op::FallocPath { path, .. } => {
+                    // pwrite/fallocate operate on an open descriptor of an
+                    // existing file: ACE satisfies the dependency with a creat.
+                    have_dir(&mut setup, path);
+                    have_file(&mut setup, path);
+                }
+                Op::Mkdir { path } => {
+                    // Only ancestors, not the target.
+                    for d in DIRS {
+                        if path.starts_with(&format!("{d}/"))
+                            && !setup.iter().any(|o| matches!(o, Op::Mkdir { path: p } if p == d))
+                        {
+                            setup.push(Op::Mkdir { path: d.into() });
+                        }
+                    }
+                }
+                Op::Rmdir { path } | Op::Remove { path } if DIRS.contains(&path.as_str()) => {
+                    have_dir(&mut setup, path);
+                    if !setup.iter().any(|o| matches!(o, Op::Mkdir { path: p } if p == path)) {
+                        setup.push(Op::Mkdir { path: path.clone() });
+                    }
+                }
+                Op::Unlink { path } | Op::Truncate { path, .. } | Op::Remove { path } => {
+                    have_dir(&mut setup, path);
+                    have_file(&mut setup, path);
+                }
+                Op::Link { old, new } | Op::Rename { old, new } => {
+                    have_dir(&mut setup, old);
+                    have_dir(&mut setup, new);
+                    have_file(&mut setup, old);
+                }
+                _ => {}
+            }
+        }
+        // Deduplicate mkdir of the same dir emitted twice and drop setup ops
+        // that the core sequence itself performs first.
+        let mut out: Vec<Op> = Vec::new();
+        for s in setup {
+            if !out.contains(&s) {
+                out.push(s);
+            }
+        }
+        out.extend(core.iter().cloned());
+        out
+    }
+
+    /// The seq-2 space as it was generated before [`AceSeq`]: a `map` over
+    /// `0..n²` through [`satisfy_dependencies_v0`].
+    fn seq2_v0(mode: AceMode) -> Vec<Workload> {
+        let core = match mode {
+            AceMode::Strong => core_ops_strong(),
+            AceMode::Weak => core_ops_weak(),
+        };
+        let n = core.len();
+        (0..n * n)
+            .map(|k| {
+                let (i, j) = (k / n, k % n);
+                let pair = [core[i].clone(), core[j].clone()];
+                let ops = satisfy_dependencies_v0(&pair);
+                let ops = if mode == AceMode::Weak { weak_suffix(&ops, 1) } else { ops };
+                Workload::new(format!("seq2-{i:03}x{j:03}"), ops)
+            })
+            .collect()
+    }
+
+    /// The seq-3 metadata space as it was generated before [`AceSeq`].
+    fn seq3_v0() -> Vec<Workload> {
+        let core = core_ops_metadata();
+        let n = core.len();
+        (0..n * n * n)
+            .map(|k| {
+                let (i, j, l) = (k / (n * n), (k / n) % n, k % n);
+                let triple = [core[i].clone(), core[j].clone(), core[l].clone()];
+                Workload::new(
+                    format!("seq3-{i:02}x{j:02}x{l:02}"),
+                    satisfy_dependencies_v0(&triple),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_same(what: &str, got: &[Workload], want: &[Workload]) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.name, w.name, "{what}");
+            assert_eq!(g.ops, w.ops, "{what}: {}", w.name);
+        }
+    }
+
+    #[test]
+    fn generators_match_the_materialised_spaces() {
+        for (mode, n) in [(AceMode::Strong, 3136), (AceMode::Weak, 3600)] {
+            let all = seq2_v0(mode);
+            assert_eq!(all.len(), n);
+            assert_eq!(seq2(mode).len(), n, "{mode:?} len");
+            assert_eq!(seq2(mode).count(), n, "{mode:?} count");
+            assert_same(&format!("{mode:?} seq2"), &seq2(mode).collect::<Vec<_>>(), &all);
+            for s in [1, 7, 96, 97, 3137] {
+                let want: Vec<Workload> = all.iter().step_by(s).cloned().collect();
+                let it = seq2(mode).step_by(s);
+                assert_eq!(it.len(), want.len(), "{mode:?} step_by({s}) len");
+                assert_same(&format!("{mode:?} step_by({s})"), &it.collect::<Vec<_>>(), &want);
+            }
+            for k in [0, 1, 55, 56, 57, 1000, n - 1, n, n + 1, usize::MAX] {
+                let got = seq2(mode).nth(k);
+                assert_eq!(got.map(|w| w.name), all.get(k).map(|w| w.name.clone()), "nth({k})");
+                let mut it = seq2(mode).skip(k);
+                assert_eq!(it.len(), n.saturating_sub(k), "skip({k}) len");
+                let got = it.next();
+                assert_eq!(got.as_ref().map(|w| &w.ops), all.get(k).map(|w| &w.ops), "skip({k})");
+            }
+            // Mixed jumps and steps from a partly consumed generator.
+            let mut it = seq2(mode);
+            assert_eq!(it.nth(10).unwrap().name, all[10].name);
+            assert_eq!(it.next().unwrap().name, all[11].name);
+            assert_eq!(it.len(), n - 12);
+        }
+        let all = seq3_v0();
+        assert_eq!(all.len(), 50_653);
+        assert_eq!(seq3_metadata().len(), 50_653);
+        assert_eq!(seq3_metadata().count(), 50_653);
+        assert_same("seq3", &seq3_metadata().collect::<Vec<_>>(), &all);
+        let want: Vec<Workload> = all.iter().step_by(37).take(400).cloned().collect();
+        assert_same(
+            "seq3 step_by(37).take(400)",
+            &seq3_metadata().step_by(37).take(400).collect::<Vec<_>>(),
+            &want,
+        );
+        assert_eq!(seq3_metadata().nth(50_652).unwrap().name, all[50_652].name);
+        assert!(seq3_metadata().nth(50_653).is_none());
+    }
+
+    #[test]
+    fn dependency_satisfaction_matches_the_allocating_original() {
+        for mode in [AceMode::Strong, AceMode::Weak] {
+            let core = match mode {
+                AceMode::Strong => core_ops_strong(),
+                AceMode::Weak => core_ops_weak(),
+            };
+            for a in &core {
+                assert_eq!(
+                    satisfy_dependencies(std::slice::from_ref(a)),
+                    satisfy_dependencies_v0(std::slice::from_ref(a))
+                );
+                for b in &core {
+                    let pair = [a.clone(), b.clone()];
+                    assert_eq!(satisfy_dependencies(&pair), satisfy_dependencies_v0(&pair));
+                }
+            }
+        }
+        let core = core_ops_metadata();
+        for a in &core {
+            for b in &core {
+                for c in &core {
+                    let triple = [a.clone(), b.clone(), c.clone()];
+                    assert_eq!(satisfy_dependencies(&triple), satisfy_dependencies_v0(&triple));
+                }
+            }
+        }
+        // Prefix look-alikes: `/A` must not claim `/AB`, and mkdir of a
+        // directory needs only its ancestors.
+        for core in [
+            vec![Op::Creat { path: "/AB/x".into() }],
+            vec![Op::Mkdir { path: "/A/C".into() }],
+            vec![Op::Mkdir { path: "/A".into() }],
+            vec![Op::Link { old: "/A/C/f".into(), new: "/B/g".into() }],
+        ] {
+            assert_eq!(satisfy_dependencies(&core), satisfy_dependencies_v0(&core), "{core:?}");
+        }
+    }
+
+    #[test]
+    fn seq1_len_counts_without_building() {
+        for mode in [AceMode::Strong, AceMode::Weak] {
+            assert_eq!(seq1_len(mode), seq1(mode).len(), "{mode:?}");
         }
     }
 
