@@ -201,13 +201,17 @@ fn print_findings(store: &CampaignStore) {
         match reports.next() {
             Some(r) => println!(
                 "bug {bug} found: [{}] {} | {} @ op {} | {}",
-                r.class, r.workload, r.op_desc, r.op_seq, r.detail
+                r.violation.class(),
+                r.workload,
+                r.op_desc,
+                r.op_seq,
+                r.violation.detail()
             ),
             None => println!("bug {bug} not found within the campaign budget"),
         }
         return;
     }
-    let mut reports: Vec<BugReport> = reports.map(|r| r.to_bug_report()).collect();
+    let mut reports: Vec<BugReport> = reports.collect();
     if reports.is_empty() {
         println!("clean: no violations in the merged campaign");
         return;

@@ -4,7 +4,7 @@
 //! sweep and converts the faults into `recovery-panic` / `recovery-hang`
 //! findings. The CI chaos job runs it at `threads = 4`.
 
-use bench::{jsonout::Json, run_batch_cached, Scheduler};
+use bench::{jsonout::{ju, JVal}, run_batch_cached, Scheduler};
 use chipmunk::{TestConfig, TestOutcome};
 use novafs::NovaKind;
 use pmem::FaultPlan;
@@ -70,17 +70,17 @@ pub fn run(cli: &Cli, mut args: Vec<String>) {
     }
 
     if let Some(path) = json_path {
-        let doc = Json::Obj(vec![
-            ("threads", Json::U(threads as u64)),
-            ("workloads", Json::U((panics.len() + hangs.len()) as u64)),
-            ("states", Json::U(totals[0])),
-            ("recovery_panics", Json::U(totals[1])),
-            ("recovery_hangs", Json::U(totals[2])),
-            ("sandbox_retries", Json::U(totals[3])),
-            ("fuel_exhausted", Json::U(totals[4])),
-            ("reports", Json::U(totals[5])),
+        let doc = JVal::obj([
+            ("threads", ju(threads as u64)),
+            ("workloads", ju((panics.len() + hangs.len()) as u64)),
+            ("states", ju(totals[0])),
+            ("recovery_panics", ju(totals[1])),
+            ("recovery_hangs", ju(totals[2])),
+            ("sandbox_retries", ju(totals[3])),
+            ("fuel_exhausted", ju(totals[4])),
+            ("reports", ju(totals[5])),
         ]);
-        bench::jsonout::write_atomic(&path, &doc.render()).expect("write --json output");
+        bench::jsonout::write_atomic(&path, &doc.render_pretty()).expect("write --json output");
         eprintln!("wrote {path}");
     }
 

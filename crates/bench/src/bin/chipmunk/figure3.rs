@@ -21,7 +21,7 @@ use bench::campaign::{
     wire::counter_slot,
     CampaignSpec,
 };
-use bench::{jsonout::Json, HuntResult, PhaseTotals};
+use bench::{jsonout::{ju, JVal}, HuntResult, PhaseTotals};
 use chipmunk::TestConfig;
 use vfs::bugs::bug_table;
 
@@ -34,7 +34,7 @@ use crate::{hunt_corpus_bug, Cli};
 /// journal instead of re-run, how many rewarm runs the prefix cache
 /// needed, and that the resumed run re-earns the cold `prefix_ops_saved`
 /// with a byte-identical merged document.
-fn campaign_resume_bench() -> Json {
+fn campaign_resume_bench() -> JVal {
     let spec = CampaignSpec {
         seq1_take: 12,
         seq2_step: 0,
@@ -77,23 +77,23 @@ fn campaign_resume_bench() -> Json {
     };
 
     const SAVED: usize = counter_slot("prefix_ops_saved");
-    let doc = Json::Obj(vec![
-        ("cold_prefix_ops_saved", Json::U(cold.totals[SAVED])),
-        ("resumed_prefix_ops_saved", Json::U(warm.totals[SAVED])),
-        ("tasks_resumed", Json::U(sum.tasks_resumed)),
-        ("journal_workloads_replayed", Json::U(sum.journal_workloads_replayed)),
-        ("rewarm_runs", Json::U(sum.rewarm_runs)),
-        ("byte_identical", Json::B(cold.doc == warm.doc)),
+    let doc = JVal::obj([
+        ("cold_prefix_ops_saved", ju(cold.totals[SAVED])),
+        ("resumed_prefix_ops_saved", ju(warm.totals[SAVED])),
+        ("tasks_resumed", ju(sum.tasks_resumed)),
+        ("journal_workloads_replayed", ju(sum.journal_workloads_replayed)),
+        ("rewarm_runs", ju(sum.rewarm_runs)),
+        ("byte_identical", JVal::Bool(cold.doc == warm.doc)),
         (
             "torture",
-            Json::Obj(vec![
-                ("survived", Json::B(survived)),
-                ("byte_identical", Json::B(identical)),
-                ("faults_injected", Json::U(tsum.faults_injected)),
-                ("io_retries", Json::U(tsum.io_retries)),
-                ("backoff_ticks", Json::U(tsum.backoff_ticks)),
-                ("tasks_abandoned", Json::U(tsum.tasks_abandoned)),
-                ("tasks_quarantined", Json::U(tsum.tasks_quarantined)),
+            JVal::obj([
+                ("survived", JVal::Bool(survived)),
+                ("byte_identical", JVal::Bool(identical)),
+                ("faults_injected", ju(tsum.faults_injected)),
+                ("io_retries", ju(tsum.io_retries)),
+                ("backoff_ticks", ju(tsum.backoff_ticks)),
+                ("tasks_abandoned", ju(tsum.tasks_abandoned)),
+                ("tasks_quarantined", ju(tsum.tasks_quarantined)),
             ]),
         ),
     ]);
@@ -257,63 +257,63 @@ pub fn run(cli: &Cli, mut args: Vec<String>) {
 
     if let Some(path) = json_path {
         let series = |s: &[(u32, Duration, u64)]| {
-            Json::Arr(
+            JVal::Arr(
                 s.iter()
                     .map(|&(bug, d, w)| {
-                        Json::Obj(vec![
-                            ("bug", Json::U(bug as u64)),
-                            ("seconds", Json::F(d.as_secs_f64())),
-                            ("workloads", Json::U(w)),
+                        JVal::obj([
+                            ("bug", ju(bug as u64)),
+                            ("seconds", JVal::Num(d.as_secs_f64())),
+                            ("workloads", ju(w)),
                         ])
                     })
                     .collect(),
             )
         };
         let total_secs = (at + ft).as_secs_f64();
-        let doc = Json::Obj(vec![
-            ("fuzz_budget", Json::U(fuzz_budget)),
-            ("threads", Json::U(threads as u64)),
+        let doc = JVal::obj([
+            ("fuzz_budget", ju(fuzz_budget)),
+            ("threads", ju(threads as u64)),
             ("ace", series(&ace_series)),
             ("fuzz", series(&fuzz_series)),
             (
                 "totals",
-                Json::Obj(vec![
-                    ("states", Json::U(t.states)),
-                    ("dedup_hits", Json::U(t.dedup)),
-                    ("memo_hits", Json::U(t.memo)),
-                    ("prefix_hits", Json::U(t.prefix)),
-                    ("prefix_ops_saved", Json::U(t.saved)),
-                    ("subtrees", Json::U(t.subtrees)),
-                    ("subtree_max_depth", Json::U(t.depth_max)),
-                    ("recovery_panics", Json::U(t.sandbox[0])),
-                    ("recovery_hangs", Json::U(t.sandbox[1])),
-                    ("sandbox_retries", Json::U(t.sandbox[2])),
-                    ("fuel_exhausted", Json::U(t.sandbox[3])),
-                    ("oracle_subtrees_pruned", Json::U(t.oracle[0])),
-                    ("oracle_snap_bytes_shared", Json::U(t.oracle[1])),
+                JVal::obj([
+                    ("states", ju(t.states)),
+                    ("dedup_hits", ju(t.dedup)),
+                    ("memo_hits", ju(t.memo)),
+                    ("prefix_hits", ju(t.prefix)),
+                    ("prefix_ops_saved", ju(t.saved)),
+                    ("subtrees", ju(t.subtrees)),
+                    ("subtree_max_depth", ju(t.depth_max)),
+                    ("recovery_panics", ju(t.sandbox[0])),
+                    ("recovery_hangs", ju(t.sandbox[1])),
+                    ("sandbox_retries", ju(t.sandbox[2])),
+                    ("fuel_exhausted", ju(t.sandbox[3])),
+                    ("oracle_subtrees_pruned", ju(t.oracle[0])),
+                    ("oracle_snap_bytes_shared", ju(t.oracle[1])),
                     (
                         "per_worker_prefix_hits",
-                        Json::Arr(t.worker_hits.iter().map(|&v| Json::U(v)).collect()),
+                        JVal::Arr(t.worker_hits.iter().map(|&v| ju(v)).collect()),
                     ),
-                    ("oracle_seconds", Json::F(t.phase.oracle.as_secs_f64())),
-                    ("record_seconds", Json::F(t.phase.record.as_secs_f64())),
-                    ("check_seconds", Json::F(t.phase.check.as_secs_f64())),
-                    ("states_per_sec", Json::F(t.states as f64 / total_secs.max(1e-9))),
+                    ("oracle_seconds", JVal::Num(t.phase.oracle.as_secs_f64())),
+                    ("record_seconds", JVal::Num(t.phase.record.as_secs_f64())),
+                    ("check_seconds", JVal::Num(t.phase.check.as_secs_f64())),
+                    ("states_per_sec", JVal::Num(t.states as f64 / total_secs.max(1e-9))),
                 ]),
             ),
             (
                 "rep_check",
-                Json::Obj(vec![
-                    ("states", Json::U(t.states)),
-                    ("checked", Json::U(checked_total)),
-                    ("classes", Json::U(t.rep[0])),
-                    ("skipped", Json::U(t.rep[1])),
-                    ("expansions", Json::U(t.rep[2])),
+                JVal::obj([
+                    ("states", ju(t.states)),
+                    ("checked", ju(checked_total)),
+                    ("classes", ju(t.rep[0])),
+                    ("skipped", ju(t.rep[1])),
+                    ("expansions", ju(t.rep[2])),
                 ]),
             ),
             ("campaign_resume", campaign_resume_bench()),
         ]);
-        bench::jsonout::write_atomic(&path, &doc.render()).expect("write --json output");
+        bench::jsonout::write_atomic(&path, &doc.render_pretty()).expect("write --json output");
         eprintln!("wrote {path}");
     }
 }

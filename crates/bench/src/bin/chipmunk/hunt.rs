@@ -16,7 +16,9 @@
 use std::time::Instant;
 
 use bench::{
-    hunt_with_ace, hunt_with_fuzzer, jsonout::Json, shrink_to_bundle, HuntResult, ReproBundle,
+    hunt_with_ace, hunt_with_fuzzer,
+    jsonout::{ju, JVal},
+    shrink_to_bundle, HuntResult, ReproBundle,
 };
 use chipmunk::TestConfig;
 
@@ -95,21 +97,21 @@ pub fn run(cli: &Cli, mut args: Vec<String>) {
     }
 
     if let Some(path) = &json_path {
-        let doc = Json::Obj(vec![
-            ("bug", Json::U(number as u64)),
-            ("fs", Json::S(info.fs.to_string())),
-            ("threads", Json::U(threads as u64)),
-            ("fuzz_budget", Json::U(budget)),
+        let doc = JVal::obj([
+            ("bug", ju(number as u64)),
+            ("fs", JVal::Str(info.fs.to_string())),
+            ("threads", ju(threads as u64)),
+            ("fuzz_budget", ju(budget)),
             (
                 "ace",
                 match &ace {
                     Some((hit, w, s)) => hunt_json(hit.as_ref(), *w, *s),
-                    None => Json::Null,
+                    None => JVal::Null,
                 },
             ),
             ("fuzz", hunt_json(fuzz_hit.as_ref(), fuzz_w, fuzz_s)),
         ]);
-        bench::jsonout::write_atomic(path, &doc.render()).expect("write --json output");
+        bench::jsonout::write_atomic(path, &doc.render_pretty()).expect("write --json output");
         eprintln!("wrote {path}");
     }
 
@@ -178,43 +180,43 @@ fn replay(path: &str) -> ! {
 
 /// Serializes one frontend's hunt result (or a miss) for `--json`:
 /// per-phase wall times, cache-layer hit counters, and throughput.
-fn hunt_json(hit: Option<&HuntResult>, workloads: u64, states: u64) -> Json {
+fn hunt_json(hit: Option<&HuntResult>, workloads: u64, states: u64) -> JVal {
     let mut f = vec![
-        ("found", Json::B(hit.is_some())),
-        ("workloads", Json::U(workloads)),
-        ("states", Json::U(states)),
+        ("found", JVal::Bool(hit.is_some())),
+        ("workloads", ju(workloads)),
+        ("states", ju(states)),
     ];
     if let Some(h) = hit {
         let secs = h.elapsed.as_secs_f64();
         f.extend([
-            ("seconds", Json::F(secs)),
-            ("states_per_sec", Json::F(h.states as f64 / secs.max(1e-9))),
-            ("class", Json::S(h.class.clone())),
-            ("detail", Json::S(h.detail.clone())),
-            ("traced", Json::B(h.traced)),
-            ("dedup_hits", Json::U(h.dedup_hits)),
-            ("memo_hits", Json::U(h.memo_hits)),
-            ("rep_classes", Json::U(h.rep_classes)),
-            ("rep_skipped", Json::U(h.rep_skipped)),
-            ("rep_expansions", Json::U(h.rep_expansions)),
-            ("prefix_hits", Json::U(h.prefix_hits)),
-            ("prefix_ops_saved", Json::U(h.prefix_ops_saved)),
-            ("subtrees", Json::U(h.sched_subtrees)),
-            ("subtree_max_depth", Json::U(h.sched_subtree_max_depth)),
-            ("recovery_panics", Json::U(h.recovery_panics)),
-            ("recovery_hangs", Json::U(h.recovery_hangs)),
-            ("sandbox_retries", Json::U(h.sandbox_retries)),
-            ("fuel_exhausted", Json::U(h.fuel_exhausted)),
-            ("oracle_subtrees_pruned", Json::U(h.oracle_subtrees_pruned)),
-            ("oracle_snap_bytes_shared", Json::U(h.oracle_snap_bytes_shared)),
+            ("seconds", JVal::Num(secs)),
+            ("states_per_sec", JVal::Num(h.states as f64 / secs.max(1e-9))),
+            ("class", JVal::Str(h.class.clone())),
+            ("detail", JVal::Str(h.detail.clone())),
+            ("traced", JVal::Bool(h.traced)),
+            ("dedup_hits", ju(h.dedup_hits)),
+            ("memo_hits", ju(h.memo_hits)),
+            ("rep_classes", ju(h.rep_classes)),
+            ("rep_skipped", ju(h.rep_skipped)),
+            ("rep_expansions", ju(h.rep_expansions)),
+            ("prefix_hits", ju(h.prefix_hits)),
+            ("prefix_ops_saved", ju(h.prefix_ops_saved)),
+            ("subtrees", ju(h.sched_subtrees)),
+            ("subtree_max_depth", ju(h.sched_subtree_max_depth)),
+            ("recovery_panics", ju(h.recovery_panics)),
+            ("recovery_hangs", ju(h.recovery_hangs)),
+            ("sandbox_retries", ju(h.sandbox_retries)),
+            ("fuel_exhausted", ju(h.fuel_exhausted)),
+            ("oracle_subtrees_pruned", ju(h.oracle_subtrees_pruned)),
+            ("oracle_snap_bytes_shared", ju(h.oracle_snap_bytes_shared)),
             (
                 "per_worker_prefix_hits",
-                Json::Arr(h.per_worker_prefix_hits.iter().map(|&v| Json::U(v)).collect()),
+                JVal::Arr(h.per_worker_prefix_hits.iter().map(|&v| ju(v)).collect()),
             ),
-            ("oracle_seconds", Json::F(h.phase.oracle.as_secs_f64())),
-            ("record_seconds", Json::F(h.phase.record.as_secs_f64())),
-            ("check_seconds", Json::F(h.phase.check.as_secs_f64())),
+            ("oracle_seconds", JVal::Num(h.phase.oracle.as_secs_f64())),
+            ("record_seconds", JVal::Num(h.phase.record.as_secs_f64())),
+            ("check_seconds", JVal::Num(h.phase.check.as_secs_f64())),
         ]);
     }
-    Json::Obj(f)
+    JVal::obj(f)
 }

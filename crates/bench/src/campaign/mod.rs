@@ -41,8 +41,7 @@ use chipmunk::TestConfig;
 use vfs::{FsName, Workload};
 use workloads::ace::{seq1, seq1_len, seq2};
 
-use crate::jsonout::JVal;
-use wire::{jval_u64, ju};
+use crate::jsonout::{ju, jval_u64, JVal};
 
 /// Fuzz workloads per campaign task — one fuzzer batch (see
 /// `crate::FUZZ_BATCH`); fuzz tasks are sequentially dependent because
@@ -164,6 +163,17 @@ impl CampaignSpec {
             TaskKind::Ace { start, len: self.batch.min(ace_total - start) }
         } else {
             TaskKind::Fuzz { index: (id - ace_tasks) as u64 }
+        }
+    }
+
+    /// Number of workloads in task `id` (`id < total_tasks()`): the lines
+    /// its committed result holds.
+    pub(crate) fn task_len(&self, id: usize) -> usize {
+        match self.task_kind(id, self.ace_len()) {
+            TaskKind::Ace { len, .. } => len,
+            TaskKind::Fuzz { index } => {
+                FUZZ_TASK_LEN.min(self.fuzz_budget.saturating_sub(index * FUZZ_TASK_LEN)) as usize
+            }
         }
     }
 

@@ -24,11 +24,10 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::jsonout::{self, JVal};
+use crate::jsonout::{self, ju, JVal};
 
 use super::hostio::HostCtx;
 use super::store::CampaignStore;
-use super::wire::ju;
 
 /// Outcome of a claim attempt.
 pub enum Claim {

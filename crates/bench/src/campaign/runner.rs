@@ -35,15 +35,15 @@ use vfs::{
 };
 use workloads::fuzz::{FuzzConfig, Fuzzer};
 
-use crate::jsonout::{self, JVal};
+use crate::jsonout::{self, ju, JVal};
 use crate::sched::guarded_run;
 use crate::{dispatch, plan_subtrees, SubtreePlan, WithKind};
 
 use super::hostio::StoreError;
 use super::queue::{Claim, Lease, WorkQueue};
 use super::store::{CampaignStore, TaskJournal};
-use super::wire::{counter_slot, fnv1a, ju, WRes, COUNTER_NAMES};
-use super::{CampaignSpec, TaskKind, FUZZ_TASK_LEN};
+use super::wire::{counter_slot, fnv1a, report_to_jval, WRes, COUNTER_NAMES};
+use super::{CampaignSpec, TaskKind};
 
 /// Worker runtime options (everything *not* in the spec: these may differ
 /// between runs of the same campaign without affecting its results). There
@@ -406,13 +406,14 @@ fn run_task(
             let first_fuzz = id - index as usize;
             let mut prior = Vec::new();
             for t in first_fuzz..id {
-                prior.push(store.load_result_verified(t)?.ok_or(StoreError::Transient {
+                let (_, results) = store.load_result_verified(t)?.ok_or(StoreError::Transient {
                     op: "load-dependency",
                     path: store.result_path(t).display().to_string(),
                     detail: format!("fuzz task {t} lost its result while task {id} was claimed"),
-                })?);
+                })?;
+                prior.push(results);
             }
-            let len = FUZZ_TASK_LEN.min(store.spec.fuzz_budget - index * FUZZ_TASK_LEN) as usize;
+            let len = store.spec.task_len(id);
             let cfg = store.spec.fuzz_cfg();
             dispatch(
                 store.spec.fs,
@@ -670,12 +671,13 @@ pub fn merge(store: &CampaignStore) -> Result<Merged, StoreError> {
     let set = |map: &mut [u8], bit: u64| map[(bit / 8) as usize] |= 1 << (bit % 8);
 
     for id in 0..total {
-        let results = store.load_result_verified(id)?.ok_or_else(|| {
+        let (text, results) = store.load_result_verified(id)?.ok_or_else(|| {
             StoreError::fatal(format!("task {id} has no committed result; campaign incomplete"))
         })?;
-        for res in &results {
+        // Each committed line is its result's compact rendering.
+        for (line, res) in text.split_terminator('\n').zip(&results) {
             workloads += 1;
-            fingerprint = fnv1a(res.to_jval().render().as_bytes(), fingerprint);
+            fingerprint = fnv1a(line.as_bytes(), fingerprint);
             for (idx, c) in res.counters.iter().enumerate() {
                 if idx == MAX_DEPTH {
                     // sched_subtree_max_depth is a max, everything else sums.
@@ -690,9 +692,7 @@ pub fn merge(store: &CampaignStore) -> Result<Merged, StoreError> {
             for &b in &res.cov_bits {
                 set(&mut cov_map, b);
             }
-            for r in &res.reports {
-                reports.push(r.to_jval());
-            }
+            reports.extend(res.reports.iter().map(report_to_jval));
             if let Some(ops) = &res.ops {
                 let entry = JVal::Obj(vec![
                     ("name".into(), JVal::Str(res.name.clone())),

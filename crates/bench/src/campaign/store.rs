@@ -6,7 +6,8 @@
 //! store.json               # version + CampaignSpec (write_atomic)
 //! journal/task-<n>.log     # append-only: plan line + one line per workload
 //! leases/task-<n>.lease    # claim files (see queue.rs)
-//! results/task-<n>.json    # committed task result (presence = complete)
+//! results/task-<n>.json    # committed task result, one line per workload
+//!                          # (presence = complete)
 //! quarantine/              # corrupt artifacts moved aside (task re-run)
 //! corpus/<name>.json       # corpus-worthy fuzz workloads, wire form
 //! coverage/state.bits      # persistent crash-state bitmap
@@ -26,14 +27,15 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::jsonout::{self, JVal};
+use crate::jsonout::{self, ju, JVal};
 
 use super::hostio::{HostCtx, RecoveryAction, StoreError};
-use super::wire::{ju, WRes};
+use super::wire::WRes;
 use super::CampaignSpec;
 
-/// Store format version (`store.json`'s `chipmunk_campaign` field).
-pub const STORE_VERSION: u64 = 1;
+/// Store format version (`store.json`'s `chipmunk_campaign` field). Version
+/// 2 commits task results as JSON lines; version 1 held one JSON array.
+pub const STORE_VERSION: u64 = 2;
 
 /// An open campaign store.
 #[derive(Debug)]
@@ -134,40 +136,81 @@ impl CampaignStore {
         self.io.exists(&self.result_path(id))
     }
 
-    /// Commits task `id`'s results atomically (the completion marker).
+    /// Commits task `id`'s results atomically (the completion marker): one
+    /// compact [`WRes`] per line, the bytes its journal line's `res` holds.
     pub fn write_result(&self, id: usize, results: &[WRes]) -> Result<(), StoreError> {
-        let doc = JVal::Arr(results.iter().map(WRes::to_jval).collect());
-        self.io.write_atomic(&self.result_path(id), (doc.render() + "\n").as_bytes())
+        let mut text = String::new();
+        for res in results {
+            text.push_str(&res.to_jval().render());
+            text.push('\n');
+        }
+        self.io.write_atomic(&self.result_path(id), text.as_bytes())
     }
 
     /// Loads task `id`'s committed results, or `None` if not yet complete.
-    /// A result that does not parse surfaces as [`StoreError::Corrupt`]
-    /// with the file and byte offset; the artifact is left in place (see
+    /// A result that does not parse, or holds another number of workloads
+    /// than the task, surfaces as [`StoreError::Corrupt`] with the file and
+    /// byte offset; the artifact is left in place (see
     /// [`Self::load_result_verified`] for the quarantining loader).
     pub fn load_result(&self, id: usize) -> Result<Option<Vec<WRes>>, StoreError> {
         let path = self.result_path(id);
         let Some(text) = self.io.read_to_string_opt(&path)? else {
             return Ok(None);
         };
-        parse_results(&path, &text, RecoveryAction::Fatal).map(Some)
+        self.parse_results(id, &text, RecoveryAction::Fatal).map(Some)
     }
 
     /// Like [`Self::load_result`], but a corrupt artifact is **moved to
     /// `quarantine/`** before the error returns: the task loses its
     /// completion marker, so the normal claim loop re-leases and re-runs
     /// it — a bad result file fails one task, never the whole campaign.
-    pub fn load_result_verified(&self, id: usize) -> Result<Option<Vec<WRes>>, StoreError> {
+    /// Returns the committed text with the results, line for line.
+    pub fn load_result_verified(
+        &self,
+        id: usize,
+    ) -> Result<Option<(String, Vec<WRes>)>, StoreError> {
         let path = self.result_path(id);
         let Some(text) = self.io.read_to_string_opt(&path)? else {
             return Ok(None);
         };
-        match parse_results(&path, &text, RecoveryAction::Quarantined) {
-            Ok(results) => Ok(Some(results)),
+        match self.parse_results(id, &text, RecoveryAction::Quarantined) {
+            Ok(results) => Ok(Some((text, results))),
             Err(e) => {
                 self.quarantine_result(id)?;
                 Err(e)
             }
         }
+    }
+
+    /// Parses task `id`'s committed text, reporting corruption with its
+    /// byte offset and the recovery `action` the caller is about to take.
+    /// Every line must be whole, and there must be one per workload of the
+    /// task: a file cut at a line boundary still parses line by line.
+    fn parse_results(
+        &self,
+        id: usize,
+        text: &str,
+        action: RecoveryAction,
+    ) -> Result<Vec<WRes>, StoreError> {
+        let path = self.result_path(id);
+        let corrupt = |at: usize, e: String| {
+            StoreError::corrupt(&path, format!("line at byte {at}: {e}"), action)
+        };
+        let mut results = Vec::new();
+        let mut at = 0;
+        for line in text.split_inclusive('\n') {
+            let Some(body) = line.strip_suffix('\n') else {
+                return Err(corrupt(at, "unterminated line".into()));
+            };
+            let res = jsonout::parse(body).and_then(|v| WRes::from_jval(&v));
+            results.push(res.map_err(|e| corrupt(at, e))?);
+            at += line.len();
+        }
+        let want = self.spec.task_len(id);
+        if results.len() != want {
+            return Err(corrupt(at, format!("{} results, the task has {want}", results.len())));
+        }
+        Ok(results)
     }
 
     /// Moves task `id`'s committed result into `quarantine/` (for corrupt
@@ -181,19 +224,6 @@ impl CampaignStore {
         self.io.note_quarantine();
         Ok(())
     }
-}
-
-/// Parses a committed result document, reporting corruption with its byte
-/// offset and the recovery `action` the caller is about to take.
-fn parse_results(path: &Path, text: &str, action: RecoveryAction) -> Result<Vec<WRes>, StoreError> {
-    let doc =
-        jsonout::parse(text).map_err(|e| StoreError::corrupt(path, e, action))?;
-    doc.as_arr()
-        .ok_or_else(|| StoreError::corrupt(path, "not an array", action))?
-        .iter()
-        .map(WRes::from_jval)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| StoreError::corrupt(path, e, action))
 }
 
 /// What a journal recovery found: the plan signature line (if any) and the
@@ -371,8 +401,10 @@ mod tests {
     fn corrupt_result_is_quarantined_and_reports_offset() {
         let dir = tmpdir("quar");
         let s = CampaignStore::open_or_init(&dir, &CampaignSpec::default()).unwrap();
-        s.write_result(3, &[wres("a")]).unwrap();
-        // Garble the committed artifact: truncate it mid-document.
+        let task: Vec<WRes> = (0..s.spec.task_len(3)).map(|i| wres(&format!("w{i}"))).collect();
+        s.write_result(3, &task).unwrap();
+        assert_eq!(s.load_result(3).unwrap().unwrap(), task);
+        // Garble the committed artifact: truncate it mid-line.
         let text = std::fs::read_to_string(s.result_path(3)).unwrap();
         std::fs::write(s.result_path(3), &text[..text.len() / 2]).unwrap();
 
@@ -392,18 +424,45 @@ mod tests {
         assert_eq!(s.io.tasks_quarantined(), 1);
         let q = std::fs::read_dir(dir.join("quarantine")).unwrap().count();
         assert_eq!(q, 1, "the corrupt artifact must be preserved for inspection");
-        // The task can be re-committed afterwards.
-        s.write_result(3, &[wres("a")]).unwrap();
-        assert_eq!(s.load_result_verified(3).unwrap().unwrap().len(), 1);
+        // The task can be re-committed afterwards, and the verified loader
+        // hands back the committed lines with their results.
+        s.write_result(3, &task).unwrap();
+        let (text, back) = s.load_result_verified(3).unwrap().unwrap();
+        assert_eq!(back, task);
+        let lines: Vec<String> = task.iter().map(|r| r.to_jval().render() + "\n").collect();
+        assert_eq!(text, lines.concat());
+
+        // A file cut at a line boundary parses line by line; it is corrupt
+        // because it holds fewer workloads than the task.
+        std::fs::write(s.result_path(3), lines[1..].concat()).unwrap();
+        let msg = s.load_result(3).unwrap_err().to_string();
+        let want = format!("{} results, the task has {}", task.len() - 1, task.len());
+        assert!(msg.contains(&want), "{msg}");
 
         // A well-formed result written under another counter layout is
         // corrupt too, and the error says which layout this build reads.
-        let text = std::fs::read_to_string(s.result_path(3)).unwrap();
         std::fs::write(s.result_path(3), text.replace("[1,1,1,", "[")).unwrap();
         let err = s.load_result(3).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
         let msg = err.to_string();
         assert!(msg.contains("expected 20 counters, got 17") && msg.contains("re-run"), "{msg}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_of_another_version_is_refused() {
+        let dir = tmpdir("version");
+        let spec = CampaignSpec::default();
+        CampaignStore::open_or_init(&dir, &spec).unwrap();
+        let text = std::fs::read_to_string(dir.join("store.json")).unwrap();
+        let v1 = text.replace(
+            &format!("\"chipmunk_campaign\":{STORE_VERSION}"),
+            "\"chipmunk_campaign\":1",
+        );
+        assert_ne!(v1, text);
+        std::fs::write(dir.join("store.json"), v1).unwrap();
+        let err = CampaignStore::open_or_init(&dir, &spec).unwrap_err();
+        assert!(err.to_string().contains("store version 1 (this build reads 2)"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

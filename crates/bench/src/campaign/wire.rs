@@ -2,170 +2,65 @@
 //!
 //! A [`WRes`] is what the journal records per completed workload and what
 //! task result files hold: the outcome counters, the crash-state /
-//! coverage bitmap bits it set, its violation reports (string form), and —
+//! coverage bitmap bits it set, its violation reports, and —
 //! for corpus-worthy fuzzer workloads — the wire-form ops. Serialization
 //! is deterministic (field order fixed, sets sorted), so the merged
 //! campaign document and its fingerprint are byte-identical however the
 //! results were produced.
 
-use chipmunk::{BugReport, TestOutcome};
+use chipmunk::{BugReport, TestOutcome, Violation};
 
-use crate::jsonout::JVal;
+use crate::jsonout::{jstr, ju, jval_u64, JVal};
 
-/// JSON number from a small unsigned integer. `JVal` numbers are `f64`, so
-/// this is exact only below 2^53 — counters, indices and bitmap bits all
-/// are; full 64-bit hashes travel as hex strings instead.
-pub(crate) fn ju(n: u64) -> JVal {
-    debug_assert!(n < (1u64 << 53), "u64 too large for exact JSON number");
-    JVal::Num(n as f64)
+/// Serializes one violation report: the wire form every journal line and
+/// committed result holds. The field order is fixed, and class, stage and
+/// phase travel as the strings [`chipmunk::report`] defines.
+pub(crate) fn report_to_jval(r: &BugReport) -> JVal {
+    JVal::obj([
+        ("workload", JVal::Str(r.workload.clone())),
+        ("op_seq", ju(r.op_seq as u64)),
+        ("op_desc", JVal::Str(r.op_desc.clone())),
+        ("phase", JVal::Str(r.phase.to_string())),
+        ("subset", JVal::Str(r.subset.clone())),
+        ("point", r.point.map_or(JVal::Null, ju)),
+        ("subset_ids", JVal::Arr(r.subset_ids.iter().map(|&i| ju(i as u64)).collect())),
+        ("class", JVal::Str(r.violation.class().to_string())),
+        ("detail", JVal::Str(r.violation.detail().to_string())),
+        ("stage", r.violation.stage().map_or(JVal::Null, |s| JVal::Str(s.to_string()))),
+    ])
 }
 
-/// Required u64 field lookup.
-pub(crate) fn jval_u64(v: &JVal, key: &str) -> Result<u64, String> {
-    v.get(key).and_then(JVal::as_u64).ok_or_else(|| format!("missing/bad field {key:?}"))
-}
-
-fn jstr(v: &JVal, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JVal::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing/bad field {key:?}"))
-}
-
-/// One violation report in string form (class/detail/stage are the stable
-/// strings the triage layer already keys on; the enum itself never needs to
-/// be reconstructed from the store).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireReport {
-    /// Workload name.
-    pub workload: String,
-    /// Index of the op whose crash point produced the state.
-    pub op_seq: u64,
-    /// Description of that op.
-    pub op_desc: String,
-    /// Crash phase (display form).
-    pub phase: String,
-    /// Human-readable subset description.
-    pub subset: String,
-    /// Crash-point ordinal, when committed by the harness.
-    pub point: Option<u64>,
-    /// Indices of the replayed in-flight writes.
-    pub subset_ids: Vec<u64>,
-    /// Violation class (stable string).
-    pub class: String,
-    /// Violation detail line.
-    pub detail: String,
-    /// Checker stage, when the violation carries one.
-    pub stage: Option<String>,
-}
-
-impl WireReport {
-    /// Converts a harness report.
-    pub fn from_report(r: &BugReport) -> Self {
-        WireReport {
-            workload: r.workload.clone(),
-            op_seq: r.op_seq as u64,
-            op_desc: r.op_desc.clone(),
-            phase: r.phase.to_string(),
-            subset: r.subset.clone(),
-            point: r.point,
-            subset_ids: r.subset_ids.iter().map(|&i| i as u64).collect(),
-            class: r.violation.class().to_string(),
-            detail: r.violation.detail().to_string(),
-            stage: r.violation.stage().map(|s| s.to_string()),
-        }
-    }
-
-    /// Serializes the report.
-    pub fn to_jval(&self) -> JVal {
-        JVal::Obj(vec![
-            ("workload".into(), JVal::Str(self.workload.clone())),
-            ("op_seq".into(), ju(self.op_seq)),
-            ("op_desc".into(), JVal::Str(self.op_desc.clone())),
-            ("phase".into(), JVal::Str(self.phase.clone())),
-            ("subset".into(), JVal::Str(self.subset.clone())),
-            ("point".into(), self.point.map(ju).unwrap_or(JVal::Null)),
-            ("subset_ids".into(), JVal::Arr(self.subset_ids.iter().map(|&i| ju(i)).collect())),
-            ("class".into(), JVal::Str(self.class.clone())),
-            ("detail".into(), JVal::Str(self.detail.clone())),
-            (
-                "stage".into(),
-                self.stage.clone().map(JVal::Str).unwrap_or(JVal::Null),
-            ),
-        ])
-    }
-
-    /// Reconstructs a harness [`BugReport`] (for triage over merged store
-    /// results). The class/detail/stage strings are the stable wire form,
-    /// so the round trip is exact for every class the harness emits; an
-    /// unknown class (a newer store) comes back as `RuntimeError` rather
-    /// than failing the whole merge.
-    pub fn to_bug_report(&self) -> BugReport {
-        use chipmunk::report::{CrashPhase, Stage, Violation};
-        let phase = match self.phase.as_str() {
-            "after syscall" => CrashPhase::AfterSyscall,
-            "after fsync" => CrashPhase::AfterFsync,
-            _ => CrashPhase::DuringSyscall,
-        };
-        let stage = self
-            .stage
-            .as_deref()
-            .and_then(|s| crate::repro::stage_from(s).ok())
-            .unwrap_or(Stage::Worker);
-        let d = || self.detail.clone();
-        let violation = match self.class.as_str() {
-            "unmountable" => Violation::Unmountable(d()),
-            "corrupt-state" => Violation::CorruptState(d()),
-            "atomicity" => Violation::AtomicityViolation(d()),
-            "synchrony" => Violation::SynchronyViolation(d()),
-            "unusable" => Violation::UnusableState(d()),
-            "oracle-divergence" => Violation::OracleDivergence(d()),
-            "recovery-panic" => Violation::RecoveryPanic { stage, payload: d() },
-            "recovery-hang" => Violation::RecoveryHang { stage, payload: d() },
-            _ => Violation::RuntimeError(d()),
-        };
-        BugReport {
-            workload: self.workload.clone(),
-            op_seq: self.op_seq as usize,
-            op_desc: self.op_desc.clone(),
-            phase,
-            subset: self.subset.clone(),
-            point: self.point,
-            subset_ids: self.subset_ids.iter().map(|&i| i as usize).collect(),
-            violation,
-        }
-    }
-
-    /// Parses a report back.
-    pub fn from_jval(v: &JVal) -> Result<Self, String> {
-        let point = match v.get("point") {
-            Some(JVal::Null) | None => None,
-            Some(p) => Some(p.as_u64().ok_or("report: bad point")?),
-        };
-        let stage = match v.get("stage") {
-            Some(JVal::Null) | None => None,
-            Some(s) => Some(s.as_str().ok_or("report: bad stage")?.to_string()),
-        };
-        let subset_ids = v
-            .get("subset_ids")
-            .and_then(JVal::as_arr)
-            .ok_or("report: missing subset_ids")?
-            .iter()
-            .map(|i| i.as_u64().ok_or_else(|| "report: bad subset id".to_string()))
-            .collect::<Result<Vec<u64>, String>>()?;
-        Ok(WireReport {
-            workload: jstr(v, "workload")?,
-            op_seq: jval_u64(v, "op_seq")?,
-            op_desc: jstr(v, "op_desc")?,
-            phase: jstr(v, "phase")?,
-            subset: jstr(v, "subset")?,
-            point,
-            subset_ids,
-            class: jstr(v, "class")?,
-            detail: jstr(v, "detail")?,
-            stage,
-        })
-    }
+/// Parses a report back, exactly. An unknown class, phase or stage, or a
+/// stage on a class that carries none, is an error: the line is corrupt.
+pub(crate) fn report_from_jval(v: &JVal) -> Result<BugReport, String> {
+    let point = match v.get("point") {
+        Some(JVal::Null) | None => None,
+        Some(p) => Some(p.as_u64().ok_or("report: bad point")?),
+    };
+    let stage = match v.get("stage") {
+        Some(JVal::Null) | None => None,
+        Some(s) => Some(s.as_str().ok_or("report: bad stage")?.parse()?),
+    };
+    let subset_ids = v
+        .get("subset_ids")
+        .and_then(JVal::as_arr)
+        .ok_or("report: missing subset_ids")?
+        .iter()
+        .map(|i| i.as_u64().map(|i| i as usize).ok_or_else(|| "report: bad subset id".to_string()))
+        .collect::<Result<Vec<usize>, String>>()?;
+    let class = jstr(v, "class")?;
+    let violation = Violation::from_class(class, stage, jstr(v, "detail")?)
+        .ok_or_else(|| format!("report: no class {class:?} with stage {stage:?}"))?;
+    Ok(BugReport {
+        workload: jstr(v, "workload")?.to_string(),
+        op_seq: jval_u64(v, "op_seq")? as usize,
+        op_desc: jstr(v, "op_desc")?.to_string(),
+        phase: jstr(v, "phase")?.parse()?,
+        subset: jstr(v, "subset")?.to_string(),
+        point,
+        subset_ids,
+        violation,
+    })
 }
 
 /// One workload's campaign result, in storable form.
@@ -186,7 +81,7 @@ pub struct WRes {
     /// feedback trajectory on resume.
     pub cov_new: Vec<u64>,
     /// Violation reports, in commit order.
-    pub reports: Vec<WireReport>,
+    pub reports: Vec<BugReport>,
     /// Wire-form ops, kept for corpus-worthy workloads (fuzzer finds and
     /// new-coverage inputs).
     pub ops: Option<Vec<String>>,
@@ -291,7 +186,7 @@ impl WRes {
             state_bits,
             cov_bits,
             cov_new,
-            reports: out.reports.iter().map(WireReport::from_report).collect(),
+            reports: out.reports.clone(),
             ops,
         }
     }
@@ -313,7 +208,7 @@ impl WRes {
             ),
             (
                 "reports".into(),
-                JVal::Arr(self.reports.iter().map(WireReport::to_jval).collect()),
+                JVal::Arr(self.reports.iter().map(report_to_jval).collect()),
             ),
         ];
         if let Some(ops) = &self.ops {
@@ -364,7 +259,7 @@ impl WRes {
             .and_then(JVal::as_arr)
             .ok_or("wres: missing reports")?
             .iter()
-            .map(WireReport::from_jval)
+            .map(report_from_jval)
             .collect::<Result<Vec<_>, String>>()?;
         let ops = match v.get("ops") {
             None | Some(JVal::Null) => None,
@@ -377,7 +272,7 @@ impl WRes {
             ),
         };
         Ok(WRes {
-            name: jstr(v, "name")?,
+            name: jstr(v, "name")?.to_string(),
             counters,
             state_bits: bits("state_bits")?,
             cov_bits: bits("cov_bits")?,
@@ -401,7 +296,7 @@ pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chipmunk::{CrashPhase, Violation};
+    use chipmunk::{CrashPhase, Stage};
 
     fn sample() -> WRes {
         WRes {
@@ -410,17 +305,18 @@ mod tests {
             state_bits: vec![1, 5, 4095],
             cov_bits: vec![0, 77],
             cov_new: vec![0x0123_4567_89ab_cdef, u64::MAX],
-            reports: vec![WireReport {
+            reports: vec![BugReport {
                 workload: "seq1-0007".into(),
                 op_seq: 2,
                 op_desc: "fsync /a".into(),
-                phase: CrashPhase::DuringSyscall.to_string(),
+                phase: CrashPhase::DuringSyscall,
                 subset: "writes {0, 3}".into(),
                 point: Some(7),
                 subset_ids: vec![0, 3],
-                class: "atomicity".into(),
-                detail: "torn directory entry".into(),
-                stage: Some("compare".into()),
+                violation: Violation::RecoveryPanic {
+                    stage: Stage::Compare,
+                    payload: "torn directory entry".into(),
+                },
             }],
             ops: Some(vec!["creat /a".into(), "fsync /a".into()]),
         }
@@ -448,6 +344,90 @@ mod tests {
         assert!(err.contains("expected 20 counters, got 17") && err.contains("re-run"), "{err}");
     }
 
+    /// Every violation class, both sandbox classes at every stage, every
+    /// phase, and `point` absent and present.
+    fn wire_cases() -> Vec<BugReport> {
+        let r = |violation, phase, point, subset_ids: Vec<usize>| BugReport {
+            workload: "seq2-0042".into(),
+            op_seq: 3,
+            op_desc: "rename(/A/foo, /B/bar)".into(),
+            phase,
+            subset: format!("writes {subset_ids:?}"),
+            point,
+            subset_ids,
+            violation,
+        };
+        use CrashPhase::*;
+        use Violation::*;
+        let torn = "/B/bar missing \"expected\"\n\tneither old nor new";
+        let (lost, diverged) = ("/A/foo lost after fsync", "rename returned Ok, oracle ENOENT");
+        let mut v = vec![
+            r(Unmountable("bad superblock magic 0x0".into()), DuringSyscall, Some(17), vec![0, 3]),
+            r(CorruptState("unreadable inode 12".into()), DuringSyscall, Some(0), vec![]),
+            r(AtomicityViolation(torn.into()), DuringSyscall, Some(9_007_199_254_740_991), vec![1]),
+            r(SynchronyViolation(lost.into()), AfterSyscall, Some(4), vec![0, 1, 2]),
+            r(UnusableState("creat(/probe) failed: ENOSPC".into()), AfterFsync, None, vec![2]),
+            r(OracleDivergence(diverged.into()), AfterSyscall, None, vec![]),
+            r(RuntimeError("BUG(): é質🦀 \\ \u{1}".into()), DuringSyscall, None, vec![]),
+        ];
+        let stages = [Stage::Mount, Stage::Walk, Stage::Compare, Stage::Probe, Stage::Worker];
+        for (i, stage) in stages.into_iter().enumerate() {
+            let payload = format!("{stage} payload");
+            let panic = RecoveryPanic { stage, payload: payload.clone() };
+            v.push(r(panic, DuringSyscall, Some(i as u64), vec![i]));
+            v.push(r(RecoveryHang { stage, payload }, AfterSyscall, None, vec![]));
+        }
+        v
+    }
+
+    /// The wire bytes of [`wire_cases`], one per case. Every committed
+    /// result and journal line holds these bytes and the campaign
+    /// fingerprints hash them: a change here is a store format change.
+    const WIRE_GOLDEN: [&str; 17] = [
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [0, 3]","point":17,"subset_ids":[0,3],"class":"unmountable","detail":"bad superblock magic 0x0","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes []","point":0,"subset_ids":[],"class":"corrupt-state","detail":"unreadable inode 12","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [1]","point":9007199254740991,"subset_ids":[1],"class":"atomicity","detail":"/B/bar missing \"expected\"\n\tneither old nor new","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes [0, 1, 2]","point":4,"subset_ids":[0,1,2],"class":"synchrony","detail":"/A/foo lost after fsync","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after fsync","subset":"writes [2]","point":null,"subset_ids":[2],"class":"unusable","detail":"creat(/probe) failed: ENOSPC","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes []","point":null,"subset_ids":[],"class":"oracle-divergence","detail":"rename returned Ok, oracle ENOENT","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes []","point":null,"subset_ids":[],"class":"runtime-error","detail":"BUG(): é質🦀 \\ \u0001","stage":null}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [0]","point":0,"subset_ids":[0],"class":"recovery-panic","detail":"mount payload","stage":"mount"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes []","point":null,"subset_ids":[],"class":"recovery-hang","detail":"mount payload","stage":"mount"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [1]","point":1,"subset_ids":[1],"class":"recovery-panic","detail":"walk payload","stage":"walk"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes []","point":null,"subset_ids":[],"class":"recovery-hang","detail":"walk payload","stage":"walk"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [2]","point":2,"subset_ids":[2],"class":"recovery-panic","detail":"compare payload","stage":"compare"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes []","point":null,"subset_ids":[],"class":"recovery-hang","detail":"compare payload","stage":"compare"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [3]","point":3,"subset_ids":[3],"class":"recovery-panic","detail":"probe payload","stage":"probe"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes []","point":null,"subset_ids":[],"class":"recovery-hang","detail":"probe payload","stage":"probe"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"during syscall","subset":"writes [4]","point":4,"subset_ids":[4],"class":"recovery-panic","detail":"worker payload","stage":"worker"}"#,
+        r#"{"workload":"seq2-0042","op_seq":3,"op_desc":"rename(/A/foo, /B/bar)","phase":"after syscall","subset":"writes []","point":null,"subset_ids":[],"class":"recovery-hang","detail":"worker payload","stage":"worker"}"#,
+    ];
+
+    #[test]
+    fn reports_keep_their_wire_bytes_and_parse_back_exactly() {
+        let cases = wire_cases();
+        assert_eq!(cases.len(), WIRE_GOLDEN.len());
+        for (r, golden) in cases.iter().zip(WIRE_GOLDEN) {
+            assert_eq!(report_to_jval(r).render(), golden);
+            let back = report_from_jval(&crate::jsonout::parse(golden).unwrap());
+            assert_eq!(back.as_ref(), Ok(r), "{golden}");
+        }
+        // A string the report module does not define makes the line
+        // corrupt; nothing falls back to a default.
+        for (from, to) in [
+            (r#""class":"unmountable""#, r#""class":"torn-write""#),
+            (r#""phase":"during syscall""#, r#""phase":"before syscall""#),
+            (r#""stage":"mount""#, r#""stage":"liftoff""#),
+            (r#""stage":"mount""#, r#""stage":null"#),
+            (r#""stage":null"#, r#""stage":"walk""#),
+        ] {
+            let golden = WIRE_GOLDEN.iter().find(|g| g.contains(from)).unwrap();
+            let bad = golden.replace(from, to);
+            let err = report_from_jval(&crate::jsonout::parse(&bad).unwrap()).unwrap_err();
+            assert!(!err.is_empty(), "{bad}");
+        }
+    }
+
     #[test]
     fn wres_from_outcome_folds_and_sorts() {
         let mut out = TestOutcome { workload: "w".into(), ..Default::default() };
@@ -464,17 +444,13 @@ mod tests {
             subset_ids: vec![1],
             violation: Violation::Unmountable("bad super".into()),
         };
-        out.reports.push(report);
+        out.reports.push(report.clone());
         let cov: std::collections::HashSet<u64> = [10u64, 4096 + 10, 3].into_iter().collect();
         let w = WRes::from_outcome(&out, &cov, 4096, vec![], None);
         assert_eq!(w.state_bits, vec![7, 9], "folded, sorted, deduplicated");
         assert_eq!(w.cov_bits, vec![3, 10]);
         assert_eq!(w.counters[counter_slot("crash_points")], 3);
         assert_eq!(w.counters[counter_slot("crash_states")], 5);
-        assert_eq!(w.reports.len(), 1);
-        assert_eq!(w.reports[0].class, "unmountable");
-        assert_eq!(w.reports[0].point, None);
-        // Stage travels only for the sandbox classes (recovery panic/hang).
-        assert_eq!(w.reports[0].stage, None);
+        assert_eq!(w.reports, vec![report]);
     }
 }

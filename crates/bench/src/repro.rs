@@ -22,7 +22,7 @@ use vfs::{
 use crate::{
     campaign::hostio::{RecoveryAction, StoreError},
     dispatch,
-    jsonout::{self, JVal, Json},
+    jsonout::{self, ju, JVal},
     WithKind,
 };
 
@@ -69,17 +69,6 @@ pub struct ReplayOutcome {
     pub ok: bool,
 }
 
-pub(crate) fn stage_from(s: &str) -> Result<Stage, String> {
-    match s {
-        "mount" => Ok(Stage::Mount),
-        "walk" => Ok(Stage::Walk),
-        "compare" => Ok(Stage::Compare),
-        "probe" => Ok(Stage::Probe),
-        "worker" => Ok(Stage::Worker),
-        _ => Err(format!("unknown stage {s:?}")),
-    }
-}
-
 impl ReproBundle {
     /// Builds a bundle from a hunt finding. The report must carry a
     /// crash-point ordinal (every committed harness report does).
@@ -108,58 +97,37 @@ impl ReproBundle {
     }
 
     /// Renders the bundle as a JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("chipmunk_repro", Json::U(BUNDLE_VERSION)),
-            ("fs", Json::S(self.fs.to_string())),
-            (
-                "bugs",
-                Json::Arr(self.bugs.iter().map(|b| Json::U(b.number() as u64)).collect()),
-            ),
+    pub fn to_json(&self) -> JVal {
+        let ops = self.workload.to_wire_lines().into_iter().map(JVal::Str).collect();
+        JVal::obj([
+            ("chipmunk_repro", ju(BUNDLE_VERSION)),
+            ("fs", JVal::Str(self.fs.to_string())),
+            ("bugs", JVal::Arr(self.bugs.iter().map(|b| ju(b.number() as u64)).collect())),
             (
                 "workload",
-                Json::Obj(vec![
-                    ("name", Json::S(self.workload.name.clone())),
-                    (
-                        "ops",
-                        Json::Arr(
-                            self.workload.to_wire_lines().into_iter().map(Json::S).collect(),
-                        ),
-                    ),
+                JVal::obj([
+                    ("name", JVal::Str(self.workload.name.clone())),
+                    ("ops", JVal::Arr(ops)),
                 ]),
             ),
             (
                 "crash",
-                Json::Obj(vec![
-                    ("point", Json::U(self.point)),
-                    (
-                        "subset",
-                        Json::Arr(self.subset.iter().map(|&i| Json::U(i as u64)).collect()),
-                    ),
+                JVal::obj([
+                    ("point", ju(self.point)),
+                    ("subset", JVal::Arr(self.subset.iter().map(|&i| ju(i as u64)).collect())),
                 ]),
             ),
-            ("seed", Json::U(self.seed)),
+            // Provenance only: a seed past 2^53 is rounded, like any number.
+            ("seed", JVal::Num(self.seed as f64)),
             (
                 "config",
-                Json::Obj(
-                    self.cfg
-                        .semantic_knobs()
-                        .into_iter()
-                        .map(|(k, v)| (k, Json::S(v)))
-                        .collect(),
-                ),
+                JVal::obj(self.cfg.semantic_knobs().into_iter().map(|(k, v)| (k, JVal::Str(v)))),
             ),
             (
                 "expect",
-                Json::Obj(vec![
-                    ("class", Json::S(self.expect_class.clone())),
-                    (
-                        "stage",
-                        match self.expect_stage {
-                            Some(s) => Json::S(s.to_string()),
-                            None => Json::Null,
-                        },
-                    ),
+                JVal::obj([
+                    ("class", JVal::Str(self.expect_class.clone())),
+                    ("stage", self.expect_stage.map_or(JVal::Null, |s| JVal::Str(s.to_string()))),
                 ]),
             ),
         ])
@@ -236,7 +204,7 @@ impl ReproBundle {
             .to_string();
         let expect_stage = match expect.get("stage") {
             Some(JVal::Null) | None => None,
-            Some(v) => Some(stage_from(v.as_str().ok_or("expect.stage must be a string")?)?),
+            Some(v) => Some(v.as_str().ok_or("expect.stage must be a string")?.parse()?),
         };
         Ok(ReproBundle {
             fs,
@@ -253,7 +221,7 @@ impl ReproBundle {
 
     /// Writes the bundle to `path` (atomically, with parent-dir fsync).
     pub fn save(&self, path: &str) -> std::io::Result<()> {
-        jsonout::write_atomic(path, &self.to_json().render())
+        jsonout::write_atomic(path, &self.to_json().render_pretty())
     }
 
     /// Reads and parses a bundle from `path`. A malformed bundle comes back
@@ -360,7 +328,7 @@ mod tests {
     #[test]
     fn bundle_round_trips_through_json() {
         let (bundle, cfg) = find_bug4();
-        let text = bundle.to_json().render();
+        let text = bundle.to_json().render_pretty();
         let back = ReproBundle::parse(&text).expect("round trip parses");
         assert_eq!(back.fs, bundle.fs);
         assert_eq!(back.bugs, bundle.bugs);
@@ -373,7 +341,7 @@ mod tests {
         assert_eq!(back.expect_class, bundle.expect_class);
         assert_eq!(back.expect_stage, bundle.expect_stage);
         // And the rendered form is stable (byte-identical re-render).
-        assert_eq!(back.to_json().render(), text);
+        assert_eq!(back.to_json().render_pretty(), text);
     }
 
     #[test]
@@ -424,7 +392,7 @@ mod tests {
     #[test]
     fn parse_rejects_broken_bundles() {
         let (bundle, _) = find_bug4();
-        let good = bundle.to_json().render();
+        let good = bundle.to_json().render_pretty();
         for (needle, replacement, why) in [
             ("\"chipmunk_repro\": 1", "\"chipmunk_repro\": 99", "future version"),
             ("\"NOVA\"", "\"btrfs\"", "unknown fs"),

@@ -11,36 +11,13 @@
 //! index order and the segment list), independent of where on the device
 //! the writes landed.
 //!
-//! The test runs in its own binary so it can install a counting global
-//! allocator without affecting other suites.
+//! The test runs in its own binary so it can install the shared counting
+//! global allocator without affecting other suites.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "../../pmem/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use chipmunk::crashgen::{state_key, PendingWrite};
-
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn state_key_allocation_is_independent_of_write_span() {
@@ -61,15 +38,16 @@ fn state_key_allocation_is_independent_of_write_span() {
 
     let subsets: Vec<Vec<usize>> =
         (0..200).map(|s| (0..NW).filter(|i| (s >> (i % 8)) & 1 == 1).collect()).collect();
-    let before = ALLOCATED.load(Relaxed);
     let mut acc = warm;
-    for subset in &subsets {
-        acc ^= state_key(&writes, subset);
-    }
-    let after = ALLOCATED.load(Relaxed);
+    let bytes = counting_alloc::during(|| {
+        for subset in &subsets {
+            acc ^= state_key(&writes, subset);
+        }
+    })
+    .bytes;
     assert_ne!(acc, 0, "keys must actually be computed");
 
-    let per_call = (after - before) / subsets.len() as u64;
+    let per_call = bytes / subsets.len();
     // Scratch per call is O(subset length): a sorted index vector and a
     // segment list — a few hundred bytes. Give 100x headroom; rebuilding
     // even one write's span of the image would blow through it, and a full

@@ -15,11 +15,12 @@
 //! scheduled (`Scheduler::run` at `threads` 1 and 2, whose per-worker caches
 //! re-lease their images every batch from scoped threads that have died).
 //!
-//! One test function in its own binary: the counting global allocator is
-//! process-wide.
+//! One test function in its own binary: the shared counting global
+//! allocator's largest-request mark is process-wide, so the scheduler's
+//! worker threads are measured too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "../../pmem/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use bench::{dispatch, mode_for, Scheduler, WithKind};
 use chipmunk::{check_one_state, test_workload, PrefixCache, TestConfig};
@@ -29,50 +30,9 @@ use vfs::{
 };
 use workloads::ace::{seq1, seq2};
 
-/// Allocations at least this large count as device-sized.
+/// Allocations at least this large count as device-sized: a span of work
+/// made none exactly when its largest request, on any thread, stays below.
 const BIG: usize = (4 << 20) / 4;
-
-struct CountingAlloc;
-
-static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-fn note(size: usize) {
-    if size >= BIG {
-        BIG_ALLOCS.fetch_add(1, Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    // `vec![0u8; n]` lands here; the default implementation would turn the
-    // system's lazily-zeroed pages into an eager memset.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-fn big_allocs_during(f: impl FnOnce()) -> u64 {
-    let before = BIG_ALLOCS.load(Relaxed);
-    f();
-    BIG_ALLOCS.load(Relaxed) - before
-}
 
 /// The uncached, cached and single-state entry points on one file system.
 struct PerWorkload<'a>(&'a TestConfig);
@@ -86,34 +46,34 @@ impl WithKind for PerWorkload<'_> {
         let ws: Vec<Workload> = seq1(mode_for(fs)).into_iter().take(6).collect();
 
         test_workload(&kind, &ws[0], cfg);
-        let n = big_allocs_during(|| {
+        let n = counting_alloc::process_max_during(|| {
             for w in &ws[1..] {
                 let out = test_workload(&kind, w, cfg);
                 assert!(out.reports.is_empty(), "{fs:?} {}: {:#?}", w.name, out.reports);
             }
         });
-        assert_eq!(n, 0, "{fs:?}: test_workload made {n} device-sized allocations");
+        assert!(n < BIG, "{fs:?}: test_workload made a device-sized allocation of {n} bytes");
 
         let mut cache = PrefixCache::new(&kind);
         cache.run(&ws[0], cfg);
-        let n = big_allocs_during(|| {
+        let n = counting_alloc::process_max_during(|| {
             for w in &ws[1..] {
                 cache.run(w, cfg);
             }
             cache.reset();
             cache.run(&ws[0], cfg);
         });
-        assert_eq!(n, 0, "{fs:?}: PrefixCache::run made {n} device-sized allocations");
+        assert!(n < BIG, "{fs:?}: PrefixCache::run made a device-sized allocation of {n} bytes");
         drop(cache);
 
-        let n = big_allocs_during(|| {
+        let n = counting_alloc::process_max_during(|| {
             for w in &ws[1..] {
                 // Weak-guarantee workloads without an fsync have no crash
                 // point 0; the oracle and record stages ran either way.
                 let _ = check_one_state(&kind, w, cfg, 0, &[]);
             }
         });
-        assert_eq!(n, 0, "{fs:?}: check_one_state made {n} device-sized allocations");
+        assert!(n < BIG, "{fs:?}: check_one_state made a device-sized allocation of {n} bytes");
     }
 }
 
@@ -128,13 +88,13 @@ impl WithKind for Scheduled<'_> {
         let ws: Vec<Workload> = seq2(mode_for(kind.name())).step_by(7).take(128).collect();
         let mut sched = Scheduler::new(&kind, cfg);
         sched.run(&ws[..64], cfg);
-        let n = big_allocs_during(|| {
+        let n = counting_alloc::process_max_during(|| {
             let results = sched.run(&ws[64..], cfg);
             assert_eq!(results.len(), 64);
         });
-        assert_eq!(
-            n, 0,
-            "threads {}: a scheduled batch made {n} device-sized allocations",
+        assert!(
+            n < BIG,
+            "threads {}: a scheduled batch made a device-sized allocation of {n} bytes",
             cfg.threads
         );
     }

@@ -1,6 +1,7 @@
 //! Property tests for the hand-rolled JSON layer (`bench::jsonout`): the
 //! campaign store's journals, results, and merged document all depend on
-//! `parse` ∘ `render` being the identity, and on the parser rejecting
+//! `parse` ∘ `render` being the identity (and the `--json` outputs and repro
+//! bundles on `parse` ∘ `render_pretty`), and on the parser rejecting
 //! malformed input *deterministically* (journal recovery truncates at the
 //! first unparsable line — a parser that flip-flops would make resume
 //! nondeterministic).
@@ -69,17 +70,20 @@ fn gen_jval(rng: &mut StdRng, depth: usize) -> JVal {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// `parse(render(v)) == v` for arbitrary value trees, and `render` is
-    /// a pure function (same tree → same bytes).
+    /// `parse(render(v)) == v` and `parse(render_pretty(v)) == v` for
+    /// arbitrary value trees, and both renderers are pure functions (same
+    /// tree → same bytes).
     #[test]
     fn parse_render_roundtrip(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let v = gen_jval(&mut rng, 4);
-        let text = v.render();
-        prop_assert_eq!(&text, &v.render(), "render must be deterministic");
-        let back = parse(&text);
-        prop_assert!(back.is_ok(), "{:?} failed to parse back: {:?}", text, back);
-        prop_assert_eq!(back.unwrap(), v, "round trip through {}", text);
+        for text in [v.render(), v.render_pretty()] {
+            let again = if text.ends_with('\n') { v.render_pretty() } else { v.render() };
+            prop_assert_eq!(&text, &again, "render must be deterministic");
+            let back = parse(&text);
+            prop_assert!(back.is_ok(), "{:?} failed to parse back: {:?}", text, back);
+            prop_assert_eq!(back.unwrap(), v.clone(), "round trip through {}", text);
+        }
     }
 
     /// A duplicated object key is rejected wherever it occurs — top level
@@ -243,5 +247,64 @@ fn numbers_render_as_display() {
         check(f64::from_bits(rng.gen::<u64>()));
         check(rng.gen_range(-(1i64 << 54)..(1i64 << 54)) as f64);
         check(rng.gen_range(-100_000i64..100_000) as f64 / 8.0);
+    }
+}
+
+/// The indented layout: two-space indent, `"k": v`, `[]` / `{}` when
+/// empty, a trailing newline, and scalars exactly as the compact form
+/// writes them.
+#[test]
+fn render_pretty_golden_bytes() {
+    let doc = JVal::Obj(vec![
+        ("n".to_string(), JVal::Num(0.25)),
+        ("big".to_string(), JVal::Num(4096.0)),
+        ("s\n".to_string(), JVal::Str("a\"b".into())),
+        ("none".to_string(), JVal::Arr(vec![])),
+        ("empty".to_string(), JVal::Obj(vec![])),
+        (
+            "arr".to_string(),
+            JVal::Arr(vec![JVal::Num(-0.0), JVal::Obj(vec![("k".to_string(), JVal::Null)])]),
+        ),
+        ("inf".to_string(), JVal::Num(f64::INFINITY)),
+    ]);
+    let want = "{\n  \"n\": 0.25,\n  \"big\": 4096,\n  \"s\\n\": \"a\\\"b\",\n  \"none\": [],\n  \
+                \"empty\": {},\n  \"arr\": [\n    -0,\n    {\n      \"k\": null\n    }\n  ],\n  \
+                \"inf\": null\n}\n";
+    assert_eq!(doc.render_pretty(), want);
+    assert_eq!(JVal::Bool(true).render_pretty(), "true\n");
+    assert_eq!(JVal::Arr(vec![]).render_pretty(), "[]\n");
+}
+
+/// Every committed repro bundle is in the indented layout already: parsing
+/// one and rendering it again gives its bytes back.
+#[test]
+fn committed_repro_bundles_re_render_byte_for_byte() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../repros");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(dir).expect("repros/ exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let v = parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert_eq!(v.render_pretty(), text, "{}", path.display());
+            seen += 1;
+        }
+    }
+    assert!(seen > 0, "no bundles under {dir}");
+}
+
+/// `as_u64` takes exactly the integers of `u64`: 2^64 (which is what
+/// `u64::MAX as f64` rounds to) is one past the range.
+#[test]
+fn as_u64_takes_exact_integers_in_range() {
+    let two_53 = (1u64 << 53) as f64;
+    assert_eq!(JVal::Num(two_53).as_u64(), Some(1 << 53));
+    assert_eq!(JVal::Num(-0.0).as_u64(), Some(0));
+    assert_eq!(JVal::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+    assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None, "rounds to 2^64");
+    assert_eq!(JVal::Num(((1u64 << 63) + (1 << 62)) as f64).as_u64(), Some((1 << 63) + (1 << 62)));
+    for bad in [-1.0, 0.5, f64::NAN, f64::INFINITY] {
+        assert_eq!(JVal::Num(bad).as_u64(), None, "{bad}");
     }
 }

@@ -9,12 +9,12 @@
 //! buffer, so `mkfs` + `mount` + `fork_fs` + drop make the same number of
 //! allocations on a 16 MiB device as on a 4 MiB one.
 //!
-//! One test function in its own binary: the counting global allocator is
-//! process-wide (it counts per thread, so the harness's own threads are not
-//! measured).
+//! One test function in its own binary: the shared counting global
+//! allocator is process-wide (it counts per thread, so the harness's own
+//! threads are not measured).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../pmem/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use bench::{dispatch, WithKind};
 use pmem::{PmDevice, SharedDev};
@@ -22,40 +22,6 @@ use vfs::{
     fs::{FsKind, FsOptions},
     BugSet, FsName,
 };
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note() {
-    ALLOCS.with(|a| a.set(a.get() + 1));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: Counting = Counting;
 
 /// Allocations of one file system's `mkfs` + `mount` + `fork_fs` + drop on a
 /// device of `size` bytes.
@@ -66,13 +32,14 @@ impl WithKind for MountLife {
 
     fn call<K: FsKind>(self, kind: K) -> usize {
         let dev = SharedDev::new(PmDevice::new(self.0));
-        ALLOCS.set(0);
-        drop(kind.mkfs(dev.clone()).expect("mkfs"));
-        let fs = kind.mount(dev.clone()).expect("mount");
-        let fork = kind.fork_fs(&fs).expect("the PM file systems fork");
-        drop(fork);
-        drop(fs);
-        ALLOCS.get()
+        counting_alloc::during(|| {
+            drop(kind.mkfs(dev.clone()).expect("mkfs"));
+            let fs = kind.mount(dev.clone()).expect("mount");
+            let fork = kind.fork_fs(&fs).expect("the PM file systems fork");
+            drop(fork);
+            drop(fs);
+        })
+        .calls
     }
 }
 

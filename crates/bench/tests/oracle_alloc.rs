@@ -11,39 +11,17 @@
 //! files here — while the incremental path allocates only the cloned node
 //! map, the touched file's bytes, and hash scratch.
 //!
-//! The test runs in its own binary so it can install a counting global
-//! allocator without affecting other suites.
+//! The test runs in its own binary so it can install the shared counting
+//! global allocator without affecting other suites.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+#[path = "../../pmem/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::sync::Arc;
 
 use chipmunk::oracle::{advance_snapshot, snapshot_tree};
 use vfs::model::ModelFs;
 use vfs::{FileSystem, Op, OpenFlags};
-
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATED.fetch_add(new_size.saturating_sub(layout.size()) as u64, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
 
 #[test]
 fn advance_snapshot_allocation_is_independent_of_tree_data() {
@@ -63,11 +41,12 @@ fn advance_snapshot_allocation_is_independent_of_tree_data() {
 
     // A full walk must materialize every file's data: its allocation floor
     // is the bulk payload itself.
-    let before = ALLOCATED.load(Relaxed);
-    let full = Arc::new(snapshot_tree(&fs).unwrap());
-    let full_alloc = ALLOCATED.load(Relaxed) - before;
+    let mut full = None;
+    let full_alloc = counting_alloc::during(|| full = Some(Arc::new(snapshot_tree(&fs).unwrap())))
+        .bytes;
+    let full = full.unwrap();
     assert!(
-        full_alloc >= (BULK * BULK_SIZE) as u64,
+        full_alloc >= BULK * BULK_SIZE,
         "full snapshot allocated {full_alloc} bytes — expected at least the 8 MiB of file data"
     );
 
@@ -77,17 +56,18 @@ fn advance_snapshot_allocation_is_independent_of_tree_data() {
     fs.pwrite(fd, 0, &[1u8; 64]).unwrap();
     let (mut prev, _) = advance_snapshot(&fs, &full, &op, Some("/small")).unwrap();
 
-    const ITERS: u64 = 50;
-    let before = ALLOCATED.load(Relaxed);
-    for i in 0..ITERS {
-        fs.pwrite(fd, 0, &[i as u8; 64]).unwrap();
-        let (next, _) = advance_snapshot(&fs, &prev, &op, Some("/small")).unwrap();
-        prev = next;
-    }
-    let after = ALLOCATED.load(Relaxed);
+    const ITERS: usize = 50;
+    let bytes = counting_alloc::during(|| {
+        for i in 0..ITERS {
+            fs.pwrite(fd, 0, &[i as u8; 64]).unwrap();
+            let (next, _) = advance_snapshot(&fs, &prev, &op, Some("/small")).unwrap();
+            prev = next;
+        }
+    })
+    .bytes;
     fs.close(fd).unwrap();
 
-    let per_advance = (after - before) / ITERS;
+    let per_advance = bytes / ITERS;
     // One advance clones the ~18-entry node map, re-reads the 64-byte file,
     // and hashes the dirty path — a few KiB. 128 KiB gives generous headroom
     // while staying 60x under what re-reading the bulk data would cost.

@@ -30,6 +30,18 @@ impl std::fmt::Display for CrashPhase {
     }
 }
 
+impl std::str::FromStr for CrashPhase {
+    type Err = String;
+
+    /// The inverse of `Display`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        [CrashPhase::DuringSyscall, CrashPhase::AfterSyscall, CrashPhase::AfterFsync]
+            .into_iter()
+            .find(|p| p.to_string() == s)
+            .ok_or_else(|| format!("unknown crash phase {s:?}"))
+    }
+}
+
 /// The checker stage a sandboxed failure was caught in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
@@ -54,6 +66,18 @@ impl std::fmt::Display for Stage {
             Stage::Probe => write!(f, "probe"),
             Stage::Worker => write!(f, "worker"),
         }
+    }
+}
+
+impl std::str::FromStr for Stage {
+    type Err = String;
+
+    /// The inverse of `Display`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        [Stage::Mount, Stage::Walk, Stage::Compare, Stage::Probe, Stage::Worker]
+            .into_iter()
+            .find(|st| st.to_string() == s)
+            .ok_or_else(|| format!("unknown stage {s:?}"))
     }
 }
 
@@ -112,6 +136,25 @@ impl Violation {
             Violation::RecoveryPanic { .. } => "recovery-panic",
             Violation::RecoveryHang { .. } => "recovery-hang",
         }
+    }
+
+    /// The inverse of [`Self::class`], [`Self::stage`] and [`Self::detail`]:
+    /// `None` for an unknown class, and for a stage on a class that carries
+    /// none or a sandbox class without one.
+    pub fn from_class(class: &str, stage: Option<Stage>, detail: &str) -> Option<Violation> {
+        let d = detail.to_string();
+        Some(match (class, stage) {
+            ("unmountable", None) => Violation::Unmountable(d),
+            ("corrupt-state", None) => Violation::CorruptState(d),
+            ("atomicity", None) => Violation::AtomicityViolation(d),
+            ("synchrony", None) => Violation::SynchronyViolation(d),
+            ("unusable", None) => Violation::UnusableState(d),
+            ("oracle-divergence", None) => Violation::OracleDivergence(d),
+            ("runtime-error", None) => Violation::RuntimeError(d),
+            ("recovery-panic", Some(stage)) => Violation::RecoveryPanic { stage, payload: d },
+            ("recovery-hang", Some(stage)) => Violation::RecoveryHang { stage, payload: d },
+            _ => return None,
+        })
     }
 
     /// The detail message.
@@ -318,6 +361,44 @@ mod tests {
         assert_eq!(p.stage(), Some(Stage::Mount));
         assert_eq!(h.stage(), Some(Stage::Walk));
         assert_eq!(Violation::RuntimeError("x".into()).stage(), None);
+    }
+
+    #[test]
+    fn class_stage_and_phase_strings_parse_back() {
+        let d = || "detail \"x\"".to_string();
+        let stages = [Stage::Mount, Stage::Walk, Stage::Compare, Stage::Probe, Stage::Worker];
+        let mut all = vec![
+            Violation::Unmountable(d()),
+            Violation::CorruptState(d()),
+            Violation::AtomicityViolation(d()),
+            Violation::SynchronyViolation(d()),
+            Violation::UnusableState(d()),
+            Violation::OracleDivergence(d()),
+            Violation::RuntimeError(d()),
+        ];
+        for stage in stages {
+            all.push(Violation::RecoveryPanic { stage, payload: d() });
+            all.push(Violation::RecoveryHang { stage, payload: d() });
+        }
+        for v in all {
+            assert_eq!(Violation::from_class(v.class(), v.stage(), v.detail()), Some(v.clone()));
+            // A stage where the class carries none, or none where it does.
+            let flipped = match v.stage() {
+                Some(_) => None,
+                None => Some(Stage::Mount),
+            };
+            assert_eq!(Violation::from_class(v.class(), flipped, v.detail()), None, "{v:?}");
+        }
+        assert_eq!(Violation::from_class("torn-write", None, "x"), None);
+        assert_eq!(Violation::from_class("recovery-crash", Some(Stage::Mount), "x"), None);
+        for s in stages {
+            assert_eq!(s.to_string().parse::<Stage>(), Ok(s));
+        }
+        for p in [CrashPhase::DuringSyscall, CrashPhase::AfterSyscall, CrashPhase::AfterFsync] {
+            assert_eq!(p.to_string().parse::<CrashPhase>(), Ok(p));
+        }
+        assert!("liftoff".parse::<Stage>().is_err());
+        assert!("before syscall".parse::<CrashPhase>().is_err());
     }
 
     #[test]

@@ -5,57 +5,16 @@
 //! thread lends from one overlay to the next makes a warm overlay's faults,
 //! undo records and rewinds allocation-free while keeping only a capped
 //! amount of memory between overlays.
+//!
+//! The shared counting allocator counts per thread, because the tests of
+//! this binary run on parallel threads and each measures only its own
+//! allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::{counts, reset};
 use pmem::{CowDevice, PmBackend, PmDevice};
-
-/// System allocator wrapper recording the largest single allocation, the
-/// total bytes requested, the number of requests and the bytes live — per
-/// thread, because the tests of this binary run on parallel threads and each
-/// measures only its own allocations.
-struct MaxTracking;
-
-thread_local! {
-    static MAX_ALLOC: Cell<usize> = const { Cell::new(0) };
-    static TOTAL_ALLOC: Cell<usize> = const { Cell::new(0) };
-    static CALLS: Cell<usize> = const { Cell::new(0) };
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-fn note(size: usize) {
-    MAX_ALLOC.with(|m| m.set(m.get().max(size)));
-    TOTAL_ALLOC.with(|t| t.set(t.get() + size));
-    CALLS.with(|c| c.set(c.get() + 1));
-}
-
-fn live(delta: isize) {
-    // `try_with`: the allocator also serves this thread's TLS teardown.
-    let _ = LIVE.try_with(|l| l.set(l.get() + delta));
-}
-
-unsafe impl GlobalAlloc for MaxTracking {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        live(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        live(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        live(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static A: MaxTracking = MaxTracking;
 
 const LEN: u64 = 4 * 1024 * 1024;
 
@@ -63,9 +22,7 @@ const LEN: u64 = 4 * 1024 * 1024;
 fn cow_memset_allocates_pages_not_the_whole_range() {
     let base = vec![0u8; LEN as usize];
     let mut cow = CowDevice::new(&base);
-    MAX_ALLOC.set(0);
-    cow.memset_nt(0, 0xab, LEN);
-    let peak = MAX_ALLOC.get();
+    let peak = counting_alloc::during(|| cow.memset_nt(0, 0xab, LEN)).max;
     // Overlay pages are 4 KiB slots; allow generous slack for the page table
     // and slot lists (8 KiB each for this device), but nothing near the
     // 4 MiB the old `vec![val; len]` implementation hit.
@@ -102,13 +59,12 @@ fn cow_page_fault_allocates_one_page_without_zero_prefill() {
     let mut cow = CowDevice::new(&base);
     cow.store(0, &[1]); // warm up the overlay's live-page list
     let pages = 32usize;
-    TOTAL_ALLOC.set(0);
-    MAX_ALLOC.set(0);
-    for p in 1..=pages {
-        cow.store(p as u64 * 4096, &[2]); // one fresh page fault each
-    }
-    let total = TOTAL_ALLOC.get();
-    let peak = MAX_ALLOC.get();
+    let n = counting_alloc::during(|| {
+        for p in 1..=pages {
+            cow.store(p as u64 * 4096, &[2]); // one fresh page fault each
+        }
+    });
+    let (total, peak) = (n.bytes, n.max);
     // One 4096-byte slot per faulted page + bounded list growth slack.
     assert!(
         total <= pages * 4096 + 16 * 1024,
@@ -152,24 +108,24 @@ fn warm_overlay_faults_undoes_and_rewinds_without_allocating() {
     crash_state_cycle(&mut warm);
     drop(warm);
     let mut cow = CowDevice::new_with_undo(&base);
-    CALLS.set(0);
+    reset();
     crash_state_cycle(&mut cow);
     crash_state_cycle(&mut cow);
-    assert_eq!(CALLS.get(), 0, "a warm overlay allocated");
+    assert_eq!(counts().calls, 0, "a warm overlay allocated");
     drop(cow);
-    assert_eq!(CALLS.get(), 0, "dropping an overlay allocated");
+    assert_eq!(counts().calls, 0, "dropping an overlay allocated");
 }
 
 #[test]
 fn dropped_overlay_leaves_only_capped_scratch_on_the_thread() {
     let base = vec![0u8; LEN as usize];
-    let before = LIVE.get();
+    reset();
     let mut cow = CowDevice::new_with_undo(&base);
     cow.memset_nt(0, 0xab, LEN);
     cow.memset_nt(0, 0xcd, LEN); // a page-sized undo pre-image per page
-    assert!(LIVE.get() - before > 2 * LEN as isize, "the memset faulted every page");
+    assert!(counts().live > 2 * LEN as isize, "the memset faulted every page");
     drop(cow);
-    let kept = LIVE.get() - before;
+    let kept = counts().live;
     // The caps: 32 page slots (128 KiB), 256 KiB of undo bytes and 1024
     // undo records (16 KiB), plus one page-table pointer per page of the
     // device (8 KiB here) and the slot lists' room.
