@@ -55,6 +55,33 @@ pub struct ReproBundle {
     pub expect_stage: Option<Stage>,
 }
 
+/// A seed as JSON: a number while an `f64` holds it exactly (below 2^53,
+/// the form every bundle with such a seed has always had), a `"0x…"` string
+/// past that.
+fn seed_json(seed: u64) -> JVal {
+    if seed < 1 << 53 {
+        ju(seed)
+    } else {
+        JVal::Str(format!("{seed:#x}"))
+    }
+}
+
+/// Reads either form [`seed_json`] writes. A number at or past 2^53 is
+/// refused: it was rounded on the way out, so it names no seed exactly.
+fn parse_seed(v: &JVal) -> Result<u64, String> {
+    let exact = |n: u64| (n < 1 << 53).then_some(n);
+    match v {
+        JVal::Str(s) => s
+            .strip_prefix("0x")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(|| format!("seed {s:?} must be a \"0x…\" hex string")),
+        _ => v
+            .as_u64()
+            .and_then(exact)
+            .ok_or_else(|| "seed must be an integer below 2^53 or a \"0x…\" string".into()),
+    }
+}
+
 /// Verdict of replaying a bundle.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
@@ -117,8 +144,7 @@ impl ReproBundle {
                     ("subset", JVal::Arr(self.subset.iter().map(|&i| ju(i as u64)).collect())),
                 ]),
             ),
-            // Provenance only: a seed past 2^53 is rounded, like any number.
-            ("seed", JVal::Num(self.seed as f64)),
+            ("seed", seed_json(self.seed)),
             (
                 "config",
                 JVal::obj(self.cfg.semantic_knobs().into_iter().map(|(k, v)| (k, JVal::Str(v)))),
@@ -185,7 +211,7 @@ impl ReproBundle {
             .iter()
             .map(|i| i.as_u64().map(|i| i as usize).ok_or("crash.subset entries must be integers"))
             .collect::<Result<_, _>>()?;
-        let seed = field("seed")?.as_u64().ok_or("seed must be an integer")?;
+        let seed = parse_seed(field("seed")?)?;
         let mut cfg = TestConfig::default();
         match field("config")? {
             JVal::Obj(fields) => {
@@ -323,6 +349,21 @@ mod tests {
         )
         .expect("committed reports carry a crash point");
         (bundle, cfg)
+    }
+
+    #[test]
+    fn seeds_round_trip_in_both_forms() {
+        for seed in [0, (1 << 53) - 1, 1 << 53, u64::MAX] {
+            let v = seed_json(seed);
+            assert_eq!(matches!(v, JVal::Num(_)), seed < 1 << 53, "form of {seed}");
+            let text = JVal::obj([("seed", v)]).render();
+            let back = jsonout::parse(&text).expect("renders valid JSON");
+            assert_eq!(parse_seed(back.get("seed").expect("field")), Ok(seed), "{text}");
+        }
+        // A number a writer already rounded names no seed exactly.
+        assert!(parse_seed(&JVal::Num(18446744073709551615.0)).is_err());
+        assert!(parse_seed(&JVal::Num((1u64 << 53) as f64)).is_err());
+        assert!(parse_seed(&JVal::Str("12".into())).is_err());
     }
 
     #[test]

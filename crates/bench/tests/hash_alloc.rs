@@ -26,10 +26,9 @@ fn state_key_allocation_is_independent_of_write_span() {
     const SPAN: u64 = 1 << 30;
     const NW: usize = 16;
     let writes: Vec<PendingWrite> = (0..NW as u64)
-        .map(|i| PendingWrite {
-            off: i * (SPAN / NW as u64),
-            data: (0..64).map(|b| (i as u8).wrapping_mul(31).wrapping_add(b)) .collect(),
-            nt: true,
+        .map(|i| {
+            let data = (0..64).map(|b| (i as u8).wrapping_mul(31).wrapping_add(b)).collect();
+            PendingWrite::new(i * (SPAN / NW as u64), data, true)
         })
         .collect();
 

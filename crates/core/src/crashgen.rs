@@ -1,8 +1,33 @@
 //! Crash-state generation: in-flight tracking, coalescing, subset
 //! enumeration (§3.3), and the delta replayer that steps between adjacent
 //! crash states instead of rebuilding each from scratch.
+//!
+//! Every logged byte is hashed once. A [`PendingWrite`] carries the content
+//! key of its bytes (`pmem::span_key(off, data)`), computed when the write is
+//! read from the log and XOR-combined when [`coalesce`] merges pieces (span
+//! keys compose positionally, so the merged key is exact). Everything that
+//! keys or signs a crash state starts from that carried key:
+//!
+//! * image keys: a write's delta is its carried key XOR the key of the bytes
+//!   it lands on. [`SubsetWalker`] computes it once per crash point for every
+//!   write that no earlier write at the point overlaps (it lands on base
+//!   bytes in every subset) and reuses it on every push;
+//! * behavioral signatures: [`SigCache`] splits a point's in-flight and
+//!   absorbed writes into *overlap clusters* — maximal groups connected by
+//!   overlapping byte ranges. A lone write signs by one precomputed term,
+//!   a cluster of absorbed writes only is a per-point constant, and only a
+//!   cluster mixing in-flight writes with others is re-segmented per state;
+//! * a write cut into pieces by later writers hashes whichever side is
+//!   smaller: its surviving pieces, or the carried key minus the shadowed
+//!   gaps.
+//!
+//! None of this changes a value: image keys stay bit-identical to
+//! `pmem::image_key` of the materialised state, and signatures to
+//! [`behavior_sig`].
 
-use pmem::{write_delta, CowDevice, ImageKey, PmBackend, UndoMark};
+use std::cell::RefCell;
+
+use pmem::{span_key, write_delta, CowDevice, ImageKey, PmBackend, UndoMark};
 use pmlog::LogEntry;
 
 /// One logical in-flight write awaiting a fence.
@@ -15,38 +40,59 @@ pub struct PendingWrite {
     /// Whether the write came from a non-temporal store (candidate for
     /// data-write coalescing).
     pub nt: bool,
+    /// `span_key(off, data)`, computed once (see the module docs).
+    key: ImageKey,
 }
 
 impl PendingWrite {
+    /// A write of `data` at `off`, hashing its bytes once.
+    pub fn new(off: u64, data: Vec<u8>, nt: bool) -> PendingWrite {
+        let key = span_key(off, &data);
+        PendingWrite { off, data, nt, key }
+    }
+
     /// Builds from a log write entry.
     pub fn from_entry(e: &LogEntry) -> Option<PendingWrite> {
         match e {
-            LogEntry::Nt { off, data } => {
-                Some(PendingWrite { off: *off, data: data.clone(), nt: true })
-            }
-            LogEntry::Flush { off, data } => {
-                Some(PendingWrite { off: *off, data: data.clone(), nt: false })
-            }
+            LogEntry::Nt { off, data } => Some(PendingWrite::new(*off, data.clone(), true)),
+            LogEntry::Flush { off, data } => Some(PendingWrite::new(*off, data.clone(), false)),
             // Plain stores appear only in eADR logs, where they are durable
             // on landing.
-            LogEntry::Store { off, data } => {
-                Some(PendingWrite { off: *off, data: data.clone(), nt: false })
-            }
+            LogEntry::Store { off, data } => Some(PendingWrite::new(*off, data.clone(), false)),
             _ => None,
         }
+    }
+
+    /// The content key of the write's bytes at its offset:
+    /// `pmem::span_key(off, data)`, carried rather than recomputed.
+    pub fn key(&self) -> ImageKey {
+        debug_assert_eq!(self.key, span_key(self.off, &self.data), "stale carried key");
+        self.key
+    }
+
+    /// One past the last byte written.
+    fn end(&self) -> u64 {
+        self.off + self.data.len() as u64
+    }
+
+    /// The written bytes of `[s, e)`, which must lie inside the write.
+    fn bytes(&self, s: u64, e: u64) -> &[u8] {
+        &self.data[(s - self.off) as usize..(e - self.off) as usize]
     }
 }
 
 /// Coalesces address-contiguous consecutive non-temporal writes into single
 /// logical writes — the paper's file-data heuristic: a large non-temporal
 /// memcpy "usually indicates a file data write", and replaying its pieces
-/// independently adds states without adding bugs found.
+/// independently adds states without adding bugs found. The merged write's
+/// key is the XOR of its pieces' keys.
 pub fn coalesce(writes: &[PendingWrite]) -> Vec<PendingWrite> {
     let mut out: Vec<PendingWrite> = Vec::with_capacity(writes.len());
     for w in writes {
         if let Some(last) = out.last_mut() {
-            if last.nt && w.nt && last.off + last.data.len() as u64 == w.off {
+            if last.nt && w.nt && last.end() == w.off {
                 last.data.extend_from_slice(&w.data);
+                last.key ^= w.key;
                 continue;
             }
         }
@@ -180,7 +226,12 @@ pub fn apply_subset(img: &mut pmem::CowDevice<'_>, writes: &[PendingWrite], subs
 /// each applied write XORs in its byte-level delta, and each pop restores
 /// the key snapshot taken at push time. The key therefore always equals
 /// `pmem::image_key` of the materialized state, independent of the path
-/// taken to reach it.
+/// taken to reach it. A write that no earlier write at the point overlaps
+/// lands on base bytes in every subset, so its delta is computed once, on
+/// its first push, from its carried key and the base bytes under it; only
+/// a write some earlier write overlaps reads its delta off the overlay at
+/// every push. All `goto` calls of one walker therefore take the same
+/// write list: one walker serves one crash point.
 ///
 /// Checker mutations (mount-time recovery, the usability probe) roll back
 /// through the same undo log: take a [`SubsetWalker::mark`] before
@@ -188,12 +239,24 @@ pub fn apply_subset(img: &mut pmem::CowDevice<'_>, writes: &[PendingWrite], subs
 /// [`SubsetWalker::undo_to`] afterwards. The key is untouched by this —
 /// it tracks the *replayed* state, not transient checker writes.
 pub struct SubsetWalker<'a> {
+    base: &'a [u8],
     cow: CowDevice<'a>,
     /// Applied write indices with, per entry, the undo mark and key value
     /// captured just before applying it.
     stack: Vec<(usize, UndoMark, ImageKey)>,
     key: ImageKey,
     scratch: Vec<u8>,
+    /// Per write of the point, filled on the first `goto`.
+    landing: Vec<Landing>,
+}
+
+/// What lies under one write of a crash point when it is pushed.
+#[derive(Clone, Copy)]
+enum Landing {
+    /// Base bytes, in every subset; the key delta once computed.
+    Base(Option<ImageKey>),
+    /// Whatever the overlapping earlier writes of the subset left.
+    Stacked,
 }
 
 impl<'a> SubsetWalker<'a> {
@@ -202,10 +265,12 @@ impl<'a> SubsetWalker<'a> {
     /// the base evolves across fences; `pmem::image_key(base)` to seed).
     pub fn new(base: &'a [u8], base_key: ImageKey) -> Self {
         SubsetWalker {
+            base,
             cow: CowDevice::new_with_undo(base),
             stack: Vec::new(),
             key: base_key,
             scratch: Vec::new(),
+            landing: Vec::new(),
         }
     }
 
@@ -213,6 +278,10 @@ impl<'a> SubsetWalker<'a> {
     /// sorted ascending (enumeration order), matching program-order replay.
     pub fn goto(&mut self, writes: &[PendingWrite], subset: &[usize]) {
         debug_assert!(subset.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
+        if self.landing.len() != writes.len() {
+            debug_assert!(self.landing.is_empty(), "one walker serves one write list");
+            self.landing = landings(writes);
+        }
         // Pop to the longest stack prefix that is also a prefix of `subset`.
         let mut common = 0;
         while common < self.stack.len()
@@ -235,9 +304,20 @@ impl<'a> SubsetWalker<'a> {
         let w = &writes[i];
         let mark = self.cow.mark();
         let key = self.key;
-        self.scratch.resize(w.data.len(), 0);
-        self.cow.read(w.off, &mut self.scratch);
-        self.key ^= write_delta(w.off, &self.scratch, &w.data);
+        self.key ^= match self.landing[i] {
+            Landing::Base(Some(delta)) => delta,
+            Landing::Base(None) => {
+                let under = &self.base[w.off as usize..w.end() as usize];
+                let delta = w.key() ^ span_key(w.off, under);
+                self.landing[i] = Landing::Base(Some(delta));
+                delta
+            }
+            Landing::Stacked => {
+                self.scratch.resize(w.data.len(), 0);
+                self.cow.read(w.off, &mut self.scratch);
+                write_delta(w.off, &self.scratch, &w.data)
+            }
+        };
         self.cow.apply(w.off, &w.data);
         self.stack.push((i, mark, key));
     }
@@ -264,6 +344,113 @@ impl<'a> SubsetWalker<'a> {
     }
 }
 
+/// Whether two byte ranges share a byte.
+fn overlaps(a: (u64, u64), b: (u64, u64)) -> bool {
+    a.0 < b.1 && b.0 < a.1
+}
+
+/// The [`Landing`] of every write: [`Landing::Stacked`] exactly when an
+/// earlier write overlaps it.
+fn landings(writes: &[PendingWrite]) -> Vec<Landing> {
+    let mut landing = vec![Landing::Base(None); writes.len()];
+    for_each_cluster(writes.iter().map(|w| (w.off, w.end())), |members| {
+        for &i in members {
+            let span = (writes[i].off, writes[i].end());
+            if members.iter().any(|&j| j < i && overlaps((writes[j].off, writes[j].end()), span)) {
+                landing[i] = Landing::Stacked;
+            }
+        }
+    });
+    landing
+}
+
+/// Calls `f` once per overlap cluster of the non-empty `spans` — a maximal
+/// group of spans connected by overlapping (not merely touching) byte
+/// ranges — with its members' indices in `spans`, ordered by start.
+fn for_each_cluster(spans: impl Iterator<Item = (u64, u64)>, mut f: impl FnMut(&[usize])) {
+    let mut order: Vec<(u64, u64, usize)> =
+        spans.enumerate().filter(|(_, (s, e))| s < e).map(|(i, (s, e))| (s, e, i)).collect();
+    order.sort_unstable();
+    let ids: Vec<usize> = order.iter().map(|&(_, _, i)| i).collect();
+    let mut first = 0;
+    let mut reach = 0;
+    for (k, &(s, e, _)) in order.iter().enumerate() {
+        if k > first && s >= reach {
+            f(&ids[first..k]);
+            first = k;
+        }
+        reach = if k == first { e } else { reach.max(e) };
+    }
+    if first < ids.len() {
+        f(&ids[first..]);
+    }
+}
+
+/// Latest-writer-wins layering of writes visited in *reverse* program order:
+/// each write is laid under every write laid before it, and the pieces of it
+/// that stay visible are what the crash image shows of it.
+#[derive(Default)]
+struct Lww {
+    /// The union of the writes laid so far: sorted, disjoint, coalesced
+    /// `[start, end)` ranges.
+    covered: Vec<(u64, u64)>,
+    /// The visible pieces of the write laid last.
+    pieces: Vec<(u64, u64)>,
+}
+
+impl Lww {
+    fn clear(&mut self) {
+        self.covered.clear();
+    }
+
+    /// Lays `w` under the writes laid so far and returns its visible
+    /// pieces, ascending.
+    fn lay(&mut self, w: &PendingWrite) -> &[(u64, u64)] {
+        self.pieces.clear();
+        let (ws, we) = (w.off, w.end());
+        if ws < we {
+            let mut cur = ws;
+            let first = self.covered.partition_point(|&(_, ce)| ce <= ws);
+            for &(cs, ce) in &self.covered[first..] {
+                if cs >= we {
+                    break;
+                }
+                if cur < cs {
+                    self.pieces.push((cur, cs));
+                }
+                cur = cur.max(ce);
+                if cur >= we {
+                    break;
+                }
+            }
+            if cur < we {
+                self.pieces.push((cur, we));
+            }
+            pmem::insert_range(&mut self.covered, ws, we);
+        }
+        &self.pieces
+    }
+}
+
+/// `span_key` of the visible `pieces` of `w`: the pieces hashed directly
+/// while they are at most half the write, otherwise the carried key with
+/// the shadowed gaps hashed out.
+fn pieces_key(w: &PendingWrite, pieces: &[(u64, u64)]) -> ImageKey {
+    let visible: u64 = pieces.iter().map(|&(s, e)| e - s).sum();
+    if 2 * visible <= w.data.len() as u64 {
+        return pieces.iter().fold(0, |k, &(s, e)| k ^ span_key(s, w.bytes(s, e)));
+    }
+    let mut key = w.key();
+    let mut cur = w.off;
+    for &(s, e) in pieces.iter().chain(std::iter::once(&(w.end(), w.end()))) {
+        if cur < s {
+            key ^= span_key(cur, w.bytes(cur, s));
+        }
+        cur = e;
+    }
+    key
+}
+
 /// 128-bit key identifying the *effective* bytes a subset lays over the
 /// base image — the byte image after program-order replay, independent of
 /// which particular writes produced it.
@@ -271,39 +458,21 @@ impl<'a> SubsetWalker<'a> {
 /// Two subsets that overlay identical bytes at identical offsets get equal
 /// keys even when they differ as index sets (e.g. `{1}` vs `{0, 1}` when
 /// write 1 fully covers write 0, or adjacent writes vs one coalesced write
-/// spanning both ranges). The harness uses this for its crash-state dedup
-/// cache: such states mount and check identically, so the second one can
-/// reuse the first one's result.
+/// spanning both ranges): the key is the content key of every visible byte
+/// XOR a structural term per maximal contiguous written run, which keeps an
+/// all-zero run distinct from an unwritten one. No image is materialised.
 pub fn state_key(writes: &[PendingWrite], subset: &[usize]) -> u128 {
     let mut order = subset.to_vec();
     order.sort_unstable();
-    let segs = effective_segs(writes, &order, &[]);
-    // Key = XOR of a structural term per maximal contiguous run plus the
-    // word-wise content scan of each segment (zero words skipped — replayed
-    // bytes are mostly sparse). Different segmentations of the same byte
-    // image produce the same maximal runs and the same per-byte terms, so
-    // they hash identically; the run term keeps an all-zero run distinct
-    // from an unwritten one. Unlike the old byte-at-a-time FNV feed, every
-    // segment is scanned 8 bytes per step straight out of the borrowed
-    // write data — no per-subset image materialization.
+    let mut lww = Lww::default();
     let mut key: ImageKey = 0;
-    let mut i = 0;
-    while i < segs.len() {
-        let start = segs[i].0;
-        let mut end = start;
-        while i < segs.len() && segs[i].0 == end {
-            key ^= pmem::span_key(end, segs[i].1);
-            end += segs[i].1.len() as u64;
-            i += 1;
-        }
-        key ^= pmem::run_term(start, end - start);
+    for &i in order.iter().rev() {
+        let w = &writes[i];
+        key ^= pieces_key(w, lww.lay(w));
     }
-    key
+    // Once every write is laid, the covered ranges are the maximal runs.
+    lww.covered.iter().fold(key, |k, &(s, e)| k ^ pmem::run_term(s, e - s))
 }
-
-/// One latest-writer-wins segment: absolute offset, the surviving bytes,
-/// and whether they came from a data-classed write (see [`DATA_SIG_BYTES`]).
-type Seg<'a> = (u64, &'a [u8], bool);
 
 /// A non-temporal write at least this large is treated as file data by the
 /// behavioral signature, mirroring the paper's file-data heuristic in
@@ -316,58 +485,6 @@ type Seg<'a> = (u64, &'a [u8], bool);
 /// metadata.
 pub const DATA_SIG_BYTES: usize = 256;
 
-/// Latest-writer-wins segments of `absorbed ++ writes[subset]` in program
-/// order (`absorbed` writes are all included and precede the subset).
-/// `subset` must be sorted ascending. Segments are returned sorted by
-/// offset; each carries the data-class flag of its originating write.
-fn effective_segs<'a>(
-    writes: &'a [PendingWrite],
-    subset: &[usize],
-    absorbed: &'a [PendingWrite],
-) -> Vec<Seg<'a>> {
-    let mut segs: Vec<Seg<'a>> = Vec::new();
-    let mut covered: Vec<(u64, u64)> = Vec::new(); // sorted, disjoint [start, end)
-    let mut visit = |w: &'a PendingWrite| {
-        let data_class = w.nt && w.data.len() >= DATA_SIG_BYTES;
-        let (ws, we) = (w.off, w.off + w.data.len() as u64);
-        let mut cur = ws;
-        for &(cs, ce) in covered.iter() {
-            if ce <= cur {
-                continue;
-            }
-            if cs >= we {
-                break;
-            }
-            let hole_end = cs.min(we);
-            if cur < hole_end {
-                segs.push((
-                    cur,
-                    &w.data[(cur - ws) as usize..(hole_end - ws) as usize],
-                    data_class,
-                ));
-            }
-            cur = cur.max(ce);
-            if cur >= we {
-                break;
-            }
-        }
-        if cur < we {
-            segs.push((cur, &w.data[(cur - ws) as usize..(we - ws) as usize], data_class));
-        }
-        insert_interval(&mut covered, ws, we);
-    };
-    // Reverse program order: the subset's writes land after (and therefore
-    // shadow) the already-absorbed ones.
-    for &i in subset.iter().rev() {
-        visit(&writes[i]);
-    }
-    for w in absorbed.iter().rev() {
-        visit(w);
-    }
-    segs.sort_by_key(|&(o, _, _)| o);
-    segs
-}
-
 /// Behavioral signature of a crash state, for representative-state
 /// clustering ([`TestConfig::rep_check`](crate::TestConfig)): the state is
 /// described as the *cumulative* overlay the current op has laid over its
@@ -379,6 +496,8 @@ fn effective_segs<'a>(
 /// references): the base state at fence k+1 signs identically to the full
 /// in-flight set at fence k, because both are the same cumulative overlay.
 ///
+/// The overlay is segmented latest-writer-wins (program order: `absorbed`,
+/// then the subset): every visible piece of a write is one segment.
 /// Metadata-classed segments (small or store/flush-sourced) contribute
 /// exact position + content terms — a journal commit word with a different
 /// value is a behaviorally different state. Data-classed segments (large
@@ -398,18 +517,22 @@ pub fn behavior_sig(
 ) -> u128 {
     let mut order = subset.to_vec();
     order.sort_unstable();
-    let segs = effective_segs(writes, &order, absorbed);
+    let mut lww = Lww::default();
     let mut sig: u128 = 0;
-    for &(off, bytes, data_class) in &segs {
-        let len = bytes.len() as u64;
-        if data_class && drop_data {
-            continue;
-        }
-        let tag = if data_class { DATA_TAG } else { META_TAG };
-        sig ^= pmem::run_term(tag ^ off, len);
-        sig ^= pmem::span_key(off, bytes);
+    for w in order.iter().rev().map(|&i| &writes[i]).chain(absorbed.iter().rev()) {
+        sig ^= pieces_sig(w, lww.lay(w), drop_data);
     }
     sig
+}
+
+/// The signature contribution of the visible `pieces` of `w`.
+fn pieces_sig(w: &PendingWrite, pieces: &[(u64, u64)], drop_data: bool) -> u128 {
+    let data_class = w.nt && w.data.len() >= DATA_SIG_BYTES;
+    if pieces.is_empty() || (data_class && drop_data) {
+        return 0;
+    }
+    let tag = if data_class { DATA_TAG } else { META_TAG };
+    pieces.iter().fold(pieces_key(w, pieces), |sig, &(s, e)| sig ^ pmem::run_term(tag ^ s, e - s))
 }
 
 /// Signature tag for metadata-classed segments.
@@ -419,62 +542,85 @@ const DATA_TAG: u64 = 0x9e11_83c5_4f6e_7a80;
 
 /// Per-crash-point cache for [`behavior_sig`].
 ///
-/// Signing hashes every member write's content, and a crash point signs
-/// every one of its (often hundreds of) subsets — re-hashing a 4 KiB data
-/// write per subset dominates the whole representative layer's cost. When
-/// no two writes (in-flight or absorbed) overlap in bytes, latest-writer-
-/// wins segmentation is the identity: every visited write survives whole,
-/// so a subset's signature is the XOR of one precomputed term per member
-/// plus the constant absorbed term — `O(|subset|)` XORs per state. Points
-/// with overlapping writes fall back to [`behavior_sig`] verbatim, so the
-/// cached signature is bit-identical to the direct one everywhere.
+/// A crash point signs every one of its (often hundreds of) subsets, and a
+/// write's visible pieces depend only on the writes that overlap it. So the
+/// point's in-flight and absorbed writes are split once into overlap
+/// clusters (see the module docs): an in-flight write that overlaps nothing
+/// signs by one precomputed term when it is in the subset, clusters of
+/// absorbed writes only fold into one constant, and only clusters that mix
+/// in-flight writes with others are segmented per subset — over their own
+/// members alone. The signature is bit-identical to [`behavior_sig`].
 pub struct SigCache<'a> {
     writes: &'a [PendingWrite],
     absorbed: &'a [PendingWrite],
     drop_data: bool,
-    /// One term per in-flight write plus the folded absorbed term; `None`
-    /// when some pair of writes overlaps (fall back to [`behavior_sig`]).
-    fast: Option<(Vec<u128>, u128)>,
+    /// Per in-flight write: its term when it overlaps no other write, else 0.
+    terms: Vec<u128>,
+    /// The folded signature of every cluster without in-flight writes.
+    fixed: u128,
+    /// The clusters mixing in-flight writes with others: their in-flight
+    /// and absorbed members, each ascending.
+    mixed: Vec<(Vec<usize>, Vec<usize>)>,
+    /// Layering scratch for the mixed clusters.
+    lww: RefCell<Lww>,
 }
 
 impl<'a> SigCache<'a> {
-    /// Precomputes per-write terms for one crash point.
+    /// Splits one crash point's writes into overlap clusters and signs the
+    /// fixed ones.
     pub fn new(writes: &'a [PendingWrite], absorbed: &'a [PendingWrite], drop_data: bool) -> Self {
-        let mut spans: Vec<(u64, u64)> = writes
-            .iter()
-            .chain(absorbed)
-            .filter(|w| !w.data.is_empty())
-            .map(|w| (w.off, w.off + w.data.len() as u64))
-            .collect();
-        spans.sort_unstable();
-        let overlap = spans.windows(2).any(|p| p[1].0 < p[0].1);
-        let fast = (!overlap).then(|| {
-            let term = |w: &PendingWrite| write_term(w, drop_data);
-            (
-                writes.iter().map(term).collect(),
-                absorbed.iter().map(term).fold(0, |a, t| a ^ t),
-            )
+        let n = writes.len();
+        let mut terms = vec![0; n];
+        let mut fixed = 0;
+        let mut mixed = Vec::new();
+        let mut lww = Lww::default();
+        let spans = writes.iter().chain(absorbed).map(|w| (w.off, w.end()));
+        for_each_cluster(spans, |members| {
+            if let [i] = *members {
+                let w = if i < n { &writes[i] } else { &absorbed[i - n] };
+                let term = pieces_sig(w, &[(w.off, w.end())], drop_data);
+                if i < n {
+                    terms[i] = term;
+                } else {
+                    fixed ^= term;
+                }
+                return;
+            }
+            let (mut inflight, mut held): (Vec<usize>, Vec<usize>) =
+                members.iter().partition(|&&i| i < n);
+            held.iter_mut().for_each(|j| *j -= n);
+            inflight.sort_unstable();
+            held.sort_unstable();
+            if inflight.is_empty() {
+                lww.clear();
+                for w in held.iter().rev().map(|&j| &absorbed[j]) {
+                    fixed ^= pieces_sig(w, lww.lay(w), drop_data);
+                }
+            } else {
+                mixed.push((inflight, held));
+            }
         });
-        SigCache { writes, absorbed, drop_data, fast }
+        SigCache { writes, absorbed, drop_data, terms, fixed, mixed, lww: RefCell::new(lww) }
     }
 
-    /// [`behavior_sig`] of `subset`, served from the cache when possible.
+    /// [`behavior_sig`] of `subset` (sorted ascending).
     pub fn sig(&self, subset: &[usize]) -> u128 {
-        match &self.fast {
-            Some((terms, abs)) => subset.iter().fold(*abs, |a, &i| a ^ terms[i]),
-            None => behavior_sig(self.writes, subset, self.absorbed, self.drop_data),
+        debug_assert!(subset.windows(2).all(|w| w[0] < w[1]), "subset must be sorted");
+        let mut sig = subset.iter().fold(self.fixed, |a, &i| a ^ self.terms[i]);
+        if self.mixed.is_empty() {
+            return sig;
         }
+        let mut lww = self.lww.borrow_mut();
+        for (inflight, held) in &self.mixed {
+            lww.clear();
+            let chosen = inflight.iter().rev().filter(|i| subset.binary_search(i).is_ok());
+            let chosen = chosen.map(|&i| &self.writes[i]);
+            for w in chosen.chain(held.iter().rev().map(|&j| &self.absorbed[j])) {
+                sig ^= pieces_sig(w, lww.lay(w), self.drop_data);
+            }
+        }
+        sig
     }
-}
-
-/// The signature contribution of one whole (unshadowed) write.
-fn write_term(w: &PendingWrite, drop_data: bool) -> u128 {
-    let data_class = w.nt && w.data.len() >= DATA_SIG_BYTES;
-    if w.data.is_empty() || (data_class && drop_data) {
-        return 0;
-    }
-    let tag = if data_class { DATA_TAG } else { META_TAG };
-    pmem::run_term(tag ^ w.off, w.data.len() as u64) ^ pmem::span_key(w.off, &w.data)
 }
 
 /// Whether dropping the in-flight data-classed writes from a behavioral
@@ -515,33 +661,6 @@ pub fn data_shadowing_unsafe(writes: &[PendingWrite]) -> bool {
     false
 }
 
-/// Merges `[ws, we)` into a sorted list of disjoint intervals.
-fn insert_interval(covered: &mut Vec<(u64, u64)>, ws: u64, we: u64) {
-    if ws >= we {
-        return;
-    }
-    let mut merged = (ws, we);
-    let mut out = Vec::with_capacity(covered.len() + 1);
-    let mut placed = false;
-    for &(cs, ce) in covered.iter() {
-        if ce < merged.0 {
-            out.push((cs, ce));
-        } else if cs > merged.1 {
-            if !placed {
-                out.push(merged);
-                placed = true;
-            }
-            out.push((cs, ce));
-        } else {
-            merged = (merged.0.min(cs), merged.1.max(ce));
-        }
-    }
-    if !placed {
-        out.push(merged);
-    }
-    *covered = out;
-}
-
 /// Human-readable description of a subset for bug reports.
 pub fn describe_subset(writes: &[PendingWrite], subset: &[usize]) -> String {
     let parts: Vec<String> = subset
@@ -563,37 +682,170 @@ pub fn describe_subset(writes: &[PendingWrite], subset: &[usize]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sig_cache_matches_behavior_sig_exactly() {
-        // A deterministic pseudo-random byte per (seed, index).
-        let byte = |seed: u64, i: u64| -> u8 {
-            (seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i).wrapping_mul(0x2545_f491_4f6c_dd1d) >> 56) as u8
-        };
-        let wr = |seed: u64, off: u64, len: usize, nt: bool| PendingWrite {
-            off,
-            data: (0..len as u64).map(|i| byte(seed, i)).collect(),
-            nt,
-        };
-        // Disjoint, overlapping, shadowing, empty, and data-classed writes;
-        // absorbed writes both clear of and under the in-flight ones.
-        let cases: Vec<(Vec<PendingWrite>, Vec<PendingWrite>)> = vec![
-            (vec![wr(1, 0, 16, false), wr(2, 64, 8, true), wr(3, 512, 300, true)], vec![]),
-            (vec![wr(4, 10, 30, false), wr(5, 20, 40, true), wr(6, 25, 5, false)], vec![]),
-            (vec![wr(7, 0, 8, false), wr(8, 0, 8, false)], vec![wr(9, 100, 8, true)]),
-            (vec![wr(10, 40, 0, false), wr(11, 48, 8, true)], vec![wr(12, 48, 4, false)]),
-            (vec![wr(13, 0, 256, true), wr(14, 1024, 256, true)], vec![wr(15, 4096, 16, false)]),
-        ];
-        for (writes, absorbed) in &cases {
+    /// The latest-writer-wins byte image of `absorbed ++ writes[subset]`
+    /// (program order), literally: offset → (writer's position in that
+    /// sequence, byte).
+    fn owners(
+        writes: &[PendingWrite],
+        subset: &[usize],
+        absorbed: &[PendingWrite],
+    ) -> (Vec<PendingWrite>, std::collections::BTreeMap<u64, (usize, u8)>) {
+        let mut order = subset.to_vec();
+        order.sort_unstable();
+        let seq: Vec<PendingWrite> =
+            absorbed.iter().cloned().chain(order.iter().map(|&i| writes[i].clone())).collect();
+        let mut img = std::collections::BTreeMap::new();
+        for (k, w) in seq.iter().enumerate() {
+            for (i, &b) in w.data.iter().enumerate() {
+                img.insert(w.off + i as u64, (k, b));
+            }
+        }
+        (seq, img)
+    }
+
+    /// Maximal runs of consecutive offsets whose owner satisfies `same`.
+    fn runs(
+        img: &std::collections::BTreeMap<u64, (usize, u8)>,
+        same: impl Fn(usize, usize) -> bool,
+    ) -> Vec<(u64, u64, usize)> {
+        let mut out: Vec<(u64, u64, usize)> = Vec::new();
+        for (&off, &(k, _)) in img {
+            match out.last_mut() {
+                Some(r) if r.1 == off && same(r.2, k) => r.1 += 1,
+                _ => out.push((off, off + 1, k)),
+            }
+        }
+        out
+    }
+
+    /// [`behavior_sig`] by its definition: one segment per maximal run of
+    /// bytes one write left visible, hashed byte by byte.
+    fn behavior_sig_model(
+        writes: &[PendingWrite],
+        subset: &[usize],
+        absorbed: &[PendingWrite],
+        drop_data: bool,
+    ) -> u128 {
+        let (seq, img) = owners(writes, subset, absorbed);
+        let mut sig = 0;
+        for (s, e, k) in runs(&img, |a, b| a == b) {
+            let data_class = seq[k].nt && seq[k].data.len() >= DATA_SIG_BYTES;
+            if data_class && drop_data {
+                continue;
+            }
+            let tag = if data_class { DATA_TAG } else { META_TAG };
+            sig ^= pmem::run_term(tag ^ s, e - s);
+            for off in s..e {
+                sig ^= pmem::byte_term(off, img[&off].1);
+            }
+        }
+        sig
+    }
+
+    /// [`state_key`] by its definition: every visible byte's term plus one
+    /// run term per maximal written run.
+    fn state_key_model(writes: &[PendingWrite], subset: &[usize]) -> u128 {
+        let (_, img) = owners(writes, subset, &[]);
+        let bytes = img.iter().fold(0, |k, (&off, &(_, b))| k ^ pmem::byte_term(off, b));
+        runs(&img, |_, _| true).iter().fold(bytes, |k, &(s, e, _)| k ^ pmem::run_term(s, e - s))
+    }
+
+    /// Random writes packed into 700 bytes: overlapping, shadowing, empty,
+    /// touching, and data-classed (≥ 256-byte non-temporal) ones.
+    fn random_writes(next: &mut impl FnMut() -> u64, n: usize) -> Vec<PendingWrite> {
+        (0..n)
+            .map(|_| {
+                let off = next() % 600;
+                let len = match next() % 6 {
+                    0 => 0,
+                    1 => 256 + next() % 64,
+                    2 => 8,
+                    _ => 1 + next() % 48,
+                } as usize;
+                let fill = next() % 3;
+                let data =
+                    (0..len).map(|_| if fill == 0 { 0 } else { (next() % 4) as u8 }).collect();
+                PendingWrite::new(off, data, !next().is_multiple_of(3))
+            })
+            .collect()
+    }
+
+    /// An xorshift stream from a seed.
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(192))]
+
+        /// Over random in-flight and absorbed writes, the cluster-split
+        /// cache, the direct signature and the per-byte definition agree
+        /// on every subset under both drop modes; so do [`state_key`] and
+        /// its per-byte definition.
+        #[test]
+        fn sig_cache_matches_behavior_sig_exactly(
+            seed in 0u64..1_000_000,
+            n_writes in 0usize..7,
+            n_absorbed in 0usize..5,
+        ) {
+            let mut next = xorshift(seed);
+            let writes = random_writes(&mut next, n_writes);
+            let absorbed = random_writes(&mut next, n_absorbed);
+            let mut subsets = enumerate_subsets_ordered(writes.len(), None, u64::MAX, false);
+            subsets.push(Vec::new());
             for drop_data in [false, true] {
-                let cache = SigCache::new(writes, absorbed, drop_data);
-                for subset in enumerate_subsets_ordered(writes.len(), None, u64::MAX, false) {
-                    assert_eq!(
-                        cache.sig(&subset),
-                        behavior_sig(writes, &subset, absorbed, drop_data),
-                        "writes {writes:?} subset {subset:?} drop {drop_data}"
+                let cache = SigCache::new(&writes, &absorbed, drop_data);
+                for subset in &subsets {
+                    let want = behavior_sig_model(&writes, subset, &absorbed, drop_data);
+                    proptest::prop_assert_eq!(
+                        behavior_sig(&writes, subset, &absorbed, drop_data), want,
+                        "direct: subset {:?} drop {}", subset, drop_data
+                    );
+                    proptest::prop_assert_eq!(
+                        cache.sig(subset), want,
+                        "cache: subset {:?} drop {}", subset, drop_data
                     );
                 }
             }
+            for subset in &subsets {
+                proptest::prop_assert_eq!(
+                    state_key(&writes, subset), state_key_model(&writes, subset),
+                    "state_key: subset {:?}", subset
+                );
+            }
+        }
+
+        /// A coalesced write's carried key is the span key of its merged
+        /// bytes, over runs of contiguous and broken non-temporal pieces.
+        #[test]
+        fn coalesced_keys_equal_span_keys(seed in 0u64..1_000_000, n in 0usize..12) {
+            let mut next = xorshift(seed);
+            let mut at = next() % 64;
+            let writes: Vec<PendingWrite> = (0..n)
+                .map(|_| {
+                    if next().is_multiple_of(3) {
+                        at = next() % 4096;
+                    }
+                    let len = (next() % 40) as usize;
+                    let data = (0..len).map(|_| (next() % 3) as u8).collect();
+                    let w = PendingWrite::new(at, data, !next().is_multiple_of(4));
+                    at += len as u64;
+                    w
+                })
+                .collect();
+            let merged = coalesce(&writes);
+            proptest::prop_assert!(merged.len() <= writes.len());
+            for w in &merged {
+                proptest::prop_assert_eq!(w.key, pmem::span_key(w.off, &w.data));
+            }
+            let bytes: usize = merged.iter().map(|w| w.data.len()).sum();
+            proptest::prop_assert_eq!(bytes, writes.iter().map(|w| w.data.len()).sum::<usize>());
         }
     }
 
@@ -710,14 +962,14 @@ mod tests {
     #[test]
     fn state_key_equates_overwritten_and_coalesced_subsets() {
         let writes = vec![
-            PendingWrite { off: 0, data: vec![7u8; 8], nt: true },
-            PendingWrite { off: 0, data: vec![9u8; 8], nt: true },   // covers #0
-            PendingWrite { off: 8, data: vec![3u8; 8], nt: true },
-            PendingWrite { off: 0, data: {
+            PendingWrite::new(0, vec![7u8; 8], true),
+            PendingWrite::new(0, vec![9u8; 8], true),   // covers #0
+            PendingWrite::new(8, vec![3u8; 8], true),
+            PendingWrite::new(0, {
                 let mut d = vec![9u8; 8];
                 d.extend_from_slice(&[3u8; 8]);
                 d
-            }, nt: true },                                            // == #1 then #2
+            }, true),                                            // == #1 then #2
         ];
         // Write 1 fully covers write 0: {1} and {0,1} leave identical bytes.
         assert_eq!(state_key(&writes, &[1]), state_key(&writes, &[0, 1]));
@@ -733,9 +985,9 @@ mod tests {
     #[test]
     fn state_key_distinguishes_offset_and_gap_layouts() {
         let writes = vec![
-            PendingWrite { off: 0, data: vec![5u8; 4], nt: true },
-            PendingWrite { off: 4, data: vec![5u8; 4], nt: true },
-            PendingWrite { off: 8, data: vec![5u8; 4], nt: true },
+            PendingWrite::new(0, vec![5u8; 4], true),
+            PendingWrite::new(4, vec![5u8; 4], true),
+            PendingWrite::new(8, vec![5u8; 4], true),
         ];
         // Same bytes at a different offset is a different state.
         assert_ne!(state_key(&writes, &[0]), state_key(&writes, &[1]));
@@ -751,8 +1003,8 @@ mod tests {
         // The op writes A then B with a fence between them. At the fence,
         // pending {A, B}'s full-set state must sign identically to the base
         // state of the next point, where A and B are already absorbed.
-        let a = PendingWrite { off: 64, data: vec![7u8; 8], nt: false };
-        let b = PendingWrite { off: 128, data: vec![9u8; 8], nt: false };
+        let a = PendingWrite::new(64, vec![7u8; 8], false);
+        let b = PendingWrite::new(128, vec![9u8; 8], false);
         let both = vec![a.clone(), b.clone()];
         let full_at_fence = behavior_sig(&both, &[0, 1], &[], false);
         let base_after = behavior_sig(&[], &[], &both, false);
@@ -766,9 +1018,9 @@ mod tests {
 
     #[test]
     fn behavior_sig_drops_data_writes_under_torn_relaxation() {
-        let meta = PendingWrite { off: 0, data: 3u64.to_le_bytes().to_vec(), nt: false };
-        let data_a = PendingWrite { off: 4096, data: vec![1u8; 4096], nt: true };
-        let data_b = PendingWrite { off: 4096, data: vec![2u8; 4096], nt: true };
+        let meta = PendingWrite::new(0, 3u64.to_le_bytes().to_vec(), false);
+        let data_a = PendingWrite::new(4096, vec![1u8; 4096], true);
+        let data_b = PendingWrite::new(4096, vec![2u8; 4096], true);
         let md_a = vec![meta.clone(), data_a.clone()];
         // With the torn-data drop, data membership is invisible: the
         // metadata-only subset and the metadata+data subset are one class...
@@ -786,8 +1038,8 @@ mod tests {
     fn behavior_sig_keeps_data_content_exact_without_the_relaxation() {
         // Outside a proven-tolerant point (fortis checksums, foreign pending
         // writes, overlapping data writes) data bytes sign exactly.
-        let data_a = PendingWrite { off: 4096, data: vec![1u8; 4096], nt: true };
-        let data_b = PendingWrite { off: 4096, data: vec![2u8; 4096], nt: true };
+        let data_a = PendingWrite::new(4096, vec![1u8; 4096], true);
+        let data_b = PendingWrite::new(4096, vec![2u8; 4096], true);
         assert_ne!(
             behavior_sig(std::slice::from_ref(&data_a), &[0], &[], false),
             behavior_sig(std::slice::from_ref(&data_b), &[0], &[], false)
@@ -798,15 +1050,15 @@ mod tests {
     fn behavior_sig_keeps_metadata_content_exact() {
         // An 8-byte store with a different value (journal tail: n vs 0) is a
         // behaviorally different state and must never share a class.
-        let tail_set = PendingWrite { off: 0, data: 3u64.to_le_bytes().to_vec(), nt: false };
-        let tail_clear = PendingWrite { off: 0, data: 0u64.to_le_bytes().to_vec(), nt: false };
+        let tail_set = PendingWrite::new(0, 3u64.to_le_bytes().to_vec(), false);
+        let tail_clear = PendingWrite::new(0, 0u64.to_le_bytes().to_vec(), false);
         assert_ne!(
             behavior_sig(std::slice::from_ref(&tail_set), &[0], &[], true),
             behavior_sig(std::slice::from_ref(&tail_clear), &[0], &[], true)
         );
         // Small nt writes count as metadata too, even under the data drop.
-        let nt_small_a = PendingWrite { off: 64, data: vec![5u8; 32], nt: true };
-        let nt_small_b = PendingWrite { off: 64, data: vec![6u8; 32], nt: true };
+        let nt_small_a = PendingWrite::new(64, vec![5u8; 32], true);
+        let nt_small_b = PendingWrite::new(64, vec![6u8; 32], true);
         assert_ne!(
             behavior_sig(std::slice::from_ref(&nt_small_a), &[0], &[], true),
             behavior_sig(std::slice::from_ref(&nt_small_b), &[0], &[], true)
@@ -815,8 +1067,8 @@ mod tests {
 
     #[test]
     fn data_shadowing_unsafe_tolerates_zero_fill_but_not_rewrites() {
-        let d = |off: u64, byte: u8| PendingWrite { off, data: vec![byte; 4096], nt: true };
-        let meta = PendingWrite { off: 0, data: vec![1u8; 8], nt: false };
+        let d = |off: u64, byte: u8| PendingWrite::new(off, vec![byte; 4096], true);
+        let meta = PendingWrite::new(0, vec![1u8; 8], false);
         // Disjoint data writes (and any number of metadata writes) are fine.
         assert!(!data_shadowing_unsafe(&[d(4096, 1), meta.clone(), d(8192, 2)]));
         // Zero-fill of a fresh block later covered by content is tolerated
@@ -829,17 +1081,13 @@ mod tests {
         assert!(data_shadowing_unsafe(&[d(4096, 5), d(4096, 7)]));
         assert!(data_shadowing_unsafe(&[d(4096, 5), d(6144, 7)]));
         // Metadata overlapping data is not a data/data shadow.
-        let small = PendingWrite { off: 4100, data: vec![2u8; 8], nt: false };
+        let small = PendingWrite::new(4100, vec![2u8; 8], false);
         assert!(!data_shadowing_unsafe(&[d(4096, 3), small]));
     }
 
     #[test]
     fn coalesce_merges_contiguous_nt_runs() {
-        let w = |off: u64, len: usize, nt: bool| PendingWrite {
-            off,
-            data: vec![1u8; len],
-            nt,
-        };
+        let w = |off: u64, len: usize, nt: bool| PendingWrite::new(off, vec![1u8; len], nt);
         let v = vec![w(0, 64, true), w(64, 64, true), w(128, 64, true), w(512, 8, false)];
         let c = coalesce(&v);
         assert_eq!(c.len(), 2);
@@ -849,11 +1097,7 @@ mod tests {
 
     #[test]
     fn coalesce_keeps_non_contiguous_and_flush_separate() {
-        let w = |off: u64, len: usize, nt: bool| PendingWrite {
-            off,
-            data: vec![1u8; len],
-            nt,
-        };
+        let w = |off: u64, len: usize, nt: bool| PendingWrite::new(off, vec![1u8; len], nt);
         let v = vec![w(0, 64, true), w(128, 64, true), w(192, 64, false), w(256, 64, false)];
         assert_eq!(coalesce(&v).len(), 4);
     }
@@ -889,10 +1133,10 @@ mod tests {
         let mut base = vec![0u8; 8192];
         base[100] = 42;
         let writes = vec![
-            PendingWrite { off: 0, data: vec![1u8; 16], nt: true },
-            PendingWrite { off: 8, data: vec![2u8; 16], nt: true }, // overlaps #0
-            PendingWrite { off: 4000, data: vec![3u8; 200], nt: true }, // crosses page
-            PendingWrite { off: 100, data: vec![0u8; 4], nt: false }, // zeroes base bytes
+            PendingWrite::new(0, vec![1u8; 16], true),
+            PendingWrite::new(8, vec![2u8; 16], true), // overlaps #0
+            PendingWrite::new(4000, vec![3u8; 200], true), // crosses page
+            PendingWrite::new(100, vec![0u8; 4], false), // zeroes base bytes
         ];
         let subsets = enumerate_subsets_ordered(writes.len(), None, u64::MAX, false);
         let mut walker = SubsetWalker::new(&base, pmem::image_key(&base));
@@ -912,7 +1156,7 @@ mod tests {
     #[test]
     fn walker_checker_mutations_roll_back_without_touching_key() {
         let base = vec![0u8; 4096];
-        let writes = vec![PendingWrite { off: 0, data: vec![7u8; 8], nt: true }];
+        let writes = vec![PendingWrite::new(0, vec![7u8; 8], true)];
         let mut walker = SubsetWalker::new(&base, 0);
         walker.goto(&writes, &[0]);
         let key = walker.key();
@@ -930,45 +1174,55 @@ mod tests {
         /// Delta replay + undo is byte-identical to a from-scratch
         /// `CowDevice::new` + `apply_subset` for random write sets and
         /// random subset visit sequences, and the incrementally maintained
-        /// image key always equals the recomputed one.
+        /// image key always equals the recomputed one. Several crash points
+        /// run in a row, each on a fresh walker over the base the previous
+        /// point's fence left, with its key maintained from the carried
+        /// write keys as the harness's base image maintains it.
         #[test]
         fn delta_replay_matches_from_scratch(
             seed in 0u64..1000,
+            n_points in 1usize..4,
             n_writes in 1usize..6,
             n_visits in 1usize..12,
         ) {
             // Deterministic pseudo-random writes and visit order from the seed.
-            let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            let base: Vec<u8> = (0..4096u64).map(|i| (i % 251) as u8).collect();
-            let writes: Vec<PendingWrite> = (0..n_writes)
-                .map(|_| {
-                    let off = next() % 4000;
-                    let len = 1 + (next() % 96) as usize;
-                    let data: Vec<u8> = (0..len).map(|_| (next() % 256) as u8).collect();
-                    PendingWrite { off, data, nt: next() % 2 == 0 }
-                })
-                .collect();
-            let mut walker = SubsetWalker::new(&base, pmem::image_key(&base));
+            let mut next = xorshift(seed);
+            let mut base: Vec<u8> = (0..4096u64).map(|i| (i % 251) as u8).collect();
+            let mut base_key = pmem::image_key(&base);
             use pmem::PmBackend;
-            for _ in 0..n_visits {
-                // Random subset, sorted ascending.
-                let mask = next() as usize % (1 << n_writes);
-                let subset: Vec<usize> = (0..n_writes).filter(|i| mask & (1 << i) != 0).collect();
-                walker.goto(&writes, &subset);
-                // Random checker-style mutation, rolled back via a mark.
-                let m = walker.mark();
-                walker.device().store(next() % 4000, &[(next() % 256) as u8; 8]);
-                walker.undo_to(m);
-                let want = materialize(&base, &writes, &subset);
-                let got = walker.device().read_vec(0, base.len() as u64);
-                proptest::prop_assert_eq!(&got, &want);
-                proptest::prop_assert_eq!(walker.key(), pmem::image_key(&want));
+            for _ in 0..n_points {
+                let writes: Vec<PendingWrite> = (0..n_writes)
+                    .map(|_| {
+                        let off = next() % 4000;
+                        let len = 1 + (next() % 96) as usize;
+                        let data: Vec<u8> = (0..len).map(|_| (next() % 256) as u8).collect();
+                        PendingWrite::new(off, data, next().is_multiple_of(2))
+                    })
+                    .collect();
+                let mut walker = SubsetWalker::new(&base, base_key);
+                for _ in 0..n_visits {
+                    // Random subset, sorted ascending.
+                    let mask = next() as usize % (1 << n_writes);
+                    let subset: Vec<usize> =
+                        (0..n_writes).filter(|i| mask & (1 << i) != 0).collect();
+                    walker.goto(&writes, &subset);
+                    // Random checker-style mutation, rolled back via a mark.
+                    let m = walker.mark();
+                    walker.device().store(next() % 4000, &[(next() % 256) as u8; 8]);
+                    walker.undo_to(m);
+                    let want = materialize(&base, &writes, &subset);
+                    let got = walker.device().read_vec(0, base.len() as u64);
+                    proptest::prop_assert_eq!(&got, &want);
+                    proptest::prop_assert_eq!(walker.key(), pmem::image_key(&want));
+                }
+                // The fence: every write lands on the base, in order.
+                drop(walker);
+                for w in &writes {
+                    let under = &mut base[w.off as usize..w.end() as usize];
+                    base_key ^= w.key() ^ pmem::span_key(w.off, under);
+                    under.copy_from_slice(&w.data);
+                }
+                proptest::prop_assert_eq!(base_key, pmem::image_key(&base));
             }
         }
     }
@@ -977,8 +1231,8 @@ mod tests {
     fn apply_subset_respects_program_order() {
         let base = vec![0u8; 4096];
         let writes = vec![
-            PendingWrite { off: 0, data: vec![1u8; 8], nt: true },
-            PendingWrite { off: 0, data: vec![2u8; 8], nt: true },
+            PendingWrite::new(0, vec![1u8; 8], true),
+            PendingWrite::new(0, vec![2u8; 8], true),
         ];
         let mut cow = pmem::CowDevice::new(&base);
         // Pass indices out of order: program order must still hold.

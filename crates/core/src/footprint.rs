@@ -185,7 +185,7 @@ mod tests {
     use super::*;
 
     fn wr(off: u64, data: &[u8]) -> PendingWrite {
-        PendingWrite { off, data: data.to_vec(), nt: true }
+        PendingWrite::new(off, data.to_vec(), true)
     }
 
     /// The image `base + subset`, writes laid in ascending log order.

@@ -16,11 +16,11 @@
 //! the engine's job: it is the literal reference walk
 //! ([`mod@reference`]), stopped at that state.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmem::{write_delta, ForkDevice, ImageKey, ImageLease, PmBackend};
+use pmem::{ForkDevice, FxHashMap, ImageKey, ImageLease, PmBackend};
 use pmlog::{LogEntry, LogHandle, LoggingPm, Marker, OpRecord};
 use vfs::{fs::SyscallKind, BugId, FileSystem, FsKind, Op, Workload};
 
@@ -427,15 +427,16 @@ impl BaseImage {
         self.image.len() as u64
     }
 
-    /// Applies one write, maintaining the hash and the open tape segment.
-    fn apply(&mut self, off: u64, data: &[u8]) {
-        let o = off as usize;
-        let old = &self.image[o..o + data.len()];
-        self.key ^= write_delta(off, old, data);
+    /// Applies one write, maintaining the hash (the write's carried key
+    /// replaces the bytes it overwrites) and the open tape segment.
+    fn apply(&mut self, w: &PendingWrite) {
+        let o = w.off as usize;
+        let old = &self.image[o..o + w.data.len()];
+        self.key ^= w.key() ^ pmem::span_key(w.off, old);
         if let Some(seg) = &mut self.tape {
-            seg.undo.push((off, old.to_vec()));
+            seg.undo.push((w.off, old.to_vec()));
         }
-        self.image.write(off, data);
+        self.image.write(w.off, &w.data);
     }
 
     /// Starts taping: opens an empty segment at the current image.
@@ -518,7 +519,7 @@ impl ReplayState {
             LogEntry::Fence => {
                 let pending = std::mem::take(&mut self.pending);
                 for w in &pending {
-                    base.apply(w.off, &w.data);
+                    base.apply(w);
                 }
                 // Absorbed writes keep contributing to behavioral signatures
                 // (in the same shape the subset enumeration saw them) until
@@ -535,7 +536,7 @@ impl ReplayState {
                 let Some(w) = PendingWrite::from_entry(e) else { return false };
                 if cfg.eadr {
                     // Persistent caches: durable the moment it lands.
-                    base.apply(w.off, &w.data);
+                    base.apply(&w);
                     self.op_absorbed.push(w);
                     return true;
                 }
@@ -840,9 +841,10 @@ struct ProbeArtifacts {
 /// new keys are refused once the cap is reached; updates of existing keys
 /// (probe fills) always land. A key repeated *within* a crash point never
 /// reaches the memo — in-point dedup replays the first occurrence's result.
+/// Keyed by image keys, which are hashes already: the map only folds them.
 #[derive(Default, Clone)]
 pub(crate) struct CrossMemo {
-    map: HashMap<ImageKey, StateArtifacts>,
+    map: FxHashMap<ImageKey, StateArtifacts>,
 }
 
 const MEMO_CAP: usize = 4096;
@@ -866,7 +868,7 @@ impl CrossMemo {
 /// cap is reached no new classes form (those states simply check normally).
 #[derive(Default, Clone)]
 pub(crate) struct RepTable {
-    map: HashMap<u128, bool>,
+    map: FxHashMap<u128, bool>,
 }
 
 const REP_CAP: usize = 1 << 16;
@@ -1183,7 +1185,8 @@ fn finalize_check<K: FsKind>(
 struct PointCtx<'a> {
     workload: &'a str,
     seq: usize,
-    op_desc: &'a str,
+    /// The point's op; described only when a report is made.
+    op: &'a Op,
     phase: CrashPhase,
     /// Global crash-point ordinal (0-based; `out.crash_points - 1` at point
     /// entry). Stamped into reports so a single state can be re-targeted.
@@ -1246,7 +1249,7 @@ fn commit_state<K: FsKind>(
             BugReport {
                 workload: ctx.workload.to_string(),
                 op_seq: ctx.seq,
-                op_desc: ctx.op_desc.to_string(),
+                op_desc: ctx.op.describe(),
                 phase: ctx.phase,
                 subset: subset_desc(),
                 point: Some(ctx.point),
@@ -1312,7 +1315,6 @@ fn visit_crash_point<K: FsKind>(
     out.crash_points += 1;
     out.inflight_sizes.push(pending.len());
     let writes = if cfg.coalesce_data { coalesce(pending) } else { pending.to_vec() };
-    let op_desc = workload.ops[seq].describe();
 
     let mut subsets: Vec<Vec<usize>> = Vec::new();
     if check_base {
@@ -1331,7 +1333,7 @@ fn visit_crash_point<K: FsKind>(
     let ctx = PointCtx {
         workload: &workload.name,
         seq,
-        op_desc: &op_desc,
+        op: &workload.ops[seq],
         phase,
         point: out.crash_points - 1,
         stop_on_first: cfg.stop_on_first,
@@ -1360,7 +1362,8 @@ fn visit_crash_point<K: FsKind>(
     let mut fp = FpSet::default();
     let mut walker = SubsetWalker::new(base, base_key);
     // In-point dedup: the results committed at this point, by image key.
-    let mut seen: HashMap<ImageKey, CheckRes> = HashMap::with_capacity(subsets.len());
+    let mut seen: FxHashMap<ImageKey, CheckRes> =
+        FxHashMap::with_capacity_and_hasher(subsets.len(), Default::default());
 
     for subset in &subsets {
         walker.goto(&writes, subset);

@@ -128,7 +128,8 @@ impl Eq for SnapEntry {}
 /// Content hash of one snapshot node over its serialized form: a fixed
 /// 25-byte header (kind tag, ino, nlink, size or entry count) framing the
 /// payload (file bytes, or the sorted length-prefixed entry names), hashed
-/// in [`pmem::snap_key`]'s private term namespace. The serialization is
+/// by [`pmem::snap_key`]'s word-wide kernel in its own seed namespace.
+/// Node hashes are only ever compared with each other. The serialization is
 /// injective, and it covers exactly the fields the diffs compare — sorted
 /// entries, because that is how [`diff_trees_pruned`] compares them — so
 /// hash equality implies the exhaustive node diff finds no difference.
@@ -1060,6 +1061,63 @@ mod tests {
     }
 
     use proptest::prelude::*;
+
+    /// Nodes from a small space, so that equal pairs are common: both
+    /// kinds, tiny inode/link/size ranges, two-letter file bytes, and
+    /// entry names whose concatenations collide without their length
+    /// prefixes.
+    fn arb_node() -> impl Strategy<Value = NodeSnap> {
+        let name = prop::sample::select(vec!["a", "b", "ab", "ba", ""]);
+        prop_oneof![
+            (0u64..2, 1u64..3, prop::collection::vec(0u8..2, 0..20), any::<bool>()).prop_map(
+                |(ino, nlink, data, placeholder)| NodeSnap::File {
+                    ino,
+                    nlink,
+                    size: data.len() as u64,
+                    data: if placeholder { Vec::new() } else { data },
+                }
+            ),
+            (0u64..2, 1u64..3, prop::collection::vec(name, 0..4)).prop_map(
+                |(ino, nlink, names)| NodeSnap::Dir {
+                    ino,
+                    nlink,
+                    entries: names.into_iter().map(String::from).collect(),
+                }
+            ),
+        ]
+    }
+
+    /// Node content as the diffs compare it: entry order does not count.
+    fn normalized(node: &NodeSnap) -> NodeSnap {
+        let mut n = node.clone();
+        if let NodeSnap::Dir { entries, .. } = &mut n {
+            entries.sort();
+        }
+        n
+    }
+
+    proptest! {
+        /// For random node pairs — independent, or the same node with its
+        /// entries reversed — hashes are equal exactly when the compared
+        /// content is.
+        #[test]
+        fn node_hash_equality_is_content_equality(
+            a in arb_node(),
+            b in arb_node(),
+            same in any::<bool>(),
+        ) {
+            let b = if same {
+                let mut b = a.clone();
+                if let NodeSnap::Dir { entries, .. } = &mut b {
+                    entries.reverse();
+                }
+                b
+            } else {
+                b
+            };
+            prop_assert_eq!(node_hash(&a) == node_hash(&b), normalized(&a) == normalized(&b));
+        }
+    }
 
     fn arb_path() -> impl Strategy<Value = String> {
         prop_oneof![

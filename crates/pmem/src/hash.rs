@@ -18,6 +18,17 @@
 //! The 128-bit key is two independent 64-bit mixes, making accidental
 //! collisions (which would merge distinct crash states) negligible for the
 //! non-adversarial images the harness produces.
+//!
+//! Because keys compose positionally, a span's key computed once can stand
+//! in for its bytes from then on: `chipmunk::crashgen` hashes each logged
+//! write once ([`span_key`]) and derives every later image delta from that
+//! carried key plus the bytes it lands on.
+//!
+//! Two further families share the splitmix mixer under their own seeds:
+//! [`run_term`] (structural run markers) and [`word_term`] (footprint
+//! projections). The snapshot-node family, [`snap_key`], is different in
+//! kind: a word-wide multiply-fold over whole records, **not**
+//! XOR-composable — its keys are only ever compared whole, with each other.
 
 /// Content key of a device image (see module docs).
 pub type ImageKey = u128;
@@ -121,62 +132,56 @@ pub fn word_term(off: u64, val: u64) -> ImageKey {
 
 const SEED_SNAP_LO: u64 = 0xc0ac_29b7_c97c_50dd;
 const SEED_SNAP_HI: u64 = 0x3f84_d5b5_b547_0917;
+const SNAP_K0: u64 = 0x9216_d5d9_8979_fb1b;
+const SNAP_K1: u64 = 0xd131_0ba6_98df_b5ac;
+const SNAP_K2: u64 = 0x2ffd_72db_d01a_dfb7;
+const SNAP_K3: u64 = 0xb8e1_afed_6a26_7e96;
 
-/// [`byte_term`] in the snapshot-node namespace: same injective `(off,
-/// byte)` layout, independent seeds. Zero bytes contribute 0, so the
-/// word-skipping scan below applies unchanged.
+/// The full 128-bit product of `a` and `b`, folded to 64 bits.
 #[inline]
-fn snap_byte_term(off: u64, byte: u8) -> ImageKey {
-    if byte == 0 {
-        return 0;
-    }
-    debug_assert!(off < 1 << 56);
-    let x = (off << 8) | byte as u64;
-    let lo = splitmix64(x ^ SEED_SNAP_LO);
-    let hi = splitmix64(x ^ SEED_SNAP_HI);
-    ((hi as ImageKey) << 64) | lo as ImageKey
+fn mum(a: u64, b: u64) -> u64 {
+    let r = (a as u128) * (b as u128);
+    (r as u64) ^ ((r >> 64) as u64)
 }
 
-/// Content key of a framed record — `head` followed by `body` at
-/// consecutive offsets — for the oracle's snapshot-node hashes
-/// (`chipmunk::oracle`). The caller frames the record (fixed-width header,
-/// length-prefixed variable parts), so key equality certifies the full
-/// serialized form including trailing zero bytes (a closing length term
-/// covers what the zero-skipping byte terms cannot).
+/// Content key of a framed record — `head` followed by `body` — for the
+/// oracle's snapshot-node hashes (`chipmunk::oracle`).
 ///
-/// Seeded independently of every other term family and never mixed with
-/// them: a snapshot-node key can never collide into `image_key` dedup keys
-/// or `word_term` footprint projections.
+/// A word-wide kernel: each part is read in 16-byte blocks (the last one
+/// zero-padded), and every block is folded into two independent 64-bit
+/// lanes by one 64×64→128 multiply each. Both part lengths are folded in
+/// first, so the padding and the split between the parts are part of the
+/// key: equal keys certify equal `(head, body)` pairs, trailing zero bytes
+/// included. The two lanes pair the block's halves with the constants the
+/// other way round, so no single block value can cancel both.
+///
+/// Unlike the image family above, these keys are *not* XOR-composable:
+/// they are only ever compared whole, with each other, never with
+/// `image_key` dedup keys or `word_term` footprint projections. The
+/// constants are this family's own.
 pub fn snap_key(head: &[u8], body: &[u8]) -> ImageKey {
-    let mut key = snap_span(0, head) ^ snap_span(head.len() as u64, body);
-    let total = (head.len() + body.len()) as u64;
-    let lo = splitmix64(splitmix64(total ^ SEED_SNAP_LO) ^ SEED_SNAP_HI);
-    let hi = splitmix64(splitmix64(total ^ SEED_SNAP_HI) ^ SEED_SNAP_LO);
-    key ^= ((hi as ImageKey) << 64) | lo as ImageKey;
-    key
-}
-
-/// [`span_key`]'s word-skipping scan over the snapshot-node term family.
-fn snap_span(off: u64, data: &[u8]) -> ImageKey {
-    let mut key = 0;
-    let mut chunks = data.chunks_exact(8);
-    let mut at = off;
-    for w in chunks.by_ref() {
-        if u64::from_le_bytes(w.try_into().expect("8-byte chunk")) != 0 {
-            for (i, &b) in w.iter().enumerate() {
-                if b != 0 {
-                    key ^= snap_byte_term(at + i as u64, b);
-                }
-            }
-        }
-        at += 8;
-    }
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        if b != 0 {
-            key ^= snap_byte_term(at + i as u64, b);
+    let (h, b) = (head.len() as u64, body.len() as u64);
+    let mut lo = mum(h ^ SEED_SNAP_LO, b ^ SNAP_K0);
+    let mut hi = mum(b ^ SEED_SNAP_HI, h ^ SNAP_K2);
+    let mut fold = |blk: &[u8]| {
+        let x = u64::from_le_bytes(blk[..8].try_into().expect("8 bytes"));
+        let y = u64::from_le_bytes(blk[8..].try_into().expect("8 bytes"));
+        lo = mum(x ^ SNAP_K0, y ^ lo);
+        hi = mum(y ^ SNAP_K2, x ^ hi ^ SNAP_K3);
+    };
+    for part in [head, body] {
+        let mut blocks = part.chunks_exact(16);
+        blocks.by_ref().for_each(&mut fold);
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            let mut pad = [0u8; 16];
+            pad[..rest.len()].copy_from_slice(rest);
+            fold(&pad);
         }
     }
-    key
+    let lo = mum(lo ^ SNAP_K1, h.wrapping_add(b) ^ SNAP_K3);
+    let hi = mum(hi ^ SNAP_K3, h.wrapping_add(b) ^ SNAP_K1);
+    ((hi as ImageKey) << 64) | lo as ImageKey
 }
 
 /// Key delta for overwriting the bytes `old` at `off` with `new`
@@ -331,21 +336,66 @@ mod tests {
 
     #[test]
     fn snap_key_frames_and_namespaces() {
-        // Framing is positional over head||body: the same concatenation
-        // splits to the same key, different contents or lengths do not.
+        // Framing: the head/body split and both lengths are part of the key.
         assert_eq!(snap_key(b"ab", b"cd"), snap_key(b"ab", b"cd"));
-        assert_eq!(
-            snap_span(0, b"abcd"),
-            snap_span(0, b"ab") ^ snap_span(2, b"cd"),
-            "snap spans compose positionally"
-        );
+        assert_ne!(snap_key(b"ab", b"cd"), snap_key(b"abc", b"d"));
         assert_ne!(snap_key(b"ab", b"cd"), snap_key(b"ab", b"ce"));
-        // Trailing zeros are invisible to byte terms but not to the key.
+        // Trailing zeros are padding inside a block but not to the key.
         assert_ne!(snap_key(b"a", b"\0"), snap_key(b"a", b""));
+        assert_ne!(snap_key(b"a\0", b""), snap_key(b"a", b""));
+        assert_ne!(snap_key(&[0; 16], b""), snap_key(&[0; 15], b""));
         assert_ne!(snap_key(b"", b""), 0);
-        // Independent namespace: identical bytes key differently than the
-        // image family.
-        assert_ne!(snap_key(b"", b"xyz"), span_key(0, b"xyz"));
+    }
+
+    #[test]
+    fn snap_key_is_its_own_namespace() {
+        // Identical bytes key differently than in the image family and the
+        // word family, at every length around the block size.
+        for len in [1usize, 7, 8, 15, 16, 17, 32, 100] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 % 251 + 1) as u8).collect();
+            let k = snap_key(b"", &data);
+            assert_ne!(k, span_key(0, &data), "len {len}");
+            assert_ne!(k, image_key(&data), "len {len}");
+            let w = u64::from_le_bytes({
+                let mut b = [0u8; 8];
+                b[..len.min(8)].copy_from_slice(&data[..len.min(8)]);
+                b
+            });
+            assert_ne!(k, word_term(0, w), "len {len}");
+        }
+    }
+
+    proptest::proptest! {
+        /// A random record against itself, a one-byte edit, an appended
+        /// zero byte and a moved head/body split: keys are equal exactly
+        /// when the records are.
+        #[test]
+        fn snap_key_equality_is_content_equality(
+            a in proptest::collection::vec(0u8..3, 0..48),
+            split in 0usize..48,
+            edit in 0u8..5,
+            at in 0usize..48,
+        ) {
+            let split = split.min(a.len());
+            let mut b = a.clone();
+            let mut split_b = split;
+            match edit {
+                0 => {}
+                1 if !b.is_empty() => {
+                    let i = at % b.len();
+                    b[i] = (b[i] + 1) % 3;
+                }
+                2 => b.push(0),
+                3 => split_b = at.min(b.len()),
+                _ => b = a.iter().rev().copied().collect(),
+            }
+            let (ha, ba) = a.split_at(split);
+            let (hb, bb) = b.split_at(split_b);
+            proptest::prop_assert_eq!(
+                snap_key(ha, ba) == snap_key(hb, bb),
+                (ha, ba) == (hb, bb)
+            );
+        }
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use fxmap::{FxBuildHasher, FxHashMap};
 pub use lease::ImageLease;
 pub use hash::{byte_term, image_key, run_term, snap_key, span_key, word_term, write_delta, ImageKey};
 pub use shared::{SharedDev, Window};
-pub use track::ReadTracker;
+pub use track::{insert_range, ReadTracker};

@@ -41,13 +41,10 @@
 //! remembers the span it set bits in, and on `Drop` clears that span and
 //! hands the bitmap back — so after a thread's first recorder, recording
 //! allocates nothing. Writes are rare during recovery and need byte
-//! precision, so the dirty set stays a small map of coalesced byte
-//! intervals.
+//! precision, so the dirty set is a small sorted vector of coalesced byte
+//! intervals, searched by bisection.
 
-use std::{
-    cell::{Cell, RefCell},
-    collections::BTreeMap,
-};
+use std::cell::{Cell, RefCell};
 
 use crate::{
     backend::{PmBackend, WORD},
@@ -151,13 +148,14 @@ pub struct ReadTracker<D> {
     /// [`PmBackend::read`] takes `&self`; backends are single-threaded by
     /// contract (`Send`, not `Sync`).
     clean: RefCell<CleanBits>,
-    /// Coalesced byte ranges (start → end) the checker wrote.
-    dirty: BTreeMap<u64, u64>,
+    /// The byte ranges `[start, end)` the checker wrote, sorted, disjoint
+    /// and coalesced (no two touch).
+    dirty: Vec<(u64, u64)>,
     /// Smallest start and largest end in `dirty` (`(u64::MAX, 0)` while it
-    /// is empty): a read outside this hull skips the map.
+    /// is empty): a read outside this hull skips the search.
     dirty_hull: (u64, u64),
     /// The `dirty` interval most recently inserted: rewrites of the same
-    /// bytes (journal heads, probe data) land inside it and skip the map.
+    /// bytes (journal heads, probe data) land inside it and skip the search.
     last_dirty: (u64, u64),
     /// Recording stops (and the clean set is withheld) past this many words.
     cap: usize,
@@ -170,7 +168,7 @@ impl<D: PmBackend> ReadTracker<D> {
         ReadTracker {
             inner,
             clean,
-            dirty: BTreeMap::new(),
+            dirty: Vec::new(),
             dirty_hull: (u64::MAX, 0),
             last_dirty: (0, 0),
             cap,
@@ -196,14 +194,14 @@ impl<D: PmBackend> ReadTracker<D> {
             clean.set_bytes(off, end);
             return;
         }
+        // The first interval ending past `off`; from there on, record the
+        // gaps between intervals until one starts at or past `end`.
+        let first = self.dirty.partition_point(|&(_, e)| e <= off);
         let mut pos = off;
-        // Skip a dirty interval already covering the start.
-        if let Some((_, &e)) = self.dirty.range(..=pos).next_back() {
-            if e > pos {
-                pos = e.min(end);
+        for &(s, e) in &self.dirty[first..] {
+            if s >= end {
+                break;
             }
-        }
-        for (&s, &e) in self.dirty.range(pos..end) {
             if s > pos {
                 clean.set_bytes(pos, s);
             }
@@ -217,34 +215,36 @@ impl<D: PmBackend> ReadTracker<D> {
         }
     }
 
-    /// Marks `[off, off + len)` dirty, coalescing adjacent intervals.
+    /// Marks `[off, off + len)` dirty.
     fn mark_dirty(&mut self, off: u64, len: u64) {
         if len == 0 {
             return;
         }
-        let mut start = off;
-        let mut end = off + len;
-        if start >= self.last_dirty.0 && end <= self.last_dirty.1 {
+        if off >= self.last_dirty.0 && off + len <= self.last_dirty.1 {
             return; // already covered
         }
-        if let Some((&s, &e)) = self.dirty.range(..=start).next_back() {
-            if e >= start {
-                if e >= end {
-                    return; // already covered
-                }
-                start = s;
-                end = end.max(e);
-                self.dirty.remove(&s);
-            }
-        }
-        while let Some((&s, &e)) = self.dirty.range(start..=end).next() {
-            self.dirty.remove(&s);
-            end = end.max(e);
-        }
-        self.dirty.insert(start, end);
+        let (start, end) = insert_range(&mut self.dirty, off, off + len);
         self.last_dirty = (start, end);
         self.dirty_hull = (self.dirty_hull.0.min(start), self.dirty_hull.1.max(end));
     }
+}
+
+/// Merges the non-empty byte range `[start, end)` into `ranges` — sorted,
+/// disjoint, and coalesced so that no two touch — and returns the range
+/// that now holds it. Two bisections find the ranges it overlaps or
+/// touches; they collapse into one.
+pub fn insert_range(ranges: &mut Vec<(u64, u64)>, start: u64, end: u64) -> (u64, u64) {
+    debug_assert!(start < end, "empty range");
+    let lo = ranges.partition_point(|&(_, e)| e < start);
+    let hi = ranges.partition_point(|&(s, _)| s <= end);
+    if lo == hi {
+        ranges.insert(lo, (start, end));
+        return (start, end);
+    }
+    let merged = (ranges[lo].0.min(start), ranges[hi - 1].1.max(end));
+    ranges[lo] = merged;
+    ranges.drain(lo + 1..hi);
+    merged
 }
 
 impl<D: PmBackend> PmBackend for ReadTracker<D> {

@@ -112,6 +112,37 @@ proptest! {
     }
 }
 
+/// Short writes and reads packed into the first 600 bytes, so the dirty
+/// set holds many disjoint, touching and overlapping intervals that later
+/// writes bridge, and reads cross several of them.
+fn dense_op() -> impl Strategy<Value = Op> {
+    let at = 0u64..600;
+    prop_oneof![
+        2 => (at.clone(), 0u64..120).prop_map(|(off, len)| Op::Read { off, len }),
+        1 => (at.clone(), 1u64..12).prop_map(|(off, len)| Op::Store { off, len }),
+        1 => (at.clone(), 1u64..12).prop_map(|(off, len)| Op::MemcpyNt { off, len }),
+        1 => (at, 0u64..30).prop_map(|(off, len)| Op::MemsetNt { off, len }),
+    ]
+}
+
+proptest! {
+    /// The same differential over long interleavings of short reads and
+    /// writes: the byte-precise dirty intervals, their bisection search
+    /// and their coalescing agree with the per-byte model after every op.
+    #[test]
+    fn dense_interleavings_equal_the_per_byte_model(
+        ops in proptest::collection::vec(dense_op(), 0..200),
+    ) {
+        let mut t = ReadTracker::new(PmDevice::new(DEV), usize::MAX);
+        let mut model = Model::new();
+        for op in &ops {
+            apply(&mut t, op);
+            model.apply(op);
+            prop_assert_eq!(t.clean_words(), model.clean_words(usize::MAX), "after {:?}", op);
+        }
+    }
+}
+
 #[test]
 fn exactly_cap_words_fit_and_one_more_overflows_for_good() {
     let cap = 130; // crosses two bitmap-word boundaries
