@@ -6,16 +6,17 @@
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use bench::{dispatch, hunt_with_ace, HuntResult, ReproBundle, WithKind};
+use bench::{dispatch, hunt_with_ace, mode_for, HuntResult, ReproBundle, WithKind};
 use chipmunk::{
-    check_one_state, reference, shrink::matches_class, test_workload, BugReport, StateProbe,
-    TestConfig, Violation,
+    check_one_state, harness::audit_skips, reference, shrink::matches_class, test_workload,
+    BugReport, StateProbe, TestConfig, Violation,
 };
 use vfs::{
     bugs::{bug_table, BugInfo},
     fs::{FsKind, FsOptions},
-    BugSet, Workload,
+    BugSet, FsName, Workload,
 };
+use workloads::ace::seq1;
 
 /// The reference's verdict on one pinned crash state.
 struct OneState<'a>(&'a ReproBundle);
@@ -158,5 +159,59 @@ fn check_one_state_replays_every_production_report_on_the_ace_corpus() {
                 hit.workload.name
             );
         }
+    }
+}
+
+/// The skip audit's totals over one file system's ACE seq-1 suite: hash
+/// hits (dedup and memo), footprint skips, class skips, and class skips the
+/// literal check finds violated.
+struct Audited(FsName);
+
+impl WithKind for Audited {
+    type Out = [u64; 4];
+
+    fn call<K: FsKind>(self, kind: K) -> [u64; 4] {
+        let cfg = TestConfig::default();
+        let mut total = [0; 4];
+        for w in seq1(mode_for(self.0)) {
+            let (out, a) = audit_skips(&kind, &w, &cfg);
+            assert!(out.dedup_hits + out.memo_hits <= a.hash_hits, "{}", w.name);
+            assert_eq!(out.rep_skipped, a.footprint_skips + a.class_skips, "{}", w.name);
+            let counts = [a.hash_hits, a.footprint_skips, a.class_skips, a.class_violated];
+            total.iter_mut().zip(counts).for_each(|(t, c)| *t += c);
+        }
+        total
+    }
+}
+
+/// Every crash state of ACE seq-1 that production does not check from
+/// scratch, on all seven file systems, fixed and as released, is checked
+/// the literal way as well. The audit itself asserts that each dedup and
+/// memo hit has the literal verdict and an image that digests as the one
+/// its key was first seen with, and that each footprint skip is literally
+/// clean. Class skips are lossy by design: none hides a violation on the
+/// fixed systems, and the as-released count is pinned.
+#[test]
+fn skip_audit_holds_on_ace_seq1() {
+    let all = [
+        FsName::Nova,
+        FsName::NovaFortis,
+        FsName::Pmfs,
+        FsName::WineFs,
+        FsName::SplitFs,
+        FsName::Ext4Dax,
+        FsName::XfsDax,
+    ];
+    for (bugs, label) in [(BugSet::fixed(), "fixed"), (BugSet::as_released(), "as released")] {
+        let mut total = [0u64; 4];
+        for fs in all {
+            let n = dispatch(fs, FsOptions::with_bugs(bugs), Audited(fs));
+            eprintln!("{label} {fs}: hash hits, footprint skips, class skips, violated: {n:?}");
+            total.iter_mut().zip(n).for_each(|(t, c)| *t += c);
+        }
+        assert!(total[0] > 0 && total[1] > 0 && total[2] > 0, "{label}: {total:?}");
+        // Of the 15 class skips on the fixed systems and the 17 as
+        // released, none hides a violation.
+        assert_eq!(total[3], 0, "{label}: class skips hiding a violation");
     }
 }

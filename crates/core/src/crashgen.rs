@@ -87,18 +87,32 @@ impl PendingWrite {
 /// independently adds states without adding bugs found. The merged write's
 /// key is the XOR of its pieces' keys.
 pub fn coalesce(writes: &[PendingWrite]) -> Vec<PendingWrite> {
-    let mut out: Vec<PendingWrite> = Vec::with_capacity(writes.len());
-    for w in writes {
-        if let Some(last) = out.last_mut() {
-            if last.nt && w.nt && last.end() == w.off {
-                last.data.extend_from_slice(&w.data);
-                last.key ^= w.key;
-                continue;
-            }
-        }
-        out.push(w.clone());
-    }
+    let mut out = Vec::with_capacity(writes.len());
+    coalesce_into(writes, true, &mut out);
     out
+}
+
+/// `writes` copied into `out`, [`coalesce`]d when `merge`, reusing the data
+/// buffers of the writes `out` held.
+pub(crate) fn coalesce_into(writes: &[PendingWrite], merge: bool, out: &mut Vec<PendingWrite>) {
+    let mut n = 0;
+    for w in writes {
+        let last = out[..n].last_mut().filter(|l| merge && l.nt && w.nt && l.end() == w.off);
+        if let Some(last) = last {
+            last.data.extend_from_slice(&w.data);
+            last.key ^= w.key;
+            continue;
+        }
+        match out.get_mut(n) {
+            Some(slot) => {
+                slot.data.clone_from(&w.data);
+                (slot.off, slot.nt, slot.key) = (w.off, w.nt, w.key);
+            }
+            None => out.push(w.clone()),
+        }
+        n += 1;
+    }
+    out.truncate(n);
 }
 
 /// Enumerates the subsets of `n` in-flight writes to replay, by subset size:
@@ -118,36 +132,86 @@ pub fn enumerate_subsets_ordered(
     max_states: u64,
     large_first: bool,
 ) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
+    let mut out = SubsetList::default();
+    enumerate_subsets_into(n, cap, max_states, large_first, false, &mut out);
+    out.iter().map(<[usize]>::to_vec).collect()
+}
+
+/// [`enumerate_subsets_ordered`] into `out`, after the empty subset when
+/// `with_base`.
+pub(crate) fn enumerate_subsets_into(
+    n: usize,
+    cap: Option<usize>,
+    max_states: u64,
+    large_first: bool,
+    with_base: bool,
+    out: &mut SubsetList,
+) {
+    out.idx.clear();
+    out.ends.clear();
+    if with_base {
+        out.ends.push(0);
+    }
     if n == 0 {
-        return out;
+        return;
     }
     let limit = cap.unwrap_or(n).min(n);
-    let sizes: Vec<usize> = if large_first {
-        (1..=limit).rev().collect()
-    } else {
-        (1..=limit).collect()
-    };
+    let sizes = (0..limit).map(|i| if large_first { limit - i } else { i + 1 });
     // The full set must always be present (it is the state a crash
     // immediately before the fence would most plausibly leave, and it is the
     // next base). Unless the enumeration itself reaches it within budget, a
     // slot is reserved for it up front so appending it never exceeds
     // `max_states` and never overwrites an already-enumerated subset.
-    let available: u64 = sizes.iter().fold(0u64, |acc, &k| acc.saturating_add(binom(n, k)));
+    let available: u64 = sizes.clone().fold(0u64, |acc, k| acc.saturating_add(binom(n, k)));
     let full_within_enum = limit == n && (large_first || available <= max_states);
     let budget = if full_within_enum { max_states } else { max_states.saturating_sub(1) };
+    let mut count = 0u64;
     'outer: for size in sizes {
-        for combo in Combinations::new(n, size) {
-            if out.len() as u64 >= budget {
+        // The first combination, `0..size`; each next one is built in place
+        // on a copy of the last.
+        out.idx.extend(0..size);
+        loop {
+            let from = out.idx.len();
+            if count >= budget {
+                out.idx.truncate(from - size);
                 break 'outer;
             }
-            out.push(combo);
+            out.ends.push(from);
+            count += 1;
+            out.idx.extend_from_within(from - size..);
+            let cur = &mut out.idx[from..];
+            let Some(i) = (0..size).rev().find(|&i| cur[i] < n - (size - i)) else {
+                out.idx.truncate(from);
+                continue 'outer;
+            };
+            cur[i] += 1;
+            for j in i + 1..size {
+                cur[j] = cur[j - 1] + 1;
+            }
         }
     }
     if !full_within_enum {
-        out.push((0..n).collect());
+        out.idx.extend(0..n);
+        out.ends.push(out.idx.len());
     }
-    out
+}
+
+/// Subsets in one flat buffer, reused from one crash point to the next.
+#[derive(Default)]
+pub(crate) struct SubsetList {
+    idx: Vec<usize>,
+    /// One past each subset's last index in `idx`.
+    ends: Vec<usize>,
+}
+
+impl SubsetList {
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        self.ends.iter().scan(0, |start, &end| Some(&self.idx[std::mem::replace(start, end)..end]))
+    }
 }
 
 /// Binomial coefficient with saturating arithmetic (only compared against
@@ -159,48 +223,6 @@ fn binom(n: usize, k: usize) -> u64 {
         r = r.saturating_mul((n - i) as u64) / (i as u64 + 1);
     }
     r
-}
-
-/// Iterator over k-combinations of `0..n` in lexicographic order.
-struct Combinations {
-    n: usize,
-    k: usize,
-    cur: Vec<usize>,
-    done: bool,
-}
-
-impl Combinations {
-    fn new(n: usize, k: usize) -> Self {
-        Combinations { n, k, cur: (0..k).collect(), done: k > n }
-    }
-}
-
-impl Iterator for Combinations {
-    type Item = Vec<usize>;
-
-    fn next(&mut self) -> Option<Vec<usize>> {
-        if self.done {
-            return None;
-        }
-        let item = self.cur.clone();
-        // Advance.
-        let mut i = self.k;
-        loop {
-            if i == 0 {
-                self.done = true;
-                break;
-            }
-            i -= 1;
-            if self.cur[i] < self.n - (self.k - i) {
-                self.cur[i] += 1;
-                for j in i + 1..self.k {
-                    self.cur[j] = self.cur[j - 1] + 1;
-                }
-                break;
-            }
-        }
-        Some(item)
-    }
 }
 
 /// Applies the writes selected by `subset` (in program order) onto `img`.

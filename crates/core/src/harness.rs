@@ -12,6 +12,8 @@
 //! production's only replay. Between syscalls the engine is wholly
 //! described by its durable `BaseImage` and one `ReplayState` value, which
 //! is what the [`PrefixCache`](crate::PrefixCache) checkpoints and resumes.
+//! Each crash state it builds is settled by one `StateDecision`: `decide`
+//! picks it from the point's tables, `execute` runs and commits it.
 //! Replaying a single `(point, subset)` state ([`check_one_state`]) is not
 //! the engine's job: it is the literal reference walk
 //! ([`mod@reference`]), stopped at that state.
@@ -28,8 +30,8 @@ use crate::{
     checker::{check_crash_state, probe_state, walk_scope, CheckKind, DataRelax},
     config::TestConfig,
     crashgen::{
-        coalesce, data_shadowing_unsafe, describe_subset, enumerate_subsets_ordered,
-        PendingWrite, SigCache, SubsetWalker,
+        coalesce, coalesce_into, data_shadowing_unsafe, describe_subset, enumerate_subsets_into,
+        PendingWrite, SigCache, SubsetList, SubsetWalker,
     },
     exec::{Executor, OpResult},
     footprint::{FpSet, FP_MIN_STATES, FP_WORD_CAP},
@@ -294,19 +296,46 @@ pub(crate) fn oracle_and_record<K: FsKind, D: PmBackend>(
 /// 2. recorded run through the write logger;
 /// 3. crash-state construction and checking at every crash point.
 pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig) -> TestOutcome {
+    run_workload(kind, workload, cfg, None).0
+}
+
+/// [`test_workload`] under the skip audit, a test of the fast paths: each
+/// state not checked from scratch is also checked the literal way, and
+/// nothing of that is committed. It panics on a dedup or memo hit whose
+/// verdict is not the literal one or whose image does not digest as the
+/// one its key was first seen with, and on a violated footprint skip.
+/// Class skips are lossy by design ([`TestConfig::rep_check`]), so it counts
+/// the violated ones.
+#[doc(hidden)]
+pub fn audit_skips<K: FsKind>(
+    kind: &K,
+    workload: &Workload,
+    cfg: &TestConfig,
+) -> (TestOutcome, SkipAudit) {
+    let (out, audit) = run_workload(kind, workload, cfg, Some(SkipAudit::default()));
+    (out, audit.unwrap_or_default())
+}
+
+fn run_workload<K: FsKind>(
+    kind: &K,
+    workload: &Workload,
+    cfg: &TestConfig,
+    audit: Option<SkipAudit>,
+) -> (TestOutcome, Option<SkipAudit>) {
     let mut out = TestOutcome { workload: workload.name.clone(), ..Default::default() };
     kind.options().trace.clear();
 
     let Some((oracle, rec_results, log)) =
         oracle_and_record(kind, workload, cfg, ForkDevice::new, &mut out)
     else {
-        return out;
+        return (out, audit);
     };
 
     let t_check = Instant::now();
     let base = BaseImage::zeroed(cfg.device_size);
     let mut engine =
         ReplayEngine::new(kind, workload, cfg, &oracle, &rec_results, base, ReplayState::default());
+    engine.scratch.audit = audit;
     for entry in log.entries() {
         if engine.stop {
             // Replaying to completion is unnecessary once stopping.
@@ -317,7 +346,7 @@ pub fn test_workload<K: FsKind>(kind: &K, workload: &Workload, cfg: &TestConfig)
     out.timing.check = t_check.elapsed();
 
     out.traced_bugs = kind.options().trace.snapshot();
-    out
+    (out, engine.scratch.audit)
 }
 
 /// [`test_workload`] on a factory clone of `kind` carrying fresh coverage and
@@ -492,8 +521,8 @@ pub(crate) struct ReplayState {
     started: bool,
     /// Cross-point artifact memo.
     memo: CrossMemo,
-    /// Behavioral class table ([`TestConfig::rep_check`]).
-    rep: RepTable,
+    /// Behavioral classes ([`TestConfig::rep_check`]): signature → violated.
+    rep: FxHashMap<u128, bool>,
 }
 
 impl ReplayState {
@@ -575,6 +604,7 @@ pub(crate) struct ReplayEngine<'a, K: FsKind> {
     /// pending, so it is built about once per op rather than once per point,
     /// and every memo entry walked under it shares it too.
     scope: Option<(usize, BTreeSet<usize>, bool, Arc<Scope>)>,
+    scratch: PointScratch,
     cur_op: Option<usize>,
     /// Stop-on-first fired; no further entries should be fed.
     pub stop: bool,
@@ -618,6 +648,7 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
             base,
             state,
             scope: None,
+            scratch: PointScratch::default(),
             cur_op: None,
             stop: false,
         }
@@ -734,8 +765,12 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
         }
     }
 
-    /// Visits one crash point (the base image plus, unless `no_pending`, the
-    /// enumerated subsets of the in-flight writes).
+    /// Checks all crash states at one crash point: optionally the bare base
+    /// state, then, unless `no_pending`, every enumerated subset of the
+    /// in-flight writes, in canonical order on one undo-logged overlay
+    /// (delta replay, [`SubsetWalker`]) that the file system is mounted on
+    /// directly. Each state is decided ([`decide`]), then settled and
+    /// committed ([`execute`]) before the next one is built.
     fn visit(
         &mut self,
         seq: usize,
@@ -745,40 +780,18 @@ impl<'a, K: FsKind> ReplayEngine<'a, K> {
         no_pending: bool,
         out: &mut TestOutcome,
     ) {
-        let scope = self.scope_for(seq);
-        let st = &mut self.state;
-        let pending: &[PendingWrite] = if no_pending { &[] } else { &st.pending };
-        // Torn-data drop precondition (see [`crashgen::behavior_sig`]): the
-        // check tolerates any old/new/zero byte mix in the written file, the
-        // FS cannot turn torn data into a read error, and every in-flight
-        // write is attributable to the relaxed op (a leftover unfenced write
-        // from an earlier op could belong to a different, exactly-compared
-        // file). `visit_crash_point` still vetoes it if data writes shadow
-        // each other at this point.
-        let torn_drop = self.cfg.rep_check
-            && matches!(check, CheckKind::Atomicity { relax: DataRelax::Torn(_), .. })
-            && !self.guarantees.data_checksums
-            && !st.pending_unknown
-            && st.pending_seqs.iter().all(|&s| s == seq);
-        visit_crash_point(
-            self.kind,
-            self.workload,
-            self.cfg,
-            &self.base.image,
-            self.base.key,
-            pending,
-            &st.op_absorbed,
-            seq,
-            phase,
-            check,
-            check_base,
-            torn_drop,
-            &scope,
-            &mut st.memo,
-            &mut st.rep,
-            out,
-            &mut self.stop,
-        );
+        let Some((mut p, mut walker)) =
+            PointCtx::new(self, seq, phase, check, check_base, no_pending, out)
+        else {
+            return;
+        };
+        let stopped = p.subsets.iter().any(|subset| {
+            walker.goto(p.writes, subset);
+            let d = decide(&p, walker.key(), subset);
+            execute(&mut p, d, &mut walker, subset, out)
+        });
+        drop(walker); // it borrows the engine's base image
+        self.stop |= stopped;
     }
 }
 
@@ -814,7 +827,7 @@ struct StateArtifacts {
     pre: Result<Arc<Tree>, Violation>,
     /// The scope the memoized walk ran under, shared with the crash points
     /// that built it. Reuse at a later point requires compatibility (see
-    /// [`memo_walk_compatible`]).
+    /// [`decide`]).
     walked: Arc<Scope>,
     /// Coverage hit during mount + walk.
     cov_mw: Arc<HashSet<u64>>,
@@ -837,71 +850,19 @@ struct ProbeArtifacts {
 
 /// Per-workload cross-point memo: crash states whose *content* (base image
 /// plus replayed subset) recurs at a later crash point reuse the memoized
-/// mount/walk/probe artifacts instead of remounting. Bounded:
-/// new keys are refused once the cap is reached; updates of existing keys
-/// (probe fills) always land. A key repeated *within* a crash point never
-/// reaches the memo — in-point dedup replays the first occurrence's result.
-/// Keyed by image keys, which are hashes already: the map only folds them.
-#[derive(Default, Clone)]
-pub(crate) struct CrossMemo {
-    map: FxHashMap<ImageKey, StateArtifacts>,
-}
+/// mount/walk/probe artifacts instead of remounting. Bounded: new keys are
+/// refused once [`MEMO_CAP`] is reached; updates of existing keys (probe
+/// fills) always land. A key repeated *within* a crash point never reaches
+/// the memo — in-point dedup replays the first occurrence's result. Keyed
+/// by image keys, which are hashes already: the map only folds them.
+type CrossMemo = FxHashMap<ImageKey, StateArtifacts>;
 
 const MEMO_CAP: usize = 4096;
 
-impl CrossMemo {
-    fn get(&self, key: &ImageKey) -> Option<&StateArtifacts> {
-        self.map.get(key)
-    }
-
-    fn insert(&mut self, key: ImageKey, art: StateArtifacts) {
-        if self.map.len() >= MEMO_CAP && !self.map.contains_key(&key) {
-            return;
-        }
-        self.map.insert(key, art);
-    }
-}
-
-/// Per-workload class table for representative-state checking
-/// ([`TestConfig::rep_check`]): behavioral signature → whether the class's
-/// representative reported a violation. Bounded like [`CrossMemo`]: once the
-/// cap is reached no new classes form (those states simply check normally).
-#[derive(Default, Clone)]
-pub(crate) struct RepTable {
-    map: FxHashMap<u128, bool>,
-}
-
+/// At most this many behavioral classes per workload ([`ReplayState::rep`]):
+/// past the cap, states of a new class check normally with no class
+/// accounting.
 const REP_CAP: usize = 1 << 16;
-
-/// How the representative layer treats one crash state. `NoRep` states (rep
-/// off, table at cap) check normally with no class accounting.
-#[derive(Clone, Copy, PartialEq)]
-enum RepPlan {
-    NoRep,
-    /// First member of a new class: checked as its representative.
-    Claim,
-    /// Class has a violation-free representative: commit synthesized clean.
-    Skip,
-    /// Class is known violated: force-check (graceful degradation).
-    Expand,
-}
-
-impl RepTable {
-    fn plan(&self, sig: u128) -> RepPlan {
-        match self.map.get(&sig) {
-            Some(true) => RepPlan::Expand,
-            Some(false) => RepPlan::Skip,
-            None if self.map.len() >= REP_CAP => RepPlan::NoRep,
-            None => RepPlan::Claim,
-        }
-    }
-
-    /// Opens the class a [`RepPlan::Claim`] state represents, keyed by that
-    /// state's committed verdict.
-    fn claim(&mut self, sig: u128, violated: bool) {
-        self.map.insert(sig, violated);
-    }
-}
 
 // Distinct term namespaces for the crash-point context hash.
 const CTX_SEQ: u64 = 0x7b4d_1f2e_9c6a_5d30;
@@ -950,8 +911,8 @@ fn rep_context(seq: usize, phase: CrashPhase, check: &CheckKind<'_>, scope: &Sco
 /// The result of checking one crash state on a fresh-sink factory clone:
 /// the violation (if any) plus the instrumentation the check produced, so
 /// the caller can merge it back at commit. The default is the committed
-/// result of a representative or footprint skip: clean, no artifacts, no
-/// instrumentation (the state was never mounted).
+/// result of a skip: clean, no artifacts, no instrumentation (the state was
+/// never mounted).
 #[derive(Default)]
 struct CheckRes {
     violation: Option<Violation>,
@@ -960,7 +921,6 @@ struct CheckRes {
     /// Memo entry to store at commit: fresh artifacts, or a probe fill for
     /// an existing entry.
     art: Option<StateArtifacts>,
-    memo_hit: bool,
     /// This state was re-checked on the slow full-walk fresh-device path
     /// after a sandbox violation under a fast path (see [`finalize_check`]).
     sandbox_retry: bool,
@@ -979,20 +939,6 @@ fn is_sandbox_violation(v: &Violation) -> bool {
     matches!(v, Violation::RecoveryPanic { .. } | Violation::RecoveryHang { .. })
 }
 
-/// Whether a memoized walk can stand in for this point's walk under `ws`. A
-/// *successful* walk under a covering scope read (at least) every byte this
-/// point's comparison can touch, so its tree substitutes exactly. A *failed*
-/// walk is only equivalent when the scopes match: a wider walk may fail on
-/// corrupt file data that a narrower walk never reads. A walk under this very
-/// scope (the same `Arc`, built for an earlier point of the op) is both.
-fn memo_walk_compatible(a: &StateArtifacts, ws: &Arc<Scope>) -> bool {
-    Arc::ptr_eq(&a.walked, ws)
-        || match &a.pre {
-            Ok(_) => a.walked.covers(ws),
-            Err(_) => a.walked == *ws,
-        }
-}
-
 /// Check stages 1–4 on a prepared device, walking and comparing under `ws`.
 /// `fresh` must carry private coverage/trace sinks. Non-sandbox verdicts
 /// carry their artifacts for the cross-point memo.
@@ -1003,174 +949,348 @@ fn check_staged<K: FsKind, D: pmem::PmBackend>(
     cfg: &TestConfig,
     ws: &Arc<Scope>,
 ) -> CheckRes {
-    let (mut fs, tree) = match sandbox::mount_walk(fresh, dev, ws, cfg) {
-        Ok(x) => x,
-        Err(v) => {
-            let cov_mw = Arc::new(fresh.options().cov.snapshot());
-            let trace_mw = Arc::new(fresh.options().trace.snapshot());
-            let memoizable = !is_sandbox_violation(&v);
-            return CheckRes {
-                violation: Some(v.clone()),
-                cov: vec![cov_mw.clone()],
-                trace: vec![trace_mw.clone()],
-                art: memoizable.then_some(StateArtifacts {
-                    pre: Err(v),
-                    walked: Arc::clone(ws),
-                    cov_mw,
-                    trace_mw,
-                    probe: None,
-                }),
-                ..Default::default()
-            };
-        }
+    let sinks = || {
+        let o = fresh.options();
+        (Arc::new(o.cov.snapshot()), Arc::new(o.trace.snapshot()))
     };
-    let cov_mw = Arc::new(fresh.options().cov.snapshot());
-    let trace_mw = Arc::new(fresh.options().trace.snapshot());
-    let tree = Arc::new(tree);
+    let (pre, mut fs) = match sandbox::mount_walk(fresh, dev, ws, cfg) {
+        Ok((fs, tree)) => (Ok(Arc::new(tree)), Some(fs)),
+        Err(v) => (Err(v), None),
+    };
+    let (cov_mw, trace_mw) = sinks();
     let mut pruned = 0;
-    let verdict = sandbox::compare(&tree, check, cfg, ws, &mut pruned);
-    let mut probe_art = None;
-    let violation = match verdict {
-        Some(v) => Some(v),
-        None if cfg.probe => {
-            let pv = sandbox::probe(&mut fs, &tree, cfg);
-            probe_art = Some(ProbeArtifacts {
-                violation: pv.clone(),
-                cov: Arc::new(fresh.options().cov.snapshot()),
-                trace: Arc::new(fresh.options().trace.snapshot()),
-            });
-            pv
-        }
-        None => None,
+    let mut probe = None;
+    let violation = match (&pre, fs.as_mut()) {
+        (Ok(tree), Some(fs)) => match sandbox::compare(tree, check, cfg, ws, &mut pruned) {
+            None if cfg.probe => {
+                let violation = sandbox::probe(fs, tree, cfg);
+                let (cov, trace) = sinks();
+                probe.insert(ProbeArtifacts { violation, cov, trace }).violation.clone()
+            }
+            v => v,
+        },
+        (pre, _) => pre.clone().err(),
     };
-    let (cov, trace) = match &probe_art {
-        Some(p) => (vec![p.cov.clone()], vec![p.trace.clone()]),
-        None => (vec![cov_mw.clone()], vec![trace_mw.clone()]),
+    let (cov, trace) = match &probe {
+        Some(p) => (p.cov.clone(), p.trace.clone()),
+        None => (cov_mw.clone(), trace_mw.clone()),
     };
     let memoizable = !violation.as_ref().is_some_and(is_sandbox_violation);
-    CheckRes {
-        violation,
-        cov,
-        trace,
-        art: memoizable.then_some(StateArtifacts {
-            pre: Ok(tree),
-            walked: Arc::clone(ws),
-            cov_mw,
-            trace_mw,
-            probe: probe_art,
-        }),
-        pruned,
-        ..Default::default()
-    }
-}
-
-/// Mounts an image and runs only the usability probe against a memoized
-/// tree — the fill path for a memo hit whose comparison passed before any
-/// probe outcome was recorded.
-fn probe_on<K: FsKind, D: pmem::PmBackend>(
-    fresh: &K,
-    dev: D,
-    tree: &Tree,
-    cfg: &TestConfig,
-) -> ProbeArtifacts {
-    // One fuel budget covers the re-mount and the probe, mirroring the
-    // fresh-check path's mount+walk / probe budgets.
-    let _fuel = pmem::FuelGuard::arm(cfg.recovery_fuel);
-    let violation = match sandbox::guarded(Stage::Mount, || fresh.mount(dev)) {
-        Err(v) => Some(v),
-        // Identical bytes mounted before; defensive.
-        Ok(Err(e)) => Some(Violation::Unmountable(e.to_string())),
-        Ok(Ok(mut fs)) => match sandbox::guarded(Stage::Probe, || probe_state(&mut fs, tree)) {
-            Ok(v) => v,
-            Err(v) => Some(v),
-        },
-    };
-    ProbeArtifacts {
-        violation,
-        cov: Arc::new(fresh.options().cov.snapshot()),
-        trace: Arc::new(fresh.options().trace.snapshot()),
-    }
+    let art = StateArtifacts { pre, walked: Arc::clone(ws), cov_mw, trace_mw, probe };
+    let art = memoizable.then_some(art);
+    CheckRes { violation, cov: vec![cov], trace: vec![trace], art, pruned, ..Default::default() }
 }
 
 /// Replays a memo hit at this crash point: mount/walk artifacts come from
-/// the memo, the oracle comparison re-runs, and `probe_fill` is invoked at
-/// most once if the probe outcome is still missing.
-fn resolve_memo_hit(
+/// the memo and the oracle comparison re-runs. If the comparison passes and
+/// no probe outcome was recorded yet, `dev` is mounted again for the probe.
+fn resolve_memo_hit<K: FsKind, D: pmem::PmBackend>(
     art: &StateArtifacts,
+    fresh: &K,
+    dev: D,
     check: &CheckKind<'_>,
     cfg: &TestConfig,
     scope: &Scope,
-    probe_fill: impl FnOnce(&Tree) -> ProbeArtifacts,
 ) -> CheckRes {
-    let plain = |violation: Option<Violation>, pruned: u64| CheckRes {
-        violation,
+    let mut res = CheckRes {
         cov: vec![art.cov_mw.clone()],
         trace: vec![art.trace_mw.clone()],
-        memo_hit: true,
-        pruned,
         ..Default::default()
     };
-    let mut pruned = 0;
-    match &art.pre {
-        Err(v) => plain(Some(v.clone()), 0),
-        Ok(tree) => match sandbox::compare(tree, check, cfg, scope, &mut pruned) {
-            Some(v) => plain(Some(v), pruned),
+    res.violation = match &art.pre {
+        Err(v) => Some(v.clone()),
+        Ok(tree) => match sandbox::compare(tree, check, cfg, scope, &mut res.pruned) {
             None if cfg.probe => {
-                let (p, fill) = match &art.probe {
-                    Some(p) => (p.clone(), None),
-                    None => {
-                        let p = probe_fill(tree);
-                        // A sandboxed probe verdict may be a fast-path
-                        // artifact; keep it out of the memo so later points
-                        // re-probe (and re-verify) rather than inherit it.
-                        let fill = if p.violation.as_ref().is_some_and(is_sandbox_violation) {
-                            None
-                        } else {
-                            let mut updated = art.clone();
-                            updated.probe = Some(p.clone());
-                            Some(updated)
-                        };
-                        (p, fill)
+                let p = art.probe.clone().unwrap_or_else(|| {
+                    // One fuel budget covers the re-mount and the probe,
+                    // mirroring the fresh check's mount+walk / probe budgets.
+                    let fuel = pmem::FuelGuard::arm(cfg.recovery_fuel);
+                    let violation = match sandbox::guarded(Stage::Mount, || fresh.mount(dev)) {
+                        Err(v) => Some(v),
+                        // Identical bytes mounted before; defensive.
+                        Ok(Err(e)) => Some(Violation::Unmountable(e.to_string())),
+                        Ok(Ok(mut fs)) => {
+                            sandbox::guarded(Stage::Probe, || probe_state(&mut fs, tree))
+                                .unwrap_or_else(Some)
+                        }
+                    };
+                    drop(fuel);
+                    let o = fresh.options();
+                    let (cov, trace) = (Arc::new(o.cov.snapshot()), Arc::new(o.trace.snapshot()));
+                    let p = ProbeArtifacts { violation, cov, trace };
+                    // A sandboxed probe verdict may be a fast-path artifact;
+                    // keep it out of the memo so later points re-probe (and
+                    // re-verify) rather than inherit it.
+                    if !p.violation.as_ref().is_some_and(is_sandbox_violation) {
+                        res.art = Some(StateArtifacts { probe: Some(p.clone()), ..art.clone() });
                     }
-                };
-                CheckRes {
-                    violation: p.violation.clone(),
-                    cov: vec![art.cov_mw.clone(), p.cov],
-                    trace: vec![art.trace_mw.clone(), p.trace],
-                    art: fill,
-                    memo_hit: true,
-                    pruned,
-                    ..Default::default()
-                }
+                    p
+                });
+                res.cov.push(p.cov);
+                res.trace.push(p.trace);
+                p.violation
             }
-            None => plain(None, pruned),
+            v => v,
         },
+    };
+    res
+}
+
+/// Per-point buffers, engine-owned: the prefix cache clones [`ReplayState`].
+#[derive(Default)]
+struct PointScratch {
+    writes: Vec<PendingWrite>,
+    subsets: SubsetList,
+    seen: FxHashMap<ImageKey, CheckRes>,
+    audit: Option<SkipAudit>,
+}
+
+/// One crash point, built once per point: the tables [`decide`] reads and
+/// what [`execute`] checks and commits with.
+struct PointCtx<'a, K: FsKind> {
+    kind: &'a K,
+    workload: &'a Workload,
+    cfg: &'a TestConfig,
+    seq: usize,
+    phase: CrashPhase,
+    check: &'a CheckKind<'a>,
+    /// Global crash-point ordinal (0-based), stamped into reports so a
+    /// single state can be re-targeted.
+    point: u64,
+    /// The crash scope, which folds `cfg.scoped_check` in and so is also
+    /// the walk scope of every state at the point.
+    scope: Arc<Scope>,
+    base: &'a [u8],
+    /// The in-flight writes (coalesced under `cfg.coalesce_data`).
+    writes: &'a [PendingWrite],
+    subsets: &'a SubsetList,
+    /// In-point dedup: the results committed at the point, by image key.
+    seen: &'a mut FxHashMap<ImageKey, CheckRes>,
+    memo: &'a mut CrossMemo,
+    rep: &'a mut FxHashMap<u128, bool>,
+    /// The point's half of every state's behavioral signature (context
+    /// hash, per-write terms); `None` without [`TestConfig::rep_check`].
+    signer: Option<(u128, SigCache<'a>)>,
+    /// The read footprints ([`crate::footprint`]); `None` at a point with
+    /// no signer or too few states.
+    fp: Option<FpSet>,
+    audit: Option<&'a mut SkipAudit>,
+}
+
+impl<'a, K: FsKind> PointCtx<'a, K> {
+    /// The crash point of op `seq` over the engine's base image and its
+    /// in-flight writes (none with `no_pending`), counted into `out`, with
+    /// the walker over its states; `None` when it has no state to check.
+    fn new(
+        e: &'a mut ReplayEngine<'_, K>,
+        seq: usize,
+        phase: CrashPhase,
+        check: &'a CheckKind<'a>,
+        check_base: bool,
+        no_pending: bool,
+        out: &mut TestOutcome,
+    ) -> Option<(Self, SubsetWalker<'a>)> {
+        let (scope, cfg) = (e.scope_for(seq), e.cfg);
+        let st = &mut e.state;
+        let pending: &[PendingWrite] = if no_pending { &[] } else { &st.pending };
+        out.crash_points += 1;
+        out.inflight_sizes.push(pending.len());
+        let PointScratch { writes, subsets, seen, audit } = &mut e.scratch;
+        coalesce_into(pending, cfg.coalesce_data, writes);
+        let writes: &[PendingWrite] = writes;
+        let (cap, max, large) = (cfg.cap, cfg.max_states_per_point, cfg.large_first_subsets);
+        enumerate_subsets_into(writes.len(), cap, max, large, check_base, subsets);
+        if subsets.len() == 0 {
+            return None;
+        }
+        debug_assert_eq!(*scope, walk_scope(cfg, &scope));
+        let signer = cfg.rep_check.then(|| {
+            // Torn-data drop (see [`crashgen::behavior_sig`]): the check
+            // tolerates any old/new/zero byte mix in the written file, the FS
+            // cannot turn torn data into a read error, every in-flight write
+            // is the relaxed op's, and no data write leaves a value a later
+            // one replaces. The mode is folded into the context hash so a
+            // dropped-data class never aliases an exact-data one.
+            let drop = matches!(check, CheckKind::Atomicity { relax: DataRelax::Torn(_), .. })
+                && !e.guarantees.data_checksums
+                && !st.pending_unknown
+                && st.pending_seqs.iter().all(|&s| s == seq)
+                && !data_shadowing_unsafe(writes);
+            let mut ctx = rep_context(seq, phase, check, &scope);
+            if drop {
+                ctx ^= pmem::run_term(CTX_DROP, 1);
+            }
+            (ctx, SigCache::new(writes, &st.op_absorbed, drop))
+        });
+        seen.clear();
+        let footprints = signer.is_some() && subsets.len() >= FP_MIN_STATES;
+        let p = PointCtx {
+            kind: e.kind,
+            workload: e.workload,
+            cfg,
+            seq,
+            phase,
+            check,
+            point: out.crash_points - 1,
+            scope,
+            base: &e.base.image,
+            writes,
+            subsets,
+            seen,
+            memo: &mut st.memo,
+            rep: &mut st.rep,
+            signer,
+            fp: footprints.then(FpSet::default),
+            audit: audit.as_mut(),
+        };
+        Some((p, SubsetWalker::new(&e.base.image, e.base.key)))
+    }
+
+    /// `subset`'s state checked the literal way on a fresh-sink clone, and
+    /// that clone: [`check_crash_state`] under [`reference::literal`].
+    fn literal(&self, subset: &[usize]) -> (Option<Violation>, K) {
+        let fresh = self.kind.with_options(self.kind.options().with_fresh_sinks());
+        let lit = reference::literal(self.cfg);
+        (check_crash_state(&fresh, self.base, self.writes, subset, self.check, &lit), fresh)
     }
 }
 
-/// Applies the slow-path retry rule to a freshly checked state: when the
-/// verdict is a sandbox violation (panic/hang), the state is re-checked
-/// exactly once through the literal single-state primitive
-/// ([`check_crash_state`] under [`reference::literal`] — private overlay,
-/// full walk, full unpruned compare), and the slow verdict wins. The sandbox
-/// itself stays on for the retry, so a deterministic FS panic still surfaces
-/// as a `RecoveryPanic` — now provably not a fast-path artifact.
-fn finalize_check<K: FsKind>(
-    kind: &K,
-    base: &[u8],
-    writes: &[PendingWrite],
+/// How one crash state is settled. A `Some` claim is the signature of the
+/// behavioral class the state opens, violated or not by its own verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum StateDecision {
+    /// Its image was committed earlier at the point: replay that result.
+    Dedup,
+    /// Its image agrees with a recorded clean footprint on every word that
+    /// check read, so the check would replay the recorder's: commit clean.
+    FootprintSkip(Option<u128>),
+    /// Its class has a violation-free representative: commit clean. The
+    /// one lossy layer ([`TestConfig::rep_check`]).
+    ClassSkip,
+    /// Its image was checked at an earlier point under a compatible walk:
+    /// reuse that mount/walk/probe and re-run only the comparison.
+    MemoHit(Option<u128>),
+    Check(Option<u128>),
+    /// Check it under a read tracker, recording a footprint.
+    CheckAndRecord(Option<u128>),
+    /// Its class is known violated: check it, through a compatible memo
+    /// entry when `memo`.
+    Expand { memo: bool },
+}
+
+/// The one per-state decision: a pure function of the point's tables and
+/// the state's image key and subset. Dedup comes first; a violated class
+/// expands; a footprint match beats the class plan (a skipped claimer still
+/// opens its class, clean, but never checked, so it is not a counted
+/// class); a clean class skips; then a compatible memo entry, and the
+/// recorder while the point still wants one.
+///
+/// A memoized *successful* walk under a covering scope read (at least) every
+/// byte this point's comparison can touch, so its tree substitutes exactly.
+/// A *failed* walk is only equivalent when the scopes match: a wider walk
+/// may fail on corrupt file data that a narrower walk never reads. A walk
+/// under this very scope (the same `Arc`, built for an earlier point of the
+/// op) is both.
+fn decide<K: FsKind>(p: &PointCtx<'_, K>, key: ImageKey, subset: &[usize]) -> StateDecision {
+    if p.seen.contains_key(&key) {
+        return StateDecision::Dedup;
+    }
+    let sig = p.signer.as_ref().map(|(ctx, cache)| ctx ^ cache.sig(subset));
+    let class = sig.and_then(|s| p.rep.get(&s).copied());
+    let memo = p.memo.get(&key).is_some_and(|a| match &a.pre {
+        _ if Arc::ptr_eq(&a.walked, &p.scope) => true,
+        Ok(_) => a.walked.covers(&p.scope),
+        Err(_) => a.walked == p.scope,
+    });
+    if class == Some(true) {
+        return StateDecision::Expand { memo };
+    }
+    let claim = sig.filter(|_| class.is_none() && p.rep.len() < REP_CAP);
+    match &p.fp {
+        Some(fp) if fp.matches(p.base, p.writes, subset) => StateDecision::FootprintSkip(claim),
+        _ if class.is_some() => StateDecision::ClassSkip,
+        _ if memo => StateDecision::MemoHit(claim),
+        Some(fp) if fp.want_record() => StateDecision::CheckAndRecord(claim),
+        _ => StateDecision::Check(claim),
+    }
+}
+
+/// The executor: settles the state under `walker` as `d` says, commits it
+/// and updates the point's tables. Returns whether stop-on-first fired.
+fn execute<K: FsKind>(
+    p: &mut PointCtx<'_, K>,
+    d: StateDecision,
+    walker: &mut SubsetWalker<'_>,
     subset: &[usize],
-    check: &CheckKind<'_>,
-    cfg: &TestConfig,
-    mut res: CheckRes,
-) -> CheckRes {
+    out: &mut TestOutcome,
+) -> bool {
+    use StateDecision::*;
+    let key = walker.key();
+    let mut fresh = None;
+    let res = match d {
+        Dedup => &p.seen[&key],
+        FootprintSkip(_) | ClassSkip => &fresh.insert((CheckRes::default(), None)).0,
+        _ => {
+            let kind = p.kind.with_options(p.kind.options().with_fresh_sinks());
+            let (cfg, check, scope) = (p.cfg, p.check, &p.scope);
+            let mark = walker.mark();
+            let (staged, words) = match d {
+                MemoHit(_) | Expand { memo: true } => {
+                    let dev = &mut *walker.device();
+                    (resolve_memo_hit(&p.memo[&key], &kind, dev, check, cfg, scope), None)
+                }
+                CheckAndRecord(_) => {
+                    let mut tracker = pmem::ReadTracker::new(walker.device(), FP_WORD_CAP);
+                    let r = check_staged(&kind, &mut tracker, check, cfg, scope);
+                    (r, tracker.clean_words())
+                }
+                _ => (check_staged(&kind, &mut *walker.device(), check, cfg, scope), None),
+            };
+            walker.undo_to(mark);
+            &fresh.insert((finalize_check(p, subset, staged), words)).0
+        }
+    };
+    if let Some(audit) = p.audit.take() {
+        audit.audit_state(p, d, &res.violation, walker, subset);
+        p.audit = Some(audit);
+    }
+    let stopped = commit_state(p, d, res, key, subset, out);
+    let Some((mut res, words)) = fresh else { return stopped };
+    let room = p.memo.len() < MEMO_CAP || p.memo.contains_key(&key);
+    if let Some(a) = res.art.take().filter(|_| room) {
+        p.memo.insert(key, a);
+    }
+    if stopped {
+        return true;
+    }
+    if let (CheckAndRecord(_), Some(fp)) = (d, p.fp.as_mut()) {
+        // Only a clean, unretried check whose reads fit the cap seeds a
+        // footprint; any other outcome closes recording for the point.
+        match words.filter(|_| !res.sandbox_retry && res.violation.is_none()) {
+            Some(w) => fp.record(w, p.base, p.writes, subset),
+            None => fp.give_up(),
+        }
+    }
+    if let FootprintSkip(Some(sig)) | MemoHit(Some(sig)) | Check(Some(sig))
+    | CheckAndRecord(Some(sig)) = d
+    {
+        p.rep.insert(sig, res.violation.is_some());
+    }
+    p.seen.insert(key, res);
+    false
+}
+
+/// Applies the slow-path retry rule to a freshly checked state: a sandbox
+/// verdict (panic/hang) is re-checked once the literal way (private
+/// overlay, full walk, full unpruned compare) and the slow verdict wins.
+/// The sandbox stays on for the retry, so a deterministic FS panic still
+/// surfaces as a `RecoveryPanic` — now provably not a fast-path artifact.
+fn finalize_check<K: FsKind>(p: &PointCtx<'_, K>, subset: &[usize], mut res: CheckRes) -> CheckRes {
     res.fuel_fired = matches!(res.violation, Some(Violation::RecoveryHang { .. }));
     if !res.violation.as_ref().is_some_and(is_sandbox_violation) {
         return res;
     }
-    let fresh = kind.with_options(kind.options().with_fresh_sinks());
-    let lit = reference::literal(cfg);
-    let violation = check_crash_state(&fresh, base, writes, subset, check, &lit);
+    let (violation, fresh) = p.literal(subset);
     CheckRes {
         fuel_fired: res.fuel_fired || matches!(violation, Some(Violation::RecoveryHang { .. })),
         violation,
@@ -1181,265 +1301,121 @@ fn finalize_check<K: FsKind>(
     }
 }
 
-/// Invariant context for committing one crash point's states.
-struct PointCtx<'a> {
-    workload: &'a str,
-    seq: usize,
-    /// The point's op; described only when a report is made.
-    op: &'a Op,
-    phase: CrashPhase,
-    /// Global crash-point ordinal (0-based; `out.crash_points - 1` at point
-    /// entry). Stamped into reports so a single state can be re-targeted.
-    point: u64,
-    stop_on_first: bool,
-    collect_keys: bool,
-}
-
-/// Commits one crash state's result in canonical order: counters, sink
-/// absorption, memo insertion, report. Returns `true` when stop-on-first
-/// fires.
-#[allow(clippy::too_many_arguments)]
+/// Commits one crash state's result in canonical order: counters (the
+/// fast-path ones a fold over `d`), sink absorption, report. Returns `true`
+/// when stop-on-first fires.
 fn commit_state<K: FsKind>(
-    kind: &K,
-    ctx: &PointCtx<'_>,
+    p: &PointCtx<'_, K>,
+    d: StateDecision,
     res: &CheckRes,
     key: ImageKey,
-    dup: bool,
-    subset_ids: &[usize],
-    subset_desc: impl FnOnce() -> String,
-    memo: &mut CrossMemo,
+    subset: &[usize],
     out: &mut TestOutcome,
 ) -> bool {
+    use StateDecision::*;
     out.crash_states += 1;
-    if ctx.collect_keys {
+    if p.cfg.collect_state_keys {
         out.state_keys.push((key as u64) ^ ((key >> 64) as u64));
     }
-    if dup {
-        out.dedup_hits += 1;
-    } else if res.memo_hit {
-        out.memo_hits += 1;
+    // A memo hit the sandbox retry re-checked from scratch reused nothing.
+    let memo = !res.sandbox_retry as u64;
+    match d {
+        Dedup => out.dedup_hits += 1,
+        FootprintSkip(_) | ClassSkip => out.rep_skipped += 1,
+        MemoHit(c) => {
+            out.memo_hits += memo;
+            out.rep_classes += c.is_some() as u64;
+        }
+        Check(c) | CheckAndRecord(c) => out.rep_classes += c.is_some() as u64,
+        Expand { memo: m } => {
+            out.memo_hits += memo * m as u64;
+            out.rep_expansions += 1;
+        }
     }
     // Dup replays recount like any other replayed verdict.
-    match &res.violation {
-        Some(Violation::RecoveryPanic { .. }) => out.recovery_panics += 1,
-        Some(Violation::RecoveryHang { .. }) => out.recovery_hangs += 1,
-        _ => {}
-    }
-    if res.sandbox_retry {
-        out.sandbox_retries += 1;
-    }
-    if res.fuel_fired {
-        out.fuel_exhausted += 1;
-    }
+    let v = res.violation.as_ref();
+    out.recovery_panics += matches!(v, Some(Violation::RecoveryPanic { .. })) as u64;
+    out.recovery_hangs += matches!(v, Some(Violation::RecoveryHang { .. })) as u64;
+    out.sandbox_retries += res.sandbox_retry as u64;
+    out.fuel_exhausted += res.fuel_fired as u64;
     out.oracle_subtrees_pruned += res.pruned;
     for c in &res.cov {
-        kind.options().cov.absorb(c);
+        p.kind.options().cov.absorb(c);
     }
     for t in &res.trace {
-        kind.options().trace.absorb(t);
+        p.kind.options().trace.absorb(t);
     }
-    if !dup {
-        if let Some(a) = &res.art {
-            memo.insert(key, a.clone());
-        }
-    }
-    if let Some(v) = res.violation.clone() {
-        push_report(
-            out,
-            BugReport {
-                workload: ctx.workload.to_string(),
-                op_seq: ctx.seq,
-                op_desc: ctx.op.describe(),
-                phase: ctx.phase,
-                subset: subset_desc(),
-                point: Some(ctx.point),
-                subset_ids: subset_ids.to_vec(),
-                violation: v,
-            },
-        );
-        if ctx.stop_on_first {
-            return true;
-        }
-    }
-    false
+    let Some(v) = v else { return false };
+    push_report(
+        out,
+        BugReport {
+            workload: p.workload.name.clone(),
+            op_seq: p.seq,
+            op_desc: p.workload.ops[p.seq].describe(),
+            phase: p.phase,
+            subset: describe_subset(p.writes, subset),
+            point: Some(p.point),
+            subset_ids: subset.to_vec(),
+            violation: v.clone(),
+        },
+    );
+    p.cfg.stop_on_first
 }
 
-/// Checks all crash states at one crash point: optionally the bare base
-/// state, then every enumerated subset of the in-flight writes.
-///
-/// The states are visited in canonical enumeration order by a single
-/// undo-logged overlay that steps between adjacent subsets by applying and
-/// undoing only the writes they differ in (delta replay); the file system
-/// is mounted directly on that overlay and every checker mutation (mount
-/// recovery, probe) is rolled back through the same undo marks. Each state
-/// is decided, checked and committed before the next one is built.
-///
-/// Every state's image is content-hashed (incrementally, from the base
-/// image's running hash plus per-write deltas). The hash drives two exact
-/// reuse layers:
-///
-/// * in-point dedup: a repeated key replays the first occurrence's
-///   committed result;
-/// * cross-point memo: a key first seen at an earlier crash point reuses
-///   that state's mount/walk/probe artifacts, re-running only the
-///   (point-specific) oracle comparison.
-///
-/// On top of the exact layers sits representative-state checking
-/// ([`TestConfig::rep_check`]): states are clustered by behavioral
-/// signature ([`rep_context`] ⊕ [`crashgen::behavior_sig`]); only the first
-/// member of each class is checked, later members commit a synthesized
-/// clean verdict while the class stays violation-free, and a violated class
-/// expands back to exhaustive checking. Below it, the read-footprint layer
-/// ([`crate::footprint`]) skips a state whose image agrees with an earlier
-/// clean check at this point on every word that check read.
-#[allow(clippy::too_many_arguments)]
-fn visit_crash_point<K: FsKind>(
-    kind: &K,
-    workload: &Workload,
-    cfg: &TestConfig,
-    base: &[u8],
-    base_key: ImageKey,
-    pending: &[PendingWrite],
-    absorbed: &[PendingWrite],
-    seq: usize,
-    phase: CrashPhase,
-    check: &CheckKind<'_>,
-    check_base: bool,
-    torn_drop: bool,
-    scope: &Arc<Scope>,
-    memo: &mut CrossMemo,
-    rep: &mut RepTable,
-    out: &mut TestOutcome,
-    stop: &mut bool,
-) {
-    out.crash_points += 1;
-    out.inflight_sizes.push(pending.len());
-    let writes = if cfg.coalesce_data { coalesce(pending) } else { pending.to_vec() };
+/// What [`audit_skips`] re-checked on one workload.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct SkipAudit {
+    /// Dedup and memo hits: each verdict equals the literal one, and each
+    /// image digests as the image its key was first seen with.
+    pub hash_hits: u64,
+    /// Footprint skips, each literally clean.
+    pub footprint_skips: u64,
+    /// Class skips.
+    pub class_skips: u64,
+    /// Class skips the literal check finds violated.
+    pub class_violated: u64,
+    /// Each key's full-image digest: std's `DefaultHasher`, not `pmem`'s.
+    digests: FxHashMap<ImageKey, u64>,
+    /// Class skips' `(point, key)`: a dedup of one audits only its digest.
+    class_keys: HashSet<(u64, ImageKey)>,
+}
 
-    let mut subsets: Vec<Vec<usize>> = Vec::new();
-    if check_base {
-        subsets.push(Vec::new());
-    }
-    subsets.extend(enumerate_subsets_ordered(
-        writes.len(),
-        cfg.cap,
-        cfg.max_states_per_point,
-        cfg.large_first_subsets,
-    ));
-    if subsets.is_empty() {
-        return;
-    }
-
-    let ctx = PointCtx {
-        workload: &workload.name,
-        seq,
-        op: &workload.ops[seq],
-        phase,
-        point: out.crash_points - 1,
-        stop_on_first: cfg.stop_on_first,
-        collect_keys: cfg.collect_state_keys,
-    };
-    // The crash scope already folds `cfg.scoped_check` in, so it is the walk
-    // scope itself: every state of the point borrows it.
-    debug_assert_eq!(**scope, walk_scope(cfg, scope));
-
-    // Representative layer: the point's half of every state's behavioral
-    // signature (context hash, per-write terms).
-    let signer = cfg.rep_check.then(|| {
-        // The torn-data drop additionally requires that no data write
-        // leaves an intermediate value a later data write replaces (zero
-        // fill and same-byte rewrites are tolerated; anything else would
-        // escape the old/new/zero tolerance). Membership-independent, so
-        // decided per point; the drop mode is folded into the context hash
-        // so a dropped-data class can never alias an exact-data one.
-        let drop_data = torn_drop && !data_shadowing_unsafe(&writes);
-        let mut ctx_h = rep_context(seq, phase, check, scope);
-        if drop_data {
-            ctx_h ^= pmem::run_term(CTX_DROP, 1);
-        }
-        (ctx_h, SigCache::new(&writes, absorbed, drop_data))
-    });
-    let mut fp = FpSet::default();
-    let mut walker = SubsetWalker::new(base, base_key);
-    // In-point dedup: the results committed at this point, by image key.
-    let mut seen: FxHashMap<ImageKey, CheckRes> =
-        FxHashMap::with_capacity_and_hasher(subsets.len(), Default::default());
-
-    for subset in &subsets {
-        walker.goto(&writes, subset);
-        let key = walker.key();
-        let describe = || describe_subset(&writes, subset);
-        if let Some(r) = seen.get(&key) {
-            if commit_state(kind, &ctx, r, key, true, subset, describe, memo, out) {
-                *stop = true;
-                return;
-            }
-            continue;
-        }
-        let sig = signer.as_ref().map(|(ctx_h, cache)| ctx_h ^ cache.sig(subset));
-        let plan = sig.map_or(RepPlan::NoRep, |s| rep.plan(s));
-        // Footprint layer: a state whose image agrees with a recorded clean
-        // footprint on every word that check actually read provably replays
-        // the recorder's execution bit for bit — skip it clean. Members of
-        // a violated class are excluded: they expand to a full check.
-        let fp_eligible =
-            sig.is_some() && subsets.len() >= FP_MIN_STATES && plan != RepPlan::Expand;
-        let skip = plan == RepPlan::Skip || (fp_eligible && fp.matches(base, &writes, subset));
-        let res = if skip {
-            CheckRes::default()
-        } else {
-            let fresh = kind.with_options(kind.options().with_fresh_sinks());
-            let art = memo.get(&key).filter(|a| memo_walk_compatible(a, scope));
-            // A from-scratch check doubles as a footprint recorder while
-            // the point still wants one: the same check under a read tracker.
-            let record = art.is_none() && fp_eligible && fp.want_record();
-            let mark = walker.mark();
-            let (staged, words) = match art {
-                Some(art) => {
-                    let r = resolve_memo_hit(art, check, cfg, scope, |tree| {
-                        probe_on(&fresh, &mut *walker.device(), tree, cfg)
-                    });
-                    (r, None)
-                }
-                None if record => {
-                    let mut tracker = pmem::ReadTracker::new(walker.device(), FP_WORD_CAP);
-                    let r = check_staged(&fresh, &mut tracker, check, cfg, scope);
-                    (r, tracker.clean_words())
-                }
-                None => (check_staged(&fresh, &mut *walker.device(), check, cfg, scope), None),
-            };
-            walker.undo_to(mark);
-            let res = finalize_check(kind, base, &writes, subset, check, cfg, staged);
-            // Only a clean, unretried check whose reads fit the cap seeds a
-            // footprint; any other outcome closes recording for the point.
-            if record {
-                match words {
-                    Some(w) if !res.sandbox_retry && res.violation.is_none() => {
-                        fp.record(w, base, &writes, subset)
-                    }
-                    _ => fp.give_up(),
+impl SkipAudit {
+    fn audit_state<K: FsKind>(
+        &mut self,
+        p: &PointCtx<'_, K>,
+        d: StateDecision,
+        verdict: &Option<Violation>,
+        walker: &mut SubsetWalker<'_>,
+        subset: &[usize],
+    ) {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        use StateDecision::*;
+        let (key, mut image) = (walker.key(), vec![0; p.base.len()]);
+        walker.device().read(0, &mut image);
+        let digest = BuildHasherDefault::<DefaultHasher>::default().hash_one(&image);
+        let first = *self.digests.entry(key).or_insert(digest);
+        let at = (&p.workload.name, p.point, subset);
+        match d {
+            Check(_) | CheckAndRecord(_) | Expand { memo: false } => {}
+            Dedup | MemoHit(_) | Expand { memo: true } => {
+                self.hash_hits += 1;
+                assert_eq!(first, digest, "{at:?}: image key {key:#x} names two images");
+                if !self.class_keys.contains(&(p.point, key)) {
+                    assert_eq!(*verdict, p.literal(subset).0, "{at:?}: {d:?} is not literal");
                 }
             }
-            res
-        };
-        let stopped = commit_state(kind, &ctx, &res, key, false, subset, describe, memo, out);
-        // A footprint skip trumps the class plan: a skipped claimer still
-        // opens its class (clean), but it never checked, so it is not a
-        // counted class.
-        match plan {
-            _ if skip => out.rep_skipped += 1,
-            RepPlan::Claim => out.rep_classes += 1,
-            RepPlan::Expand => out.rep_expansions += 1,
-            _ => {}
+            FootprintSkip(_) => {
+                self.footprint_skips += 1;
+                assert_eq!(p.literal(subset).0, None, "{at:?}: footprint skip of a violated state");
+            }
+            ClassSkip => {
+                self.class_skips += 1;
+                self.class_violated += p.literal(subset).0.is_some() as u64;
+                self.class_keys.insert((p.point, key));
+            }
         }
-        if stopped {
-            *stop = true;
-            return;
-        }
-        if let (RepPlan::Claim, Some(sig)) = (plan, sig) {
-            rep.claim(sig, res.violation.is_some());
-        }
-        seen.insert(key, res);
     }
 }
 
@@ -1548,5 +1524,105 @@ mod tests {
         let out = test_workload(&kind, &wl, &TestConfig::default());
         assert!(out.reports.is_empty(), "{:#?}", out.reports);
         assert_eq!(out.inflight_sizes.len() as u64, out.crash_points);
+    }
+
+    /// [`decide`]'s precedence, one row per case: the tables a state meets
+    /// and the decision they must give.
+    #[test]
+    fn decide_precedence() {
+        use StateDecision::*;
+        #[derive(Clone, Copy, PartialEq)]
+        enum Fp {
+            Off,
+            Match,
+            Record,
+            GaveUp,
+        }
+        let (kind, wl, cfg) = (Ext4DaxKind::default(), w("t", vec![]), TestConfig::default());
+        let tree = Tree::new();
+        let check = CheckKind::Synchrony { cur: &tree };
+        let base = vec![0u8; 64];
+        let writes =
+            vec![PendingWrite::new(0, vec![1; 8], false), PendingWrite::new(8, vec![2; 8], false)];
+        let (key, subset, subsets) = (7, &[1][..], SubsetList::default());
+        let sig = SigCache::new(&writes, &[], false).sig(subset);
+        let (same, other) = (Arc::new(Scope::Full), Arc::new(Scope::Paths(BTreeSet::new())));
+        // (in the dedup map, class table (`Some(violated)`, `None`: absent,
+        // or at its cap), signer, footprints, memo entry (a failed walk,
+        // under this or another scope), decision).
+        type Row<'r> =
+            (bool, Option<Option<bool>>, bool, Fp, Option<&'r Arc<Scope>>, StateDecision);
+        let rows: &[Row<'_>] = &[
+            // Dedup first, whatever else holds.
+            (true, Some(Some(true)), true, Fp::Match, Some(&same), Dedup),
+            // A footprint skip beats the class plan; a first member still
+            // claims its class.
+            (false, Some(Some(false)), true, Fp::Match, None, FootprintSkip(None)),
+            (false, Some(None), true, Fp::Match, Some(&same), FootprintSkip(Some(sig))),
+            (false, Some(Some(false)), true, Fp::Record, Some(&same), ClassSkip),
+            // ...but not for a violated class, which expands, through a
+            // compatible memo entry only.
+            (false, Some(Some(true)), true, Fp::Match, None, Expand { memo: false }),
+            (false, Some(Some(true)), true, Fp::Match, Some(&same), Expand { memo: true }),
+            (false, Some(Some(true)), true, Fp::Match, Some(&other), Expand { memo: false }),
+            // The memo stands in only for a compatible walk.
+            (false, Some(None), true, Fp::Record, Some(&same), MemoHit(Some(sig))),
+            (false, Some(None), true, Fp::Off, Some(&other), Check(Some(sig))),
+            (false, Some(None), false, Fp::Off, Some(&same), MemoHit(None)),
+            // The recorder runs with no memo hit, at a footprinting point
+            // that still wants one.
+            (false, Some(None), true, Fp::Record, Some(&other), CheckAndRecord(Some(sig))),
+            (false, Some(None), true, Fp::Record, None, CheckAndRecord(Some(sig))),
+            (false, Some(None), true, Fp::GaveUp, None, Check(Some(sig))),
+            (false, Some(None), true, Fp::Off, None, Check(Some(sig))),
+            (false, Some(None), false, Fp::Off, None, Check(None)),
+            // A full class table opens no class.
+            (false, None, true, Fp::Record, None, CheckAndRecord(None)),
+            (false, None, true, Fp::Match, None, FootprintSkip(None)),
+        ];
+        for (i, &(dup, class, signed, fp, walked, want)) in rows.iter().enumerate() {
+            let mut seen = FxHashMap::default();
+            if dup {
+                seen.insert(key, CheckRes::default());
+            }
+            let mut rep: FxHashMap<u128, bool> = match class {
+                Some(c) => c.map(|v| (sig, v)).into_iter().collect(),
+                None => (1..=REP_CAP as u128).map(|s| (sig.wrapping_add(s), false)).collect(),
+            };
+            let mut memo = CrossMemo::default();
+            if let Some(ws) = walked {
+                let (cov_mw, trace_mw) = Default::default();
+                let pre = Err(Violation::Unmountable(String::new()));
+                let walked = Arc::clone(ws);
+                memo.insert(key, StateArtifacts { pre, walked, cov_mw, trace_mw, probe: None });
+            }
+            let mut fps = FpSet::default();
+            match fp {
+                // An empty footprint: every image agrees with it.
+                Fp::Match => fps.record(Vec::new(), &base, &writes, &[0]),
+                Fp::GaveUp => fps.give_up(),
+                _ => {}
+            }
+            let p = PointCtx {
+                kind: &kind,
+                workload: &wl,
+                cfg: &cfg,
+                seq: 0,
+                phase: CrashPhase::AfterSyscall,
+                check: &check,
+                point: 0,
+                scope: Arc::clone(&same),
+                base: &base,
+                writes: &writes,
+                subsets: &subsets,
+                seen: &mut seen,
+                memo: &mut memo,
+                rep: &mut rep,
+                signer: signed.then(|| (0, SigCache::new(&writes, &[], false))),
+                fp: (fp != Fp::Off).then_some(fps),
+                audit: None,
+            };
+            assert_eq!(decide(&p, key, subset), want, "row {i}");
+        }
     }
 }
