@@ -4,7 +4,6 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use bench::campaign::{
     hostio::{FaultSpec, HostCtx, StoreError},
@@ -251,7 +250,6 @@ pub fn campaignd(cli: &Cli, args: Vec<String>) {
     let mut worker_id: Option<String> = None;
     let mut die_after: Option<u64> = None;
     let mut workers: usize = 2;
-    let mut ttl_ms: u64 = 5000;
     let mut torture: Option<u64> = None;
     let mut spec = CampaignSpec::default();
     let mut spec_flags = false;
@@ -277,7 +275,6 @@ pub fn campaignd(cli: &Cli, args: Vec<String>) {
             "--worker-id" => worker_id = Some(value()),
             "--die-after" => die_after = Some(cli.parse(flag, &value())),
             "--workers" => workers = cli.parse(flag, &value()),
-            "--ttl-ms" => ttl_ms = cli.parse(flag, &value()),
             "--torture" => torture = Some(hex(value())),
             "--fs" => {
                 spec.fs = value().parse::<FsName>().unwrap_or_else(|e| cli.fail(e));
@@ -310,7 +307,6 @@ pub fn campaignd(cli: &Cli, args: Vec<String>) {
     }
 
     let opts = RunOpts {
-        ttl: Duration::from_millis(ttl_ms),
         worker_id: worker_id
             .clone()
             .unwrap_or_else(|| format!("w{}", std::process::id())),
@@ -378,8 +374,6 @@ pub fn campaignd(cli: &Cli, args: Vec<String>) {
             let mut cmd = std::process::Command::new(&exe);
             cmd.args(["campaignd", "--worker", "--store"])
                 .arg(&store.dir)
-                .arg("--ttl-ms")
-                .arg(ttl_ms.to_string())
                 .arg("--worker-id")
                 .arg(format!("w{}", i + 1));
             if let Some(seed) = torture {

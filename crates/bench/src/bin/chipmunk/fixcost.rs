@@ -1,8 +1,7 @@
 //! `fixcost`: the Observation 2 fix-cost measurements in simulated Optane
 //! time (deterministic). Fixing rename-atomicity bugs 4 and 5 makes a
 //! rename-overwrite loop ~25% slower and a git-checkout-like metadata storm
-//! <1% slower; fixing bug 6 makes a repeated-`link` loop ~7% *faster*. The
-//! wall-clock versions are `cargo bench -p bench --bench fixcost`.
+//! <1% slower; fixing bug 6 makes a repeated-`link` loop ~7% *faster*.
 
 use chipmunk::{test_workload, TestConfig};
 use novafs::{Nova, NovaKind};

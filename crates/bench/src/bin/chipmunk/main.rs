@@ -55,10 +55,10 @@ const COMMANDS: &[Command] = &[
         "campaignd",
         "--store <dir> [--fs NAME] [--bug N] [--seq1-take N] [--seq2-step N]\n\
          \x20                         [--fuzz-budget N] [--seed HEX] [--batch N] [--cap N|none]\n\
-         \x20                         [--bitmap-bits N] [--workers N] [--ttl-ms N] [--torture HEX]\n\
-         \x20      chipmunk campaignd --resume <dir> [--workers N] [--ttl-ms N] [--torture HEX]\n\
-         \x20      chipmunk campaignd --worker --store <dir> [--ttl-ms N] [--worker-id ID]\n\
-         \x20                         [--die-after N] [--torture HEX]",
+         \x20                         [--bitmap-bits N] [--workers N] [--torture HEX]\n\
+         \x20      chipmunk campaignd --resume <dir> [--workers N] [--torture HEX]\n\
+         \x20      chipmunk campaignd --worker --store <dir> [--worker-id ID] [--die-after N]\n\
+         \x20                         [--torture HEX]",
         campaign::campaignd,
     ),
 ];

@@ -222,18 +222,8 @@ impl HostIo for PassthroughIo {
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         use std::io::Write;
-        // Overwrite in place, then cut the old tail off: `File::create`
-        // would truncate first, and a worker SIGKILLed between that and the
-        // write leaves an *empty* lease — no pid to prove dead, so its task
-        // waits out the whole TTL. A heartbeat is one small write call, so
-        // a reader (or a kill) sees the old body or the new one.
-        let mut f = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)?;
+        let mut f = std::fs::File::create(path)?;
         f.write_all(bytes)?;
-        f.set_len(bytes.len() as u64)?;
         f.sync_all()
     }
 
@@ -880,14 +870,6 @@ impl HostCtx {
         self.retrying("rename", to, |io| io.rename(from, to))
     }
 
-    /// Fire-and-forget overwrite for heartbeat tokens: one attempt, errors
-    /// swallowed (a missed heartbeat only risks needless reclamation, which
-    /// is harmless — results are deterministic and journal appends are
-    /// first-writer-wins).
-    pub fn overwrite_quiet(&self, path: &Path, bytes: &[u8]) {
-        let _ = self.inner.io.write(path, bytes);
-    }
-
     /// Whether `path` exists (best effort; errors read as "absent").
     pub fn exists(&self, path: &Path) -> bool {
         matches!(self.inner.io.file_len(path), Ok(Some(_)))
@@ -930,8 +912,7 @@ mod tests {
         d
     }
 
-    /// `write` overwrites in place (no empty window for a SIGKILL to
-    /// freeze — see `PassthroughIo::write`) and still leaves exactly `bytes`.
+    /// `write` leaves exactly `bytes`, whatever the file held before.
     #[test]
     fn passthrough_write_replaces_the_whole_content() {
         let dir = tmpdir("write");
@@ -1099,6 +1080,34 @@ mod tests {
             other => panic!("expected verify failure, got {other}"),
         }
         assert!(!path.exists(), "a lying write must never be renamed into place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A write_atomic that fails after its temp file was written removes
+    /// the temp file: no stray `.tmp` is left beside the target.
+    #[test]
+    fn failed_write_atomic_removes_its_temp_file() {
+        let dir = tmpdir("tmp-cleanup");
+        let path = dir.join("doc.json");
+        let ctx = HostCtx::faulty(FaultSpec { lying_permille: 1000, ..FaultSpec::none(4) });
+        ctx.write_atomic(&path, b"{\"x\": 1}\n").unwrap_err();
+        assert!(!tmp_path(&path).exists(), "the failed write left its temp file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An append the device acknowledged but cut short is caught by the
+    /// read-back and rolled back: the journal keeps exactly its old bytes.
+    #[test]
+    fn lying_append_is_caught_and_rolled_back() {
+        let dir = tmpdir("lying-append");
+        let path = dir.join("task-0.log");
+        std::fs::write(&path, "{\"i\":0}\n").unwrap();
+        let ctx = HostCtx::faulty(FaultSpec { lying_permille: 1000, ..FaultSpec::none(6) });
+        match ctx.append_line(&path, b"{\"i\":1}\n").unwrap_err() {
+            StoreError::Transient { op, .. } => assert_eq!(op, "append-verify"),
+            other => panic!("expected verify failure, got {other}"),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"i\":0}\n");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -22,10 +22,10 @@
 //!    interrupted subtree group, so a resumed sweep re-earns exactly the
 //!    per-workload `prefix_ops_saved` an uninterrupted run would have.
 //! 3. **Multi-process worker fleet** ([`runner`], driven by the `campaignd`
-//!    bin): N worker processes over a file-based work queue
-//!    ([`queue::WorkQueue`]) with lease + heartbeat files; leases of crashed
-//!    workers are reclaimed (liveness via `/proc/<pid>`, falling back to
-//!    heartbeat age). Each worker runs the existing scheduling machinery
+//!    bin): N worker processes on one Linux host over a file-based work
+//!    queue ([`queue::WorkQueue`]) of write-once leases, each live exactly
+//!    while the worker that claimed it runs, so a crashed worker's leases
+//!    are reclaimed at once. Each worker runs the existing scheduling machinery
 //!    ([`crate::plan_subtrees`] + `PrefixCache`) in-process; per-workload
 //!    results are pure functions of their task (the invariant the
 //!    `Scheduler` already pins), so the merged document is byte-identical

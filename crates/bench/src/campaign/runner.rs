@@ -40,7 +40,7 @@ use crate::sched::guarded_run;
 use crate::{dispatch, plan_subtrees, SubtreePlan, WithKind};
 
 use super::hostio::StoreError;
-use super::queue::{Claim, Lease, WorkQueue};
+use super::queue::{self, Claim, WorkQueue};
 use super::store::{CampaignStore, TaskJournal};
 use super::wire::{counter_slot, fnv1a, report_to_jval, WRes, COUNTER_NAMES};
 use super::{CampaignSpec, TaskKind};
@@ -52,8 +52,6 @@ use super::{CampaignSpec, TaskKind};
 /// parallelism is its worker processes (`campaignd --workers N`).
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// Lease heartbeat TTL for stale-lease reclamation.
-    pub ttl: Duration,
     /// Worker id (lease files, summary file name).
     pub worker_id: String,
     /// Test hook: stop after this many journal checkpoint appends —
@@ -68,7 +66,6 @@ pub struct RunOpts {
 impl Default for RunOpts {
     fn default() -> Self {
         RunOpts {
-            ttl: Duration::from_secs(5),
             worker_id: format!("w{}", std::process::id()),
             kill_after_checkpoints: None,
             hard_kill: false,
@@ -200,12 +197,13 @@ impl QueueEvents {
     }
 }
 
-/// Bumps [`QUEUE_EVENTS`] when dropped: on every way out of a worker,
-/// panics included.
-struct StopEvent;
+/// Unregisters the worker id and bumps [`QUEUE_EVENTS`] when dropped: on
+/// every way out of a worker, panics included.
+struct StopEvent<'a>(&'a str);
 
-impl Drop for StopEvent {
+impl Drop for StopEvent<'_> {
     fn drop(&mut self) {
+        queue::worker_stopped(self.0);
         QUEUE_EVENTS.bump();
     }
 }
@@ -224,12 +222,13 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
     let spec = &store.spec;
     let ace_ws = spec.ace_workloads();
     let total = spec.total_tasks();
-    let queue = WorkQueue::new(store, &opts.worker_id, opts.ttl);
+    let queue = WorkQueue::new(store, &opts.worker_id);
     let mut budget = opts.kill_after_checkpoints;
     let mut sum = WorkerSummary::default();
     let mut attempts: BTreeMap<usize, u32> = BTreeMap::new();
     let mut last_progress = Instant::now();
-    let _stop = StopEvent;
+    queue::worker_started(&opts.worker_id);
+    let _stop = StopEvent(&opts.worker_id);
 
     loop {
         // Read before the pass, so an event during it cuts the wait short.
@@ -253,7 +252,7 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
                 Claim::Claimed(l) => l,
                 Claim::Busy | Claim::Done => continue,
             };
-            let step = run_task(store, id, kind, &ace_ws, &lease, opts, &mut budget, &mut sum)
+            let step = run_task(store, id, kind, &ace_ws, opts, &mut budget, &mut sum)
                 .and_then(|run| match run {
                     TaskRun::Complete(results) => {
                         store.write_result(id, &results)?;
@@ -302,13 +301,14 @@ pub fn run_worker(store: &CampaignStore, opts: &RunOpts) -> Result<WorkerSummary
             }
         }
         if all_done {
+            queue.sweep();
             break;
         }
         if progressed {
             last_progress = Instant::now();
         } else {
             // Someone else holds the remaining leases (or a fuzz dependency
-            // is still running elsewhere): wait for heartbeats to resolve.
+            // is still running elsewhere): wait for them to commit or die.
             // A dead injector or wedged store must not spin forever.
             if store.io.crashed() {
                 sum.absorb_io(store);
@@ -349,13 +349,11 @@ pub fn write_summary(store: &CampaignStore, opts: &RunOpts, sum: &WorkerSummary)
     );
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_task(
     store: &CampaignStore,
     id: usize,
     kind: TaskKind,
     ace_ws: &[Workload],
-    lease: &Lease,
     opts: &RunOpts,
     budget: &mut Option<u64>,
     sum: &mut WorkerSummary,
@@ -367,12 +365,7 @@ fn run_task(
                 ws.iter().map(|w| w.ops.iter().map(|o| o.describe()).collect()).collect();
             let plan = plan_subtrees(&keys);
             let sig = ace_plan_sig(id, &keys, &plan);
-            let state = TaskJournal::recover(&store.io, &store.journal_path(id), sig)?;
-            if !state.done.is_empty() {
-                sum.tasks_resumed += 1;
-                sum.journal_workloads_replayed += state.done.len() as u64;
-            }
-            let mut journal = TaskJournal::open(&store.io, &store.journal_path(id), &state, sig)?;
+            let (done, log) = Checkpoints::open(store, id, sig, opts.hard_kill, budget, sum)?;
             let cfg = store.spec.ace_cfg();
             dispatch(
                 store.spec.fs,
@@ -382,23 +375,15 @@ fn run_task(
                     plan: &plan,
                     cfg: &cfg,
                     bitmap_bits: store.spec.bitmap_bits,
-                    done: state.done,
-                    journal: &mut journal,
-                    lease,
-                    budget,
-                    hard_kill: opts.hard_kill,
+                    done,
+                    log,
                     rewarms: &mut sum.rewarm_runs,
                 },
             )
         }
         TaskKind::Fuzz { index } => {
             let sig = fuzz_plan_sig(id, &store.spec, index);
-            let state = TaskJournal::recover(&store.io, &store.journal_path(id), sig)?;
-            if !state.done.is_empty() {
-                sum.tasks_resumed += 1;
-                sum.journal_workloads_replayed += state.done.len() as u64;
-            }
-            let mut journal = TaskJournal::open(&store.io, &store.journal_path(id), &state, sig)?;
+            let (done, log) = Checkpoints::open(store, id, sig, opts.hard_kill, budget, sum)?;
             // Replay material: every earlier fuzz batch's committed results,
             // in order (their existence gates claiming this task). The
             // verified loader quarantines a corrupt dependency, clearing its
@@ -418,17 +403,7 @@ fn run_task(
             dispatch(
                 store.spec.fs,
                 campaign_opts(&store.spec),
-                FuzzTask {
-                    spec: &store.spec,
-                    len,
-                    prior,
-                    cfg: &cfg,
-                    done: state.done,
-                    journal: &mut journal,
-                    lease,
-                    budget,
-                    hard_kill: opts.hard_kill,
-                },
+                FuzzTask { spec: &store.spec, len, prior, cfg: &cfg, done, log },
             )
         }
     }
@@ -452,20 +427,51 @@ fn campaign_opts(spec: &CampaignSpec) -> FsOptions {
     FsOptions { bugs, cov: Cov::enabled(), ..Default::default() }
 }
 
-/// Ticks the kill-hook budget after a checkpoint append. Returns `true`
-/// when the worker must stop now.
-fn kill_tick(budget: &mut Option<u64>, hard_kill: bool) -> bool {
-    let Some(b) = budget else { return false };
-    *b = b.saturating_sub(1);
-    if *b > 0 {
-        return false;
+/// A task's journal and the kill hook: the one step every journaled
+/// workload of an ACE or fuzz task goes through.
+struct Checkpoints<'a> {
+    journal: TaskJournal,
+    budget: &'a mut Option<u64>,
+    hard_kill: bool,
+}
+
+impl<'a> Checkpoints<'a> {
+    /// Recovers task `id`'s journal under plan signature `sig` and opens it
+    /// for appends; also returns the workloads already journaled.
+    fn open(
+        store: &CampaignStore,
+        id: usize,
+        sig: u64,
+        hard_kill: bool,
+        budget: &'a mut Option<u64>,
+        sum: &mut WorkerSummary,
+    ) -> Result<(BTreeMap<usize, WRes>, Self), StoreError> {
+        let path = store.journal_path(id);
+        let state = TaskJournal::recover(&store.io, &path, sig)?;
+        if !state.done.is_empty() {
+            sum.tasks_resumed += 1;
+            sum.journal_workloads_replayed += state.done.len() as u64;
+        }
+        let journal = TaskJournal::open(&store.io, &path, &state, sig)?;
+        Ok((state.done, Checkpoints { journal, budget, hard_kill }))
     }
-    if hard_kill {
-        // A real SIGKILL runs no destructors; neither does abort. The lease
-        // and any torn journal tail stay exactly as they are.
-        std::process::abort();
+
+    /// Journals workload `i`'s result, then ticks the kill-hook budget.
+    /// Returns `true` when the worker must stop now.
+    fn record(&mut self, i: usize, res: &WRes) -> Result<bool, StoreError> {
+        self.journal.checkpoint(i, res)?;
+        let Some(b) = self.budget.as_mut() else { return Ok(false) };
+        *b = b.saturating_sub(1);
+        if *b > 0 {
+            return Ok(false);
+        }
+        if self.hard_kill {
+            // A real SIGKILL runs no destructors; neither does abort. The
+            // lease and any torn journal tail stay exactly as they are.
+            std::process::abort();
+        }
+        Ok(true)
     }
-    true
 }
 
 fn ace_plan_sig(task: usize, keys: &[Vec<String>], plan: &SubtreePlan) -> u64 {
@@ -498,10 +504,7 @@ struct AceTask<'a> {
     cfg: &'a TestConfig,
     bitmap_bits: u64,
     done: BTreeMap<usize, WRes>,
-    journal: &'a mut TaskJournal,
-    lease: &'a Lease,
-    budget: &'a mut Option<u64>,
-    hard_kill: bool,
+    log: Checkpoints<'a>,
     rewarms: &'a mut u64,
 }
 
@@ -544,13 +547,11 @@ impl WithKind for AceTask<'_> {
                     res.counters[counter_slot("sched_subtrees")] = self.plan.groups.len() as u64;
                     res.counters[MAX_DEPTH] = self.plan.max_depth;
                 }
-                self.journal.checkpoint(i, &res)?;
-                self.lease.heartbeat();
-                slots[i] = Some(res);
-                warm = true;
-                if kill_tick(self.budget, self.hard_kill) {
+                if self.log.record(i, &res)? {
                     return Ok(TaskRun::Interrupted);
                 }
+                slots[i] = Some(res);
+                warm = true;
             }
         }
         Ok(TaskRun::Complete(slots.into_iter().map(|s| s.expect("slot filled")).collect()))
@@ -563,10 +564,7 @@ struct FuzzTask<'a> {
     prior: Vec<Vec<WRes>>,
     cfg: &'a TestConfig,
     done: BTreeMap<usize, WRes>,
-    journal: &'a mut TaskJournal,
-    lease: &'a Lease,
-    budget: &'a mut Option<u64>,
-    hard_kill: bool,
+    log: Checkpoints<'a>,
 }
 
 impl WithKind for FuzzTask<'_> {
@@ -615,12 +613,10 @@ impl WithKind for FuzzTask<'_> {
                 new,
                 keep.then(|| w.to_wire_lines()),
             );
-            self.journal.checkpoint(i, &res)?;
-            self.lease.heartbeat();
-            *slot = Some(res);
-            if kill_tick(self.budget, self.hard_kill) {
+            if self.log.record(i, &res)? {
                 return Ok(TaskRun::Interrupted);
             }
+            *slot = Some(res);
         }
         Ok(TaskRun::Complete(slots.into_iter().map(|s| s.expect("slot filled")).collect()))
     }

@@ -9,6 +9,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use bench::campaign::{
+    queue::{Claim, WorkQueue},
     runner::{self, RunOpts},
     store::CampaignStore,
     wire::counter_slot,
@@ -35,7 +36,7 @@ fn small_spec() -> CampaignSpec {
 }
 
 fn opts() -> RunOpts {
-    RunOpts { ttl: Duration::from_secs(3600), ..RunOpts::default() }
+    RunOpts::default()
 }
 
 /// Runs a fresh campaign to completion and returns the merged document.
@@ -110,11 +111,7 @@ fn parallel_workers_and_repeated_kills_converge() {
         for w in 0..2 {
             let store = &store;
             sc.spawn(move || {
-                let o = RunOpts {
-                    worker_id: format!("t{w}"),
-                    ttl: Duration::from_secs(3600),
-                    ..RunOpts::default()
-                };
+                let o = RunOpts { worker_id: format!("t{w}"), ..RunOpts::default() };
                 runner::run_worker(store, &o).unwrap();
             });
         }
@@ -137,6 +134,35 @@ fn parallel_workers_and_repeated_kills_converge() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker stopped by the soft kill hook leaves its lease behind, and a
+/// worker with another id in the same process reclaims it as soon as the
+/// stopped call has returned: no timeout stands between them.
+#[test]
+fn returned_workers_lease_is_reclaimed_by_a_sibling_at_once() {
+    let base_dir = tmpdir("base6");
+    let (want_doc, _) = baseline(&base_dir);
+
+    let dir = tmpdir("sibling");
+    let store = CampaignStore::open_or_init(&dir, &small_spec()).unwrap();
+    let quitter = RunOpts {
+        worker_id: "quitter".into(),
+        kill_after_checkpoints: Some(2),
+        ..RunOpts::default()
+    };
+    assert!(runner::run_worker(&store, &quitter).unwrap().interrupted);
+    assert!(store.lease_path(0).exists(), "the stopped worker leaves its lease");
+    match WorkQueue::new(&store, "heir").claim(0) {
+        Claim::Claimed(lease) => lease.release(),
+        _ => panic!("a returned worker's lease must be reclaimable at once"),
+    }
+    let heir = RunOpts { worker_id: "heir".into(), ..RunOpts::default() };
+    let sum = runner::run_worker(&store, &heir).unwrap();
+    assert_eq!(sum.tasks_resumed, 1, "the heir splices the quitter's journal");
+    assert_eq!(runner::merge(&store).unwrap().doc, want_doc);
+    let _ = std::fs::remove_dir_all(&base_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A real SIGKILL'd worker *process*: spawn `chipmunk campaignd --worker`, kill it
 /// mid-campaign, verify its lease is left behind, then let an in-process
 /// worker reclaim it and finish — the merged document must match the
@@ -148,11 +174,10 @@ fn sigkilled_worker_process_is_reclaimed() {
 
     let dir = tmpdir("sigkill");
     let store = CampaignStore::open_or_init(&dir, &small_spec()).unwrap();
-    // A long TTL proves reclamation runs on pid-liveness, not timeout.
     let mut child = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
         .args(["campaignd", "--worker", "--store"])
         .arg(&dir)
-        .args(["--ttl-ms", "3600000", "--worker-id", "doomed"])
+        .args(["--worker-id", "doomed"])
         .spawn()
         .expect("spawn campaignd worker");
     // Let it claim a lease and journal some work, then SIGKILL it.
@@ -201,7 +226,7 @@ fn die_after_worker_then_resume_coordinator() {
     let status = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
         .args(["campaignd", "--worker", "--store"])
         .arg(&dir)
-        .args(["--ttl-ms", "3600000", "--worker-id", "doomed", "--die-after", "3"])
+        .args(["--worker-id", "doomed", "--die-after", "3"])
         .status()
         .expect("spawn campaignd worker");
     assert!(!status.success(), "--die-after must abort the process");
@@ -209,7 +234,7 @@ fn die_after_worker_then_resume_coordinator() {
     let status = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
         .args(["campaignd", "--resume"])
         .arg(&dir)
-        .args(["--workers", "2", "--ttl-ms", "3600000"])
+        .args(["--workers", "2"])
         .status()
         .expect("spawn campaignd coordinator");
     assert!(status.success(), "resume coordinator must succeed");
@@ -221,10 +246,65 @@ fn die_after_worker_then_resume_coordinator() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// SIGKILL mid-claim: a dozen worker processes, each killed after a seeded
+/// delay of 0–30 ms, so some kills land inside `create_new`'s temp write,
+/// fsync or `link` and others mid-task. A two-worker `--resume` must
+/// reclaim every lease they left — stray `*.claim` temp files included,
+/// which must never block a claim — merge the serial baseline byte for
+/// byte, and leave no lease behind.
+#[test]
+fn sigkill_mid_claim_then_resume_is_byte_identical() {
+    // Many short tasks, so a claim (two fsyncs) comes every few ms; about
+    // 0.4 s of work for one release-build worker, more than the twelve
+    // kill delays add up to, so the kills always leave work for the resume.
+    let spec = CampaignSpec { seq1_take: 0, seq2_step: 10, batch: 3, ..small_spec() };
+    let base_dir = tmpdir("base5");
+    let want_doc = {
+        let store = CampaignStore::open_or_init(&base_dir, &spec).unwrap();
+        runner::run_and_merge(&store, &opts()).unwrap().1.doc
+    };
+
+    let dir = tmpdir("midclaim");
+    let store = CampaignStore::open_or_init(&dir, &spec).unwrap();
+    let mut rng = 0x6b69_6c6c_u64;
+    for i in 0..12 {
+        rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let delay = Duration::from_millis((rng >> 33) % 31);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
+            .args(["campaignd", "--worker", "--store"])
+            .arg(&dir)
+            .args(["--worker-id", &format!("k{i}")])
+            .spawn()
+            .expect("spawn campaignd worker");
+        std::thread::sleep(delay);
+        child.kill().expect("SIGKILL the worker");
+        child.wait().unwrap();
+    }
+    let total = store.spec.total_tasks();
+    assert!((0..total).any(|id| !store.result_exists(id)), "the kills left no work to resume");
+
+    let status = Command::new(env!("CARGO_BIN_EXE_chipmunk"))
+        .args(["campaignd", "--resume"])
+        .arg(&dir)
+        .args(["--workers", "2"])
+        .status()
+        .expect("spawn campaignd coordinator");
+    assert!(status.success(), "resume coordinator must succeed");
+    assert_eq!(std::fs::read_to_string(dir.join("campaign.json")).unwrap(), want_doc);
+    let leases: Vec<String> = std::fs::read_dir(dir.join("leases"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".lease"))
+        .collect();
+    assert!(leases.is_empty(), "leases survived the resume: {leases:?}");
+    let _ = std::fs::remove_dir_all(&base_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Strict argument parsing, shared by every `chipmunk` subcommand: no
 /// subcommand or an unknown one, unknown flags (the store flags `campaign`
-/// and `hunt` no longer take, and `campaignd --threads`, among them),
-/// malformed numbers — `eadr forty` used to run the default budget — extra
+/// and `hunt` no longer take, and two retired `campaignd` flags, among
+/// them), malformed numbers — `eadr forty` used to run the default budget — extra
 /// positionals (including any argument to a subcommand that takes none), a
 /// trailing `--json` without its path, an unknown bug number and
 /// contradictory modes all exit 2.
@@ -249,6 +329,7 @@ fn grown_binaries_reject_bad_args_with_exit_2() {
         &["campaignd", "--store", "/tmp/x", "--bitmap-bits", "1000"],
         &["campaignd", "--store", "/tmp/x", "--bug", "999"],
         &["campaignd", "--store", "/tmp/x", "--threads", "2"],
+        &["campaignd", "--store", "/tmp/x", "--ttl-ms", "5"],
         &["hunt", "14", "--store", "/tmp/x"],
         &["hunt", "--resume", "/tmp/x"],
         &["hunt", "999"],

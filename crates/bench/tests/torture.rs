@@ -6,7 +6,6 @@
 //! or halt declaring why with zero corrupt committed artifacts.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use bench::campaign::{
     hostio::{CrashSide, FaultSpec, HostCtx, StoreError},
@@ -35,7 +34,7 @@ fn small_spec() -> CampaignSpec {
 }
 
 fn opts() -> RunOpts {
-    RunOpts { ttl: Duration::from_secs(3600), ..RunOpts::default() }
+    RunOpts::default()
 }
 
 /// The fault-free merged document every torture run must reproduce.

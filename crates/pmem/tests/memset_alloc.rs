@@ -23,6 +23,8 @@ fn cow_memset_allocates_pages_not_the_whole_range() {
     let base = vec![0u8; LEN as usize];
     let mut cow = CowDevice::new(&base);
     let peak = counting_alloc::during(|| cow.memset_nt(0, 0xab, LEN)).max;
+    // The chunked memset dirties exactly one overlay page per 4 KiB.
+    assert_eq!(cow.dirty_pages(), 1024);
     // Overlay pages are 4 KiB slots; allow generous slack for the page table
     // and slot lists (8 KiB each for this device), but nothing near the
     // 4 MiB the old `vec![val; len]` implementation hit.
